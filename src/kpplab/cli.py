@@ -1,13 +1,13 @@
 """Config-driven batch runner.
 
-Subcommands: run, speed, eigen, stationary, validate, list-experiments.
+Subcommands: run, speed, eigen, validate, list-experiments.
 Configs are flat INI files (sections habitat/reaction/dispersal/solver/
 experiment/output); validation failures name the offending section.key
 and exit 2, runtime errors exit 3, failed verdicts exit 1.  Artifacts
 are written to a fresh directory atomically (temp dir, then rename) with
 a manifest sufficient to rerun the job.  Flags beat environment
 variables (KPPLAB_JOBS, KPPLAB_OUTPUT_DIR, KPPLAB_SEED, KPPLAB_QUIET),
-which beat the config file.
+which beat the config file; an unparsable environment value exits 2.
 """
 
 from __future__ import annotations
@@ -79,10 +79,6 @@ def _get(cp, section, key, cast=str, default=_REQUIRED, choices=None):
 
 
 def _float_list(raw):
-    return tuple(float(tok) for tok in raw.replace(" ", "").split(",") if tok)
-
-
-def _direction(raw):
     return tuple(float(tok) for tok in raw.replace(" ", "").split(",") if tok)
 
 
@@ -198,7 +194,7 @@ def _resolve_record_every(solver, dt, target=240):
 
 
 def _exp_front_speed(cp, habitat, reaction, op, solver, options):
-    xi = _get(cp, "experiment", "direction", _direction, default=(1.0,) + (0.0,) * (habitat.dim - 1))
+    xi = _get(cp, "experiment", "direction", _float_list, default=(1.0,) + (0.0,) * (habitat.dim - 1))
     sigma0 = _get(cp, "experiment", "sigma0", float, default=1.0)
     level_fraction = _get(cp, "experiment", "level_fraction", float, default=0.5)
     burn_in = _get(cp, "experiment", "burn_in", float, default=0.5)
@@ -237,7 +233,7 @@ def _exp_front_speed(cp, habitat, reaction, op, solver, options):
 
 
 def _exp_invariance_sweep(cp, habitat, reaction, op, solver, options):
-    xi = _get(cp, "experiment", "direction", _direction, default=(1.0,) + (0.0,) * (habitat.dim - 1))
+    xi = _get(cp, "experiment", "direction", _float_list, default=(1.0,) + (0.0,) * (habitat.dim - 1))
     amplitudes = _get(cp, "experiment", "amplitudes", _float_list, default=(-0.5, 0.0, 0.5, 1.0))
     setup = SweepSetup(
         op=op,
@@ -430,7 +426,7 @@ def _cmd_speed(cp, cfg_text, options):
     habitat = build_habitat(cp)
     reaction = build_reaction(cp)
     op = build_dispersal(cp, habitat)
-    xi = _get(cp, "experiment", "direction", _direction,
+    xi = _get(cp, "experiment", "direction", _float_list,
               default=(1.0,) + (0.0,) * (habitat.dim - 1))
     result = theoretical_speed(op.kind, reaction, xi, kernel=op.kernel, weights=op.weights)
     mus = _curve_grid(cp)
@@ -460,7 +456,7 @@ def _cmd_eigen(cp, cfg_text, options):
     habitat = build_habitat(cp)
     reaction = build_reaction(cp)
     op = build_dispersal(cp, habitat)
-    xi = _get(cp, "experiment", "direction", _direction,
+    xi = _get(cp, "experiment", "direction", _float_list,
               default=(1.0,) + (0.0,) * (habitat.dim - 1))
     mus = _curve_grid(cp)
     r = float(reaction.f0(0.0))
@@ -475,26 +471,6 @@ def _cmd_eigen(cp, cfg_text, options):
     _write_run_dir(outdir, "eigen", artifacts, _manifest(cfg_text, summary, options, 0.0),
                    options["quiet"])
     return 0
-
-
-def _cmd_stationary(cp, cfg_text, options):
-    habitat = build_habitat(cp)
-    reaction = build_reaction(cp)
-    op = build_dispersal(cp, habitat)
-    solver = build_solver(cp)
-    _precheck_dt(cp, habitat, reaction, op, solver)
-    t0 = time.perf_counter()
-    ok, summary, artifacts = _exp_stationary_profile(cp, habitat, reaction, op, solver, options)
-    wall = time.perf_counter() - t0
-    outdir = options["output_dir"] or _get(cp, "output", "directory", str, default="out")
-    os.makedirs(outdir, exist_ok=True)
-    artifacts = dict(artifacts)
-    artifacts["summary.json"] = ("json", summary)
-    _write_run_dir(outdir, "stationary", artifacts, _manifest(cfg_text, summary, options, wall),
-                   options["quiet"])
-    if not options["quiet"]:
-        print(f"verdict: {summary['verdict']}")
-    return 0 if ok else 1
 
 
 def _cmd_validate(cp, cfg_text, options):
@@ -516,27 +492,29 @@ def _cmd_list(options):
     return 0
 
 
-def _env_default(name, cast, fallback):
+def _env_value(parser, name, cast, fallback):
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
         return cast(raw)
-    except (TypeError, ValueError):
-        return fallback
+    except ValueError:
+        parser.error(f"environment variable {name}: cannot parse {raw!r} as {cast.__name__}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="kpplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "speed", "eigen", "stationary", "validate"):
+    jobs = _env_value(parser, "KPPLAB_JOBS", int, 1)
+    seed = _env_value(parser, "KPPLAB_SEED", int, None)
+    for name in ("run", "speed", "eigen", "validate"):
         p = sub.add_parser(name)
         p.add_argument("config")
-        p.add_argument("--jobs", type=int, default=_env_default("KPPLAB_JOBS", int, 1))
+        p.add_argument("--jobs", type=int, default=jobs)
         p.add_argument("--output-dir", default=os.environ.get("KPPLAB_OUTPUT_DIR"))
-        p.add_argument("--seed", type=int, default=_env_default("KPPLAB_SEED", int, None))
+        p.add_argument("--seed", type=int, default=seed)
         p.add_argument("--quiet", action="store_true",
-                       default=_env_default("KPPLAB_QUIET", lambda s: s == "1", False))
+                       default=os.environ.get("KPPLAB_QUIET") == "1")
     sub.add_parser("list-experiments")
 
     args = parser.parse_args(argv)
@@ -555,7 +533,6 @@ def main(argv=None) -> int:
             "run": _cmd_run,
             "speed": _cmd_speed,
             "eigen": _cmd_eigen,
-            "stationary": _cmd_stationary,
             "validate": _cmd_validate,
         }[args.command]
         return handler(cp, text, options)

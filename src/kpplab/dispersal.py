@@ -1,14 +1,18 @@
-"""The three dispersal operators and their exponentially twisted variants.
+"""The three dispersal operators, each written as one stencil.
 
-random    second-order central-difference Laplacian
-nonlocal  convolution quadrature int kappa(y-x) u(y) dy - u(x), with
-          per-row renormalization over in-domain points under clamp
-          boundaries (constants stay exact equilibria)
-discrete  nearest-neighbor exchange sum a_k (u(j+k) - u(j)) on the lattice
+A stencil is a set of integer grid offsets z_j with weights w_j:
 
-The twisted variants apply the substitution u -> exp(-mu x.xi) u at the
-operator level and are what the periodic eigenproblems act with.  At
-mu = 0 they reduce to the plain operators.
+random    the 2*dim unit offsets with weight 1/h^2 (central-difference
+          Laplacian)
+nonlocal  the kernel offsets, centre included, with weight kappa(z_j) h^dim
+          (convolution quadrature of int kappa(y-x) u(y) dy - u(x))
+discrete  the 2*dim unit offsets of the lattice with the rates a_k
+
+On a habitat the stencil acts in difference form sum_j w_j (u(x+z_j) - u(x)),
+so constants are exact equilibria.  Under clamp boundaries out-of-domain
+terms are dropped and nonlocal rows are renormalized by their in-domain
+mass; under periodic boundaries indices wrap.  The twisted periodic cell
+operators of eigen.assemble_cell_operator are built from the same stencil.
 """
 
 from __future__ import annotations
@@ -16,10 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .domain import (
-    CLAMP,
     CONTINUUM,
     LATTICE,
     PERIODIC,
@@ -27,13 +29,24 @@ from .domain import (
     Habitat,
     Kernel,
     LatticeWeights,
-    unit_direction,
+    _unit_offsets,
 )
 
 RANDOM = "random"
 NONLOCAL = "nonlocal"
 DISCRETE = "discrete"
 KINDS = (RANDOM, NONLOCAL, DISCRETE)
+
+
+@dataclass(frozen=True, eq=False)
+class _Stencil:
+    """Integer offsets (m, dim) with weights (m,) on a grid of the given
+    spacing; renormalize divides each clamp row by its in-domain mass."""
+
+    offsets: np.ndarray
+    weights: np.ndarray
+    spacing: float
+    renormalize: bool = False
 
 
 @dataclass(eq=False)
@@ -90,120 +103,58 @@ class DispersalOperator:
         if self.kind == DISCRETE and self.weights.dim != habitat.dim:
             raise ValueError("lattice weights dimension mismatch")
 
-    # ---- raw-array actions ------------------------------------------------
+    def _stencil(self, dim: int, spacing: float) -> _Stencil:
+        """The stencil of this operator on a grid of the given dimension
+        and spacing (the payload fixes both for nonlocal and discrete)."""
+        if self.kind == RANDOM:
+            offsets = _unit_offsets(dim)
+            return _Stencil(offsets, np.full(len(offsets), 1.0 / spacing ** 2), spacing)
+        if self.kind == NONLOCAL:
+            k = self.kernel
+            return _Stencil(k.offsets, k.weights * k.spacing ** k.dim, k.spacing,
+                            renormalize=True)
+        return _Stencil(self.weights.offsets, self.weights.values, 1.0)
+
+    # ---- raw-array action -------------------------------------------------
 
     def bind(self, habitat: Habitat):
-        """Return the untwisted action as a fast array -> array closure."""
+        """Return the action as a fast array -> array closure."""
         self.check_habitat(habitat)
-        if self.kind == RANDOM:
-            return _laplacian_closure(habitat)
-        if self.kind == NONLOCAL:
-            return _nonlocal_closure(habitat, self.kernel, mu=0.0, xi=None)
-        return _discrete_closure(habitat, self.weights, mu=0.0, xi=None)
+        st = self._stencil(habitat.dim, habitat.spacing)
+        # the centre offset contributes w_0 (u(x) - u(x)) = 0
+        terms = [(tuple(off), w) for off, w in zip(st.offsets, st.weights) if any(off)]
 
-    def bind_twisted(self, habitat: Habitat, mu: float, xi):
-        self.check_habitat(habitat)
-        if not np.isfinite(mu):
-            raise ValueError("mu must be finite")
-        xi_v = unit_direction(xi, habitat.dim)
-        if self.kind == RANDOM:
-            lap = _laplacian_closure(habitat)
-            grads = [_gradient_closure(habitat, d) for d in range(habitat.dim)]
-            mu = float(mu)
+        if habitat.boundary == PERIODIC:
+            axes = tuple(range(habitat.dim))
+            shifts = [([-o for o in off], w) for off, w in terms]
 
-            def action(u):
-                out = lap(u) + (mu * mu) * u
-                for d in range(habitat.dim):
-                    if xi_v[d] != 0.0:
-                        out -= (2.0 * mu * xi_v[d]) * grads[d](u)
-                return out
+            def action_wrap(u):
+                acc = np.zeros_like(u)
+                for shift, w in shifts:
+                    acc += w * (np.roll(u, shift, axis=axes) - u)
+                return acc
 
-            return action
-        if self.kind == NONLOCAL:
-            return _nonlocal_closure(habitat, self.kernel, mu=float(mu), xi=xi_v)
-        return _discrete_closure(habitat, self.weights, mu=float(mu), xi=xi_v)
+            return action_wrap
+
+        slices = [(*_difference_slices(off, habitat.shape), w) for off, w in terms]
+        row_mass = None
+        if st.renormalize:
+            row_mass = np.zeros(habitat.shape)
+            for off, w in zip(st.offsets, st.weights):
+                row_mass[_difference_slices(off, habitat.shape)[0]] += w
+
+        def action_clamp(u):
+            acc = np.zeros_like(u)
+            for dst, src, w in slices:
+                acc[dst] += w * (u[src] - u[dst])
+            return acc if row_mass is None else acc / row_mass
+
+        return action_clamp
 
     # ---- public Field interface -------------------------------------------
 
     def apply(self, u: Field) -> Field:
         return Field(u.habitat, self.bind(u.habitat)(u.values))
-
-    def apply_twisted(self, mu: float, xi, u: Field) -> Field:
-        return Field(u.habitat, self.bind_twisted(u.habitat, mu, xi)(u.values))
-
-    def symbol(self, mu, xi):
-        """Action on the constant field 1 in the interior, as a function
-        of mu (vectorized): mu^2, twisted kernel moment - 1, or the
-        twisted lattice rate sum."""
-        mu = np.asarray(mu, dtype=float)
-        if self.kind == RANDOM:
-            return mu * mu
-        if self.kind == NONLOCAL:
-            return self.kernel.twisted_moment(mu, xi) - 1.0
-        return self.weights.twisted_sum(mu, xi)
-
-
-def _pad_mode(habitat):
-    return "edge" if habitat.boundary == CLAMP else "wrap"
-
-
-def _laplacian_closure(habitat):
-    # difference form: each term vanishes exactly on constant fields
-    h2 = habitat.spacing ** 2
-    mode = _pad_mode(habitat)
-    if habitat.dim == 1:
-
-        def lap(u):
-            p = np.pad(u, 1, mode=mode)
-            return ((p[2:] - u) + (p[:-2] - u)) / h2
-
-        return lap
-
-    def lap2(u):
-        p = np.pad(u, 1, mode=mode)
-        return (
-            (p[2:, 1:-1] - u) + (p[:-2, 1:-1] - u) + (p[1:-1, 2:] - u) + (p[1:-1, :-2] - u)
-        ) / h2
-
-    return lap2
-
-
-def _gradient_closure(habitat, axis):
-    two_h = 2.0 * habitat.spacing
-    mode = _pad_mode(habitat)
-    if habitat.dim == 1:
-
-        def grad(u):
-            p = np.pad(u, 1, mode=mode)
-            return (p[2:] - p[:-2]) / two_h
-
-        return grad
-
-    def grad2(u):
-        p = np.pad(u, 1, mode=mode)
-        if axis == 0:
-            return (p[2:, 1:-1] - p[:-2, 1:-1]) / two_h
-        return (p[1:-1, 2:] - p[1:-1, :-2]) / two_h
-
-    return grad2
-
-
-def _kernel_stencils(kernel, mu, xi):
-    """Dense hyperrectangular stencils (twisted numerator, plain mass)."""
-    half = kernel.half_width
-    shape = (2 * half + 1,) * kernel.dim
-    w_plain = np.zeros(shape)
-    w_twist = np.zeros(shape)
-    scale = kernel.spacing ** kernel.dim
-    idx = tuple((kernel.offsets + half).T)
-    base = kernel.weights * scale
-    w_plain[idx] = base
-    if mu == 0.0 or xi is None:
-        w_twist[idx] = base
-    else:
-        zdot = kernel.displacements() @ xi
-        w_twist[idx] = base * np.exp(-mu * zdot)
-    return w_twist, w_plain
 
 
 def _difference_slices(off, shape):
@@ -215,93 +166,3 @@ def _difference_slices(off, shape):
         dst.append(slice(lo, hi))
         src.append(slice(lo + o, hi + o))
     return tuple(dst), tuple(src)
-
-
-def _nonlocal_closure(habitat, kernel, mu, xi):
-    scale = kernel.spacing ** kernel.dim
-    base = kernel.weights * scale
-    offs = [tuple(o) for o in kernel.offsets]
-
-    if mu == 0.0 or xi is None:
-        # untwisted action in difference form, so constants are exact
-        # equilibria: sum_j w_j (u(x+z_j) - u(x)), renormalized per row
-        if habitat.boundary == CLAMP:
-            _, w_plain = _kernel_stencils(kernel, 0.0, None)
-            ones = np.ones(habitat.shape)
-            row_mass = ndimage.correlate(ones, w_plain, mode="constant", cval=0.0)
-
-            def action_clamp(u):
-                acc = np.zeros_like(u)
-                for off, w in zip(offs, base):
-                    if all(o == 0 for o in off):
-                        continue
-                    dst, src = _difference_slices(off, u.shape)
-                    acc[dst] += w * (u[src] - u[dst])
-                return acc / row_mass
-
-            return action_clamp
-
-        axes = tuple(range(habitat.dim))
-
-        def action_wrap(u):
-            acc = np.zeros_like(u)
-            for off, w in zip(offs, base):
-                if all(o == 0 for o in off):
-                    continue
-                acc += w * (np.roll(u, [-o for o in off], axis=axes) - u)
-            return acc
-
-        return action_wrap
-
-    w_twist, w_plain = _kernel_stencils(kernel, mu, xi)
-    if habitat.boundary == CLAMP:
-        ones = np.ones(habitat.shape)
-        row_mass = ndimage.correlate(ones, w_plain, mode="constant", cval=0.0)
-
-        def action_twisted(u):
-            acc = ndimage.correlate(u, w_twist, mode="constant", cval=0.0)
-            return acc / row_mass - u
-
-        return action_twisted
-
-    def action_twisted_wrap(u):
-        return ndimage.correlate(u, w_twist, mode="wrap") - u
-
-    return action_twisted_wrap
-
-
-def _discrete_closure(habitat, weights, mu, xi):
-    factors = np.ones(len(weights.values))
-    if mu != 0.0 and xi is not None:
-        factors = np.exp(-mu * (weights.offsets @ xi))
-    offs = [tuple(o) for o in weights.offsets]
-    rates = weights.values
-    wrap = habitat.boundary == PERIODIC
-    axes = tuple(range(habitat.dim))
-
-    if mu == 0.0 or xi is None:
-        # difference form: sum_k a_k (u(j+k) - u(j)), exact on constants;
-        # clamp ghosts copy the boundary value, so their terms vanish
-        def action(u):
-            acc = np.zeros_like(u)
-            for off, a in zip(offs, rates):
-                if wrap:
-                    acc += a * (np.roll(u, [-o for o in off], axis=axes) - u)
-                else:
-                    dst, src = _difference_slices(off, u.shape)
-                    acc[dst] += a * (u[src] - u[dst])
-            return acc
-
-        return action
-
-    mode = _pad_mode(habitat)
-
-    def action_twisted(u):
-        p = np.pad(u, 1, mode=mode)
-        out = -weights.rate_sum * u
-        for off, a, fac in zip(offs, rates, factors):
-            sl = tuple(slice(1 + o, 1 + o + n) for o, n in zip(off, u.shape))
-            out = out + (a * fac) * p[sl]
-        return out
-
-    return action_twisted

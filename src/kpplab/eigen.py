@@ -6,6 +6,12 @@ random    Lu = lap u - 2 mu xi.grad u + (a(x) + mu^2) u
 nonlocal  Lu = int exp(-mu (y-x).xi) kappa(y-x) u(y) dy - u(x) + a(x) u(x)
 discrete  Lu = sum_k a_k (exp(-mu k.xi) u(j+k) - u(j)) + a(j) u(j)
 
+All three are one sparse matrix diag(a) + sum_j w_j (f_j S_j - I) built
+from the dispersal stencil (offsets z_j, weights w_j, shifts S_j) with
+twist factors f_j = exp(-mu z_j.xi); the random kind uses the first-order
+factors 1 - mu z_j.xi plus mu^2 on the diagonal, which is its centred
+drift term.
+
 The dominant eigenvalue carries a positive eigenfunction, so it is
 computed by shifted power iteration: the shift makes the iteration
 matrix entrywise nonnegative with positive diagonal, and the iteration
@@ -18,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy import sparse
 
-from .dispersal import DISCRETE, KINDS, NONLOCAL, RANDOM
+from .dispersal import DISCRETE, NONLOCAL, RANDOM, DispersalOperator
 from .domain import Kernel, LatticeWeights, unit_direction
 
 
@@ -98,19 +104,13 @@ class CellOperator:
     shape: tuple
     spacing: float
     shift: float
-    _matvec: object
+    _matrix: sparse.csr_matrix
 
     def matvec(self, u):
-        return self._matvec(u)
+        return (self._matrix @ u.ravel()).reshape(self.shape)
 
     def to_matrix(self):
-        n = int(np.prod(self.shape))
-        cols = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            cols[:, j] = self._matvec(e.reshape(self.shape)).ravel()
-        return cols
+        return self._matrix.toarray()
 
 
 def assemble_cell_operator(
@@ -127,81 +127,55 @@ def assemble_cell_operator(
     nonlocal kind additionally needs every period to exceed twice the
     kernel support radius so the wrapped kernel cannot see itself.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown dispersal kind {kind!r}")
+    op = DispersalOperator(kind, kernel=kernel, weights=weights)
     dim = a.dim
     xi_v = unit_direction(xi, dim)
     mu = float(mu)
     coeff = a.values
-    max_abs_a = float(np.abs(coeff).max())
 
-    if kind == RANDOM:
-        h = a.spacing
-        if min(coeff.shape) < 8:
-            raise ValueError("cell resolution too coarse: need >= 8 points per period")
-        if abs(mu) * h >= 1.0:
-            raise ValueError(
-                f"cell resolution too coarse for twist mu={mu}: need |mu| * h < 1"
-            )
-        diag = coeff + mu * mu
-
-        def matvec(u):
-            out = diag * u
-            for d in range(dim):
-                up = np.roll(u, -1, axis=d)
-                dn = np.roll(u, 1, axis=d)
-                out = out + ((up - u) + (dn - u)) / (h * h)
-                if xi_v[d] != 0.0:
-                    out = out - (mu * xi_v[d] / h) * (up - dn)
-            return out
-
-        # laplacian diagonal -2 dim / h^2 must be dominated by the shift
-        shift = 1.0 + max_abs_a + mu * mu + 2.0 * dim / (h * h)
-        return CellOperator(kind, mu, coeff.shape, h, shift, matvec)
-
+    if kind == DISCRETE:
+        if a.spacing != 1.0:
+            raise ValueError("lattice cells have spacing 1")
+    elif min(coeff.shape) < 8:
+        raise ValueError("cell resolution too coarse: need >= 8 points per period")
+    if kind == RANDOM and abs(mu) * a.spacing >= 1.0:
+        raise ValueError(
+            f"cell resolution too coarse for twist mu={mu}: need |mu| * h < 1"
+        )
     if kind == NONLOCAL:
-        if kernel is None:
-            raise ValueError("nonlocal assembly requires a kernel")
         if abs(kernel.spacing - a.spacing) > 1e-12:
             raise ValueError("kernel spacing must match the cell spacing")
-        if min(coeff.shape) < 8:
-            raise ValueError("cell resolution too coarse: need >= 8 points per period")
         for p in a.period:
             if p <= 2.0 * kernel.delta0:
                 raise ValueError(
                     f"period {p} must exceed twice the kernel radius {kernel.delta0}"
                 )
-        half = kernel.half_width
-        stencil = np.zeros((2 * half + 1,) * dim)
-        zdot = kernel.displacements() @ xi_v
-        vals = kernel.weights * kernel.spacing ** dim * np.exp(-mu * zdot)
-        stencil[tuple((kernel.offsets + half).T)] = vals
 
-        def matvec_nl(u):
-            return ndimage.correlate(u, stencil, mode="wrap") - u + coeff * u
+    st = op._stencil(dim, a.spacing)
+    zxi = (st.offsets * st.spacing) @ xi_v
+    if kind == RANDOM:
+        # first-order twist: the centred drift -2 mu xi.grad u, plus mu^2 u;
+        # its factors stay positive while |mu| h < 1
+        factors, diag = 1.0 - mu * zxi, coeff + mu * mu
+    else:
+        factors, diag = np.exp(-mu * zxi), coeff
+    mass = float(st.weights.sum())
+    matrix = _wrapped_matrix(st.offsets, st.weights * factors, diag - mass)
+    shift = 1.0 + float(np.abs(coeff).max()) + mu * mu + mass
+    return CellOperator(kind, mu, coeff.shape, a.spacing, shift, matrix)
 
-        shift = 1.0 + max_abs_a + mu * mu + 1.0
-        return CellOperator(kind, mu, coeff.shape, a.spacing, shift, matvec_nl)
 
-    if weights is None:
-        raise ValueError("discrete assembly requires lattice weights")
-    if a.spacing != 1.0:
-        raise ValueError("lattice cells have spacing 1")
-    factors = np.exp(-mu * (weights.offsets @ xi_v))
-    offs = [tuple(o) for o in weights.offsets]
-    rates = weights.values
-    rate_sum = weights.rate_sum
-
-    axes = tuple(range(dim))
-
-    def matvec_d(u):
-        out = coeff * u
-        for off, r, fac in zip(offs, rates, factors):
-            out = out + r * (fac * np.roll(u, [-o for o in off], axis=axes) - u)
-        return out
-
-    shift = 1.0 + max_abs_a + mu * mu + rate_sum
-    return CellOperator(kind, mu, coeff.shape, 1.0, shift, matvec_d)
+def _wrapped_matrix(offsets, values, diag):
+    """CSR matrix of u -> diag u + sum_j values_j u(x + offsets_j) on the
+    periodic grid of diag's shape; coinciding wrapped entries add up."""
+    n = diag.size
+    index = np.arange(n).reshape(diag.shape)
+    axes = tuple(range(diag.ndim))
+    cols = [np.roll(index, [-o for o in off], axis=axes).ravel() for off in offsets]
+    rows = np.tile(index.ravel(), len(offsets) + 1)
+    cols = np.concatenate(cols + [index.ravel()])
+    data = np.concatenate([np.repeat(values, n), diag.ravel()])
+    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 @dataclass(eq=False)

@@ -5,7 +5,8 @@ constant-coefficient closed forms or from the periodic eigenvalue
 solver.  A coarse log-spaced scan brackets the interior minimizer of
 lambda/mu, golden-section refines it; a minimum sitting on the scan
 edge is refused since every admissible relation here has lambda/mu
-blowing up at both ends.
+blowing up at both ends.  An eigen-backed random relation scans only
+mu < 1/h, where the twist factors of its cell stencil stay positive.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersal import DispersalOperator
+from .dispersal import RANDOM
 from .domain import Kernel, LatticeWeights, Reaction
 from .eigen import (
     PeriodicCoefficient,
@@ -27,6 +28,7 @@ from .eigen import (
 _SCAN_POINTS = 60
 _MU_MIN = 1e-3
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_TWIST_EDGE = 1.0 - 1e-9  # largest admissible mu * h the random cell scan reaches
 
 
 class BracketEdgeError(RuntimeError):
@@ -60,6 +62,9 @@ class DispersionRelation:
     def eigen_backed(cls, kind, xi, a: PeriodicCoefficient,
                      kernel: Kernel = None, weights: LatticeWeights = None,
                      mu_max: float = 20.0, tolerance: float = 1e-10):
+        if kind == RANDOM:
+            mu_max = min(mu_max, _TWIST_EDGE / a.spacing)
+
         def evaluator(mu):
             op = assemble_cell_operator(kind, float(mu), xi, a, kernel=kernel, weights=weights)
             return principal_eigenvalue(op, tolerance=tolerance).lam
@@ -150,11 +155,3 @@ def theoretical_speed(
     )
     return minimize_speed(rel, tol=tol)
 
-
-def speed_from_operator(op: DispersalOperator, reaction: Reaction, xi,
-                        mu_max: float = 20.0, tol: float = 1e-8) -> SpeedResult:
-    """Convenience wrapper taking the payload from a dispersal operator."""
-    return theoretical_speed(
-        op.kind, reaction, xi, kernel=op.kernel, weights=op.weights,
-        mu_max=mu_max, tol=tol,
-    )

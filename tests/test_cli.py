@@ -73,6 +73,19 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     assert "reaction.r0" in capsys.readouterr().err
 
 
+def test_unparsable_environment_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path, "ok.cfg", DISCRETE_FRONT.format(out=tmp_path / "out"))
+    for name, raw in [("KPPLAB_JOBS", "abc"), ("KPPLAB_SEED", "x")]:
+        with monkeypatch.context() as m:
+            m.setenv(name, raw)
+            with pytest.raises(SystemExit) as exc:
+                main(["validate", cfg])
+            assert exc.value.code == 2
+            assert name in capsys.readouterr().err
+    monkeypatch.setenv("KPPLAB_JOBS", "2")
+    assert main(["validate", cfg]) == 0
+
+
 def test_dt_precheck_at_load_time(tmp_path, capsys):
     cfg_text = DISCRETE_FRONT.format(out=tmp_path / "o").replace("dt = auto", "dt = 10.0")
     cfg = _write(tmp_path, "fast.cfg", cfg_text)
@@ -171,6 +184,7 @@ def test_stationary_subcommand(tmp_path):
     T = 100
 
     [experiment]
+    name = stationary_profile
     tail_radius = 4.0
     tail_threshold = 0.01
 
@@ -178,11 +192,11 @@ def test_stationary_subcommand(tmp_path):
     directory = {out}
     """
     cfg = _write(tmp_path, "st.cfg", text.format(out=out))
-    assert main(["stationary", cfg, "--quiet"]) == 0
-    summary = json.loads((out / "stationary" / "summary.json").read_text())
+    assert main(["run", cfg, "--quiet"]) == 0
+    summary = json.loads((out / "stationary_profile" / "summary.json").read_text())
     assert summary["routes_gap"] <= 1e-6
     assert summary["residual_from_above"] <= 1e-7
-    profile = (out / "stationary" / "profile.csv").read_text().splitlines()
+    profile = (out / "stationary_profile" / "profile.csv").read_text().splitlines()
     assert profile[0] == "x,u_star" and len(profile) == 82
 
 

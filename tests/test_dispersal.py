@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from kpplab import (
@@ -8,6 +10,9 @@ from kpplab import (
     Habitat,
     Kernel,
     LatticeWeights,
+    PeriodicCoefficient,
+    assemble_cell_operator,
+    closed_form_eigenvalue,
 )
 
 HAB = Habitat("continuum", 1, 10.0, 0.1)
@@ -48,51 +53,59 @@ def test_discrete_indicator():
         assert len(neighbors) == 2 * dim
 
 
+def _cell(kind, mu, period, spacing, **payload):
+    """Twisted 1-D cell operator with a = 0: the stencil on a periodic cell."""
+    a = PeriodicCoefficient.constant(0.0, (period,), spacing)
+    return assemble_cell_operator(kind, mu, 1.0, a, **payload)
+
+
 def test_twisted_at_mu_zero_matches_apply():
     rng = np.random.default_rng(3)
-    for op, hab in _ops():
-        u = Field(hab, rng.random(hab.shape))
-        d = np.abs(op.apply_twisted(0.0, 1.0, u).values - op.apply(u).values).max()
-        assert d <= 1e-14, op.kind
+    hper = Habitat("continuum", 1, 10.0, 0.1, boundary="periodic")
+    lper = Habitat("lattice", 1, 10, boundary="periodic")
+    for (op, _), hab in zip(_ops(), [hper, hper, lper]):
+        cell = _cell(op.kind, 0.0, hab.n_per_axis * hab.spacing, hab.spacing,
+                     kernel=op.kernel, weights=op.weights)
+        u = rng.random(hab.shape)
+        ref = op.apply(Field(hab, u)).values
+        # matrix and difference form sum in different orders
+        assert np.abs(cell.matvec(u) - ref).max() <= 1e-14 * np.abs(ref).max(), op.kind
 
 
 def test_twisted_random_on_constant():
-    out = DispersalOperator.random().apply_twisted(0.5, 1.0, HAB.full(1.0)).values
-    assert np.allclose(out, 0.25, atol=1e-14)
+    cell = _cell("random", 0.5, 10.0, 0.1)
+    assert np.allclose(cell.matvec(np.ones(cell.shape)), 0.25, atol=1e-14)
 
 
 def test_twisted_discrete_on_constant():
-    op = DispersalOperator.discrete(LatticeWeights.symmetric(1, 1.0))
-    out = op.apply_twisted(1.0, 1.0, LAT.full(1.0)).values
+    cell = _cell("discrete", 1.0, 10.0, 1.0, weights=LatticeWeights.symmetric(1, 1.0))
     expected = np.exp(-1.0) + np.exp(1.0) - 2.0  # 1.0861612696...
-    assert np.allclose(out, expected, atol=1e-13)
+    assert np.allclose(cell.matvec(np.ones(cell.shape)), expected, atol=1e-13)
 
 
 def test_twisted_on_constant_matches_symbol():
-    # symbol oracle: independent quadrature/sums of the twist factor
+    # closed-form oracle: independent quadrature/sums of the twist factor
     mu = 0.8
     # random: mu^2
-    out = DispersalOperator.random().apply_twisted(mu, 1.0, HAB.full(1.0)).values
-    assert np.allclose(out, mu * mu, atol=1e-13)
+    cell = _cell("random", mu, 10.0, 0.1)
+    assert np.allclose(cell.matvec(np.ones(cell.shape)), mu * mu, atol=1e-13)
     # nonlocal triangle kernel: exact moment 2 (cosh mu - 1) / mu^2, met
-    # at quadrature accuracy; interior rows only
+    # at quadrature accuracy
     kern = Kernel.from_profile("triangle", 1.0, 0.1, 1)
-    op = DispersalOperator.nonlocal_(kern)
-    out = op.apply_twisted(mu, 1.0, HAB.full(1.0)).values
+    out = _cell("nonlocal", mu, 10.0, 0.1, kernel=kern).matvec(np.ones(100))
     exact = 2.0 * (np.cosh(mu) - 1.0) / mu ** 2 - 1.0
-    interior = slice(kern.half_width, -kern.half_width)
     # midpoint-sum quadrature error bound: h^2/12 * sum of |kink jumps of
     # the integrand derivative| = h^2 (2 cosh mu - 2)/12, with margin 2
     qtol = 2.0 * 0.1 ** 2 * (2.0 * np.cosh(mu) - 2.0) / 12.0
-    assert np.allclose(out[interior], exact, atol=qtol)
-    assert np.allclose(out[interior], op.symbol(mu, 1.0), atol=1e-13)
+    assert np.allclose(out, exact, atol=qtol)
+    symbol = closed_form_eigenvalue("nonlocal", mu, 1.0, 0.0, kernel=kern, resolution=0.1)
+    assert np.allclose(out, symbol, atol=1e-13)
     # independent oracle for the discretized moment via scipy.quad
     quad_exact, _ = integrate.quad(lambda z: np.exp(-mu * z) * max(0.0, 1.0 - abs(z)), -1, 1)
     assert abs(kern.twisted_moment(mu, 1.0) - quad_exact) < qtol
     # discrete
-    w = LatticeWeights.symmetric(1, 1.3)
-    opd = DispersalOperator.discrete(w)
-    out = opd.apply_twisted(mu, 1.0, LAT.full(1.0)).values
+    cell = _cell("discrete", mu, 10.0, 1.0, weights=LatticeWeights.symmetric(1, 1.3))
+    out = cell.matvec(np.ones(cell.shape))
     assert np.allclose(out, 1.3 * (np.exp(-mu) + np.exp(mu) - 2.0), atol=1e-13)
 
 
@@ -138,3 +151,49 @@ def test_periodic_boundary_variants():
     out_c = op.apply(Field(HAB, u)).values
     inner = slice(30, -30)
     assert np.allclose(out_w[inner], out_c[inner], atol=1e-12)
+
+
+@st.composite
+def _stencil_cases(draw):
+    """A dispersal operator with a periodic-ready grid: (op, dim, spacing, m)."""
+    kind = draw(st.sampled_from(["random", "nonlocal", "discrete"]))
+    dim = draw(st.integers(1, 2))
+    m = draw(st.integers(2, 6))
+    if kind == "discrete":
+        rates = draw(st.lists(st.floats(0.1, 3.0), min_size=2 * dim, max_size=2 * dim))
+        offsets = LatticeWeights.symmetric(dim).offsets
+        return DispersalOperator.discrete(LatticeWeights(dim, offsets, rates)), dim, 1.0, m
+    spacing = draw(st.sampled_from([0.25, 0.5]))
+    m = max(m, 4)  # continuum cells need 8 points per period
+    if kind == "random":
+        return DispersalOperator.random(), dim, spacing, m
+    profile = draw(st.sampled_from(["uniform", "triangle", "mollifier"]))
+    delta0 = draw(st.floats(2.0 * spacing, 1.5))
+    kern = Kernel.from_profile(profile, delta0, spacing, dim)
+    # the cell period (2m + 1) h must exceed twice the kernel radius
+    return DispersalOperator.nonlocal_(kern), dim, spacing, max(m, kern.half_width + 1)
+
+
+@settings(deadline=None, derandomize=True)
+@given(_stencil_cases(), st.sampled_from(["clamp", "periodic"]), st.floats(-0.99, 0.99),
+       st.floats(0.0, 2.0 * np.pi), st.floats(-3.0, 3.0))
+def test_stencil_properties(case, boundary, mu_h, angle, value):
+    op, dim, spacing, m = case
+    kind = "lattice" if op.kind == "discrete" else "continuum"
+    hab = Habitat(kind, dim, m * spacing, spacing, boundary=boundary)
+    # constants are exact equilibria
+    assert np.all(op.bind(hab)(np.full(hab.shape, value)) == 0.0)
+
+    period = (hab.n_per_axis * spacing,) * dim
+    a = PeriodicCoefficient.constant(0.0, period, spacing)
+    payload = {"kernel": op.kernel, "weights": op.weights}
+    xi = (np.cos(angle), np.sin(angle))[:dim] if dim == 2 else 1.0
+    # cooperative: nonnegative off-diagonal entries while |mu| h < 1
+    matrix = assemble_cell_operator(op.kind, mu_h / spacing, xi, a, **payload).to_matrix()
+    np.fill_diagonal(matrix, 0.0)
+    assert matrix.min() >= 0.0
+    # at mu = 0 the cell operator is the stencil on the periodic habitat
+    per = Habitat(kind, dim, m * spacing, spacing, boundary="periodic")
+    u = np.random.default_rng(m).random(per.shape)
+    cell = assemble_cell_operator(op.kind, 0.0, xi, a, **payload)
+    assert np.abs(cell.matvec(u) - op.bind(per)(u)).max() <= 1e-12

@@ -129,6 +129,21 @@ def test_eigen_backed_matches_closed_form():
     assert abs(ce.c_star - 2.0) < 1e-7
 
 
+def test_eigen_backed_random_scan_stays_in_twist_range():
+    # at h = 0.25 the random cell admits only mu < 1/h = 4; the default
+    # mu_max = 20 must give the speed found inside that range
+    x = np.arange(16) * 0.25
+    a = PeriodicCoefficient((4.0,), 0.25, 1.0 + 0.12 * np.sin(np.pi * x / 2.0 + 0.4)
+                            + 0.08 * np.sin(np.pi * x + 1.1))
+    c_default = minimize_speed(DispersionRelation.eigen_backed("random", 1.0, a)).c_star
+    c_inside = minimize_speed(DispersionRelation.eigen_backed("random", 1.0, a, mu_max=3.5)).c_star
+    assert abs(c_default - c_inside) < 1e-10
+    # a minimizer mu* = sqrt(25) beyond the range sits on the scan edge
+    fast = PeriodicCoefficient.constant(25.0, (4.0,), 0.25)
+    with pytest.raises(BracketEdgeError, match="mu_max"):
+        minimize_speed(DispersionRelation.eigen_backed("random", 1.0, fast))
+
+
 def test_minorant_speed_average_bound():
     # eigen-backed speed of a periodic minorant dominates the speed of
     # its averaged medium
