@@ -3,9 +3,11 @@
 Subcommands: run, speed, eigen, validate, list-experiments.
 Configs are flat INI files (sections habitat/reaction/dispersal/solver/
 experiment/output); validation failures name the offending section.key
-and exit 2, runtime errors exit 3, failed verdicts exit 1.  Artifacts
-are written to a fresh directory atomically (temp dir, then rename) with
-a manifest sufficient to rerun the job.  Flags beat environment
+and exit 2, as does a [solver] key the experiment cannot honour;
+runtime errors exit 3, failed verdicts exit 1.  The pipelines live in
+kpplab.experiments and kpplab.stationary.  Artifacts are written to a
+fresh directory atomically (temp dir, removed on failure, then rename)
+with a manifest sufficient to rerun the job.  Flags beat environment
 variables (KPPLAB_JOBS, KPPLAB_OUTPUT_DIR, KPPLAB_SEED, KPPLAB_QUIET),
 which beat the config file; an unparsable environment value exits 2.
 """
@@ -16,7 +18,9 @@ import argparse
 import concurrent.futures
 import configparser
 import dataclasses
+import itertools
 import os
+import shutil
 import sys
 import time
 
@@ -34,17 +38,15 @@ from .domain import (
     PERIODIC,
     Reaction,
     check_kpp_hypotheses,
-    make_front_initial,
 )
-from .dynamics import RK4, EULER, evolve, stability_dt_bound
+from .dynamics import RK4, EULER, stability_dt_bound
 from .eigen import closed_form_eigenvalue
 from .experiments import (
     SweepSetup,
-    estimate_speed,
     run_compact_spreading_checks,
+    run_front,
     run_invariance_cell,
     run_speed_invariance_sweep,
-    track_front,
     verify_spreading_cones,
 )
 from .exports import fmt, sha256_text, write_csv, write_json
@@ -162,30 +164,36 @@ def build_solver(cp):
     return {"scheme": scheme, "T": T, "dt": dt, "record_every": record_every}
 
 
-def _precheck_dt(cp, habitat, reaction, op, solver):
-    """Load-time stability precheck for explicitly configured dt."""
-    if solver["dt"] is None:
-        return
-    probe = habitat.full(reaction.beta0 + 1.0)
-    bound = stability_dt_bound(op, reaction, probe)
-    if solver["dt"] > bound * (1.0 + 1e-12):
-        raise ConfigError(
-            f"solver.dt: {solver['dt']} violates the stability bound {bound:.6g}"
-        )
-
-
-def _resolve_dt(solver, op, reaction, u0):
+def _build(cp, name=None):
+    """Habitat, reaction, dispersal and solver, with the solver keys
+    checked against the stability bound and against experiment `name`."""
+    habitat = build_habitat(cp)
+    reaction = build_reaction(cp)
+    op = build_dispersal(cp, habitat)
+    solver = build_solver(cp)
     if solver["dt"] is not None:
-        return solver["dt"]
-    return 0.95 * stability_dt_bound(op, reaction, u0)
+        bound = stability_dt_bound(op, reaction, habitat.full(reaction.beta0 + 1.0))
+        if solver["dt"] > bound * (1.0 + 1e-12):
+            raise ConfigError(f"solver.dt: {solver['dt']} violates the stability bound {bound:.6g}")
+    if name not in (None, "front_speed") and solver["scheme"] != RK4:
+        raise ConfigError(f"solver.scheme: {name} runs rk4 only")
+    if name in ("spreading_features", "stationary_profile") and solver["record_every"] is not None:
+        raise ConfigError(f"solver.record_every: {name} records no trajectory; leave it auto")
+    return habitat, reaction, op, solver
 
 
-def _resolve_record_every(solver, dt, target=240):
-    if solver["record_every"] is not None:
-        return solver["record_every"]
-    import math
+def _direction(cp, dim):
+    return _get(cp, "experiment", "direction", _float_list, default=(1.0,) + (0.0,) * (dim - 1))
 
-    return max(1, int(math.ceil(solver["T"] / dt / target)))
+
+def _front_keys(cp, dim):
+    """[experiment] keys of a front run, shared by front_speed and the sweep."""
+    return {
+        "xi": _direction(cp, dim),
+        "sigma0": _get(cp, "experiment", "sigma0", float, default=1.0),
+        "level_fraction": _get(cp, "experiment", "level_fraction", float, default=0.5),
+        "burn_in": _get(cp, "experiment", "burn_in", float, default=0.5),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -194,64 +202,48 @@ def _resolve_record_every(solver, dt, target=240):
 
 
 def _exp_front_speed(cp, habitat, reaction, op, solver, options):
-    xi = _get(cp, "experiment", "direction", _float_list, default=(1.0,) + (0.0,) * (habitat.dim - 1))
-    sigma0 = _get(cp, "experiment", "sigma0", float, default=1.0)
-    level_fraction = _get(cp, "experiment", "level_fraction", float, default=0.5)
-    burn_in = _get(cp, "experiment", "burn_in", float, default=0.5)
+    keys = _front_keys(cp, habitat.dim)
     margin = _get(cp, "experiment", "margin", float, default=0.2)
-
-    report = check_kpp_hypotheses(reaction, habitat)
-    u0 = make_front_initial(habitat, xi, sigma0)
-    dt = _resolve_dt(solver, op, reaction, u0)
-    record_every = _resolve_record_every(solver, dt)
-    traj = evolve(op, reaction, u0, solver["T"], dt, record_every, solver["scheme"])
-    trace = track_front(traj, xi, level_fraction * report.u0_star)
-    est = estimate_speed(trace, burn_in, exclusion=op.delta0 + 10.0 * habitat.spacing)
-    theory = theoretical_speed(op.kind, dataclasses.replace(reaction, amplitude=0.0),
-                               xi, kernel=op.kernel, weights=op.weights)
-    est = est.with_theory(theory.c_star)
-    cones = verify_spreading_cones(traj, xi, theory.c_star, report.u0_star, margin)
+    run = run_front(op, reaction, habitat, **solver, **keys)
+    est = run.estimate
+    cones = verify_spreading_cones(run.traj, keys["xi"], run.theory.c_star, run.u0_star, margin)
     ok = est.rel_error <= 0.05 and cones.ok
     summary = {
         "experiment": "front_speed",
         "kind": op.kind,
         "c_empirical": est.slope,
-        "c_theory": theory.c_star,
-        "mu_star": theory.mu_star,
+        "c_theory": run.theory.c_star,
+        "mu_star": run.theory.mu_star,
         "relative_error": est.rel_error,
         "rms_residual": est.rms_residual,
         "fit_window": list(est.window),
         "cones_ok": cones.ok,
-        "clip_count": traj.clip_count,
+        "clip_count": run.traj.clip_count,
         "verdict": "pass" if ok else "fail",
     }
     artifacts = {
         "front_trace.csv": ("csv", ["t", "position"],
-                            [[t, p] for t, p in zip(trace.times, trace.positions)]),
+                            [[t, p] for t, p in zip(run.trace.times, run.trace.positions)]),
     }
     return ok, summary, artifacts
 
 
 def _exp_invariance_sweep(cp, habitat, reaction, op, solver, options):
-    xi = _get(cp, "experiment", "direction", _float_list, default=(1.0,) + (0.0,) * (habitat.dim - 1))
     amplitudes = _get(cp, "experiment", "amplitudes", _float_list, default=(-0.5, 0.0, 0.5, 1.0))
     setup = SweepSetup(
         op=op,
         habitat=habitat,
         reaction0=dataclasses.replace(reaction, amplitude=0.0),
-        xi=xi,
         T=solver["T"],
         amplitudes=amplitudes,
         dt=solver["dt"],
         record_every=solver["record_every"],
-        sigma0=_get(cp, "experiment", "sigma0", float, default=1.0),
-        level_fraction=_get(cp, "experiment", "level_fraction", float, default=0.5),
-        burn_in=_get(cp, "experiment", "burn_in", float, default=0.5),
+        **_front_keys(cp, habitat.dim),
     )
     jobs = options.get("jobs", 1)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_cell_worker, [(setup, a) for a in amplitudes]))
+            rows = list(pool.map(run_invariance_cell, itertools.repeat(setup), amplitudes))
     else:
         rows = [run_invariance_cell(setup, a) for a in amplitudes]
     report = run_speed_invariance_sweep(setup, rows=rows)
@@ -273,11 +265,6 @@ def _exp_invariance_sweep(cp, habitat, reaction, op, solver, options):
                       [[r.amplitude, r.c_emp, r.c_theory, r.rel_error] for r in report.rows]),
     }
     return report.ok, summary, artifacts
-
-
-def _cell_worker(args):
-    setup, amplitude = args
-    return run_invariance_cell(setup, amplitude)
 
 
 def _exp_spreading_features(cp, habitat, reaction, op, solver, options):
@@ -303,8 +290,8 @@ def _exp_spreading_features(cp, habitat, reaction, op, solver, options):
 
 
 def _exp_stationary_profile(cp, habitat, reaction, op, solver, options):
-    above = solve_stationary(op, reaction, habitat, route=FROM_ABOVE, dt=solver["dt"])
-    below = solve_stationary(op, reaction, habitat, route=FROM_BELOW, dt=solver["dt"])
+    above = solve_stationary(op, reaction, habitat, FROM_ABOVE, solver["dt"], solver["T"])
+    below = solve_stationary(op, reaction, habitat, FROM_BELOW, solver["dt"], solver["T"])
     gap = float(np.abs(above.u_star.values - below.u_star.values).max())
     report = check_kpp_hypotheses(reaction, habitat)
     tail_radius = _get(cp, "experiment", "tail_radius", float, default=4.0 * reaction.radius)
@@ -343,21 +330,28 @@ EXPERIMENTS = {
 # ----------------------------------------------------------------------
 
 
-def _write_run_dir(output_dir, name, artifacts, manifest, quiet):
+def _write_run_dir(cp, options, name, artifacts, manifest):
+    """Write <output dir>/<name> via a temp dir, removed if a write fails."""
+    output_dir = options["output_dir"] or _get(cp, "output", "directory", str, default="out")
+    os.makedirs(output_dir, exist_ok=True)
     final = os.path.join(output_dir, name)
     if os.path.exists(final):
         raise RuntimeError(f"output directory already exists: {final}")
     tmp = final + f".tmp-{os.getpid()}"
     os.makedirs(tmp)
-    for fname, payload in artifacts.items():
-        path = os.path.join(tmp, fname)
-        if payload[0] == "csv":
-            write_csv(path, payload[1], payload[2])
-        else:
-            write_json(path, payload[1])
-    write_json(os.path.join(tmp, "manifest.json"), manifest)
-    os.rename(tmp, final)
-    if not quiet:
+    try:
+        for fname, payload in artifacts.items():
+            path = os.path.join(tmp, fname)
+            if payload[0] == "csv":
+                write_csv(path, payload[1], payload[2])
+            else:
+                write_json(path, payload[1])
+        write_json(os.path.join(tmp, "manifest.json"), manifest)
+        os.rename(tmp, final)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if not options["quiet"]:
         print(f"artifacts written to {final}")
     return final
 
@@ -382,17 +376,11 @@ def _manifest(cfg_text, summary, options, wall_time):
 
 
 def _cmd_run(cp, cfg_text, options):
-    habitat = build_habitat(cp)
-    reaction = build_reaction(cp)
-    op = build_dispersal(cp, habitat)
-    solver = build_solver(cp)
-    _precheck_dt(cp, habitat, reaction, op, solver)
     name = _get(cp, "experiment", "name", str, choices=set(EXPERIMENTS))
+    habitat, reaction, op, solver = _build(cp, name)
     expect = _get(cp, "experiment", "expect", str, default="pass", choices={"pass", "fail"})
-    seed = options["seed"]
-    if seed is None:
-        seed = _get(cp, "experiment", "seed", int, default=0)
-        options["seed"] = seed
+    if options["seed"] is None:
+        options["seed"] = _get(cp, "experiment", "seed", int, default=0)
 
     runner, _ = EXPERIMENTS[name]
     t0 = time.perf_counter()
@@ -405,82 +393,61 @@ def _cmd_run(cp, cfg_text, options):
     else:
         final_ok = ok
 
-    outdir = options["output_dir"] or _get(cp, "output", "directory", str, default="out")
-    os.makedirs(outdir, exist_ok=True)
     artifacts = dict(artifacts)
     artifacts["summary.json"] = ("json", summary)
-    _write_run_dir(outdir, name, artifacts, _manifest(cfg_text, summary, options, wall),
-                   options["quiet"])
+    _write_run_dir(cp, options, name, artifacts, _manifest(cfg_text, summary, options, wall))
     if not options["quiet"]:
         print(f"verdict: {summary['verdict']}")
     return 0 if final_ok else 1
 
 
-def _curve_grid(cp):
-    mu_max = _get(cp, "experiment", "mu_max", float, default=5.0)
-    n_mu = _get(cp, "experiment", "n_mu", int, default=101)
-    return np.linspace(1e-3, mu_max, n_mu)
-
-
-def _cmd_speed(cp, cfg_text, options):
+def _dispersion_table(cp):
+    """Operator, reaction, direction and closed-form lambda(mu) at r = f0(0)."""
     habitat = build_habitat(cp)
     reaction = build_reaction(cp)
     op = build_dispersal(cp, habitat)
-    xi = _get(cp, "experiment", "direction", _float_list,
-              default=(1.0,) + (0.0,) * (habitat.dim - 1))
-    result = theoretical_speed(op.kind, reaction, xi, kernel=op.kernel, weights=op.weights)
-    mus = _curve_grid(cp)
-    lams = np.array([closed_form_eigenvalue(op.kind, m, xi, float(reaction.f0(0.0)),
+    xi = _direction(cp, habitat.dim)
+    mu_max = _get(cp, "experiment", "mu_max", float, default=5.0)
+    n_mu = _get(cp, "experiment", "n_mu", int, default=101)
+    mus = np.linspace(1e-3, mu_max, n_mu)
+    r = float(reaction.f0(0.0))
+    lams = np.array([closed_form_eigenvalue(op.kind, m, xi, r,
                                             kernel=op.kernel, weights=op.weights) for m in mus])
+    return op, reaction, xi, mus, lams
+
+
+def _cmd_speed(cp, cfg_text, options):
+    op, reaction, xi, mus, lams = _dispersion_table(cp)
+    result = theoretical_speed(op.kind, reaction, xi, kernel=op.kernel, weights=op.weights)
     summary = {
         "c_star": result.c_star,
         "mu_star": result.mu_star,
         "kind": op.kind,
         "evaluations": result.evaluations,
     }
-    outdir = options["output_dir"] or _get(cp, "output", "directory", str, default="out")
-    os.makedirs(outdir, exist_ok=True)
     artifacts = {
         "speed_curve.csv": ("csv", ["mu", "lambda_over_mu"],
                             [[m, l / m] for m, l in zip(mus, lams)]),
         "speed.json": ("json", summary),
     }
-    _write_run_dir(outdir, "speed", artifacts, _manifest(cfg_text, summary, options, 0.0),
-                   options["quiet"])
+    _write_run_dir(cp, options, "speed", artifacts, _manifest(cfg_text, summary, options, 0.0))
     if not options["quiet"]:
         print(f"c* = {fmt(result.c_star)} at mu* = {fmt(result.mu_star)}")
     return 0
 
 
 def _cmd_eigen(cp, cfg_text, options):
-    habitat = build_habitat(cp)
-    reaction = build_reaction(cp)
-    op = build_dispersal(cp, habitat)
-    xi = _get(cp, "experiment", "direction", _float_list,
-              default=(1.0,) + (0.0,) * (habitat.dim - 1))
-    mus = _curve_grid(cp)
-    r = float(reaction.f0(0.0))
-    lams = np.array([closed_form_eigenvalue(op.kind, m, xi, r,
-                                            kernel=op.kernel, weights=op.weights) for m in mus])
-    outdir = options["output_dir"] or _get(cp, "output", "directory", str, default="out")
-    os.makedirs(outdir, exist_ok=True)
-    summary = {"kind": op.kind, "r": r, "n_mu": len(mus)}
+    op, reaction, _, mus, lams = _dispersion_table(cp)
+    summary = {"kind": op.kind, "r": float(reaction.f0(0.0)), "n_mu": len(mus)}
     artifacts = {
         "dispersion.csv": ("csv", ["mu", "lambda"], [[m, l] for m, l in zip(mus, lams)]),
     }
-    _write_run_dir(outdir, "eigen", artifacts, _manifest(cfg_text, summary, options, 0.0),
-                   options["quiet"])
+    _write_run_dir(cp, options, "eigen", artifacts, _manifest(cfg_text, summary, options, 0.0))
     return 0
 
 
 def _cmd_validate(cp, cfg_text, options):
-    habitat = build_habitat(cp)
-    reaction = build_reaction(cp)
-    op = build_dispersal(cp, habitat)
-    solver = build_solver(cp)
-    _precheck_dt(cp, habitat, reaction, op, solver)
-    if cp.has_section("experiment") and cp.has_option("experiment", "name"):
-        _get(cp, "experiment", "name", str, choices=set(EXPERIMENTS))
+    _build(cp, _get(cp, "experiment", "name", str, default=None, choices=set(EXPERIMENTS)))
     if not options["quiet"]:
         print("config ok")
     return 0

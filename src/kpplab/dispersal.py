@@ -91,7 +91,7 @@ class DispersalOperator:
         """Bound on the off-diagonal mass, used in explicit step-size bounds."""
         if self.kind == DISCRETE:
             return self.weights.rate_sum
-        return 1.0  # normalized kernel mass; irrelevant for random
+        return 1.0  # normalized kernel mass; random adds its own h^2 bound
 
     def check_habitat(self, habitat: Habitat):
         if self.kind == DISCRETE and habitat.kind != LATTICE:

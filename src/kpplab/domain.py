@@ -50,6 +50,14 @@ def unit_direction(xi, dim):
     return _frozen(v / n)
 
 
+def sampled_directions(dim, count):
+    """The two signs in 1-D, count uniform angles in 2-D."""
+    if dim == 1:
+        return [np.array([1.0]), np.array([-1.0])]
+    angles = np.arange(count) * (2.0 * np.pi / count)
+    return [np.array([math.cos(t), math.sin(t)]) for t in angles]
+
+
 @dataclass(frozen=True)
 class Habitat:
     """Truncated computational domain standing in for R^N or Z^N.

@@ -24,6 +24,7 @@ RK4 = "rk4"
 
 _CLIP_NOISE = 1e-14  # negatives beyond this magnitude count as systematic
 _STABILITY_SAFETY = 0.2
+_COMPARISON_TOL = 5e-10
 
 
 class StabilityError(ValueError):
@@ -57,28 +58,31 @@ class Trajectory:
     def final(self) -> Field:
         return self.snapshots[-1]
 
-    def values(self):
-        return np.stack([s.values for s in self.snapshots])
-
 
 def stability_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
     """Largest admissible dt for explicit stepping.
 
-    random:             dt <= h^2 / (2 dim (1 + safety))
-    nonlocal/discrete:  dt <= 0.25 / (mass + max|f| + 1), a bounded-operator
-                        bound with mass = kernel mass (1) or sum of a_k.
+    every kind:  dt <= 0.25 / (mass + max|f| + 1), a bounded-operator bound
+                 with mass = sum of a_k (discrete) or 1 (nonlocal, random)
+    random:      also dt <= h^2 / (2 dim (1 + safety)), the Laplacian's bound
 
     max|f| is evaluated at u in {0, M} with M = max(max u0, beta0) + 1;
     f is monotone in u so the endpoints dominate.
     """
     h = u0.habitat
-    if op.kind == RANDOM:
-        return h.spacing ** 2 / (2.0 * h.dim * (1.0 + _STABILITY_SAFETY))
     m_bound = max(u0.max, reaction.beta0) + 1.0
     f_lo = reaction.evaluate(h, np.full(h.shape, m_bound))
     f_hi = reaction.evaluate(h, np.zeros(h.shape))
     max_f = max(float(np.abs(f_lo).max()), float(np.abs(f_hi).max()))
-    return 0.25 / (op.operator_mass + max_f + 1.0)
+    bound = 0.25 / (op.operator_mass + max_f + 1.0)
+    if op.kind == RANDOM:
+        bound = min(bound, h.spacing ** 2 / (2.0 * h.dim * (1.0 + _STABILITY_SAFETY)))
+    return bound
+
+
+def step_size(op: DispersalOperator, reaction: Reaction, u0: Field, dt: float = None) -> float:
+    """The given dt, else 0.95 times the stability bound for u0."""
+    return dt if dt is not None else 0.95 * stability_dt_bound(op, reaction, u0)
 
 
 def evolve(
@@ -169,9 +173,9 @@ class ComparisonReport:
     tolerance: float
 
 
-def check_comparison(traj1: Trajectory, traj2: Trajectory, tolerance: float = 5e-10) -> ComparisonReport:
+def check_comparison(traj1: Trajectory, traj2: Trajectory) -> ComparisonReport:
     """Ordered initial data should stay ordered: reports the largest
-    positive part of u1 - u2 over all recorded times."""
+    positive part of u1 - u2 over all recorded times (passes up to 5e-10)."""
     if traj1.habitat != traj2.habitat:
         raise ValueError("trajectories live on different habitats")
     if traj1.times.shape != traj2.times.shape or not np.allclose(
@@ -187,7 +191,7 @@ def check_comparison(traj1: Trajectory, traj2: Trajectory, tolerance: float = 5e
         if v > violation:
             violation, worst_time = v, float(t)
     violation = max(violation, 0.0)
-    return ComparisonReport(violation <= tolerance, violation, worst_time, tolerance)
+    return ComparisonReport(violation <= _COMPARISON_TOL, violation, worst_time, _COMPARISON_TOL)
 
 
 def part_metric(u: Field, v: Field) -> float:

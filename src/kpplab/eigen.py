@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from .dispersal import DISCRETE, NONLOCAL, RANDOM, DispersalOperator
-from .domain import Kernel, LatticeWeights, unit_direction
+from .domain import Kernel, LatticeWeights, sampled_directions, unit_direction
 
 
 class PowerIterationError(RuntimeError):
@@ -125,13 +125,17 @@ def assemble_cell_operator(
 
     Continuum kinds need at least 8 sample points per period; the
     nonlocal kind additionally needs every period to exceed twice the
-    kernel support radius so the wrapped kernel cannot see itself.
+    kernel support radius so the wrapped kernel cannot see itself.  A
+    kernel or lattice weights must have the cell's dimension.
     """
     op = DispersalOperator(kind, kernel=kernel, weights=weights)
     dim = a.dim
     xi_v = unit_direction(xi, dim)
     mu = float(mu)
     coeff = a.values
+    for name, payload in (("kernel", kernel), ("weights", weights)):
+        if payload is not None and payload.dim != dim:
+            raise ValueError(f"{name} has dimension {payload.dim}, the cell has {dim}")
 
     if kind == DISCRETE:
         if a.spacing != 1.0:
@@ -186,20 +190,16 @@ class EigenResult:
     iterations: int
 
 
-def principal_eigenvalue(
-    operator: CellOperator, tolerance: float = 1e-10, max_iter: int = 50_000
-) -> EigenResult:
+def principal_eigenvalue(operator: CellOperator, max_iter: int = 50_000) -> EigenResult:
     """Dominant eigenvalue by shifted power iteration.
 
     Iterates v -> (L + s I) v / ||.||_inf from the constant vector; the
     eigenvalue estimate is max(w) for max-normalized positive v and the
-    residual is the max norm of L v - lam v.  Non-convergence raises
-    with the last residual; a nonpositive entry in a converged
-    eigenvector raises (it would contradict the dominant-eigenpair
-    structure and indicates an assembly bug).
+    residual is the max norm of L v - lam v, which must fall to 1e-10.
+    Non-convergence raises with the last residual; a nonpositive entry in
+    a converged eigenvector raises (it would contradict the
+    dominant-eigenpair structure and indicates an assembly bug).
     """
-    if not (tolerance > 0):
-        raise ValueError("tolerance must be positive")
     s = operator.shift
     v = np.ones(operator.shape)
     residual = np.inf
@@ -211,7 +211,7 @@ def principal_eigenvalue(
                 f"iteration left the positive cone at step {it} (max={lam_shifted!r})"
             )
         residual = float(np.max(np.abs(w - lam_shifted * v)))
-        if residual <= tolerance:
+        if residual <= 1e-10:
             if v.min() <= 0.0:
                 raise PowerIterationError(
                     "internal error: converged eigenfunction has a nonpositive entry"
@@ -265,23 +265,17 @@ class ExistenceReport:
     threshold: float
 
 
-def check_eigenvalue_existence(
-    a: PeriodicCoefficient, kernel: Kernel, n_directions: int = 64
-) -> ExistenceReport:
+def check_eigenvalue_existence(a: PeriodicCoefficient, kernel: Kernel) -> ExistenceReport:
     """Sufficient condition for the nonlocal principal eigenvalue to
     exist: the oscillation of a must stay below the smallest one-sided
     kernel mass inf_xi int_{z.xi <= 0} kappa, sampled over directions
-    (the two signs in 1-D, n_directions uniform angles in 2-D).
+    (the two signs in 1-D, 64 uniform angles in 2-D).
 
     A second known sufficient condition (flatness of a at its maximum)
     gives no computable test at finite resolution and is not checked.
     """
     oscillation = float(a.values.max() - a.values.min())
-    if kernel.dim == 1:
-        dirs = [np.array([1.0]), np.array([-1.0])]
-    else:
-        angles = np.arange(n_directions) * (2.0 * np.pi / n_directions)
-        dirs = [np.array([np.cos(t), np.sin(t)]) for t in angles]
+    dirs = sampled_directions(kernel.dim, 64)
     threshold = min(kernel.halfspace_mass(d) for d in dirs)
     return ExistenceReport(oscillation < threshold, oscillation, threshold)
 

@@ -1,11 +1,12 @@
-"""End-to-end spreading experiments.
+"""End-to-end spreading experiments, the pipelines behind the CLI.
+run_front is the one front run of front_speed and of each sweep cell.
 
 Front positions are tracked as the farthest level crossing along a
 direction, empirical speeds come from a least-squares slope over a
 burn-in-trimmed window that stays clear of the boundary, and the
-spreading predictions are checked as cone verdicts at the tail of the
-horizon: the state must hug the stationary profile inside the slower
-cone and vanish outside the faster one.  Negative controls (deliberately
+spreading predictions are checked over the last quarter of the recorded
+times: the state must hug the stationary profile inside the slower cone
+and vanish outside the faster one.  Negative controls (deliberately
 wrong theoretical speeds) are expected to fail and the test suite
 asserts that they do.
 """
@@ -25,10 +26,11 @@ from .domain import (
     Reaction,
     check_kpp_hypotheses,
     make_front_initial,
+    sampled_directions,
     unit_direction,
 )
-from .dynamics import Trajectory, evolve, stability_dt_bound
-from .speeds import theoretical_speed
+from .dynamics import RK4, Trajectory, evolve, step_size
+from .speeds import SpeedResult, theoretical_speed
 from .stationary import FROM_ABOVE, solve_stationary
 
 
@@ -169,6 +171,55 @@ def estimate_speed(
     )
 
 
+def _record_every(T, dt, given=None):
+    """The given record_every, else one that keeps about 240 snapshots."""
+    return given if given is not None else max(1, int(math.ceil(T / dt / 240)))
+
+
+def _trailing_window(traj: Trajectory):
+    """(t, snapshot) pairs over the last quarter of the recorded times."""
+    start = 0.75 * float(traj.times[-1])
+    return [(t, snap) for t, snap in zip(traj.times, traj.snapshots) if t >= start]
+
+
+@dataclass(eq=False)
+class FrontRun:
+    """Trajectory, front trace, speed fit and amplitude-0 theory of a run."""
+
+    traj: Trajectory
+    trace: FrontTrace
+    estimate: SpeedEstimate
+    theory: SpeedResult
+    u0_star: float
+
+
+def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T: float,
+              dt: float = None, record_every: int = None, scheme: str = RK4,
+              sigma0: float = 1.0, level_fraction: float = 0.5, burn_in: float = 0.5) -> FrontRun:
+    """Evolve front data along xi, track level_fraction * u0* and fit the
+    speed after burn_in * T, delta0 + 10 h clear of the boundary.
+
+    Refuses a reaction that violates the KPP hypotheses or makes
+    f(x, 0) <= 0 somewhere.
+    """
+    report = check_kpp_hypotheses(reaction, habitat)
+    if not (report.h1_ok and report.h2_ok):
+        raise ValueError(f"amplitude {reaction.amplitude} violates the KPP hypotheses")
+    if not np.all(reaction.r0 + reaction.perturbation(habitat) > 0.0):
+        raise ValueError(f"amplitude {reaction.amplitude} makes f(x, 0) nonpositive somewhere")
+
+    u0 = make_front_initial(habitat, xi, sigma0)
+    dt = step_size(op, reaction, u0, dt)
+    traj = evolve(op, reaction, u0, T, dt, _record_every(T, dt, record_every), scheme)
+    trace = track_front(traj, xi, level_fraction * report.u0_star)
+    est = estimate_speed(trace, burn_in, exclusion=op.delta0 + 10.0 * habitat.spacing)
+    theory = theoretical_speed(
+        op.kind, dataclasses.replace(reaction, amplitude=0.0), xi,
+        kernel=op.kernel, weights=op.weights,
+    )
+    return FrontRun(traj, trace, est.with_theory(theory.c_star), theory, report.u0_star)
+
+
 @dataclass(frozen=True)
 class ConesVerdict:
     ok: bool
@@ -188,11 +239,10 @@ def verify_spreading_cones(
     c_theory: float,
     u0_star: float,
     margin: float = 0.2,
-    window_fraction: float = 0.25,
 ) -> ConesVerdict:
     """Finite-horizon surrogate of the spreading-speed dichotomy.
 
-    Over the final window_fraction of recorded times: inside the cone
+    Over the final quarter of recorded times: inside the cone
     x.xi <= (1 - margin) c t the state must stay above 0.5 u0; outside
     x.xi >= (1 + margin) c t it must stay below 0.01 u0.  An empty
     inside cone is a setup error; an empty outside cone is reported and
@@ -201,13 +251,11 @@ def verify_spreading_cones(
     """
     habitat = traj.habitat
     proj = habitat.projection(unit_direction(xi, habitat.dim))
-    t_end = float(traj.times[-1])
-    window = traj.times >= (1.0 - window_fraction) * t_end
 
     inside_min = math.inf
     outside_max = -math.inf
     outside_empty = False
-    for t, snap in zip(traj.times[window], [s for s, w in zip(traj.snapshots, window) if w]):
+    for t, snap in _trailing_window(traj):
         inside = proj <= (1.0 - margin) * c_theory * t
         if not np.any(inside):
             raise ConeEmptyError(f"inside cone empty at t={t:.3g}")
@@ -277,50 +325,29 @@ class SweepReport:
     tol_pairwise: float = 0.02
 
 
-def _default_record_every(T, dt, target=240):
-    per = max(1, int(math.ceil(T / dt / target)))
-    return per
-
-
 def run_invariance_cell(setup: SweepSetup, amplitude: float) -> SweepRow:
     """One amplitude of the invariance sweep (kept top-level so batch
     runners can farm cells out to worker processes)."""
     reaction = dataclasses.replace(setup.reaction0, amplitude=float(amplitude))
     habitat = setup.habitat
-    report = check_kpp_hypotheses(reaction, habitat)
-    if not (report.h1_ok and report.h2_ok):
-        raise ValueError(f"reaction with amplitude {amplitude} violates the KPP hypotheses")
-    f_at_zero = reaction.r0 + reaction.perturbation(habitat)
-    if not np.all(f_at_zero > 0.0):
-        raise ValueError(f"amplitude {amplitude} makes f(x, 0) nonpositive somewhere")
-
-    u0 = make_front_initial(habitat, setup.xi, setup.sigma0)
-    dt = setup.dt if setup.dt is not None else 0.95 * stability_dt_bound(setup.op, reaction, u0)
-    record_every = setup.record_every or _default_record_every(setup.T, dt)
-    traj = evolve(setup.op, reaction, u0, setup.T, dt, record_every=record_every)
-
-    trace = track_front(traj, setup.xi, setup.level_fraction * report.u0_star)
-    exclusion = setup.op.delta0 + 10.0 * habitat.spacing
-    est = estimate_speed(trace, setup.burn_in, exclusion=exclusion)
-
-    theory = theoretical_speed(
-        setup.op.kind, dataclasses.replace(setup.reaction0, amplitude=0.0), setup.xi,
-        kernel=setup.op.kernel, weights=setup.op.weights,
+    run = run_front(
+        setup.op, reaction, habitat, setup.xi, setup.T, setup.dt, setup.record_every,
+        sigma0=setup.sigma0, level_fraction=setup.level_fraction, burn_in=setup.burn_in,
     )
-    est = est.with_theory(theory.c_star)
+    est = run.estimate
 
     profile_dev = None
     if setup.check_profile_convergence:
         stat = solve_stationary(setup.op, reaction, habitat, route=FROM_ABOVE)
         proj = habitat.projection(unit_direction(setup.xi, habitat.dim))
-        behind = proj <= 0.5 * theory.c_star * setup.T
+        behind = proj <= 0.5 * run.theory.c_star * setup.T
         profile_dev = float(
-            np.abs(traj.final.values[behind] - stat.u_star.values[behind]).max()
+            np.abs(run.traj.final.values[behind] - stat.u_star.values[behind]).max()
         )
     return SweepRow(
         amplitude=float(amplitude),
         c_emp=est.slope,
-        c_theory=theory.c_star,
+        c_theory=run.theory.c_star,
         rel_error=est.rel_error,
         rms_residual=est.rms_residual,
         window=est.window,
@@ -368,13 +395,6 @@ class ClauseVerdict:
     margin: float
 
 
-def _sampled_directions(dim, n_directions=8):
-    if dim == 1:
-        return [np.array([1.0]), np.array([-1.0])]
-    angles = np.arange(n_directions) * (2.0 * np.pi / n_directions)
-    return [np.array([math.cos(t), math.sin(t)]) for t in angles]
-
-
 def run_compact_spreading_checks(
     op: DispersalOperator,
     reaction: Reaction,
@@ -388,16 +408,14 @@ def run_compact_spreading_checks(
     margin: float = 0.2,
     u_star: Field = None,
     c_scale: float = 1.0,
-    n_directions: int = 8,
-    window_fraction: float = 0.25,
 ) -> ClauseVerdict:
     """Expanding-region checks for compactly supported initial data.
 
     clause 1/2 use the slab |x.xi| <= r (vanish outside the fast cone /
     match the stationary profile inside the slow cone); clause 3/4 are
-    the radial versions with the speed extremized over sampled
-    directions.  c_scale deliberately rescales the theoretical speed so
-    the suite can assert that wrong speeds are caught.
+    the radial versions with the speed extremized over 8 sampled
+    directions (2 in 1-D).  c_scale deliberately rescales the theoretical
+    speed so the suite can assert that wrong speeds are caught.
     """
     if clause not in (1, 2, 3, 4):
         raise ValueError("clause must be 1..4")
@@ -412,7 +430,7 @@ def run_compact_spreading_checks(
         dirs = [v, -v]
     else:
         coord = habitat.radius()
-        dirs = _sampled_directions(habitat.dim, n_directions)
+        dirs = sampled_directions(habitat.dim, 8)
 
     speeds = [
         theoretical_speed(op.kind, reaction, d, kernel=op.kernel, weights=op.weights).c_star
@@ -425,18 +443,14 @@ def run_compact_spreading_checks(
         raise ValueError("support radius does not fit in the habitat")
     u0 = Field(habitat, sigma * np.clip(r + 1.0 - coord, 0.0, 1.0))
 
-    if dt is None:
-        dt = 0.95 * stability_dt_bound(op, reaction, u0)
-    record_every = _default_record_every(T, dt)
-    traj = evolve(op, reaction, u0, T, dt, record_every=record_every)
+    dt = step_size(op, reaction, u0, dt)
+    traj = evolve(op, reaction, u0, T, dt, record_every=_record_every(T, dt))
 
     if clause in (2, 4) and u_star is None:
         u_star = solve_stationary(op, reaction, habitat, route=FROM_ABOVE).u_star
 
-    t_end = float(traj.times[-1])
-    window = traj.times >= (1.0 - window_fraction) * t_end
     worst = -math.inf
-    for t, snap in zip(traj.times[window], [s for s, w in zip(traj.snapshots, window) if w]):
+    for t, snap in _trailing_window(traj):
         if clause in (1, 3):
             region = coord >= (1.0 + margin) * c_max * t
             if not np.any(region):

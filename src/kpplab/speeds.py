@@ -61,13 +61,13 @@ class DispersionRelation:
     @classmethod
     def eigen_backed(cls, kind, xi, a: PeriodicCoefficient,
                      kernel: Kernel = None, weights: LatticeWeights = None,
-                     mu_max: float = 20.0, tolerance: float = 1e-10):
+                     mu_max: float = 20.0):
         if kind == RANDOM:
             mu_max = min(mu_max, _TWIST_EDGE / a.spacing)
 
         def evaluator(mu):
             op = assemble_cell_operator(kind, float(mu), xi, a, kernel=kernel, weights=weights)
-            return principal_eigenvalue(op, tolerance=tolerance).lam
+            return principal_eigenvalue(op).lam
 
         return cls(evaluator, xi, kind, mu_max)
 

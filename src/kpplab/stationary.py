@@ -23,7 +23,7 @@ import numpy as np
 
 from .dispersal import DispersalOperator
 from .domain import Field, Habitat, Reaction
-from .dynamics import evolve, stability_dt_bound
+from .dynamics import evolve, step_size
 from .eigen import PeriodicCoefficient, assemble_cell_operator, principal_eigenvalue
 
 FROM_ABOVE = "from-above"
@@ -32,6 +32,8 @@ FROM_BELOW = "from-below"
 _T_MAX = 500.0
 _RECORD_SPACING = 1.0
 _MONOTONE_SLACK = 1e-10
+_CONVERGENCE_TOL = 1e-9
+_RESIDUAL_TOL = 1e-7
 
 
 class PeriodTooLargeError(ValueError):
@@ -86,19 +88,14 @@ def extend_periodic(coeff: PeriodicCoefficient, habitat: Habitat):
     return coeff.values[np.ix_(idx, idx)]
 
 
-def periodic_minorant(
-    reaction: Reaction,
-    eps: float,
-    habitat: Habitat,
-    require_alignment: bool = False,
-):
+def periodic_minorant(reaction: Reaction, eps: float, habitat: Habitat):
     """Periodic lower bound h of f(., 0) with cell average >= f0(0) - eps.
 
     Returns (period, PeriodicCoefficient).  The integer period is the
-    smallest one exceeding 4 * L0 whose cell average meets the target
-    (the dip has fixed mass, so the average rises as the period grows);
-    with require_alignment it must additionally divide 2 L so the
-    habitat edges land on symmetry planes of the periodic extension.
+    smallest one exceeding 4 * L0 that divides 2 L, so the habitat edges
+    land on symmetry planes of the periodic extension, and whose cell
+    average meets the target (the dip has fixed mass, so the average
+    rises as the period grows).
     """
     f00 = float(reaction.f0(0.0))
     if not (0.0 < eps < f00):
@@ -113,7 +110,7 @@ def periodic_minorant(
     p = p_min
     while p <= two_l + 1e-9:
         cell_ok = abs(round(p / h) * h - p) <= 1e-9
-        align_ok = (not require_alignment) or abs(round(two_l / p) * p - two_l) <= 1e-9
+        align_ok = abs(round(two_l / p) * p - two_l) <= 1e-9
         if cell_ok and align_ok:
             vals = _cell_profile(reaction, float(p), h, habitat.dim, dip)
             if vals.mean() >= f00 - eps:
@@ -145,7 +142,7 @@ def sub_solution(
     every grid point.
     """
     eps = float(reaction.f0(0.0)) / 2.0
-    _, coeff = periodic_minorant(reaction, eps, habitat, require_alignment=True)
+    _, coeff = periodic_minorant(reaction, eps, habitat)
     xi0 = np.zeros(habitat.dim)
     xi0[0] = 1.0
     cell_op = assemble_cell_operator(
@@ -187,16 +184,14 @@ def solve_stationary(
     reaction: Reaction,
     habitat: Habitat,
     route: str = FROM_ABOVE,
-    tol: float = 1e-9,
     dt: float = None,
-    residual_tol: float = 1e-7,
     t_max: float = _T_MAX,
 ) -> StationaryResult:
     """Long-time integration to the positive stationary state.
 
     Stops when consecutive snapshots (spacing 1.0) differ by less than
-    tol in max norm, then certifies the result by the equation residual
-    (must be <= residual_tol).  The route's monotonicity (non-increasing
+    1e-9 in max norm, then certifies the result by the equation residual
+    (must be <= 1e-7).  The route's monotonicity (non-increasing
     from above, non-decreasing from below) is enforced with 1e-10 slack
     per step; failure to converge by t_max raises with the residual.
     """
@@ -211,8 +206,7 @@ def solve_stationary(
     else:
         u = sub_solution(op, reaction, habitat)
 
-    if dt is None:
-        dt = 0.95 * stability_dt_bound(op, reaction, u)
+    dt = step_size(op, reaction, u, dt)
 
     disp = op.bind(habitat)
     growth = reaction.bind(habitat)
@@ -231,7 +225,7 @@ def solve_stationary(
             monotone_ok = False
         diff = float(np.abs(step).max())
         prev = cur
-        if diff < tol:
+        if diff < _CONVERGENCE_TOL:
             converged = True
             break
 
@@ -245,9 +239,9 @@ def solve_stationary(
         raise StationaryConvergenceError(
             f"{route} iterates violated monotonicity beyond {_MONOTONE_SLACK}"
         )
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise StationaryConvergenceError(
-            f"stationary residual {residual:.3e} exceeds {residual_tol}"
+            f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
         )
     if not u_star.is_strictly_positive():
         raise StationaryConvergenceError("stationary state is not strictly positive")
@@ -301,7 +295,6 @@ def check_stability(
     for u0 in perturbations:
         if not u0.is_strictly_positive():
             raise ValueError("perturbations must be strictly positive")
-        step = dt if dt is not None else 0.95 * stability_dt_bound(op, reaction, u0)
-        traj = evolve(op, reaction, u0, T, step, record_every=10 ** 9)
+        traj = evolve(op, reaction, u0, T, step_size(op, reaction, u0, dt), record_every=10 ** 9)
         distances.append(float(np.abs(traj.final.values - u_star.values).max()))
     return StabilityReport(all(d < tol for d in distances), tuple(distances), tol, T)

@@ -258,3 +258,78 @@ def test_shipped_negative_control_confirms(tmp_path):
     assert main(["run", str(cfg), "--quiet", "--output-dir", str(out)]) == 1
     summary = json.loads((out / "spreading_features" / "summary.json").read_text())
     assert summary["verdict"] == "expected-fail: confirmed"
+
+
+def test_failed_write_leaves_no_temp_dir(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "crash"
+    cfg = _write(tmp_path, "c.cfg", DISCRETE_FRONT.format(out=out))
+
+    def broken_write(path, header, rows):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("kpplab.cli.write_csv", broken_write)
+    assert main(["speed", cfg, "--quiet"]) == 3
+    assert "disk full" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_front_speed_refuses_nonpositive_growth_at_zero(tmp_path, capsys):
+    text = DISCRETE_FRONT.format(out=tmp_path / "o").replace("amplitude = 0.5", "amplitude = -1.5")
+    cfg = _write(tmp_path, "dip.cfg", text)
+    assert main(["run", cfg, "--quiet"]) == 3
+    assert "nonpositive" in capsys.readouterr().err
+
+
+LATTICE_RUN = """
+[habitat]
+kind = lattice
+dim = 1
+half_extent = 80
+
+[reaction]
+r0 = 1.0
+b = 1.0
+
+[dispersal]
+kind = discrete
+
+[solver]
+T = 25
+{solver}
+
+[experiment]
+name = {name}
+clause = 1
+
+[output]
+directory = {out}
+"""
+
+
+def test_unhonoured_solver_keys_exit_2(tmp_path, capsys):
+    cases = [
+        ("invariance_sweep", "scheme = explicit-euler", "solver.scheme"),
+        ("spreading_features", "scheme = explicit-euler", "solver.scheme"),
+        ("stationary_profile", "scheme = explicit-euler", "solver.scheme"),
+        ("spreading_features", "record_every = 5", "solver.record_every"),
+        ("stationary_profile", "record_every = 5", "solver.record_every"),
+    ]
+    for k, (name, line, key) in enumerate(cases):
+        text = LATTICE_RUN.format(solver=line, name=name, out=tmp_path / "o")
+        cfg = _write(tmp_path, f"{k}.cfg", text)
+        for command in ("run", "validate"):
+            assert main([command, cfg, "--quiet"]) == 2, (name, line, command)
+            err = capsys.readouterr().err
+            assert key in err and name in err
+    # rk4 and auto recording stay accepted
+    cfg = _write(tmp_path, "ok.cfg", LATTICE_RUN.format(solver="scheme = rk4\nrecord_every = auto",
+                                                  name="stationary_profile", out=tmp_path / "o"))
+    assert main(["validate", cfg, "--quiet"]) == 0
+
+
+def test_stationary_profile_stops_at_solver_T(tmp_path, capsys):
+    cfg = _write(tmp_path, "st.cfg",
+                 LATTICE_RUN.format(solver="", name="stationary_profile", out=tmp_path / "o")
+                 .replace("T = 25", "T = 2"))
+    assert main(["run", cfg, "--quiet"]) == 3
+    assert "no convergence by t = 2.0" in capsys.readouterr().err

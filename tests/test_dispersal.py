@@ -153,6 +153,28 @@ def test_periodic_boundary_variants():
     assert np.allclose(out_w[inner], out_c[inner], atol=1e-12)
 
 
+def test_clamp_nonlocal_rows_match_dense_oracle():
+    # each clamp row sums the in-domain kernel weights only and divides by
+    # their mass, so boundary rows stay a weighted average of u - u(x)
+    for dim, half_extent in [(1, 2.0), (2, 1.5)]:
+        hab = Habitat("continuum", dim, half_extent, 0.5)
+        kern = Kernel.from_profile("triangle", 1.2, 0.5, dim)
+        op = DispersalOperator.nonlocal_(kern)
+        n = hab.n_points
+        index = np.arange(n).reshape(hab.shape)
+        dense = np.zeros((n, n))
+        for row, point in enumerate(np.ndindex(hab.shape)):
+            for off, w in zip(kern.offsets, kern.weights * kern.spacing ** dim):
+                target = np.add(point, off)
+                if np.all((target >= 0) & (target < hab.n_per_axis)):
+                    dense[row, index[tuple(target)]] += w
+        dense /= dense.sum(axis=1, keepdims=True)
+        np.fill_diagonal(dense, dense.diagonal() - 1.0)
+        u = np.random.default_rng(dim).random(hab.shape)
+        out = op.bind(hab)(u).ravel()
+        assert np.abs(out - dense @ u.ravel()).max() <= 1e-13, dim
+
+
 @st.composite
 def _stencil_cases(draw):
     """A dispersal operator with a periodic-ready grid: (op, dim, spacing, m)."""

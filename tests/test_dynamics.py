@@ -90,14 +90,33 @@ def test_stability_bound_refusal():
         evolve(op, FISHER, HAB.full(1.0), T=1.0, dt=bound * 1.5)
 
 
-def test_divergence_is_reported_with_time():
+def test_divergence_is_reported_with_time(monkeypatch):
     # explicit euler with a violently stiff reaction escapes the invariant
-    # region; the guard must catch it and name the first bad time
+    # region; the guard must catch it and name the first bad time.  The
+    # random bound now includes the reaction, so the step is forced past it
+    # by restoring the diffusion-only bound h^2 / (2 dim 1.2).
     rea = Reaction.linear(900.0, 1.0)
     op = DispersalOperator.random()
     u0 = HAB.full(0.1)
+    diffusion_only = HAB.spacing ** 2 / (2.0 * HAB.dim * 1.2)
+    monkeypatch.setattr("kpplab.dynamics.stability_dt_bound", lambda *args: diffusion_only)
     with pytest.raises(IntegrationDivergedError, match="t="):
-        evolve(op, rea, u0, T=1.0, dt=stability_dt_bound(op, rea, u0), scheme="explicit-euler")
+        evolve(op, rea, u0, T=1.0, dt=diffusion_only, scheme="explicit-euler")
+
+
+def test_random_step_bound_includes_reaction():
+    # f = 20 - 20u at h = 1: the Laplacian bound alone (0.417) lets rk4
+    # clip over a thousand negatives; the reaction term must shrink it
+    hab = Habitat("continuum", 1, 20.0, 1.0)
+    rea = Reaction.linear(20.0, 20.0)
+    op = DispersalOperator.random()
+    u0 = make_front_initial(hab, 1.0, 1.0)
+    max_f = float(np.abs(rea.evaluate(hab, np.full(hab.shape, rea.beta0 + 1.0))).max())
+    bound = stability_dt_bound(op, rea, u0)
+    assert bound <= 0.25 / (op.operator_mass + max_f + 1.0)
+    assert evolve(op, rea, u0, T=20.0, dt=_dt(op, rea, u0), record_every=10 ** 9).clip_count == 0
+    # where the Laplacian is the stiffer part, its bound is unchanged
+    assert stability_dt_bound(op, FISHER, HAB.full(0.5)) == HAB.spacing ** 2 / 2.4
 
 
 def test_positivity_and_bounds_on_fixture_suite():

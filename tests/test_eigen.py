@@ -52,6 +52,17 @@ def test_assembly_guards():
         assemble_cell_operator("nonlocal", 0.0, 1.0, small, kernel=kern)
 
 
+def test_assembly_names_a_payload_of_the_wrong_dimension():
+    cell = PeriodicCoefficient.constant(0.0, (4.0,), 0.25)
+    kern2 = Kernel.from_profile("triangle", 1.0, 0.25, 2)
+    with pytest.raises(ValueError, match="kernel has dimension 2, the cell has 1"):
+        assemble_cell_operator("nonlocal", 0.5, 1.0, cell, kernel=kern2)
+    lattice = PeriodicCoefficient.constant(0.0, (8.0,), 1.0)
+    with pytest.raises(ValueError, match="weights has dimension 2, the cell has 1"):
+        assemble_cell_operator("discrete", 0.5, 1.0, lattice,
+                               weights=LatticeWeights.symmetric(2, 1.0))
+
+
 def test_principal_matches_closed_forms():
     # random: r + mu^2 (the discrete cell operator is exact on constants)
     a = PeriodicCoefficient.constant(0.8, (2.0,), 0.0625)
