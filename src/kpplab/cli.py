@@ -42,6 +42,7 @@ from .domain import (
 from .dynamics import RK4, EULER, stability_dt_bound
 from .eigen import closed_form_eigenvalue
 from .experiments import (
+    THEORY_TOL,
     SweepSetup,
     run_compact_spreading_checks,
     run_front,
@@ -80,8 +81,18 @@ def _get(cp, section, key, cast=str, default=_REQUIRED, choices=None):
     return val
 
 
-def _float_list(raw):
-    return tuple(float(tok) for tok in raw.replace(" ", "").split(",") if tok)
+def floats(raw):
+    """A comma-separated list of floats; an empty entry does not parse."""
+    return tuple(float(tok) for tok in raw.split(","))
+
+
+def _or_auto(cast):
+    """cast, with 'auto' read as None."""
+    def parse(raw):
+        return None if raw == "auto" else cast(raw)
+
+    parse.__name__ = f"{cast.__name__} or 'auto'"
+    return parse
 
 
 def load_config(path):
@@ -153,10 +164,8 @@ def build_dispersal(cp, habitat) -> DispersalOperator:
 def build_solver(cp):
     scheme = _get(cp, "solver", "scheme", str, default=RK4, choices={RK4, EULER})
     T = _get(cp, "solver", "T", float, default=100.0)
-    dt_raw = _get(cp, "solver", "dt", str, default="auto")
-    dt = None if dt_raw == "auto" else float(dt_raw)
-    rec_raw = _get(cp, "solver", "record_every", str, default="auto")
-    record_every = None if rec_raw == "auto" else int(rec_raw)
+    dt = _get(cp, "solver", "dt", _or_auto(float), default=None)
+    record_every = _get(cp, "solver", "record_every", _or_auto(int), default=None)
     if dt is not None and dt <= 0:
         raise ConfigError("solver.dt: must be positive or 'auto'")
     if T <= 0:
@@ -183,7 +192,7 @@ def _build(cp, name=None):
 
 
 def _direction(cp, dim):
-    return _get(cp, "experiment", "direction", _float_list, default=(1.0,) + (0.0,) * (dim - 1))
+    return _get(cp, "experiment", "direction", floats, default=(1.0,) + (0.0,) * (dim - 1))
 
 
 def _front_keys(cp, dim):
@@ -207,7 +216,7 @@ def _exp_front_speed(cp, habitat, reaction, op, solver, options):
     run = run_front(op, reaction, habitat, **solver, **keys)
     est = run.estimate
     cones = verify_spreading_cones(run.traj, keys["xi"], run.theory.c_star, run.u0_star, margin)
-    ok = est.rel_error <= 0.05 and cones.ok
+    ok = est.rel_error <= THEORY_TOL and cones.ok
     summary = {
         "experiment": "front_speed",
         "kind": op.kind,
@@ -229,7 +238,7 @@ def _exp_front_speed(cp, habitat, reaction, op, solver, options):
 
 
 def _exp_invariance_sweep(cp, habitat, reaction, op, solver, options):
-    amplitudes = _get(cp, "experiment", "amplitudes", _float_list, default=(-0.5, 0.0, 0.5, 1.0))
+    amplitudes = _get(cp, "experiment", "amplitudes", floats, default=(-0.5, 0.0, 0.5, 1.0))
     setup = SweepSetup(
         op=op,
         habitat=habitat,
@@ -411,8 +420,7 @@ def _dispersion_table(cp):
     n_mu = _get(cp, "experiment", "n_mu", int, default=101)
     mus = np.linspace(1e-3, mu_max, n_mu)
     r = float(reaction.f0(0.0))
-    lams = np.array([closed_form_eigenvalue(op.kind, m, xi, r,
-                                            kernel=op.kernel, weights=op.weights) for m in mus])
+    lams = closed_form_eigenvalue(op.kind, mus, xi, r, kernel=op.kernel, weights=op.weights)
     return op, reaction, xi, mus, lams
 
 

@@ -11,12 +11,18 @@ discrete  the 2*dim unit offsets of the lattice with the rates a_k
 On a habitat the stencil acts in difference form sum_j w_j (u(x+z_j) - u(x)),
 so constants are exact equilibria.  Under clamp boundaries out-of-domain
 terms are dropped and nonlocal rows are renormalized by their in-domain
-mass; under periodic boundaries indices wrap.  The twisted periodic cell
-operators of eigen.assemble_cell_operator are built from the same stencil.
+mass; under periodic boundaries indices wrap.
+
+_Stencil.twist gives the factors f_j = exp(-mu z_j.xi) of the operator
+twisted by exp(-mu x.xi), or for the random stencil the first-order factors
+1 - mu z_j.xi (its centred drift) plus mu^2 on the diagonal.  The periodic
+cell operators of eigen and the constant-coefficient closed forms (the
+stencil's symbol) both read it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +47,36 @@ KINDS = (RANDOM, NONLOCAL, DISCRETE)
 @dataclass(frozen=True, eq=False)
 class _Stencil:
     """Integer offsets (m, dim) with weights (m,) on a grid of the given
-    spacing; renormalize divides each clamp row by its in-domain mass."""
+    spacing; renormalize divides each clamp row by its in-domain mass;
+    first_order selects the random kind's first-order twist."""
 
     offsets: np.ndarray
     weights: np.ndarray
     spacing: float
     renormalize: bool = False
+    first_order: bool = False
+
+    @property
+    def twist_limit(self) -> float:
+        """Every twist factor is positive for |mu| below this bound."""
+        return 1.0 / self.spacing if self.first_order else math.inf
+
+    def twist(self, mu, xi):
+        """Twist factors f_j, their excess f_j - 1 (offsets on the last
+        axis) and the diagonal term, for a unit vector xi; vectorized in
+        mu.  The first-order excess is -mu z.xi itself, so on a unit grid
+        the drift terms of a symmetric stencil cancel exactly."""
+        mu = np.asarray(mu, dtype=float)
+        t = -np.multiply.outer(mu, (self.offsets * self.spacing) @ xi)
+        if self.first_order:
+            return 1.0 + t, t, mu * mu
+        factors = np.exp(t)
+        return factors, factors - 1.0, 0.0
+
+    def symbol(self, mu, xi):
+        """diag + sum_j w_j (f_j - 1): the twisted stencil on constants."""
+        _, excess, diag = self.twist(mu, xi)
+        return diag + excess @ self.weights
 
 
 @dataclass(eq=False)
@@ -108,7 +138,8 @@ class DispersalOperator:
         and spacing (the payload fixes both for nonlocal and discrete)."""
         if self.kind == RANDOM:
             offsets = _unit_offsets(dim)
-            return _Stencil(offsets, np.full(len(offsets), 1.0 / spacing ** 2), spacing)
+            return _Stencil(offsets, np.full(len(offsets), 1.0 / spacing ** 2), spacing,
+                            first_order=True)
         if self.kind == NONLOCAL:
             k = self.kernel
             return _Stencil(k.offsets, k.weights * k.spacing ** k.dim, k.spacing,

@@ -434,14 +434,6 @@ class Kernel:
             raise ValueError("kernel has no stored profile to resample")
         return Kernel.from_profile(self._profile, self.delta0, spacing, self.dim)
 
-    def twisted_moment(self, mu, xi):
-        """Quadrature of exp(-mu z.xi) kappa(z) dz; vectorized over mu."""
-        v = unit_direction(xi, self.dim)
-        zdot = self.displacements() @ v
-        mu = np.asarray(mu, dtype=float)
-        w = self.weights * self.spacing ** self.dim
-        return np.exp(-np.multiply.outer(mu, zdot)) @ w
-
     def halfspace_mass(self, xi) -> float:
         """Quadrature of kappa over {z . xi <= 0}; the dividing plane
         counts with half weight so symmetric kernels give exactly 1/2."""
@@ -488,13 +480,6 @@ class LatticeWeights:
     @property
     def rate_sum(self) -> float:
         return float(self.values.sum())
-
-    def twisted_sum(self, mu, xi):
-        """sum_k a_k (exp(-mu k.xi) - 1); vectorized over mu."""
-        v = unit_direction(xi, self.dim)
-        kdot = self.offsets @ v
-        mu = np.asarray(mu, dtype=float)
-        return (np.exp(-np.multiply.outer(mu, kdot)) - 1.0) @ self.values
 
 
 def _unit_offsets(dim):

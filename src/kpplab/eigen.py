@@ -6,11 +6,11 @@ random    Lu = lap u - 2 mu xi.grad u + (a(x) + mu^2) u
 nonlocal  Lu = int exp(-mu (y-x).xi) kappa(y-x) u(y) dy - u(x) + a(x) u(x)
 discrete  Lu = sum_k a_k (exp(-mu k.xi) u(j+k) - u(j)) + a(j) u(j)
 
-All three are one sparse matrix diag(a) + sum_j w_j (f_j S_j - I) built
-from the dispersal stencil (offsets z_j, weights w_j, shifts S_j) with
-twist factors f_j = exp(-mu z_j.xi); the random kind uses the first-order
-factors 1 - mu z_j.xi plus mu^2 on the diagonal, which is its centred
-drift term.
+All three are one sparse matrix diag(a + d) + sum_j w_j (f_j S_j - I)
+built from the dispersal stencil (offsets z_j, weights w_j, shifts S_j)
+and its twist (factors f_j, diagonal term d; see dispersal._Stencil).
+For a constant coefficient r the dominant eigenvalue is the stencil's
+symbol r + d + sum_j w_j (f_j - 1), which is the closed form.
 
 The dominant eigenvalue carries a positive eigenfunction, so it is
 computed by shifted power iteration: the shift makes the iteration
@@ -21,12 +21,13 @@ nonpositive entry signals an assembly bug, not a math fact).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .dispersal import DISCRETE, NONLOCAL, RANDOM, DispersalOperator
+from .dispersal import DISCRETE, NONLOCAL, DispersalOperator
 from .domain import Kernel, LatticeWeights, sampled_directions, unit_direction
 
 
@@ -99,10 +100,7 @@ class CellOperator:
     (matvec + shift I) is entrywise nonnegative with positive diagonal.
     """
 
-    kind: str
-    mu: float
     shape: tuple
-    spacing: float
     shift: float
     _matrix: sparse.csr_matrix
 
@@ -113,6 +111,30 @@ class CellOperator:
         return self._matrix.toarray()
 
 
+def cell_stencil(kind, a: PeriodicCoefficient, kernel: Kernel = None,
+                 weights: LatticeWeights = None):
+    """The dispersal stencil on a's cell, after the cell checks: a kernel
+    or lattice weights of the cell's dimension, at least 8 samples per
+    period for continuum kinds, and every period above twice the kernel
+    radius, so that the wrapped kernel cannot see itself."""
+    op = DispersalOperator(kind, kernel=kernel, weights=weights)
+    for name, payload in (("kernel", kernel), ("weights", weights)):
+        if payload is not None and payload.dim != a.dim:
+            raise ValueError(f"{name} has dimension {payload.dim}, the cell has {a.dim}")
+    if kind == DISCRETE:
+        if a.spacing != 1.0:
+            raise ValueError("lattice cells have spacing 1")
+    elif min(a.values.shape) < 8:
+        raise ValueError("cell resolution too coarse: need >= 8 points per period")
+    if kind == NONLOCAL:
+        if abs(kernel.spacing - a.spacing) > 1e-12:
+            raise ValueError("kernel spacing must match the cell spacing")
+        if min(a.period) <= 2.0 * kernel.delta0:
+            raise ValueError(
+                f"period {min(a.period)} must exceed twice the kernel radius {kernel.delta0}")
+    return op._stencil(a.dim, a.spacing)
+
+
 def assemble_cell_operator(
     kind: str,
     mu: float,
@@ -121,52 +143,19 @@ def assemble_cell_operator(
     kernel: Kernel = None,
     weights: LatticeWeights = None,
 ) -> CellOperator:
-    """Assemble the twisted operator for coefficient a on its cell.
-
-    Continuum kinds need at least 8 sample points per period; the
-    nonlocal kind additionally needs every period to exceed twice the
-    kernel support radius so the wrapped kernel cannot see itself.  A
-    kernel or lattice weights must have the cell's dimension.
-    """
-    op = DispersalOperator(kind, kernel=kernel, weights=weights)
-    dim = a.dim
-    xi_v = unit_direction(xi, dim)
+    """Assemble the twisted operator for coefficient a on its cell (see
+    cell_stencil for the checks); |mu| must stay below the stencil's
+    twist limit, where every twist factor is positive."""
+    st = cell_stencil(kind, a, kernel, weights)
     mu = float(mu)
+    if abs(mu) >= st.twist_limit:
+        raise ValueError(f"cell too coarse for twist mu={mu}: need |mu| < {st.twist_limit:g}")
+    factors, _, diag = st.twist(mu, unit_direction(xi, a.dim))
     coeff = a.values
-    for name, payload in (("kernel", kernel), ("weights", weights)):
-        if payload is not None and payload.dim != dim:
-            raise ValueError(f"{name} has dimension {payload.dim}, the cell has {dim}")
-
-    if kind == DISCRETE:
-        if a.spacing != 1.0:
-            raise ValueError("lattice cells have spacing 1")
-    elif min(coeff.shape) < 8:
-        raise ValueError("cell resolution too coarse: need >= 8 points per period")
-    if kind == RANDOM and abs(mu) * a.spacing >= 1.0:
-        raise ValueError(
-            f"cell resolution too coarse for twist mu={mu}: need |mu| * h < 1"
-        )
-    if kind == NONLOCAL:
-        if abs(kernel.spacing - a.spacing) > 1e-12:
-            raise ValueError("kernel spacing must match the cell spacing")
-        for p in a.period:
-            if p <= 2.0 * kernel.delta0:
-                raise ValueError(
-                    f"period {p} must exceed twice the kernel radius {kernel.delta0}"
-                )
-
-    st = op._stencil(dim, a.spacing)
-    zxi = (st.offsets * st.spacing) @ xi_v
-    if kind == RANDOM:
-        # first-order twist: the centred drift -2 mu xi.grad u, plus mu^2 u;
-        # its factors stay positive while |mu| h < 1
-        factors, diag = 1.0 - mu * zxi, coeff + mu * mu
-    else:
-        factors, diag = np.exp(-mu * zxi), coeff
     mass = float(st.weights.sum())
-    matrix = _wrapped_matrix(st.offsets, st.weights * factors, diag - mass)
+    matrix = _wrapped_matrix(st.offsets, st.weights * factors, coeff + diag - mass)
     shift = 1.0 + float(np.abs(coeff).max()) + mu * mu + mass
-    return CellOperator(kind, mu, coeff.shape, a.spacing, shift, matrix)
+    return CellOperator(coeff.shape, shift, matrix)
 
 
 def _wrapped_matrix(offsets, values, diag):
@@ -224,38 +213,30 @@ def principal_eigenvalue(operator: CellOperator, max_iter: int = 50_000) -> Eige
     )
 
 
-def closed_form_eigenvalue(
-    kind: str,
-    mu,
-    xi,
-    r: float,
-    kernel: Kernel = None,
-    weights: LatticeWeights = None,
-    resolution: float = None,
-) -> float:
-    """Dominant eigenvalue for a constant coefficient r (vectorized in mu).
+def constant_symbol(kind: str, xi, kernel: Kernel = None, weights: LatticeWeights = None,
+                    resolution: float = None):
+    """mu -> lambda(mu) - r for a constant coefficient r: the symbol of
+    the twisted stencil, vectorized in mu, with the stencil built once.
 
-    random    r + mu^2
-    nonlocal  int exp(-mu z.xi) kappa(z) dz - 1 + r, with the moment
-              computed by quadrature at `resolution` (default: one
-              quarter of the kernel's own sampling step)
-    discrete  sum_k a_k (exp(-mu k.xi) - 1) + r
+    The nonlocal kernel is resampled at `resolution` (default: one quarter
+    of its own sampling step).  The random symbol is mu^2 for every h; it
+    is taken on the unit grid, where its drift terms cancel exactly.
     """
-    mu = np.asarray(mu, dtype=float)
-    if kind == RANDOM:
-        return r + mu * mu
-    if kind == NONLOCAL:
-        if kernel is None:
-            raise ValueError("nonlocal closed form requires a kernel")
-        k = kernel if resolution == kernel.spacing else kernel.resample(
-            resolution if resolution is not None else kernel.spacing / 4.0
-        )
-        return k.twisted_moment(mu, xi) - 1.0 + r
-    if kind == DISCRETE:
-        if weights is None:
-            raise ValueError("discrete closed form requires lattice weights")
-        return weights.twisted_sum(mu, xi) + r
-    raise ValueError(f"unknown dispersal kind {kind!r}")
+    op = DispersalOperator(kind, kernel=kernel, weights=weights)
+    if kind == NONLOCAL and resolution != kernel.spacing:
+        op = DispersalOperator(NONLOCAL, kernel=kernel.resample(
+            resolution if resolution is not None else kernel.spacing / 4.0))
+    st = op._stencil(np.size(xi), 1.0)
+    return functools.partial(st.symbol, xi=unit_direction(xi, st.offsets.shape[1]))
+
+
+def closed_form_eigenvalue(kind: str, mu, xi, r: float, kernel: Kernel = None,
+                           weights: LatticeWeights = None, resolution: float = None):
+    """Dominant eigenvalue for a constant coefficient r (vectorized in mu):
+    r + mu^2 (random), r + int exp(-mu z.xi) kappa(z) dz - 1 by quadrature
+    (nonlocal), r + sum_k a_k (exp(-mu k.xi) - 1) (discrete).  See
+    constant_symbol."""
+    return r + constant_symbol(kind, xi, kernel, weights, resolution)(mu)
 
 
 @dataclass(frozen=True)
@@ -309,10 +290,6 @@ def check_average_lower_bound(
     op = assemble_cell_operator(kind, mu, xi, a, kernel=kernel, weights=weights)
     lam = principal_eigenvalue(op).lam
     a_hat = a.average
-    bound = float(
-        closed_form_eigenvalue(
-            kind, mu, xi, a_hat, kernel=kernel, weights=weights,
-            resolution=(kernel.spacing if kernel is not None else None),
-        )
-    )
+    resolution = kernel.spacing if kernel is not None else None
+    bound = float(closed_form_eigenvalue(kind, mu, xi, a_hat, kernel, weights, resolution))
     return AverageBoundReport(lam >= bound - slack, lam, bound, a_hat, slack)

@@ -33,6 +33,10 @@ from .dynamics import RK4, Trajectory, evolve, step_size
 from .speeds import SpeedResult, theoretical_speed
 from .stationary import FROM_ABOVE, solve_stationary
 
+# speed gates: empirical speed vs theory, and a sweep's pairwise spread
+THEORY_TOL = 0.05
+PAIRWISE_TOL = 0.02
+
 
 class ConeEmptyError(RuntimeError):
     """A verification cone contains no grid points (domain/time mismatch)."""
@@ -321,8 +325,6 @@ class SweepReport:
     ok_theory: bool
     ok_pairwise: bool
     ok: bool
-    tol_theory: float = 0.05
-    tol_pairwise: float = 0.02
 
 
 def run_invariance_cell(setup: SweepSetup, amplitude: float) -> SweepRow:
@@ -357,8 +359,8 @@ def run_invariance_cell(setup: SweepSetup, amplitude: float) -> SweepRow:
 
 def run_speed_invariance_sweep(setup: SweepSetup, rows=None) -> SweepReport:
     """Empirical speeds across the amplitude sweep, with two gates:
-    every speed within 5% of the amplitude-0 theory, and all speeds
-    pairwise within 2% of each other (the discretization bias is shared,
+    every speed within THEORY_TOL of the amplitude-0 theory, and all
+    speeds pairwise within PAIRWISE_TOL (the discretization bias is shared,
     so the pairwise gate is the sharper one)."""
     if rows is None:
         rows = [run_invariance_cell(setup, a) for a in setup.amplitudes]
@@ -366,8 +368,8 @@ def run_speed_invariance_sweep(setup: SweepSetup, rows=None) -> SweepReport:
     c_theory = rows[0].c_theory
     speeds = np.array([r.c_emp for r in rows])
     spread = float((speeds.max() - speeds.min()) / speeds.mean())
-    ok_theory = all(r.rel_error <= 0.05 for r in rows)
-    ok_pairwise = spread <= 0.02
+    ok_theory = all(r.rel_error <= THEORY_TOL for r in rows)
+    ok_pairwise = spread <= PAIRWISE_TOL
     return SweepReport(
         kind=setup.op.kind,
         rows=rows,

@@ -5,8 +5,9 @@ constant-coefficient closed forms or from the periodic eigenvalue
 solver.  A coarse log-spaced scan brackets the interior minimizer of
 lambda/mu, golden-section refines it; a minimum sitting on the scan
 edge is refused since every admissible relation here has lambda/mu
-blowing up at both ends.  An eigen-backed random relation scans only
-mu < 1/h, where the twist factors of its cell stencil stay positive.
+blowing up at both ends.  An eigen-backed relation scans only below its
+cell stencil's twist limit (1/h for the random kind), where every twist
+factor stays positive.
 """
 
 from __future__ import annotations
@@ -16,19 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersal import RANDOM
 from .domain import Kernel, LatticeWeights, Reaction
 from .eigen import (
     PeriodicCoefficient,
     assemble_cell_operator,
-    closed_form_eigenvalue,
+    cell_stencil,
+    constant_symbol,
     principal_eigenvalue,
 )
 
 _SCAN_POINTS = 60
 _MU_MIN = 1e-3
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_TWIST_EDGE = 1.0 - 1e-9  # largest admissible mu * h the random cell scan reaches
 
 
 class BracketEdgeError(RuntimeError):
@@ -51,19 +51,15 @@ class DispersionRelation:
     def closed_form(cls, kind, xi, r, kernel: Kernel = None,
                     weights: LatticeWeights = None, mu_max: float = 20.0,
                     resolution: float = None):
-        def evaluator(mu):
-            return closed_form_eigenvalue(
-                kind, mu, xi, r, kernel=kernel, weights=weights, resolution=resolution
-            )
-
-        return cls(evaluator, xi, kind, mu_max)
+        symbol = constant_symbol(kind, xi, kernel, weights, resolution)
+        return cls(lambda mu: r + symbol(mu), xi, kind, mu_max)
 
     @classmethod
     def eigen_backed(cls, kind, xi, a: PeriodicCoefficient,
                      kernel: Kernel = None, weights: LatticeWeights = None,
                      mu_max: float = 20.0):
-        if kind == RANDOM:
-            mu_max = min(mu_max, _TWIST_EDGE / a.spacing)
+        limit = cell_stencil(kind, a, kernel, weights).twist_limit
+        mu_max = min(mu_max, (1.0 - 1e-9) * limit)  # strictly inside the limit
 
         def evaluator(mu):
             op = assemble_cell_operator(kind, float(mu), xi, a, kernel=kernel, weights=weights)

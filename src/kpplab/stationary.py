@@ -191,9 +191,9 @@ def solve_stationary(
 
     Stops when consecutive snapshots (spacing 1.0) differ by less than
     1e-9 in max norm, then certifies the result by the equation residual
-    (must be <= 1e-7).  The route's monotonicity (non-increasing
-    from above, non-decreasing from below) is enforced with 1e-10 slack
-    per step; failure to converge by t_max raises with the residual.
+    (must be <= 1e-7).  The route's monotonicity (non-increasing from
+    above, non-decreasing from below) is checked per snapshot with 1e-10
+    slack; failure to converge by t_max raises with the residual.
     """
     if route not in (FROM_ABOVE, FROM_BELOW):
         raise ValueError(f"unknown route {route!r}")

@@ -72,6 +72,13 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     assert main(["validate", cfg]) == 2
     assert "reaction.r0" in capsys.readouterr().err
 
+    # solver keys that fail to parse name themselves
+    for line, key in [("dt = abc", "solver.dt"), ("record_every = x", "solver.record_every")]:
+        text = DISCRETE_FRONT.format(out=tmp_path / "o4").replace("dt = auto", line)
+        cfg = _write(tmp_path, "unparsable.cfg", text)
+        assert main(["validate", cfg]) == 2, line
+        assert key in capsys.readouterr().err
+
 
 def test_unparsable_environment_exits_2(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, "ok.cfg", DISCRETE_FRONT.format(out=tmp_path / "out"))
@@ -325,6 +332,14 @@ def test_unhonoured_solver_keys_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "ok.cfg", LATTICE_RUN.format(solver="scheme = rk4\nrecord_every = auto",
                                                   name="stationary_profile", out=tmp_path / "o"))
     assert main(["validate", cfg, "--quiet"]) == 0
+
+
+def test_empty_amplitudes_exit_2(tmp_path, capsys):
+    text = LATTICE_RUN.format(solver="", name="invariance_sweep", out=tmp_path / "o")
+    cfg = _write(tmp_path, "empty.cfg", text.replace("clause = 1", "amplitudes ="))
+    assert main(["run", cfg, "--quiet"]) == 2
+    assert "experiment.amplitudes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_stationary_profile_stops_at_solver_T(tmp_path, capsys):

@@ -102,7 +102,9 @@ def test_twisted_on_constant_matches_symbol():
     assert np.allclose(out, symbol, atol=1e-13)
     # independent oracle for the discretized moment via scipy.quad
     quad_exact, _ = integrate.quad(lambda z: np.exp(-mu * z) * max(0.0, 1.0 - abs(z)), -1, 1)
-    assert abs(kern.twisted_moment(mu, 1.0) - quad_exact) < qtol
+    moment = closed_form_eigenvalue("nonlocal", mu, 1.0, 1.0, kernel=kern,
+                                    resolution=kern.spacing)
+    assert abs(moment - quad_exact) < qtol
     # discrete
     cell = _cell("discrete", mu, 10.0, 1.0, weights=LatticeWeights.symmetric(1, 1.3))
     out = cell.matvec(np.ones(cell.shape))
@@ -211,7 +213,9 @@ def test_stencil_properties(case, boundary, mu_h, angle, value):
     payload = {"kernel": op.kernel, "weights": op.weights}
     xi = (np.cos(angle), np.sin(angle))[:dim] if dim == 2 else 1.0
     # cooperative: nonnegative off-diagonal entries while |mu| h < 1
-    matrix = assemble_cell_operator(op.kind, mu_h / spacing, xi, a, **payload).to_matrix()
+    mu = mu_h / spacing
+    twisted = assemble_cell_operator(op.kind, mu, xi, a, **payload)
+    matrix = twisted.to_matrix()
     np.fill_diagonal(matrix, 0.0)
     assert matrix.min() >= 0.0
     # at mu = 0 the cell operator is the stencil on the periodic habitat
@@ -219,3 +223,8 @@ def test_stencil_properties(case, boundary, mu_h, angle, value):
     u = np.random.default_rng(m).random(per.shape)
     cell = assemble_cell_operator(op.kind, 0.0, xi, a, **payload)
     assert np.abs(cell.matvec(u) - op.bind(per)(u)).max() <= 1e-12
+    # on constants the twisted cell operator is the closed form
+    ones = twisted.matvec(np.ones(a.values.shape))
+    symbol = closed_form_eigenvalue(op.kind, mu, xi, 0.0, resolution=spacing, **payload)
+    mass = op._stencil(dim, spacing).weights.sum()
+    assert np.abs(ones - symbol).max() <= 1e-12 * (1.0 + mass)

@@ -10,6 +10,7 @@ from kpplab import (
     NoEquilibriumError,
     Reaction,
     check_kpp_hypotheses,
+    closed_form_eigenvalue,
     make_compact_initial,
     make_front_initial,
     mollifier_bump,
@@ -164,8 +165,8 @@ def test_kernel_halfspace_mass_symmetric():
 def test_lattice_weights():
     w = LatticeWeights.symmetric(2, 1.5)
     assert w.rate_sum == 6.0
-    assert abs(w.twisted_sum(0.0, (1.0, 0.0))) == 0.0
-    val = w.twisted_sum(1.0, (1.0, 0.0))
+    assert abs(closed_form_eigenvalue("discrete", 0.0, (1.0, 0.0), 0.0, weights=w)) == 0.0
+    val = closed_form_eigenvalue("discrete", 1.0, (1.0, 0.0), 0.0, weights=w)
     assert val == pytest.approx(1.5 * (np.exp(-1) + np.exp(1) - 2.0))
     with pytest.raises(ValueError):
         LatticeWeights(1, np.array([[1], [2]]), np.array([1.0, 1.0]))
