@@ -3,7 +3,8 @@
 Subcommands: run, speed, eigen, validate, list-experiments.
 Configs are flat INI files (sections habitat/reaction/dispersal/solver/
 experiment/output); validation failures name the offending section.key
-and exit 2, as does a [solver] key the experiment cannot honour;
+and exit 2, as does a [solver] key the experiment cannot honour.  Each
+experiment has one key parser, called by both run and validate;
 runtime errors exit 3, failed verdicts exit 1.  The pipelines live in
 kpplab.experiments and kpplab.stationary.  Artifacts are written to a
 fresh directory atomically (temp dir, removed on failure, then rename)
@@ -206,16 +207,20 @@ def _front_keys(cp, dim):
 
 
 # ----------------------------------------------------------------------
-# experiment runners
+# experiments: a key parser, read by run and validate, and a runner that
+# gets the parsed keys and reads nothing else from the config
 # ----------------------------------------------------------------------
 
 
-def _exp_front_speed(cp, habitat, reaction, op, solver, options):
-    keys = _front_keys(cp, habitat.dim)
-    margin = _get(cp, "experiment", "margin", float, default=0.2)
-    run = run_front(op, reaction, habitat, **solver, **keys)
+def _front_speed_keys(cp, habitat, reaction):
+    return _front_keys(cp, habitat.dim), _get(cp, "experiment", "margin", float, default=0.2)
+
+
+def _exp_front_speed(keys, habitat, reaction, op, solver, options):
+    front, margin = keys
+    run = run_front(op, reaction, habitat, **solver, **front)
     est = run.estimate
-    cones = verify_spreading_cones(run.traj, keys["xi"], run.theory.c_star, run.u0_star, margin)
+    cones = verify_spreading_cones(run.traj, front["xi"], run.theory.c_star, run.u0_star, margin)
     ok = est.rel_error <= THEORY_TOL and cones.ok
     summary = {
         "experiment": "front_speed",
@@ -237,24 +242,28 @@ def _exp_front_speed(cp, habitat, reaction, op, solver, options):
     return ok, summary, artifacts
 
 
-def _exp_invariance_sweep(cp, habitat, reaction, op, solver, options):
-    amplitudes = _get(cp, "experiment", "amplitudes", floats, default=(-0.5, 0.0, 0.5, 1.0))
+def _sweep_keys(cp, habitat, reaction):
+    return {"amplitudes": _get(cp, "experiment", "amplitudes", floats,
+                               default=(-0.5, 0.0, 0.5, 1.0)),
+            **_front_keys(cp, habitat.dim)}
+
+
+def _exp_invariance_sweep(keys, habitat, reaction, op, solver, options):
     setup = SweepSetup(
         op=op,
         habitat=habitat,
         reaction0=dataclasses.replace(reaction, amplitude=0.0),
         T=solver["T"],
-        amplitudes=amplitudes,
         dt=solver["dt"],
         record_every=solver["record_every"],
-        **_front_keys(cp, habitat.dim),
+        **keys,
     )
     jobs = options.get("jobs", 1)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_invariance_cell, itertools.repeat(setup), amplitudes))
+            rows = list(pool.map(run_invariance_cell, itertools.repeat(setup), setup.amplitudes))
     else:
-        rows = [run_invariance_cell(setup, a) for a in amplitudes]
+        rows = [run_invariance_cell(setup, a) for a in setup.amplitudes]
     report = run_speed_invariance_sweep(setup, rows=rows)
     summary = {
         "experiment": "invariance_sweep",
@@ -263,9 +272,11 @@ def _exp_invariance_sweep(cp, habitat, reaction, op, solver, options):
         "pairwise_spread": report.pairwise_spread,
         "ok_theory": report.ok_theory,
         "ok_pairwise": report.ok_pairwise,
+        "clip_count": sum(r.clip_count for r in report.rows),
         "verdict": "pass" if report.ok else "fail",
         "cells": [
-            {"amplitude": r.amplitude, "c_empirical": r.c_emp, "relative_error": r.rel_error}
+            {"amplitude": r.amplitude, "c_empirical": r.c_emp, "relative_error": r.rel_error,
+             "clip_count": r.clip_count}
             for r in report.rows
         ],
     }
@@ -276,37 +287,48 @@ def _exp_invariance_sweep(cp, habitat, reaction, op, solver, options):
     return report.ok, summary, artifacts
 
 
-def _exp_spreading_features(cp, habitat, reaction, op, solver, options):
-    clause = _get(cp, "experiment", "clause", int, choices={1, 2, 3, 4})
-    r = _get(cp, "experiment", "support_radius", float, default=3.0)
-    sigma = _get(cp, "experiment", "sigma", float, default=1.0)
-    c_scale = _get(cp, "experiment", "c_scale", float, default=1.0)
-    margin = _get(cp, "experiment", "margin", float, default=0.2)
+def _spreading_keys(cp, habitat, reaction):
+    return {
+        "clause": _get(cp, "experiment", "clause", int, choices={1, 2, 3, 4}),
+        "r": _get(cp, "experiment", "support_radius", float, default=3.0),
+        "sigma": _get(cp, "experiment", "sigma", float, default=1.0),
+        "c_scale": _get(cp, "experiment", "c_scale", float, default=1.0),
+        "margin": _get(cp, "experiment", "margin", float, default=0.2),
+    }
+
+
+def _exp_spreading_features(keys, habitat, reaction, op, solver, options):
     verdict = run_compact_spreading_checks(
-        op, reaction, habitat, clause, solver["T"], r=r, sigma=sigma,
-        dt=solver["dt"], margin=margin, c_scale=c_scale,
+        op, reaction, habitat, T=solver["T"], dt=solver["dt"], **keys,
     )
     summary = {
         "experiment": "spreading_features",
         "kind": op.kind,
-        "clause": clause,
+        "clause": verdict.clause,
         "worst_value": verdict.worst_value,
         "threshold": verdict.threshold,
         "c_used": verdict.c_used,
+        "clip_count": verdict.clip_count,
         "verdict": "pass" if verdict.ok else "fail",
     }
     return verdict.ok, summary, {}
 
 
-def _exp_stationary_profile(cp, habitat, reaction, op, solver, options):
+def _stationary_keys(cp, habitat, reaction):
+    return {
+        "tail_radius": _get(cp, "experiment", "tail_radius", float,
+                            default=4.0 * reaction.radius),
+        "tail_threshold": _get(cp, "experiment", "tail_threshold", float, default=0.01),
+    }
+
+
+def _exp_stationary_profile(keys, habitat, reaction, op, solver, options):
     above = solve_stationary(op, reaction, habitat, FROM_ABOVE, solver["dt"], solver["T"])
     below = solve_stationary(op, reaction, habitat, FROM_BELOW, solver["dt"], solver["T"])
     gap = float(np.abs(above.u_star.values - below.u_star.values).max())
     report = check_kpp_hypotheses(reaction, habitat)
-    tail_radius = _get(cp, "experiment", "tail_radius", float, default=4.0 * reaction.radius)
-    tail_threshold = _get(cp, "experiment", "tail_threshold", float, default=0.01)
-    tail = check_tail(above.u_star, report.u0_star, tail_radius, delta0=op.delta0)
-    ok = gap <= 1e-6 and tail < tail_threshold
+    tail = check_tail(above.u_star, report.u0_star, keys["tail_radius"], delta0=op.delta0)
+    ok = gap <= 1e-6 and tail < keys["tail_threshold"]
     summary = {
         "experiment": "stationary_profile",
         "kind": op.kind,
@@ -314,8 +336,9 @@ def _exp_stationary_profile(cp, habitat, reaction, op, solver, options):
         "residual_from_above": above.residual,
         "residual_from_below": below.residual,
         "tail_deviation": tail,
-        "tail_radius": tail_radius,
+        "tail_radius": keys["tail_radius"],
         "u0_star": report.u0_star,
+        "clip_count": above.clip_count + below.clip_count,
         "verdict": "pass" if ok else "fail",
     }
     coords = habitat.grid()[0].ravel() if habitat.dim == 1 else habitat.radius().ravel()
@@ -327,11 +350,26 @@ def _exp_stationary_profile(cp, habitat, reaction, op, solver, options):
 
 
 EXPERIMENTS = {
-    "front_speed": (_exp_front_speed, "evolve front data, fit the empirical speed, cone verdict"),
-    "invariance_sweep": (_exp_invariance_sweep, "amplitude sweep; speeds must agree pairwise and with theory"),
-    "spreading_features": (_exp_spreading_features, "compact-data expanding-region checks (clauses 1-4)"),
-    "stationary_profile": (_exp_stationary_profile, "both monotone routes, uniqueness gap and tail deviation"),
+    "front_speed": (_front_speed_keys, _exp_front_speed,
+                    "evolve front data, fit the empirical speed, cone verdict"),
+    "invariance_sweep": (_sweep_keys, _exp_invariance_sweep,
+                         "amplitude sweep; speeds must agree pairwise and with theory"),
+    "spreading_features": (_spreading_keys, _exp_spreading_features,
+                           "compact-data expanding-region checks (clauses 1-4)"),
+    "stationary_profile": (_stationary_keys, _exp_stationary_profile,
+                           "both monotone routes, uniqueness gap and tail deviation"),
 }
+
+
+def _parse_run(cp, name):
+    """Everything `run` reads from the config for experiment `name`:
+    ((habitat, reaction, op, solver), experiment keys, expect, seed).
+    validate calls it too, so both refuse a config alike."""
+    habitat, reaction, op, solver = _build(cp, name)
+    keys = EXPERIMENTS[name][0](cp, habitat, reaction)
+    expect = _get(cp, "experiment", "expect", str, default="pass", choices={"pass", "fail"})
+    seed = _get(cp, "experiment", "seed", int, default=0)
+    return (habitat, reaction, op, solver), keys, expect, seed
 
 
 # ----------------------------------------------------------------------
@@ -386,14 +424,13 @@ def _manifest(cfg_text, summary, options, wall_time):
 
 def _cmd_run(cp, cfg_text, options):
     name = _get(cp, "experiment", "name", str, choices=set(EXPERIMENTS))
-    habitat, reaction, op, solver = _build(cp, name)
-    expect = _get(cp, "experiment", "expect", str, default="pass", choices={"pass", "fail"})
+    model, keys, expect, seed = _parse_run(cp, name)
     if options["seed"] is None:
-        options["seed"] = _get(cp, "experiment", "seed", int, default=0)
+        options["seed"] = seed
 
-    runner, _ = EXPERIMENTS[name]
+    runner = EXPERIMENTS[name][1]
     t0 = time.perf_counter()
-    ok, summary, artifacts = runner(cp, habitat, reaction, op, solver, options)
+    ok, summary, artifacts = runner(keys, *model, options)
     wall = time.perf_counter() - t0
 
     if expect == "fail":
@@ -410,15 +447,19 @@ def _cmd_run(cp, cfg_text, options):
     return 0 if final_ok else 1
 
 
+def _curve_keys(cp, dim):
+    """[experiment] keys of speed and eigen: direction and the mu grid."""
+    mu_max = _get(cp, "experiment", "mu_max", float, default=5.0)
+    n_mu = _get(cp, "experiment", "n_mu", int, default=101)
+    return _direction(cp, dim), np.linspace(1e-3, mu_max, n_mu)
+
+
 def _dispersion_table(cp):
     """Operator, reaction, direction and closed-form lambda(mu) at r = f0(0)."""
     habitat = build_habitat(cp)
     reaction = build_reaction(cp)
     op = build_dispersal(cp, habitat)
-    xi = _direction(cp, habitat.dim)
-    mu_max = _get(cp, "experiment", "mu_max", float, default=5.0)
-    n_mu = _get(cp, "experiment", "n_mu", int, default=101)
-    mus = np.linspace(1e-3, mu_max, n_mu)
+    xi, mus = _curve_keys(cp, habitat.dim)
     r = float(reaction.f0(0.0))
     lams = closed_form_eigenvalue(op.kind, mus, xi, r, kernel=op.kernel, weights=op.weights)
     return op, reaction, xi, mus, lams
@@ -455,14 +496,21 @@ def _cmd_eigen(cp, cfg_text, options):
 
 
 def _cmd_validate(cp, cfg_text, options):
-    _build(cp, _get(cp, "experiment", "name", str, default=None, choices=set(EXPERIMENTS)))
+    """Parse every key that run (if experiment.name is set), speed and
+    eigen would read."""
+    name = _get(cp, "experiment", "name", str, default=None, choices=set(EXPERIMENTS))
+    if name is None:
+        habitat = _build(cp)[0]
+    else:
+        habitat = _parse_run(cp, name)[0][0]
+    _curve_keys(cp, habitat.dim)
     if not options["quiet"]:
         print("config ok")
     return 0
 
 
 def _cmd_list(options):
-    for name, (_, doc) in sorted(EXPERIMENTS.items()):
+    for name, (_, _, doc) in sorted(EXPERIMENTS.items()):
         print(f"{name:20s} {doc}")
     return 0
 

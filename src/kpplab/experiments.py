@@ -313,6 +313,7 @@ class SweepRow:
     rel_error: float
     rms_residual: float
     window: tuple
+    clip_count: int
     profile_deviation: float = None
 
 
@@ -337,10 +338,12 @@ def run_invariance_cell(setup: SweepSetup, amplitude: float) -> SweepRow:
         sigma0=setup.sigma0, level_fraction=setup.level_fraction, burn_in=setup.burn_in,
     )
     est = run.estimate
+    clip_count = run.traj.clip_count
 
     profile_dev = None
     if setup.check_profile_convergence:
         stat = solve_stationary(setup.op, reaction, habitat, route=FROM_ABOVE)
+        clip_count += stat.clip_count
         proj = habitat.projection(unit_direction(setup.xi, habitat.dim))
         behind = proj <= 0.5 * run.theory.c_star * setup.T
         profile_dev = float(
@@ -353,6 +356,7 @@ def run_invariance_cell(setup: SweepSetup, amplitude: float) -> SweepRow:
         rel_error=est.rel_error,
         rms_residual=est.rms_residual,
         window=est.window,
+        clip_count=clip_count,
         profile_deviation=profile_dev,
     )
 
@@ -395,6 +399,7 @@ class ClauseVerdict:
     threshold: float
     c_used: float
     margin: float
+    clip_count: int
 
 
 def run_compact_spreading_checks(
@@ -447,9 +452,12 @@ def run_compact_spreading_checks(
 
     dt = step_size(op, reaction, u0, dt)
     traj = evolve(op, reaction, u0, T, dt, record_every=_record_every(T, dt))
+    clip_count = traj.clip_count
 
     if clause in (2, 4) and u_star is None:
-        u_star = solve_stationary(op, reaction, habitat, route=FROM_ABOVE).u_star
+        stat = solve_stationary(op, reaction, habitat, route=FROM_ABOVE)
+        u_star = stat.u_star
+        clip_count += stat.clip_count
 
     worst = -math.inf
     for t, snap in _trailing_window(traj):
@@ -474,4 +482,5 @@ def run_compact_spreading_checks(
         threshold=threshold,
         c_used=c_max if clause in (1, 3) else c_min,
         margin=margin,
+        clip_count=clip_count,
     )

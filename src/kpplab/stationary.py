@@ -177,6 +177,7 @@ class StationaryResult:
     iterations: int
     time_to_converge: float
     monotone_ok: bool
+    clip_count: int  # negative values clipped to zero, summed over the chunks
 
 
 def solve_stationary(
@@ -214,9 +215,10 @@ def solve_stationary(
     monotone_ok = True
     prev = u
     converged = False
-    k = 0
+    k = clip_count = 0
     for k in range(1, n_chunks + 1):
         traj = evolve(op, reaction, prev, _RECORD_SPACING, dt, record_every=10 ** 9)
+        clip_count += traj.clip_count
         cur = traj.final
         step = cur.values - prev.values
         if route == FROM_ABOVE and float(step.max()) > _MONOTONE_SLACK:
@@ -252,6 +254,7 @@ def solve_stationary(
         iterations=k,
         time_to_converge=k * _RECORD_SPACING,
         monotone_ok=monotone_ok,
+        clip_count=clip_count,
     )
 
 

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import power_iteration
 
 from kpplab import (
     DispersalOperator,
@@ -172,18 +173,29 @@ def test_criterion_3_speed_minimizer_oracle():
 
 def test_criterion_4_eigenvalue_closed_form_oracle():
     positive = True
+    oracle_lam = oracle_phi = 0.0
+
+    def solve(op):
+        # every eigenpair is also checked against plain power iteration
+        nonlocal oracle_lam, oracle_phi
+        res = principal_eigenvalue(op)
+        lam, phi = power_iteration(op)
+        oracle_lam = max(oracle_lam, abs(res.lam - lam))
+        oracle_phi = max(oracle_phi, float(np.abs(res.eigenfunction - phi).max()))
+        return res
+
     # lattice: exact to 1e-10
     lattice_err = 0.0
     a = PeriodicCoefficient.constant(0.3, (4.0,), 1.0)
     for mu in (0.0, 0.9, 2.5):
-        res = principal_eigenvalue(assemble_cell_operator("discrete", mu, 1.0, a, weights=W1))
+        res = solve(assemble_cell_operator("discrete", mu, 1.0, a, weights=W1))
         positive = positive and res.eigenfunction.min() > 0.0
         lattice_err = max(lattice_err, abs(res.lam - (np.exp(-mu) + np.exp(mu) - 2.0 + 0.3)))
     # continuum Laplacian: constant-coefficient cells reproduce r + mu^2
     random_err = 0.0
     ar = PeriodicCoefficient.constant(0.8, (2.0,), 1.0 / 16.0)
     for mu in (0.0, 0.7, 2.0):
-        res = principal_eigenvalue(assemble_cell_operator("random", mu, 1.0, ar))
+        res = solve(assemble_cell_operator("random", mu, 1.0, ar))
         positive = positive and res.eigenfunction.min() > 0.0
         random_err = max(random_err, abs(res.lam - (0.8 + mu * mu)))
     # continuum kernel quadrature: second-order h-refinement against the
@@ -194,15 +206,17 @@ def test_criterion_4_eigenvalue_closed_form_oracle():
     for h in (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0):
         kern = Kernel.from_profile("triangle", 1.0, h, 1)
         an = PeriodicCoefficient.constant(r, (4.0,), h)
-        res = principal_eigenvalue(assemble_cell_operator("nonlocal", mu, 1.0, an, kernel=kern))
+        res = solve(assemble_cell_operator("nonlocal", mu, 1.0, an, kernel=kern))
         positive = positive and res.eigenfunction.min() > 0.0
         errs.append(abs(res.lam - exact))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     orders_ok = all(1.8 <= o <= 2.2 for o in orders)
-    ok = lattice_err <= 1e-10 and random_err <= 1e-10 and orders_ok and positive
+    ok = (lattice_err <= 1e-10 and random_err <= 1e-10 and orders_ok and positive
+          and oracle_lam <= 1e-9 and oracle_phi <= 1e-8)
     _report(4, "principal eigenvalues match closed forms", ok,
             f"lattice_err={lattice_err:.1e}, laplacian_err={random_err:.1e}, "
-            f"refinement orders={['%.2f' % o for o in orders]}, eigenfunctions positive: {positive}")
+            f"refinement orders={['%.2f' % o for o in orders]}, eigenfunctions positive: {positive}, "
+            f"vs power iteration: lambda {oracle_lam:.1e}, phi {oracle_phi:.1e}")
 
 
 def test_criterion_5_average_coefficient_lower_bound():

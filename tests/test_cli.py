@@ -152,6 +152,7 @@ def test_expected_fail_negative_control(tmp_path):
     assert main(["run", cfg, "--quiet"]) == 1
     summary = json.loads((out / "spreading_features" / "summary.json").read_text())
     assert summary["verdict"] == "expected-fail: confirmed"
+    assert summary["clip_count"] == 0
 
 
 def test_speed_and_eigen_subcommands(tmp_path):
@@ -203,6 +204,7 @@ def test_stationary_subcommand(tmp_path):
     summary = json.loads((out / "stationary_profile" / "summary.json").read_text())
     assert summary["routes_gap"] <= 1e-6
     assert summary["residual_from_above"] <= 1e-7
+    assert summary["clip_count"] == 0
     profile = (out / "stationary_profile" / "profile.csv").read_text().splitlines()
     assert profile[0] == "x,u_star" and len(profile) == 82
 
@@ -238,6 +240,7 @@ def test_invariance_sweep_with_jobs(tmp_path):
     summary = json.loads((out / "invariance_sweep" / "summary.json").read_text())
     assert summary["verdict"] == "pass"
     assert len(summary["cells"]) == 2
+    assert summary["clip_count"] == 0 and [c["clip_count"] for c in summary["cells"]] == [0, 0]
     sweep = (out / "invariance_sweep" / "sweep.csv").read_text().splitlines()
     assert sweep[0].startswith("amplitude,")
 
@@ -332,6 +335,33 @@ def test_unhonoured_solver_keys_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "ok.cfg", LATTICE_RUN.format(solver="scheme = rk4\nrecord_every = auto",
                                                   name="stationary_profile", out=tmp_path / "o"))
     assert main(["validate", cfg, "--quiet"]) == 0
+
+
+def test_validate_parses_every_experiment_key(tmp_path, capsys):
+    import pathlib
+
+    shipped = pathlib.Path(__file__).resolve().parents[1] / "configs" / "invariance_discrete.cfg"
+    text = shipped.read_text()
+    for old, new, key in [
+        ("amplitudes = -0.5, 0.0, 0.5, 1.0", "amplitudes =", "experiment.amplitudes"),
+        ("sigma0 = 1.0", "sigma0 = abc", "experiment.sigma0"),
+        ("seed = 0", "seed = x", "experiment.seed"),
+        ("seed = 0", "expect = maybe", "experiment.expect"),
+        ("seed = 0", "n_mu = many", "experiment.n_mu"),
+    ]:
+        assert old in text
+        cfg = _write(tmp_path, "v.cfg", text.replace(old, new))
+        assert main(["validate", cfg, "--quiet"]) == 2, new
+        assert key in capsys.readouterr().err
+    for name, line, key in [
+        ("spreading_features", "clause = 7", "experiment.clause"),
+        ("stationary_profile", "tail_radius = far", "experiment.tail_radius"),
+        ("front_speed", "margin = wide", "experiment.margin"),
+    ]:
+        cfg = _write(tmp_path, "v.cfg", LATTICE_RUN.format(solver="", name=name, out=tmp_path / "o")
+                     .replace("clause = 1", line))
+        assert main(["validate", cfg, "--quiet"]) == 2, line
+        assert key in capsys.readouterr().err
 
 
 def test_empty_amplitudes_exit_2(tmp_path, capsys):

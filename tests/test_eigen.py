@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import power_iteration
 
+import kpplab
 from kpplab import (
     Kernel,
     LatticeWeights,
@@ -219,9 +227,112 @@ def test_mu_zero_directional_independence_2d():
 
 
 def test_power_iteration_cap():
+    # 512 points: above the dense-start cutoff, so the iteration starts
+    # from constants and cannot converge in 3 steps
     a = PeriodicCoefficient.from_function(
-        lambda x: 0.5 + 0.2 * np.sin(2.0 * np.pi * x / 4.0), (4.0,), 0.0625
+        lambda x: 0.5 + 0.2 * np.sin(2.0 * np.pi * x / 4.0), (4.0,), 1.0 / 128.0
     )
     op = assemble_cell_operator("random", 0.3, 1.0, a)
     with pytest.raises(PowerIterationError, match="residual"):
         principal_eigenvalue(op, max_iter=3)
+
+
+def test_fine_random_cell_converges():
+    # 256 points at h = 1/64: from constants the residual stalls near 1e-7
+    # for 50,000 iterations; from the dense Perron vector it certifies
+    a = PeriodicCoefficient.from_function(
+        lambda x: 1.0 + 0.2 * np.sin(np.pi * x / 2.0), (4.0,), 1.0 / 64.0
+    )
+    op = assemble_cell_operator("random", 1.0, 1.0, a)
+    res = principal_eigenvalue(op)
+    assert res.residual <= 1e-10 and res.eigenfunction.min() > 0.0
+    assert abs(res.lam - np.linalg.eigvals(op.to_matrix()).real.max()) < 1e-9
+
+
+def _wide_kernel_cell(delta0, period, mu):
+    kern = Kernel.from_profile("triangle", delta0, 0.25, 1)
+    a = PeriodicCoefficient.from_function(
+        lambda x: 1.0 + 0.3 * np.sin(2.0 * np.pi * x / period), (period,), 0.25
+    )
+    return assemble_cell_operator("nonlocal", mu, 1.0, a, kernel=kern)
+
+
+def test_dense_start_is_polished_to_the_certificate():
+    # the raw dense vector leaves a residual of about 6e-10; the power
+    # iteration takes it below 1e-10
+    op = _wide_kernel_cell(5.0, 12.0, 3.5)
+    res = principal_eigenvalue(op)
+    assert res.iterations > 1 and res.residual <= 1e-10
+    lam, phi = power_iteration(op)
+    assert abs(res.lam - lam) < 1e-9
+    assert np.abs(res.eigenfunction - phi).max() < 1e-8
+
+
+def test_uncertified_dense_start_raises():
+    op = _wide_kernel_cell(6.0, 14.0, 3.0)
+    with pytest.raises(PowerIterationError, match="residual"):
+        principal_eigenvalue(op, max_iter=200)
+
+
+@st.composite
+def _twisted_cells(draw):
+    """(operator, kind) on a cell of at most 256 points with a smooth
+    coefficient, xi and mu inside the twist limit.  Nonlocal draws keep
+    delta0 <= 2 and |mu| <= 3, where the oracle converges."""
+    kind = draw(st.sampled_from(["random", "nonlocal", "discrete"]))
+    dim = draw(st.integers(1, 2))
+    n_max = 64 if dim == 1 else 16
+    payload = {}
+    if kind == "discrete":
+        spacing, n_min = 1.0, 2
+        rates = draw(st.lists(st.floats(0.1, 3.0), min_size=2 * dim, max_size=2 * dim))
+        payload["weights"] = LatticeWeights(dim, LatticeWeights.symmetric(dim).offsets, rates)
+        mu = draw(st.floats(-3.0, 3.0))
+    elif kind == "random":
+        spacing, n_min = draw(st.sampled_from([0.125, 0.25])), 8
+        mu = draw(st.floats(-0.95, 0.95)) / spacing
+    else:
+        spacing = draw(st.sampled_from([0.25, 0.5]))
+        profile = draw(st.sampled_from(["uniform", "triangle", "mollifier"]))
+        delta0 = draw(st.floats(2.0 * spacing, 2.0))
+        payload["kernel"] = Kernel.from_profile(profile, delta0, spacing, dim)
+        n_min = max(8, int(2.0 * delta0 / spacing) + 1)  # period above 2 delta0
+        assume(n_min <= n_max)
+        mu = draw(st.floats(-3.0, 3.0))
+    n = draw(st.integers(n_min, n_max))
+    period = n * spacing
+    rng = np.random.default_rng(draw(st.integers(0, 999)))
+    axes = np.meshgrid(*[np.arange(n) * spacing] * dim, indexing="ij")
+    vals = np.full(axes[0].shape, draw(st.floats(-1.0, 1.0)))
+    for amp in rng.normal(size=3) * draw(st.floats(0.0, 0.5)):
+        wave = sum(k * x for k, x in zip(rng.integers(0, 3, dim), axes))
+        vals = vals + amp * np.sin(2.0 * np.pi * wave / period + rng.random())
+    if dim == 1:
+        xi = draw(st.sampled_from([-1.0, 1.0]))
+    else:
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        xi = (np.cos(angle), np.sin(angle))
+    a = PeriodicCoefficient((period,) * dim, spacing, vals)
+    return assemble_cell_operator(kind, mu, xi, a, **payload), kind
+
+
+@settings(deadline=None, derandomize=True)
+@given(_twisted_cells())
+def test_principal_eigenpair_matches_power_iteration_oracle(case):
+    op, kind = case
+    res = principal_eigenvalue(op)
+    lam, phi = power_iteration(op)
+    assert res.eigenfunction.min() > 0.0, kind
+    assert abs(res.lam - lam) <= 1e-9, kind
+    assert np.abs(res.eigenfunction - phi).max() <= 1e-8, kind
+
+
+def test_import_leaves_out_scipy_linalg():
+    # scipy.linalg (also pulled in by scipy.sparse.linalg) adds about
+    # 140 ms and 9 MiB to every start-up; the dense solve uses numpy.linalg
+    src = os.path.dirname(os.path.dirname(kpplab.__file__))
+    code = ("import sys, kpplab; "
+            "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

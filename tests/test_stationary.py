@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -193,3 +195,18 @@ def test_two_dimensional_routes_agree():
     c = hab.half_points
     assert above.u_star.values[c, c] < 1.0
     assert abs(above.u_star.values[0, 0] - 1.0) < 0.05
+
+
+def test_clip_counts_are_summed_over_chunks(monkeypatch):
+    import kpplab.stationary as stationary
+
+    real = stationary.evolve
+
+    def clip_once(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), clip_count=1)
+
+    monkeypatch.setattr(stationary, "evolve", clip_once)
+    op, hab = _ops()[2]
+    for route in (FROM_ABOVE, FROM_BELOW):
+        res = solve_stationary(op, BUMP, hab, route=route)
+        assert res.clip_count == res.iterations, route
