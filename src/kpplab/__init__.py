@@ -15,12 +15,9 @@ from .domain import (
     DomainSizeError,
     Field,
     Habitat,
-    HypothesesReport,
     Kernel,
     LatticeWeights,
-    NoEquilibriumError,
     Reaction,
-    check_kpp_hypotheses,
     make_compact_initial,
     make_front_initial,
     mollifier_bump,

@@ -38,7 +38,6 @@ from .domain import (
     LatticeWeights,
     PERIODIC,
     Reaction,
-    check_kpp_hypotheses,
 )
 from .dynamics import RK4, EULER, stability_dt_bound
 from .eigen import closed_form_eigenvalue
@@ -220,7 +219,8 @@ def _exp_front_speed(keys, habitat, reaction, op, solver, options):
     front, margin = keys
     run = run_front(op, reaction, habitat, **solver, **front)
     est = run.estimate
-    cones = verify_spreading_cones(run.traj, front["xi"], run.theory.c_star, run.u0_star, margin)
+    cones = verify_spreading_cones(run.traj, front["xi"], run.theory.c_star, reaction.u0_star,
+                                   margin)
     ok = est.rel_error <= THEORY_TOL and cones.ok
     summary = {
         "experiment": "front_speed",
@@ -228,6 +228,7 @@ def _exp_front_speed(keys, habitat, reaction, op, solver, options):
         "c_empirical": est.slope,
         "c_theory": run.theory.c_star,
         "mu_star": run.theory.mu_star,
+        "mu_star_bracket": list(run.theory.bracket),
         "relative_error": est.rel_error,
         "rms_residual": est.rms_residual,
         "fit_window": list(est.window),
@@ -259,11 +260,10 @@ def _exp_invariance_sweep(keys, habitat, reaction, op, solver, options):
         **keys,
     )
     jobs = options.get("jobs", 1)
+    rows = None
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(run_invariance_cell, itertools.repeat(setup), setup.amplitudes))
-    else:
-        rows = [run_invariance_cell(setup, a) for a in setup.amplitudes]
     report = run_speed_invariance_sweep(setup, rows=rows)
     summary = {
         "experiment": "invariance_sweep",
@@ -326,8 +326,7 @@ def _exp_stationary_profile(keys, habitat, reaction, op, solver, options):
     above = solve_stationary(op, reaction, habitat, FROM_ABOVE, solver["dt"], solver["T"])
     below = solve_stationary(op, reaction, habitat, FROM_BELOW, solver["dt"], solver["T"])
     gap = float(np.abs(above.u_star.values - below.u_star.values).max())
-    report = check_kpp_hypotheses(reaction, habitat)
-    tail = check_tail(above.u_star, report.u0_star, keys["tail_radius"], delta0=op.delta0)
+    tail = check_tail(above.u_star, reaction.u0_star, keys["tail_radius"], delta0=op.delta0)
     ok = gap <= 1e-6 and tail < keys["tail_threshold"]
     summary = {
         "experiment": "stationary_profile",
@@ -337,7 +336,7 @@ def _exp_stationary_profile(keys, habitat, reaction, op, solver, options):
         "residual_from_below": below.residual,
         "tail_deviation": tail,
         "tail_radius": keys["tail_radius"],
-        "u0_star": report.u0_star,
+        "u0_star": reaction.u0_star,
         "clip_count": above.clip_count + below.clip_count,
         "verdict": "pass" if ok else "fail",
     }
@@ -460,8 +459,8 @@ def _dispersion_table(cp):
     reaction = build_reaction(cp)
     op = build_dispersal(cp, habitat)
     xi, mus = _curve_keys(cp, habitat.dim)
-    r = float(reaction.f0(0.0))
-    lams = closed_form_eigenvalue(op.kind, mus, xi, r, kernel=op.kernel, weights=op.weights)
+    lams = closed_form_eigenvalue(op.kind, mus, xi, reaction.r0, kernel=op.kernel,
+                                  weights=op.weights)
     return op, reaction, xi, mus, lams
 
 
@@ -471,6 +470,7 @@ def _cmd_speed(cp, cfg_text, options):
     summary = {
         "c_star": result.c_star,
         "mu_star": result.mu_star,
+        "mu_star_bracket": list(result.bracket),
         "kind": op.kind,
         "evaluations": result.evaluations,
     }
@@ -487,7 +487,7 @@ def _cmd_speed(cp, cfg_text, options):
 
 def _cmd_eigen(cp, cfg_text, options):
     op, reaction, _, mus, lams = _dispersion_table(cp)
-    summary = {"kind": op.kind, "r": float(reaction.f0(0.0)), "n_mu": len(mus)}
+    summary = {"kind": op.kind, "r": reaction.r0, "n_mu": len(mus)}
     artifacts = {
         "dispersion.csv": ("csv", ["mu", "lambda"], [[m, l] for m, l in zip(mus, lams)]),
     }

@@ -5,7 +5,8 @@ continuum grid with spacing h or as the integer lattice (h = 1).  The
 growth law is an affine KPP nonlinearity f(x, u) = f0(u) + A*bump(x)
 whose spatial perturbation is a compactly supported mollifier bump, so
 f(x, u) agrees with the homogeneous f0(u) *exactly* outside the
-perturbation radius.  Everything here is an immutable value object;
+perturbation radius (H2), and the constructor refuses a law that is not
+negative above beta0 (H1).  Everything here is an immutable value object;
 arrays are frozen after construction so instances can be shared freely
 between workers.
 """
@@ -21,13 +22,6 @@ CONTINUUM = "continuum"
 LATTICE = "lattice"
 CLAMP = "clamp"
 PERIODIC = "periodic"
-
-_HYPOTHESIS_U_STEP = 1e-2  # sample step in u for the growth-law checks
-
-
-class NoEquilibriumError(ValueError):
-    """f0 has no root in (0, beta0]: no positive equilibrium."""
-
 
 class DomainSizeError(ValueError):
     """Requested structure does not fit inside the truncated habitat."""
@@ -203,8 +197,13 @@ class Reaction:
     Both documented base families are affine in u and share this single
     canonical form: the linear family r0 - b*u has slope = b, the
     logistic family r0*(1 - u/K) has slope = r0/K.  The perturbation is
-    u-independent, so d_u f = -slope < 0 everywhere and the homogeneous
-    law is recovered exactly for |x| >= L0.
+    u-independent, so the construction states the KPP hypotheses:
+
+    H1  d_u f = -slope < 0 everywhere, and f(x, beta0) < 0 because
+        bump <= 1 (checked in floating point at construction);
+    H2  f(x, u) = f0(u) exactly for |x| >= L0, where the bump is 0.
+
+    The positive equilibrium of f0 is u0_star = r0 / slope.
     """
 
     r0: float
@@ -223,6 +222,12 @@ class Reaction:
         for x in (self.r0, self.slope, self.amplitude, self.radius):
             if not math.isfinite(x):
                 raise ValueError("reaction parameters must be finite")
+        f_beta0 = self.r0 + max(self.amplitude, 0.0) - self.slope * self.beta0
+        if not (f_beta0 < 0.0 and math.isfinite(self.beta0)):
+            raise ValueError(
+                f"f(x, beta0) = {f_beta0:.3g} is not negative at beta0 = {self.beta0:.17g} "
+                "(H1 fails in floating point; reduce r0 / slope)"
+            )
 
     @classmethod
     def linear(cls, r0, b, amplitude=0.0, radius=1.0):
@@ -237,9 +242,10 @@ class Reaction:
         """Homogeneous base growth rate f0(u)."""
         return self.r0 - self.slope * np.asarray(u, dtype=float)
 
-    def df0(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.full_like(u, -self.slope)
+    @property
+    def u0_star(self) -> float:
+        """The positive root of f0, exact up to one rounding."""
+        return self.r0 / self.slope
 
     @property
     def beta0(self) -> float:
@@ -264,62 +270,6 @@ class Reaction:
 
     def evaluate(self, habitat: Habitat, u):
         return self.bind(habitat)(np.asarray(u, dtype=float))
-
-
-def bisect_root(fn, lo, hi, tol=1e-12):
-    """Plain bisection for a sign change of fn on [lo, hi]."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError("no sign change on the bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class HypothesesReport:
-    h1_ok: bool
-    h2_ok: bool
-    beta0: float
-    u0_star: float
-
-
-def check_kpp_hypotheses(reaction: Reaction, habitat: Habitat) -> HypothesesReport:
-    """Check the KPP structure of a reaction on a documented sample grid.
-
-    h2_ok is exact: the perturbation must vanish identically at grid
-    points with |x| >= L0.  h1_ok samples u in [0, 2*beta0] at step 1e-2
-    for the monotonicity check and evaluates f(x, beta0) on the full
-    grid.  u0_star is the positive root of f0 on [0, beta0], found by
-    bisection to 1e-12.
-    """
-    pert = reaction.perturbation(habitat)
-    r = habitat.radius()
-    h2_ok = bool(np.all(pert[r >= reaction.radius] == 0.0))
-
-    beta0 = reaction.beta0
-    u_grid = np.arange(0.0, 2.0 * beta0 + _HYPOTHESIS_U_STEP, _HYPOTHESIS_U_STEP)
-    decreasing = bool(np.all(reaction.df0(u_grid) < 0.0))
-    f_at_beta0 = reaction.r0 + pert - reaction.slope * beta0
-    h1_ok = decreasing and bool(np.all(f_at_beta0 < 0.0))
-
-    f0 = reaction.f0
-    if f0(0.0) <= 0.0 or f0(beta0) >= 0.0:
-        raise NoEquilibriumError("no positive equilibrium: f0 has no sign change on [0, beta0]")
-    u0_star = bisect_root(f0, 0.0, beta0, tol=1e-12)
-
-    return HypothesesReport(h1_ok=h1_ok, h2_ok=h2_ok, beta0=beta0, u0_star=u0_star)
 
 
 def make_front_initial(habitat: Habitat, xi, sigma0: float) -> Field:

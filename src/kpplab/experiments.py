@@ -24,7 +24,6 @@ from .domain import (
     Field,
     Habitat,
     Reaction,
-    check_kpp_hypotheses,
     make_front_initial,
     sampled_directions,
     unit_direction,
@@ -194,7 +193,6 @@ class FrontRun:
     trace: FrontTrace
     estimate: SpeedEstimate
     theory: SpeedResult
-    u0_star: float
 
 
 def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T: float,
@@ -203,25 +201,22 @@ def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T
     """Evolve front data along xi, track level_fraction * u0* and fit the
     speed after burn_in * T, delta0 + 10 h clear of the boundary.
 
-    Refuses a reaction that violates the KPP hypotheses or makes
+    The reaction states H1 and H2 itself; this refuses one that makes
     f(x, 0) <= 0 somewhere.
     """
-    report = check_kpp_hypotheses(reaction, habitat)
-    if not (report.h1_ok and report.h2_ok):
-        raise ValueError(f"amplitude {reaction.amplitude} violates the KPP hypotheses")
     if not np.all(reaction.r0 + reaction.perturbation(habitat) > 0.0):
         raise ValueError(f"amplitude {reaction.amplitude} makes f(x, 0) nonpositive somewhere")
 
     u0 = make_front_initial(habitat, xi, sigma0)
     dt = step_size(op, reaction, u0, dt)
     traj = evolve(op, reaction, u0, T, dt, _record_every(T, dt, record_every), scheme)
-    trace = track_front(traj, xi, level_fraction * report.u0_star)
+    trace = track_front(traj, xi, level_fraction * reaction.u0_star)
     est = estimate_speed(trace, burn_in, exclusion=op.delta0 + 10.0 * habitat.spacing)
     theory = theoretical_speed(
         op.kind, dataclasses.replace(reaction, amplitude=0.0), xi,
         kernel=op.kernel, weights=op.weights,
     )
-    return FrontRun(traj, trace, est.with_theory(theory.c_star), theory, report.u0_star)
+    return FrontRun(traj, trace, est.with_theory(theory.c_star), theory)
 
 
 @dataclass(frozen=True)
@@ -408,7 +403,6 @@ def run_compact_spreading_checks(
     habitat: Habitat,
     clause: int,
     T: float,
-    xi=None,
     r: float = 3.0,
     sigma: float = 1.0,
     dt: float = None,
@@ -418,21 +412,18 @@ def run_compact_spreading_checks(
 ) -> ClauseVerdict:
     """Expanding-region checks for compactly supported initial data.
 
-    clause 1/2 use the slab |x.xi| <= r (vanish outside the fast cone /
-    match the stationary profile inside the slow cone); clause 3/4 are
+    clause 1/2 use the slab |x_1| <= r along e1 (vanish outside the fast
+    cone / match the stationary profile inside the slow cone); clause 3/4 are
     the radial versions with the speed extremized over 8 sampled
     directions (2 in 1-D).  c_scale deliberately rescales the theoretical
     speed so the suite can assert that wrong speeds are caught.
     """
     if clause not in (1, 2, 3, 4):
         raise ValueError("clause must be 1..4")
-    report = check_kpp_hypotheses(reaction, habitat)
-    u0_star = report.u0_star
+    u0_star = reaction.u0_star
 
     if clause in (1, 2):
-        if xi is None:
-            xi = np.array([1.0] + [0.0] * (habitat.dim - 1))
-        v = unit_direction(xi, habitat.dim)
+        v = np.array([1.0] + [0.0] * (habitat.dim - 1))
         coord = np.abs(habitat.projection(v))
         dirs = [v, -v]
     else:

@@ -56,43 +56,3 @@ def write_json(path, obj):
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-
-def trajectory_rows(traj):
-    """(t, x..., u) rows for a recorded trajectory."""
-    habitat = traj.habitat
-    if habitat.dim == 1:
-        coords = habitat.grid()[0].ravel()
-        header = ["t", "x", "u"]
-        cols = [coords]
-    else:
-        g = habitat.grid()
-        header = ["t", "x1", "x2", "u"]
-        cols = [g[0].ravel(), g[1].ravel()]
-    rows = []
-    for t, snap in zip(traj.times, traj.snapshots):
-        u = snap.values.ravel()
-        for i in range(len(u)):
-            rows.append([t] + [c[i] for c in cols] + [u[i]])
-    return header, rows
-
-
-def export_trajectory(traj, csv_path, manifest_path, extra=None):
-    header, rows = trajectory_rows(traj)
-    write_csv(csv_path, header, rows)
-    manifest = {
-        "habitat": {
-            "kind": traj.habitat.kind,
-            "dim": traj.habitat.dim,
-            "half_extent": traj.habitat.half_extent,
-            "spacing": traj.habitat.spacing,
-            "boundary": traj.habitat.boundary,
-        },
-        "dt": traj.dt,
-        "scheme": traj.scheme,
-        "clip_count": traj.clip_count,
-        "n_snapshots": len(traj.snapshots),
-        "t_final": float(traj.times[-1]),
-    }
-    if extra:
-        manifest.update(extra)
-    write_json(manifest_path, manifest)

@@ -70,6 +70,9 @@ class DispersionRelation:
 
 @dataclass(eq=False)
 class SpeedResult:
+    """c* = lambda(mu*)/mu*; bracket is the final golden-section bracket
+    (lo, hi) around mu*, with hi - lo <= tol * hi."""
+
     c_star: float
     mu_star: float
     bracket: tuple
@@ -109,7 +112,6 @@ def minimize_speed(rel: DispersionRelation, tol: float = 1e-8) -> SpeedResult:
     if i == 0:
         raise BracketEdgeError("minimizer at bracket edge mu_min")
     lo, hi = float(grid[i - 1]), float(grid[i + 1])
-    bracket = (lo, hi)
 
     # golden-section: unimodal on the verified bracket
     x1 = hi - _GOLDEN * (hi - lo)
@@ -126,7 +128,7 @@ def minimize_speed(rel: DispersionRelation, tol: float = 1e-8) -> SpeedResult:
             f2 = c_of(x2)
     mu_star = x1 if f1 <= f2 else x2
     c_star = f1 if f1 <= f2 else f2
-    return SpeedResult(c_star, mu_star, bracket, evals, xi=rel.xi, kind=rel.kind)
+    return SpeedResult(c_star, mu_star, (lo, hi), evals, xi=rel.xi, kind=rel.kind)
 
 
 def theoretical_speed(
@@ -135,19 +137,13 @@ def theoretical_speed(
     xi,
     kernel: Kernel = None,
     weights: LatticeWeights = None,
-    mu_max: float = 20.0,
-    tol: float = 1e-8,
 ) -> SpeedResult:
     """Spreading speed of the homogeneous limit equation.
 
-    Built from the closed-form dispersion relation at r = f0(0); the
+    Built from the closed-form dispersion relation at r = f0(0) = r0; the
     localized perturbation amplitude deliberately does not enter, which
     is exactly the speed-invariance statement the experiments test.
     """
-    if not (reaction.r0 > 0 and reaction.slope > 0):
-        raise ValueError("reaction violates the KPP hypotheses")
-    rel = DispersionRelation.closed_form(
-        kind, xi, float(reaction.f0(0.0)), kernel=kernel, weights=weights, mu_max=mu_max
-    )
-    return minimize_speed(rel, tol=tol)
+    rel = DispersionRelation.closed_form(kind, xi, reaction.r0, kernel=kernel, weights=weights)
+    return minimize_speed(rel)
 

@@ -32,6 +32,7 @@ FROM_BELOW = "from-below"
 _T_MAX = 500.0
 _RECORD_SPACING = 1.0
 _MONOTONE_SLACK = 1e-10
+_SUB_SOLUTION_SLACK = 1e-10
 _CONVERGENCE_TOL = 1e-9
 _RESIDUAL_TOL = 1e-7
 
@@ -73,8 +74,7 @@ def _cell_profile(reaction: Reaction, p: float, spacing: float, dim: int, dip: f
     else:
         w0, w1 = np.meshgrid(wrap, wrap, indexing="ij")
         rho2 = w0 ** 2 + w1 ** 2
-    f00 = float(reaction.f0(0.0))
-    return f00 - dip * smooth_cutoff(rho2 / reaction.radius ** 2)
+    return reaction.r0 - dip * smooth_cutoff(rho2 / reaction.radius ** 2)
 
 
 def extend_periodic(coeff: PeriodicCoefficient, habitat: Habitat):
@@ -97,7 +97,7 @@ def periodic_minorant(reaction: Reaction, eps: float, habitat: Habitat):
     average meets the target (the dip has fixed mass, so the average
     rises as the period grows).
     """
-    f00 = float(reaction.f0(0.0))
+    f00 = reaction.r0
     if not (0.0 < eps < f00):
         raise ValueError("eps must lie in (0, f0(0))")
     pert = reaction.perturbation(habitat)
@@ -131,7 +131,6 @@ def sub_solution(
     reaction: Reaction,
     habitat: Habitat,
     delta: float = 0.1,
-    slack: float = 1e-10,
 ) -> Field:
     """Validated sub-solution delta * phi from the minorant eigenproblem.
 
@@ -139,9 +138,9 @@ def sub_solution(
     operator with coefficient h (eps = f0(0)/2), extended periodically
     and normalized to max 1.  delta is halved (at most 10 times) until
     dispersal(delta phi) + delta phi f(x, delta phi) >= -slack holds at
-    every grid point.
+    every grid point, with slack 1e-10.
     """
-    eps = float(reaction.f0(0.0)) / 2.0
+    eps = reaction.r0 / 2.0
     _, coeff = periodic_minorant(reaction, eps, habitat)
     xi0 = np.zeros(habitat.dim)
     xi0[0] = 1.0
@@ -160,7 +159,7 @@ def sub_solution(
     for _ in range(11):
         u = d * phi
         residual = disp(u) + u * growth(u)
-        if float(residual.min()) >= -slack:
+        if float(residual.min()) >= -_SUB_SOLUTION_SLACK:
             return Field(habitat, u)
         d *= 0.5
     raise SubSolutionError(
@@ -174,9 +173,7 @@ class StationaryResult:
     u_star: Field
     route: str
     residual: float
-    iterations: int
-    time_to_converge: float
-    monotone_ok: bool
+    iterations: int  # marching chunks of one time unit
     clip_count: int  # negative values clipped to zero, summed over the chunks
 
 
@@ -199,11 +196,7 @@ def solve_stationary(
     if route not in (FROM_ABOVE, FROM_BELOW):
         raise ValueError(f"unknown route {route!r}")
     if route == FROM_ABOVE:
-        m = reaction.beta0 + 1.0
-        f_at_m = reaction.evaluate(habitat, np.full(habitat.shape, m))
-        if not np.all(f_at_m < 0.0):
-            raise ValueError("f(x, M) < 0 fails at M = beta0 + 1")
-        u = habitat.full(m)
+        u = habitat.full(reaction.beta0 + 1.0)  # a super-solution by H1
     else:
         u = sub_solution(op, reaction, habitat)
 
@@ -252,8 +245,6 @@ def solve_stationary(
         route=route,
         residual=residual,
         iterations=k,
-        time_to_converge=k * _RECORD_SPACING,
-        monotone_ok=monotone_ok,
         clip_count=clip_count,
     )
 
@@ -289,7 +280,6 @@ def check_stability(
     u_star: Field,
     perturbations,
     T: float = 200.0,
-    dt: float = None,
     tol: float = 1e-4,
 ) -> StabilityReport:
     """Evolve strictly positive perturbations and report the max-norm
@@ -298,6 +288,6 @@ def check_stability(
     for u0 in perturbations:
         if not u0.is_strictly_positive():
             raise ValueError("perturbations must be strictly positive")
-        traj = evolve(op, reaction, u0, T, step_size(op, reaction, u0, dt), record_every=10 ** 9)
+        traj = evolve(op, reaction, u0, T, step_size(op, reaction, u0), record_every=10 ** 9)
         distances.append(float(np.abs(traj.final.values - u_star.values).max()))
     return StabilityReport(all(d < tol for d in distances), tuple(distances), tol, T)

@@ -93,6 +93,16 @@ def test_unparsable_environment_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["validate", cfg]) == 0
 
 
+def test_reaction_breaking_h1_exits_2(tmp_path, capsys):
+    # K = 1e12: beta0 rounds to K, so f(x, beta0) = 0 is not negative
+    text = DISCRETE_FRONT.format(out=tmp_path / "o").replace(
+        "family = linear", "family = logistic\ncarrying_capacity = 1e12")
+    cfg = _write(tmp_path, "huge_k.cfg", text)
+    for command in ("validate", "run"):
+        assert main([command, cfg, "--quiet"]) == 2, command
+        assert "reaction" in capsys.readouterr().err
+
+
 def test_dt_precheck_at_load_time(tmp_path, capsys):
     cfg_text = DISCRETE_FRONT.format(out=tmp_path / "o").replace("dt = auto", "dt = 10.0")
     cfg = _write(tmp_path, "fast.cfg", cfg_text)
@@ -109,6 +119,8 @@ def test_front_speed_run_and_determinism(tmp_path):
     assert main(["run", cfg2, "--quiet"]) == 0
     s1 = json.loads((out1 / "front_speed" / "summary.json").read_text())
     assert s1["verdict"] == "pass"
+    lo, hi = s1["mu_star_bracket"]
+    assert lo <= s1["mu_star"] <= hi
     assert s1["relative_error"] <= 0.05
     m = json.loads((out1 / "front_speed" / "manifest.json").read_text())
     assert "config_sha256" in m and "kpplab_version" in m and "wall_time_s" in m
@@ -161,6 +173,8 @@ def test_speed_and_eigen_subcommands(tmp_path):
     assert main(["speed", cfg, "--quiet"]) == 0
     data = json.loads((out / "speed" / "speed.json").read_text())
     assert data["c_star"] == pytest.approx(2.0734446, abs=1e-4)
+    lo, hi = data["mu_star_bracket"]
+    assert lo <= data["mu_star"] <= hi and hi - lo <= 1e-8 * hi
     curve = (out / "speed" / "speed_curve.csv").read_text().splitlines()
     assert curve[0] == "mu,lambda_over_mu"
     assert len(curve) == 102

@@ -228,3 +228,17 @@ def test_stencil_properties(case, boundary, mu_h, angle, value):
     symbol = closed_form_eigenvalue(op.kind, mu, xi, 0.0, resolution=spacing, **payload)
     mass = op._stencil(dim, spacing).weights.sum()
     assert np.abs(ones - symbol).max() <= 1e-12 * (1.0 + mass)
+
+
+@settings(deadline=None, derandomize=True)
+@given(_stencil_cases(), st.sampled_from(["clamp", "periodic"]))
+def test_habitat_operator_is_cooperative(case, boundary):
+    """bind probed with every unit vector: no off-diagonal entry is negative."""
+    op, dim, spacing, m = case
+    kind = "lattice" if op.kind == "discrete" else "continuum"
+    hab = Habitat(kind, dim, m * spacing, spacing, boundary=boundary)
+    act = op.bind(hab)
+    matrix = np.stack([act(e.reshape(hab.shape)).ravel() for e in np.eye(hab.n_points)],
+                      axis=1)
+    np.fill_diagonal(matrix, 0.0)
+    assert matrix.min() >= 0.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpplab import (
     DomainSizeError,
@@ -7,15 +9,12 @@ from kpplab import (
     Habitat,
     Kernel,
     LatticeWeights,
-    NoEquilibriumError,
     Reaction,
-    check_kpp_hypotheses,
     closed_form_eigenvalue,
     make_compact_initial,
     make_front_initial,
     mollifier_bump,
 )
-from kpplab.domain import bisect_root
 
 
 def test_habitat_validation():
@@ -46,28 +45,22 @@ def test_field_guards():
 
 def test_equilibrium_roots():
     # f0(u) = 1 - u has root 1; f0(u) = 4 - 2u has root 2
-    h = Habitat("continuum", 1, 10.0, 0.5)
-    rep = check_kpp_hypotheses(Reaction.linear(1.0, 1.0), h)
-    assert abs(rep.u0_star - 1.0) < 1e-10
-    rep = check_kpp_hypotheses(Reaction.linear(4.0, 2.0), h)
-    assert abs(rep.u0_star - 2.0) < 1e-10
-    assert rep.h1_ok and rep.h2_ok
+    assert Reaction.linear(1.0, 1.0).u0_star == 1.0
+    assert Reaction.linear(4.0, 2.0).u0_star == 2.0
 
 
 def test_logistic_is_affine():
     r = Reaction.logistic(2.0, 3.0)
     u = np.linspace(0, 4, 9)
     assert np.allclose(r.f0(u), 2.0 * (1.0 - u / 3.0))
-    h = Habitat("continuum", 1, 10.0, 0.5)
-    assert abs(check_kpp_hypotheses(r, h).u0_star - 3.0) < 1e-10
+    assert r.u0_star == 3.0
 
 
 def test_localized_perturbation_exact_outside():
     # f(x, u) = 1 + 0.5*bump(|x|/5) - u inside |x| < 5, exactly 1 - u outside
     h = Habitat("continuum", 1, 20.0, 0.25)
     rea = Reaction.linear(1.0, 1.0, amplitude=0.5, radius=5.0)
-    rep = check_kpp_hypotheses(rea, h)
-    assert rep.h2_ok and rep.h1_ok
+    assert rea.u0_star == 1.0
     x = h.grid()[0]
     u = np.full(h.shape, 0.3)
     f = rea.evaluate(h, u)
@@ -86,22 +79,40 @@ def test_homogeneous_reaction_is_x_independent():
     assert np.all(f == f.flat[0])
 
 
-def test_no_positive_equilibrium_error():
-    h = Habitat("continuum", 1, 5.0, 1.0)
-    # forge an invalid reaction to exercise the guard (the constructor
-    # would reject r0 <= 0)
-    bad = object.__new__(Reaction)
-    for k, v in [("r0", -1.0), ("slope", 1.0), ("amplitude", 0.0),
-                 ("radius", 1.0), ("family", "linear")]:
-        object.__setattr__(bad, k, v)
-    with pytest.raises(NoEquilibriumError, match="no positive equilibrium"):
-        check_kpp_hypotheses(bad, h)
+def test_h1_refused_at_construction():
+    # K = 1e9 still leaves f(x, beta0) < 0 in floating point; at K = 1e12
+    # beta0 rounds to K itself and f(x, beta0) = 1 - 1e-12 * 1e12 = 0
+    large = Reaction.logistic(1.0, 1e9)
+    assert large.u0_star < large.beta0
+    with pytest.raises(ValueError, match="beta0"):
+        Reaction.logistic(1.0, 1e12)
+    with pytest.raises(ValueError, match="beta0"):
+        Reaction.linear(1e300, 1e-300)  # r0 / slope overflows
+    with pytest.raises(ValueError, match="r0"):
+        Reaction.linear(-1.0, 1.0)  # no positive equilibrium
 
 
-def test_bisection():
-    assert abs(bisect_root(lambda u: 4.0 - 2.0 * u, 0.0, 3.0) - 2.0) < 1e-12
-    with pytest.raises(ValueError):
-        bisect_root(lambda u: 1.0 + u * u, 0.0, 1.0)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    r0=st.floats(1e-2, 1e2),
+    slope=st.floats(1e-6, 1e2),
+    amplitude=st.floats(-10.0, 10.0),
+    radius=st.floats(0.1, 5.0),
+    dim=st.sampled_from([1, 2]),
+    spacing=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+)
+def test_reaction_states_kpp_hypotheses(r0, slope, amplitude, radius, dim, spacing):
+    rea = Reaction.linear(r0, slope, amplitude, radius)
+    h = Habitat("continuum", dim, int(np.ceil((radius + 1.0) / spacing)) * spacing, spacing)
+    # H2: the homogeneous law, exactly, wherever the bump vanishes
+    u = np.linspace(0.0, 2.0 * rea.beta0, h.n_points).reshape(h.shape)
+    outside = h.radius() >= radius
+    assert np.any(outside)
+    assert np.all(rea.evaluate(h, u)[outside] == rea.f0(u)[outside])
+    # H1: negative at beta0 on every grid point, above the equilibrium
+    assert np.all(rea.evaluate(h, h.full(rea.beta0).values) < 0.0)
+    assert rea.u0_star < rea.beta0
+    assert abs(float(rea.f0(rea.u0_star))) <= 4.0 * np.spacing(r0)
 
 
 def test_front_initial_1d():

@@ -10,6 +10,7 @@ from kpplab import (
     FrontTrace,
     Habitat,
     Kernel,
+    LatticeWeights,
     Reaction,
     estimate_speed,
     evolve,
@@ -177,6 +178,14 @@ def test_compact_checks_small_nonlocal():
     assert v.ok
     bad = run_compact_spreading_checks(op, rea, hab, 1, T=50.0, c_scale=0.5)
     assert not bad.ok
+
+
+def test_compact_checks_large_carrying_capacity():
+    # u0* = r0 / slope is read, not searched for: K = 1e9 costs nothing extra
+    op = DispersalOperator.discrete(LatticeWeights.symmetric(1, 1.0))
+    rea = Reaction.logistic(1.0, 1e9)
+    v = run_compact_spreading_checks(op, rea, Habitat("lattice", 1, 80), 1, T=25.0)
+    assert v.ok and v.threshold == 0.01 * rea.u0_star
 
 
 def test_cone_empty_error():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 
 from kpplab import DispersalOperator, Habitat, Reaction, evolve, stability_dt_bound
-from kpplab.exports import export_trajectory, fmt, sha256_text, write_csv, write_json
+from kpplab.exports import fmt, sha256_text, write_csv, write_json
 
 
 def test_fmt_round_trip():
@@ -41,14 +41,24 @@ def test_trajectory_export(tmp_path):
     u0 = habitat.full(0.5)
     traj = evolve(op, rea, u0, T=0.5, dt=0.9 * stability_dt_bound(op, rea, u0),
                   record_every=3)
-    csv_path = tmp_path / "traj.csv"
-    man_path = tmp_path / "manifest.json"
-    export_trajectory(traj, csv_path, man_path, extra={"reaction": "linear", "dispersal": "random"})
+    x = habitat.grid()[0]
+    rows = [[t, xi, ui] for t, snap in zip(traj.times, traj.snapshots)
+            for xi, ui in zip(x, snap.values)]
+    manifest = {"scheme": traj.scheme, "clip_count": traj.clip_count,
+                "half_extent": habitat.half_extent, "dispersal": op.kind}
+    csv_path, man_path = tmp_path / "traj.csv", tmp_path / "manifest.json"
+    write_csv(csv_path, ["t", "x", "u"], rows)
+    write_json(man_path, manifest)
+    first_csv, first_manifest = csv_path.read_bytes(), man_path.read_bytes()
+
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "t,x,u"
     assert len(lines) == 1 + len(traj.times) * habitat.n_points
-    manifest = json.loads(man_path.read_text())
-    assert manifest["scheme"] == "rk4"
-    assert manifest["clip_count"] == 0
-    assert manifest["habitat"]["half_extent"] == 2.0
-    assert manifest["dispersal"] == "random"
+    loaded = json.loads(man_path.read_text())
+    assert loaded["scheme"] == "rk4" and loaded["clip_count"] == 0
+    assert loaded["half_extent"] == 2.0 and loaded["dispersal"] == "random"
+
+    write_csv(csv_path, ["t", "x", "u"], rows)
+    write_json(man_path, manifest)
+    assert csv_path.read_bytes() == first_csv
+    assert man_path.read_bytes() == first_manifest

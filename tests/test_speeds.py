@@ -56,6 +56,16 @@ def test_golden_section_matches_brute_force():
         assert abs(res.c_star - c_brute) <= 1e-6 * abs(c_brute), rel.kind
 
 
+def test_final_bracket_contains_mu_star():
+    kern = Kernel.from_profile("triangle", 1.0, 0.1, 1)
+    for kind, payload in [("random", {}), ("nonlocal", {"kernel": kern}),
+                          ("discrete", {"weights": W1})]:
+        res = theoretical_speed(kind, Reaction.linear(1.0, 1.0), 1.0, **payload)
+        lo, hi = res.bracket
+        assert lo <= res.mu_star <= hi, kind
+        assert hi - lo <= 1e-8 * hi, kind
+
+
 def test_discrete_speed_against_scan():
     rel = DispersionRelation.closed_form("discrete", 1.0, 1.0, weights=W1)
     res = minimize_speed(rel)
