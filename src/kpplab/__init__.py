@@ -25,7 +25,6 @@ from .domain import (
 )
 from .dispersal import DISCRETE, KINDS, NONLOCAL, RANDOM, DispersalOperator
 from .dynamics import (
-    EULER,
     RK4,
     IntegrationDivergedError,
     StabilityError,

@@ -2,15 +2,19 @@
 
 Subcommands: run, speed, eigen, validate, list-experiments.
 Configs are flat INI files (sections habitat/reaction/dispersal/solver/
-experiment/output); validation failures name the offending section.key
-and exit 2, as does a [solver] key the experiment cannot honour.  Each
-experiment has one key parser, called by both run and validate;
-runtime errors exit 3, failed verdicts exit 1.  The pipelines live in
-kpplab.experiments and kpplab.stationary.  Artifacts are written to a
-fresh directory atomically (temp dir, removed on failure, then rename)
-with a manifest sufficient to rerun the job.  Flags beat environment
-variables (KPPLAB_JOBS, KPPLAB_OUTPUT_DIR, KPPLAB_SEED, KPPLAB_QUIET),
-which beat the config file; an unparsable environment value exits 2.
+experiment/output).  run, speed, eigen and validate all call one parse,
+parse_config: it reads every key any of them honours (each experiment
+adds its own key parser), checks solver.dt against the stability bound,
+and then refuses every key in the file it did not read.  A misspelled
+key, a value that does not parse and a [solver] key the experiment
+cannot honour all exit 2 and name section.key, before any output is
+written.  Runtime errors exit 3, failed verdicts exit 1.  The pipelines
+live in kpplab.experiments and kpplab.stationary.  Artifacts are
+written to a fresh directory atomically (temp dir, removed on failure,
+then rename) with a manifest sufficient to rerun the job.  Flags beat
+environment variables (KPPLAB_JOBS, KPPLAB_OUTPUT_DIR, KPPLAB_SEED,
+KPPLAB_QUIET), which beat the config file; an unparsable environment
+value exits 2.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .domain import (
     PERIODIC,
     Reaction,
 )
-from .dynamics import RK4, EULER, stability_dt_bound
+from .dynamics import RK4, stability_dt_bound
 from .eigen import closed_form_eigenvalue
 from .experiments import (
     THEORY_TOL,
@@ -62,7 +66,16 @@ class ConfigError(Exception):
 _REQUIRED = object()
 
 
+class _Config(configparser.ConfigParser):
+    """A parsed config that remembers which (section, key) pairs _get read."""
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=(";", "#"))
+        self.read_keys = set()
+
+
 def _get(cp, section, key, cast=str, default=_REQUIRED, choices=None):
+    cp.read_keys.add((section, cp.optionxform(key)))
     if not cp.has_section(section):
         if default is _REQUIRED:
             raise ConfigError(f"missing section [{section}]")
@@ -96,7 +109,7 @@ def _or_auto(cast):
 
 
 def load_config(path):
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = _Config()
     try:
         with open(path) as fh:
             text = fh.read()
@@ -162,7 +175,7 @@ def build_dispersal(cp, habitat) -> DispersalOperator:
 
 
 def build_solver(cp):
-    scheme = _get(cp, "solver", "scheme", str, default=RK4, choices={RK4, EULER})
+    _get(cp, "solver", "scheme", str, default=RK4, choices={RK4})
     T = _get(cp, "solver", "T", float, default=100.0)
     dt = _get(cp, "solver", "dt", _or_auto(float), default=None)
     record_every = _get(cp, "solver", "record_every", _or_auto(int), default=None)
@@ -170,25 +183,7 @@ def build_solver(cp):
         raise ConfigError("solver.dt: must be positive or 'auto'")
     if T <= 0:
         raise ConfigError("solver.T: must be positive")
-    return {"scheme": scheme, "T": T, "dt": dt, "record_every": record_every}
-
-
-def _build(cp, name=None):
-    """Habitat, reaction, dispersal and solver, with the solver keys
-    checked against the stability bound and against experiment `name`."""
-    habitat = build_habitat(cp)
-    reaction = build_reaction(cp)
-    op = build_dispersal(cp, habitat)
-    solver = build_solver(cp)
-    if solver["dt"] is not None:
-        bound = stability_dt_bound(op, reaction, habitat.full(reaction.beta0 + 1.0))
-        if solver["dt"] > bound * (1.0 + 1e-12):
-            raise ConfigError(f"solver.dt: {solver['dt']} violates the stability bound {bound:.6g}")
-    if name not in (None, "front_speed") and solver["scheme"] != RK4:
-        raise ConfigError(f"solver.scheme: {name} runs rk4 only")
-    if name in ("spreading_features", "stationary_profile") and solver["record_every"] is not None:
-        raise ConfigError(f"solver.record_every: {name} records no trajectory; leave it auto")
-    return habitat, reaction, op, solver
+    return {"T": T, "dt": dt, "record_every": record_every}
 
 
 def _direction(cp, dim):
@@ -206,7 +201,7 @@ def _front_keys(cp, dim):
 
 
 # ----------------------------------------------------------------------
-# experiments: a key parser, read by run and validate, and a runner that
+# experiments: a key parser, called by parse_config, and a runner that
 # gets the parsed keys and reads nothing else from the config
 # ----------------------------------------------------------------------
 
@@ -360,15 +355,55 @@ EXPERIMENTS = {
 }
 
 
-def _parse_run(cp, name):
-    """Everything `run` reads from the config for experiment `name`:
-    ((habitat, reaction, op, solver), experiment keys, expect, seed).
-    validate calls it too, so both refuse a config alike."""
-    habitat, reaction, op, solver = _build(cp, name)
-    keys = EXPERIMENTS[name][0](cp, habitat, reaction)
+@dataclasses.dataclass(frozen=True)
+class Job:
+    """Everything run, speed, eigen and validate read from one config."""
+
+    habitat: Habitat
+    reaction: Reaction
+    op: DispersalOperator
+    solver: dict  # T, dt and record_every; None stands for auto
+    name: str  # experiment.name, None when unset
+    keys: object  # the experiment's parsed keys, None when name is unset
+    expect: str
+    seed: int
+    xi: tuple  # experiment.direction
+    mus: np.ndarray  # the mu grid of speed and eigen
+    output_dir: str  # output.directory; --output-dir beats it
+
+
+def parse_config(cp) -> Job:
+    """Read every key that run, speed, eigen or validate honours, with
+    solver.dt checked against the stability bound and the solver keys
+    against the experiment; then refuse every key in the file that was
+    not read, so none is silently ignored."""
+    name = _get(cp, "experiment", "name", str, default=None, choices=set(EXPERIMENTS))
+    habitat = build_habitat(cp)
+    reaction = build_reaction(cp)
+    op = build_dispersal(cp, habitat)
+    solver = build_solver(cp)
+    if solver["dt"] is not None:
+        bound = stability_dt_bound(op, reaction, habitat.full(reaction.beta0 + 1.0))
+        if solver["dt"] > bound * (1.0 + 1e-12):
+            raise ConfigError(f"solver.dt: {solver['dt']} violates the stability bound {bound:.6g}")
+    if name in ("spreading_features", "stationary_profile") and solver["record_every"] is not None:
+        raise ConfigError(f"solver.record_every: {name} records no trajectory; leave it auto")
+    keys = None if name is None else EXPERIMENTS[name][0](cp, habitat, reaction)
     expect = _get(cp, "experiment", "expect", str, default="pass", choices={"pass", "fail"})
     seed = _get(cp, "experiment", "seed", int, default=0)
-    return (habitat, reaction, op, solver), keys, expect, seed
+    xi = _direction(cp, habitat.dim)
+    mu_max = _get(cp, "experiment", "mu_max", float, default=5.0)
+    n_mu = _get(cp, "experiment", "n_mu", int, default=101)
+    if not mu_max > 1e-3:
+        raise ConfigError("experiment.mu_max: must exceed the first grid point 1e-3")
+    if n_mu < 2:
+        raise ConfigError("experiment.n_mu: must be at least 2")
+    output_dir = _get(cp, "output", "directory", str, default="out")
+    unread = [f"{s}.{k}" for s in cp.sections() for k in cp[s] if (s, k) not in cp.read_keys]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: unknown key, read by no command")
+    return Job(habitat, reaction, op, solver, name, keys, expect, seed, xi,
+               np.linspace(1e-3, mu_max, n_mu), output_dir)
 
 
 # ----------------------------------------------------------------------
@@ -376,9 +411,9 @@ def _parse_run(cp, name):
 # ----------------------------------------------------------------------
 
 
-def _write_run_dir(cp, options, name, artifacts, manifest):
+def _write_run_dir(job, options, name, artifacts, manifest):
     """Write <output dir>/<name> via a temp dir, removed if a write fails."""
-    output_dir = options["output_dir"] or _get(cp, "output", "directory", str, default="out")
+    output_dir = options["output_dir"] or job.output_dir
     os.makedirs(output_dir, exist_ok=True)
     final = os.path.join(output_dir, name)
     if os.path.exists(final):
@@ -421,18 +456,19 @@ def _manifest(cfg_text, summary, options, wall_time):
 # ----------------------------------------------------------------------
 
 
-def _cmd_run(cp, cfg_text, options):
-    name = _get(cp, "experiment", "name", str, choices=set(EXPERIMENTS))
-    model, keys, expect, seed = _parse_run(cp, name)
+def _cmd_run(job, cfg_text, options):
+    if job.name is None:
+        raise ConfigError("experiment.name: required key is missing")
     if options["seed"] is None:
-        options["seed"] = seed
+        options["seed"] = job.seed
 
-    runner = EXPERIMENTS[name][1]
+    runner = EXPERIMENTS[job.name][1]
     t0 = time.perf_counter()
-    ok, summary, artifacts = runner(keys, *model, options)
+    ok, summary, artifacts = runner(job.keys, job.habitat, job.reaction, job.op, job.solver,
+                                    options)
     wall = time.perf_counter() - t0
 
-    if expect == "fail":
+    if job.expect == "fail":
         summary["verdict"] = "expected-fail: confirmed" if not ok else "expected-fail: NOT confirmed"
         final_ok = False  # a failing verdict was the point; exit code stays 1
     else:
@@ -440,33 +476,23 @@ def _cmd_run(cp, cfg_text, options):
 
     artifacts = dict(artifacts)
     artifacts["summary.json"] = ("json", summary)
-    _write_run_dir(cp, options, name, artifacts, _manifest(cfg_text, summary, options, wall))
+    _write_run_dir(job, options, job.name, artifacts, _manifest(cfg_text, summary, options, wall))
     if not options["quiet"]:
         print(f"verdict: {summary['verdict']}")
     return 0 if final_ok else 1
 
 
-def _curve_keys(cp, dim):
-    """[experiment] keys of speed and eigen: direction and the mu grid."""
-    mu_max = _get(cp, "experiment", "mu_max", float, default=5.0)
-    n_mu = _get(cp, "experiment", "n_mu", int, default=101)
-    return _direction(cp, dim), np.linspace(1e-3, mu_max, n_mu)
+def _dispersion_table(job):
+    """Closed-form lambda(mu) at r = f0(0) on the mu grid."""
+    return closed_form_eigenvalue(job.op.kind, job.mus, job.xi, job.reaction.r0,
+                                  kernel=job.op.kernel, weights=job.op.weights)
 
 
-def _dispersion_table(cp):
-    """Operator, reaction, direction and closed-form lambda(mu) at r = f0(0)."""
-    habitat = build_habitat(cp)
-    reaction = build_reaction(cp)
-    op = build_dispersal(cp, habitat)
-    xi, mus = _curve_keys(cp, habitat.dim)
-    lams = closed_form_eigenvalue(op.kind, mus, xi, reaction.r0, kernel=op.kernel,
-                                  weights=op.weights)
-    return op, reaction, xi, mus, lams
-
-
-def _cmd_speed(cp, cfg_text, options):
-    op, reaction, xi, mus, lams = _dispersion_table(cp)
-    result = theoretical_speed(op.kind, reaction, xi, kernel=op.kernel, weights=op.weights)
+def _cmd_speed(job, cfg_text, options):
+    op = job.op
+    lams = _dispersion_table(job)
+    result = theoretical_speed(op.kind, job.reaction, job.xi, kernel=op.kernel,
+                               weights=op.weights)
     summary = {
         "c_star": result.c_star,
         "mu_star": result.mu_star,
@@ -476,34 +502,27 @@ def _cmd_speed(cp, cfg_text, options):
     }
     artifacts = {
         "speed_curve.csv": ("csv", ["mu", "lambda_over_mu"],
-                            [[m, l / m] for m, l in zip(mus, lams)]),
+                            [[m, l / m] for m, l in zip(job.mus, lams)]),
         "speed.json": ("json", summary),
     }
-    _write_run_dir(cp, options, "speed", artifacts, _manifest(cfg_text, summary, options, 0.0))
+    _write_run_dir(job, options, "speed", artifacts, _manifest(cfg_text, summary, options, 0.0))
     if not options["quiet"]:
         print(f"c* = {fmt(result.c_star)} at mu* = {fmt(result.mu_star)}")
     return 0
 
 
-def _cmd_eigen(cp, cfg_text, options):
-    op, reaction, _, mus, lams = _dispersion_table(cp)
-    summary = {"kind": op.kind, "r": reaction.r0, "n_mu": len(mus)}
+def _cmd_eigen(job, cfg_text, options):
+    lams = _dispersion_table(job)
+    summary = {"kind": job.op.kind, "r": job.reaction.r0, "n_mu": len(job.mus)}
     artifacts = {
-        "dispersion.csv": ("csv", ["mu", "lambda"], [[m, l] for m, l in zip(mus, lams)]),
+        "dispersion.csv": ("csv", ["mu", "lambda"], [[m, l] for m, l in zip(job.mus, lams)]),
     }
-    _write_run_dir(cp, options, "eigen", artifacts, _manifest(cfg_text, summary, options, 0.0))
+    _write_run_dir(job, options, "eigen", artifacts, _manifest(cfg_text, summary, options, 0.0))
     return 0
 
 
-def _cmd_validate(cp, cfg_text, options):
-    """Parse every key that run (if experiment.name is set), speed and
-    eigen would read."""
-    name = _get(cp, "experiment", "name", str, default=None, choices=set(EXPERIMENTS))
-    if name is None:
-        habitat = _build(cp)[0]
-    else:
-        habitat = _parse_run(cp, name)[0][0]
-    _curve_keys(cp, habitat.dim)
+def _cmd_validate(job, cfg_text, options):
+    """parse_config has read and checked every key; nothing is left to do."""
     if not options["quiet"]:
         print("config ok")
     return 0
@@ -552,13 +571,14 @@ def main(argv=None) -> int:
     }
     try:
         cp, text = load_config(args.config)
+        job = parse_config(cp)
         handler = {
             "run": _cmd_run,
             "speed": _cmd_speed,
             "eigen": _cmd_eigen,
             "validate": _cmd_validate,
         }[args.command]
-        return handler(cp, text, options)
+        return handler(job, text, options)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

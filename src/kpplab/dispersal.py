@@ -128,10 +128,12 @@ class DispersalOperator:
             raise ValueError("discrete dispersal requires a lattice habitat")
         if self.kind in (RANDOM, NONLOCAL) and habitat.kind != CONTINUUM:
             raise ValueError(f"{self.kind} dispersal requires a continuum habitat")
+        for name, payload in (("kernel", self.kernel), ("weights", self.weights)):
+            if payload is not None and payload.dim != habitat.dim:
+                raise ValueError(
+                    f"{name} has dimension {payload.dim}, the habitat has {habitat.dim}")
         if self.kind == NONLOCAL and abs(self.kernel.spacing - habitat.spacing) > 1e-12:
             raise ValueError("kernel sampling spacing must match the habitat spacing")
-        if self.kind == DISCRETE and self.weights.dim != habitat.dim:
-            raise ValueError("lattice weights dimension mismatch")
 
     def _stencil(self, dim: int, spacing: float) -> _Stencil:
         """The stencil of this operator on a grid of the given dimension

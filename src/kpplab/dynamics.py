@@ -3,10 +3,10 @@ structure that KPP flows preserve: comparison of ordered solutions,
 the part metric on strictly positive states, and exponential-envelope
 super-solution checks.
 
-Explicit schemes only (rk4 default).  Step sizes are refused up front
-when they violate the documented stability bound, negatives produced by
-roundoff are clipped to zero with systematic negativity counted, and
-divergence is reported with the first bad time.
+Classical fourth-order Runge-Kutta (rk4) only.  Step sizes are refused
+up front when they violate the documented stability bound, negatives
+produced by roundoff are clipped to zero with systematic negativity
+counted, and divergence is reported with the first bad time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from .dispersal import RANDOM, DispersalOperator
 from .domain import Field, Habitat, Reaction, unit_direction
 
-EULER = "explicit-euler"
 RK4 = "rk4"
 
 _CLIP_NOISE = 1e-14  # negatives beyond this magnitude count as systematic
@@ -42,8 +41,6 @@ class Trajectory:
     habitat: Habitat
     times: np.ndarray
     snapshots: list
-    dt: float
-    scheme: str
     clip_count: int = 0
 
     def __post_init__(self):
@@ -92,9 +89,9 @@ def evolve(
     T: float,
     dt: float,
     record_every: int = 1,
-    scheme: str = RK4,
 ) -> Trajectory:
-    """Integrate to final time >= T, recording every record_every steps.
+    """Integrate by rk4 to final time >= T, recording every record_every
+    steps.
 
     u0 must be nonnegative.  All snapshots are nonnegative (roundoff
     negatives are zeroed; clip_count counts values below -1e-14) and
@@ -102,8 +99,6 @@ def evolve(
     excursion past it or a non-finite value aborts with the first bad
     time.
     """
-    if scheme not in (EULER, RK4):
-        raise ValueError(f"unknown scheme {scheme!r}")
     if not u0.is_nonnegative():
         raise ValueError("initial data must be nonnegative")
     if not (T > 0 and dt > 0):
@@ -131,14 +126,11 @@ def evolve(
     clip_count = 0
 
     for step in range(1, n_steps + 1):
-        if scheme == EULER:
-            u = u + dt * rhs(u)
-        else:
-            k1 = rhs(u)
-            k2 = rhs(u + (0.5 * dt) * k1)
-            k3 = rhs(u + (0.5 * dt) * k2)
-            k4 = rhs(u + dt * k3)
-            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(u)
+        k2 = rhs(u + (0.5 * dt) * k1)
+        k3 = rhs(u + (0.5 * dt) * k2)
+        k4 = rhs(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = step * dt
 
         umin = u.min()
@@ -159,8 +151,6 @@ def evolve(
         habitat=habitat,
         times=np.asarray(times),
         snapshots=snapshots,
-        dt=dt,
-        scheme=scheme,
         clip_count=clip_count,
     )
 

@@ -28,7 +28,7 @@ from .domain import (
     sampled_directions,
     unit_direction,
 )
-from .dynamics import RK4, Trajectory, evolve, step_size
+from .dynamics import Trajectory, evolve, step_size
 from .speeds import SpeedResult, theoretical_speed
 from .stationary import FROM_ABOVE, solve_stationary
 
@@ -196,8 +196,8 @@ class FrontRun:
 
 
 def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T: float,
-              dt: float = None, record_every: int = None, scheme: str = RK4,
-              sigma0: float = 1.0, level_fraction: float = 0.5, burn_in: float = 0.5) -> FrontRun:
+              dt: float = None, record_every: int = None, sigma0: float = 1.0,
+              level_fraction: float = 0.5, burn_in: float = 0.5) -> FrontRun:
     """Evolve front data along xi, track level_fraction * u0* and fit the
     speed after burn_in * T, delta0 + 10 h clear of the boundary.
 
@@ -209,7 +209,7 @@ def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T
 
     u0 = make_front_initial(habitat, xi, sigma0)
     dt = step_size(op, reaction, u0, dt)
-    traj = evolve(op, reaction, u0, T, dt, _record_every(T, dt, record_every), scheme)
+    traj = evolve(op, reaction, u0, T, dt, _record_every(T, dt, record_every))
     trace = track_front(traj, xi, level_fraction * reaction.u0_star)
     est = estimate_speed(trace, burn_in, exclusion=op.delta0 + 10.0 * habitat.spacing)
     theory = theoretical_speed(
@@ -297,7 +297,6 @@ class SweepSetup:
     sigma0: float = 1.0
     level_fraction: float = 0.5
     burn_in: float = 0.5
-    check_profile_convergence: bool = False
 
 
 @dataclass(eq=False)
@@ -309,7 +308,6 @@ class SweepRow:
     rms_residual: float
     window: tuple
     clip_count: int
-    profile_deviation: float = None
 
 
 @dataclass(eq=False)
@@ -333,17 +331,6 @@ def run_invariance_cell(setup: SweepSetup, amplitude: float) -> SweepRow:
         sigma0=setup.sigma0, level_fraction=setup.level_fraction, burn_in=setup.burn_in,
     )
     est = run.estimate
-    clip_count = run.traj.clip_count
-
-    profile_dev = None
-    if setup.check_profile_convergence:
-        stat = solve_stationary(setup.op, reaction, habitat, route=FROM_ABOVE)
-        clip_count += stat.clip_count
-        proj = habitat.projection(unit_direction(setup.xi, habitat.dim))
-        behind = proj <= 0.5 * run.theory.c_star * setup.T
-        profile_dev = float(
-            np.abs(run.traj.final.values[behind] - stat.u_star.values[behind]).max()
-        )
     return SweepRow(
         amplitude=float(amplitude),
         c_emp=est.slope,
@@ -351,8 +338,7 @@ def run_invariance_cell(setup: SweepSetup, amplitude: float) -> SweepRow:
         rel_error=est.rel_error,
         rms_residual=est.rms_residual,
         window=est.window,
-        clip_count=clip_count,
-        profile_deviation=profile_dev,
+        clip_count=run.traj.clip_count,
     )
 
 

@@ -40,8 +40,6 @@ class DispersionRelation:
     """mu -> lambda(mu, xi) for one dispersal kind and direction."""
 
     evaluator: object
-    xi: object
-    kind: str
     mu_max: float = 20.0
 
     def __call__(self, mu):
@@ -52,7 +50,7 @@ class DispersionRelation:
                     weights: LatticeWeights = None, mu_max: float = 20.0,
                     resolution: float = None):
         symbol = constant_symbol(kind, xi, kernel, weights, resolution)
-        return cls(lambda mu: r + symbol(mu), xi, kind, mu_max)
+        return cls(lambda mu: r + symbol(mu), mu_max)
 
     @classmethod
     def eigen_backed(cls, kind, xi, a: PeriodicCoefficient,
@@ -65,7 +63,7 @@ class DispersionRelation:
             op = assemble_cell_operator(kind, float(mu), xi, a, kernel=kernel, weights=weights)
             return principal_eigenvalue(op).lam
 
-        return cls(evaluator, xi, kind, mu_max)
+        return cls(evaluator, mu_max)
 
 
 @dataclass(eq=False)
@@ -77,8 +75,6 @@ class SpeedResult:
     mu_star: float
     bracket: tuple
     evaluations: int
-    xi: object = None
-    kind: str = None
 
 
 def minimize_speed(rel: DispersionRelation, tol: float = 1e-8) -> SpeedResult:
@@ -128,7 +124,7 @@ def minimize_speed(rel: DispersionRelation, tol: float = 1e-8) -> SpeedResult:
             f2 = c_of(x2)
     mu_star = x1 if f1 <= f2 else x2
     c_star = f1 if f1 <= f2 else f2
-    return SpeedResult(c_star, mu_star, (lo, hi), evals, xi=rel.xi, kind=rel.kind)
+    return SpeedResult(c_star, mu_star, (lo, hi), evals)
 
 
 def theoretical_speed(

@@ -106,8 +106,10 @@ def test_reaction_breaking_h1_exits_2(tmp_path, capsys):
 def test_dt_precheck_at_load_time(tmp_path, capsys):
     cfg_text = DISCRETE_FRONT.format(out=tmp_path / "o").replace("dt = auto", "dt = 10.0")
     cfg = _write(tmp_path, "fast.cfg", cfg_text)
-    assert main(["validate", cfg]) == 2
-    assert "stability bound" in capsys.readouterr().err
+    for command in ("validate", "run", "speed", "eigen"):
+        assert main([command, cfg, "--quiet"]) == 2, command
+        assert "stability bound" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_front_speed_run_and_determinism(tmp_path):
@@ -269,9 +271,39 @@ def test_output_dir_flag_overrides_config(tmp_path):
 def test_shipped_configs_validate(tmp_path):
     import pathlib
 
-    root = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    for cfg in sorted(root.glob("*.cfg")):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    configs = sorted(root.glob("configs/*.cfg")) + sorted(root.glob("perfbench/configs/*.cfg"))
+    assert len(configs) == 6
+    for cfg in configs:
         assert main(["validate", str(cfg), "--quiet"]) == 0, cfg.name
+
+
+def test_unread_keys_exit_2(tmp_path, capsys):
+    # a key no command reads is refused by every command before any output
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    cases = [
+        ("stationary_bump.cfg", "tail_threshold = 0.01", "tail_treshold = 0.5",
+         "experiment.tail_treshold"),
+        ("fisher_speed.cfg", "T = 100", "Tmax = 5", "solver.tmax"),
+        ("fisher_speed.cfg", "margin = 0.2", "margn = 0.9", "experiment.margn"),
+        ("negative_control.cfg", "b = 1.0", "b = 1.0\ncarrying_capacity = 4",
+         "reaction.carrying_capacity"),
+        ("stationary_bump.cfg", "kind = random", "kind = random\ndelta0 = 2",
+         "dispersal.delta0"),
+        ("negative_control.cfg", "directory = out", "directory = out\nformat = csv",
+         "output.format"),
+    ]
+    for k, (shipped, old, new, key) in enumerate(cases):
+        text = (root / shipped).read_text()
+        assert old in text
+        out = tmp_path / f"o{k}"
+        cfg = _write(tmp_path, f"u{k}.cfg", text.replace(old, new))
+        for command in ("validate", "run", "speed", "eigen"):
+            assert main([command, cfg, "--quiet", "--output-dir", str(out)]) == 2, (key, command)
+            assert key in capsys.readouterr().err, (key, command)
+        assert not out.exists()
 
 
 def test_shipped_negative_control_confirms(tmp_path):
@@ -323,7 +355,7 @@ T = 25
 
 [experiment]
 name = {name}
-clause = 1
+{experiment}
 
 [output]
 directory = {out}
@@ -331,7 +363,10 @@ directory = {out}
 
 
 def test_unhonoured_solver_keys_exit_2(tmp_path, capsys):
+    # rk4 is the only scheme, for every experiment; record_every only
+    # where a trajectory is recorded
     cases = [
+        ("front_speed", "scheme = explicit-euler", "solver.scheme"),
         ("invariance_sweep", "scheme = explicit-euler", "solver.scheme"),
         ("spreading_features", "scheme = explicit-euler", "solver.scheme"),
         ("stationary_profile", "scheme = explicit-euler", "solver.scheme"),
@@ -339,15 +374,20 @@ def test_unhonoured_solver_keys_exit_2(tmp_path, capsys):
         ("stationary_profile", "record_every = 5", "solver.record_every"),
     ]
     for k, (name, line, key) in enumerate(cases):
-        text = LATTICE_RUN.format(solver=line, name=name, out=tmp_path / "o")
+        experiment = "clause = 1" if name == "spreading_features" else ""
+        text = LATTICE_RUN.format(solver=line, name=name, experiment=experiment,
+                                  out=tmp_path / "o")
         cfg = _write(tmp_path, f"{k}.cfg", text)
         for command in ("run", "validate"):
             assert main([command, cfg, "--quiet"]) == 2, (name, line, command)
             err = capsys.readouterr().err
-            assert key in err and name in err
+            assert key in err
+            if key == "solver.record_every":
+                assert name in err
     # rk4 and auto recording stay accepted
     cfg = _write(tmp_path, "ok.cfg", LATTICE_RUN.format(solver="scheme = rk4\nrecord_every = auto",
-                                                  name="stationary_profile", out=tmp_path / "o"))
+                                                  name="stationary_profile", experiment="",
+                                                  out=tmp_path / "o"))
     assert main(["validate", cfg, "--quiet"]) == 0
 
 
@@ -362,6 +402,8 @@ def test_validate_parses_every_experiment_key(tmp_path, capsys):
         ("seed = 0", "seed = x", "experiment.seed"),
         ("seed = 0", "expect = maybe", "experiment.expect"),
         ("seed = 0", "n_mu = many", "experiment.n_mu"),
+        ("seed = 0", "n_mu = -1", "experiment.n_mu"),
+        ("seed = 0", "mu_max = 0", "experiment.mu_max"),
     ]:
         assert old in text
         cfg = _write(tmp_path, "v.cfg", text.replace(old, new))
@@ -372,15 +414,16 @@ def test_validate_parses_every_experiment_key(tmp_path, capsys):
         ("stationary_profile", "tail_radius = far", "experiment.tail_radius"),
         ("front_speed", "margin = wide", "experiment.margin"),
     ]:
-        cfg = _write(tmp_path, "v.cfg", LATTICE_RUN.format(solver="", name=name, out=tmp_path / "o")
-                     .replace("clause = 1", line))
+        cfg = _write(tmp_path, "v.cfg", LATTICE_RUN.format(solver="", name=name, experiment=line,
+                                                           out=tmp_path / "o"))
         assert main(["validate", cfg, "--quiet"]) == 2, line
         assert key in capsys.readouterr().err
 
 
 def test_empty_amplitudes_exit_2(tmp_path, capsys):
-    text = LATTICE_RUN.format(solver="", name="invariance_sweep", out=tmp_path / "o")
-    cfg = _write(tmp_path, "empty.cfg", text.replace("clause = 1", "amplitudes ="))
+    text = LATTICE_RUN.format(solver="", name="invariance_sweep", experiment="amplitudes =",
+                              out=tmp_path / "o")
+    cfg = _write(tmp_path, "empty.cfg", text)
     assert main(["run", cfg, "--quiet"]) == 2
     assert "experiment.amplitudes" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -388,7 +431,8 @@ def test_empty_amplitudes_exit_2(tmp_path, capsys):
 
 def test_stationary_profile_stops_at_solver_T(tmp_path, capsys):
     cfg = _write(tmp_path, "st.cfg",
-                 LATTICE_RUN.format(solver="", name="stationary_profile", out=tmp_path / "o")
+                 LATTICE_RUN.format(solver="", name="stationary_profile", experiment="",
+                                    out=tmp_path / "o")
                  .replace("T = 25", "T = 2"))
     assert main(["run", cfg, "--quiet"]) == 3
     assert "no convergence by t = 2.0" in capsys.readouterr().err

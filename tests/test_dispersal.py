@@ -141,6 +141,20 @@ def test_habitat_mismatch_errors():
         DispersalOperator.nonlocal_(wrong_spacing).apply(HAB.full(1.0))
 
 
+def test_payload_dimension_must_match_habitat():
+    # a kernel or lattice rates of another dimension are refused, never
+    # applied as a projected or axis-0 operator
+    line = Habitat("continuum", 1, 5.0, 0.25)
+    plane = Habitat("continuum", 2, 5.0, 0.25)
+    for habitat, payload_dim in ((line, 2), (plane, 1)):
+        kernel = Kernel.from_profile("triangle", 1.0, 0.25, payload_dim)
+        with pytest.raises(ValueError, match=f"kernel has dimension {payload_dim}, "
+                                             f"the habitat has {habitat.dim}"):
+            DispersalOperator.nonlocal_(kernel).apply(habitat.full(1.0))
+    with pytest.raises(ValueError, match="weights has dimension 2, the habitat has 1"):
+        DispersalOperator.discrete(LatticeWeights.symmetric(2, 1.0)).apply(LAT.full(1.0))
+
+
 def test_periodic_boundary_variants():
     hper = Habitat("continuum", 1, 10.0, 0.1, boundary="periodic")
     op = DispersalOperator.nonlocal_(Kernel.from_profile("mollifier", 1.0, 0.1, 1))

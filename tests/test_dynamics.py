@@ -66,20 +66,17 @@ def test_matches_scalar_logistic_closed_form():
 
 
 def test_step_refinement_orders():
-    # error against the scalar logistic closed form scales like dt
-    # (euler) and dt^4 (rk4)
+    # error against the scalar logistic closed form scales like dt^4
     rea = Reaction.logistic(1.0, 2.0)
     op = DispersalOperator.random()
     u0 = HAB.full(0.1)
     exact = logistic_exact(0.1, 1.0, 2.0, 1.0)
 
-    def err(scheme, dt):
-        traj = evolve(op, rea, u0, T=1.0, dt=dt, record_every=10 ** 9, scheme=scheme)
+    def err(dt):
+        traj = evolve(op, rea, u0, T=1.0, dt=dt, record_every=10 ** 9)
         return abs(traj.final.values.max() - exact)
 
-    e1, e2 = err("explicit-euler", 0.02), err("explicit-euler", 0.01)
-    assert 1.5 < e1 / e2 < 2.5
-    r1, r2 = err("rk4", 0.02), err("rk4", 0.01)
+    r1, r2 = err(0.02), err(0.01)
     assert 10.0 < r1 / r2 < 22.0
 
 
@@ -91,8 +88,8 @@ def test_stability_bound_refusal():
 
 
 def test_divergence_is_reported_with_time(monkeypatch):
-    # explicit euler with a violently stiff reaction escapes the invariant
-    # region; the guard must catch it and name the first bad time.  The
+    # rk4 with a violently stiff reaction escapes the invariant region;
+    # the guard must catch it and name the first bad time.  The
     # random bound now includes the reaction, so the step is forced past it
     # by restoring the diffusion-only bound h^2 / (2 dim 1.2).
     rea = Reaction.linear(900.0, 1.0)
@@ -101,7 +98,7 @@ def test_divergence_is_reported_with_time(monkeypatch):
     diffusion_only = HAB.spacing ** 2 / (2.0 * HAB.dim * 1.2)
     monkeypatch.setattr("kpplab.dynamics.stability_dt_bound", lambda *args: diffusion_only)
     with pytest.raises(IntegrationDivergedError, match="t="):
-        evolve(op, rea, u0, T=1.0, dt=diffusion_only, scheme="explicit-euler")
+        evolve(op, rea, u0, T=1.0, dt=diffusion_only)
 
 
 def test_random_step_bound_includes_reaction():

@@ -17,11 +17,14 @@ from kpplab import (
     make_front_initial,
     run_compact_spreading_checks,
     run_speed_invariance_sweep,
+    solve_stationary,
     stability_dt_bound,
     track_front,
+    unit_direction,
     verify_spreading_cones,
 )
-from kpplab.experiments import SweepSetup, run_invariance_cell
+from kpplab.experiments import SweepSetup, run_front, run_invariance_cell
+from kpplab.stationary import FROM_ABOVE
 
 
 def test_tracker_on_step_data():
@@ -40,7 +43,7 @@ def test_tracker_encodes_empty_level_set_as_nan():
     hab = Habitat("continuum", 1, 20.0, 0.5)
     start = make_front_initial(hab, 1.0, 1.0)
     collapsed = Field(hab, np.full(hab.shape, 1e-9))
-    traj = Trajectory(hab, np.array([0.0, 1.0]), [start, collapsed], dt=1.0, scheme="rk4")
+    traj = Trajectory(hab, np.array([0.0, 1.0]), [start, collapsed])
     trace = track_front(traj, 1.0, 0.5)
     assert np.isfinite(trace.positions[0])
     assert np.isnan(trace.positions[1])
@@ -49,7 +52,7 @@ def test_tracker_encodes_empty_level_set_as_nan():
 def _single_snapshot_traj(hab, field):
     from kpplab.dynamics import Trajectory
 
-    return Trajectory(hab, np.array([0.0, 1.0]), [field, field], dt=1.0, scheme="rk4")
+    return Trajectory(hab, np.array([0.0, 1.0]), [field, field])
 
 
 def test_tracker_translation_equivariance():
@@ -139,22 +142,26 @@ def test_speed_levels_are_robust(small_fisher_run):
 
 def test_invariance_cell_and_profile_convergence():
     hab = Habitat("continuum", 1, 150.0, 0.1)
+    op = DispersalOperator.random()
     setup = SweepSetup(
-        op=DispersalOperator.random(),
+        op=op,
         habitat=hab,
         reaction0=Reaction.linear(1.0, 1.0, radius=1.0),
         xi=1.0,
         T=50.0,
         amplitudes=(0.0, 1.0),
-        check_profile_convergence=True,
     )
     report = run_speed_invariance_sweep(setup)
     assert report.ok_theory
     assert report.ok_pairwise
-    for row in report.rows:
+    for amplitude in setup.amplitudes:
         # behind the half-speed cone the state has locked onto u*
-        assert row.profile_deviation is not None
-        assert row.profile_deviation < 0.05
+        reaction = Reaction.linear(1.0, 1.0, amplitude=amplitude, radius=1.0)
+        run = run_front(op, reaction, hab, setup.xi, setup.T)
+        u_star = solve_stationary(op, reaction, hab, FROM_ABOVE).u_star
+        behind = hab.projection(unit_direction(setup.xi, 1)) <= 0.5 * run.theory.c_star * setup.T
+        deviation = np.abs(run.traj.final.values[behind] - u_star.values[behind]).max()
+        assert deviation < 0.05, (amplitude, deviation)
 
 
 def test_invariance_rejects_nonpositive_growth_at_zero():

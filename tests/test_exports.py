@@ -44,7 +44,7 @@ def test_trajectory_export(tmp_path):
     x = habitat.grid()[0]
     rows = [[t, xi, ui] for t, snap in zip(traj.times, traj.snapshots)
             for xi, ui in zip(x, snap.values)]
-    manifest = {"scheme": traj.scheme, "clip_count": traj.clip_count,
+    manifest = {"scheme": "rk4", "clip_count": traj.clip_count,
                 "half_extent": habitat.half_extent, "dispersal": op.kind}
     csv_path, man_path = tmp_path / "traj.csv", tmp_path / "manifest.json"
     write_csv(csv_path, ["t", "x", "u"], rows)
