@@ -2,9 +2,10 @@
 
 Three dispersal mechanisms (Laplacian, compact convolution kernel,
 nearest-neighbor lattice exchange), localized spatial inhomogeneity of
-the growth law, positive stationary states via monotone evolution, and
-theoretical spreading speeds from dispersion relations, with front
-tracking experiments that verify the predictions at desk scale.
+the growth law, positive stationary states via monotone iteration and
+Newton, and theoretical spreading speeds from dispersion relations,
+with front tracking experiments that verify the predictions at desk
+scale.
 """
 
 from .domain import (

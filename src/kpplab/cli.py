@@ -318,8 +318,8 @@ def _stationary_keys(cp, habitat, reaction):
 
 
 def _exp_stationary_profile(keys, habitat, reaction, op, solver, options):
-    above = solve_stationary(op, reaction, habitat, FROM_ABOVE, solver["dt"], solver["T"])
-    below = solve_stationary(op, reaction, habitat, FROM_BELOW, solver["dt"], solver["T"])
+    above = solve_stationary(op, reaction, habitat, FROM_ABOVE)
+    below = solve_stationary(op, reaction, habitat, FROM_BELOW)
     gap = float(np.abs(above.u_star.values - below.u_star.values).max())
     tail = check_tail(above.u_star, reaction.u0_star, keys["tail_radius"], delta0=op.delta0)
     ok = gap <= 1e-6 and tail < keys["tail_threshold"]
@@ -332,7 +332,10 @@ def _exp_stationary_profile(keys, habitat, reaction, op, solver, options):
         "tail_deviation": tail,
         "tail_radius": keys["tail_radius"],
         "u0_star": reaction.u0_star,
-        "clip_count": above.clip_count + below.clip_count,
+        "newton_steps_from_above": above.newton_steps,
+        "newton_steps_from_below": below.newton_steps,
+        "matvecs_from_above": above.matvecs,
+        "matvecs_from_below": below.matvecs,
         "verdict": "pass" if ok else "fail",
     }
     coords = habitat.grid()[0].ravel() if habitat.dim == 1 else habitat.radius().ravel()
@@ -386,9 +389,14 @@ def parse_config(cp) -> Job:
         bound = stability_dt_bound(op, reaction, habitat.full(reaction.beta0 + 1.0))
         if solver["dt"] > bound * (1.0 + 1e-12):
             raise ConfigError(f"solver.dt: {solver['dt']} violates the stability bound {bound:.6g}")
+    keys = None if name is None else EXPERIMENTS[name][0](cp, habitat, reaction)
     if name in ("spreading_features", "stationary_profile") and solver["record_every"] is not None:
         raise ConfigError(f"solver.record_every: {name} records no trajectory; leave it auto")
-    keys = None if name is None else EXPERIMENTS[name][0](cp, habitat, reaction)
+    if name == "stationary_profile":
+        if cp.has_option("solver", "T"):
+            raise ConfigError("solver.T: stationary_profile does not step in time; leave it out")
+        if solver["dt"] is not None:
+            raise ConfigError("solver.dt: stationary_profile does not step in time; leave it auto")
     expect = _get(cp, "experiment", "expect", str, default="pass", choices={"pass", "fail"})
     seed = _get(cp, "experiment", "seed", int, default=0)
     xi = _direction(cp, habitat.dim)
@@ -468,7 +476,12 @@ def _cmd_run(job, cfg_text, options):
                                     options)
     wall = time.perf_counter() - t0
 
-    if job.expect == "fail":
+    if summary.get("clip_count", 0) > 0:
+        # a systematic negative clip fails the run whatever it was meant to show,
+        # so a clipped run cannot confirm a negative control either
+        summary["verdict"] = "fail: clipped"
+        final_ok = False
+    elif job.expect == "fail":
         summary["verdict"] = "expected-fail: confirmed" if not ok else "expected-fail: NOT confirmed"
         final_ok = False  # a failing verdict was the point; exit code stays 1
     else:

@@ -1,17 +1,19 @@
-"""Positive stationary states by monotone evolution.
+"""Positive stationary states of D u + u f(x, u) = 0, matrix-free.
 
-The from-above route relaxes the constant super-solution M = beta0 + 1
-downward; the from-below route grows a small multiple of a periodically
-extended positive eigenfunction upward.  The eigenfunction comes from a
-periodic minorant of the growth rate at zero: a smooth periodic h(x)
-sitting below f(x, 0) whose cell average is within eps of the
-homogeneous rate, so its dominant eigenvalue is positive and delta*phi
-is a genuine sub-solution for small delta.
+The from-above route runs Newton from the constant super-solution
+M = beta0 + 1; the from-below route runs the monotone iteration of
+Sattinger (1972) upward from a small multiple of a periodically extended
+positive eigenfunction, then hands over to Newton.  Every linear solve
+is one BiCGSTAB loop on the dispersal closure, so no matrix is built.
+The eigenfunction comes from a periodic minorant of the growth rate at
+zero: a smooth periodic h(x) sitting below f(x, 0) whose cell average
+is within eps of the homogeneous rate, so its dominant eigenvalue is
+positive and delta*phi is a genuine sub-solution for small delta.
 
 Both routes bracket the same stationary state; agreement of the two is
 the uniqueness check, the equation residual is the existence
-certificate, and reconvergence of strictly positive perturbations is
-the stability check.
+certificate, and reconvergence of strictly positive perturbations under
+the time-dependent flow is the stability check.
 """
 
 from __future__ import annotations
@@ -29,12 +31,16 @@ from .eigen import PeriodicCoefficient, assemble_cell_operator, principal_eigenv
 FROM_ABOVE = "from-above"
 FROM_BELOW = "from-below"
 
-_T_MAX = 500.0
-_RECORD_SPACING = 1.0
-_MONOTONE_SLACK = 1e-10
 _SUB_SOLUTION_SLACK = 1e-10
-_CONVERGENCE_TOL = 1e-9
 _RESIDUAL_TOL = 1e-7
+# Step limits relative to the iterate's height max(u), so the iteration
+# behaves alike for every carrying capacity u0* = r0/slope.
+_MONOTONE_SLACK = 1e-10  # tolerated step against the route's direction
+_NEWTON_SWITCH = 1e-3  # largest monotone step at which Newton takes over
+_STEP_TOL = 1e-12  # Newton step (max norm) that ends the iteration
+_MAX_STEPS = 1000
+_KRYLOV_TOL = 1e-14
+_KRYLOV_MAX_ITER = 5000
 
 
 class PeriodTooLargeError(ValueError):
@@ -46,7 +52,7 @@ class SubSolutionError(RuntimeError):
 
 
 class StationaryConvergenceError(RuntimeError):
-    """Monotone evolution failed to reach a stationary state."""
+    """The stationary iteration broke down, left its order or did not converge."""
 
 
 def smooth_cutoff(s):
@@ -173,8 +179,48 @@ class StationaryResult:
     u_star: Field
     route: str
     residual: float
-    iterations: int  # marching chunks of one time unit
-    clip_count: int  # negative values clipped to zero, summed over the chunks
+    iterations: int  # outer steps: monotone steps plus Newton steps
+    newton_steps: int
+    matvecs: int  # operator applies inside the Krylov solves
+
+
+def _krylov(apply, b):
+    """Solve apply(x) = b by BiCGSTAB (van der Vorst 1992) from x = 0.
+
+    Stops when the 2-norm of the recursive residual is at most 1e-14
+    ||b|| and returns (x, applies).  A breakdown, or no convergence in
+    5000 iterations, raises StationaryConvergenceError.
+    """
+    x = np.zeros_like(b)
+    tol = _KRYLOV_TOL * math.sqrt(np.vdot(b, b))
+    if tol == 0.0:
+        return x, 0
+    r = b.copy()
+    r_hat = b
+    p = np.zeros_like(b)
+    v = np.zeros_like(b)
+    rho = alpha = omega = 1.0
+    for k in range(_KRYLOV_MAX_ITER):
+        rho_next = np.vdot(r_hat, r)
+        p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+        v = apply(p)
+        r_hat_v = np.vdot(r_hat, v)
+        if rho_next == 0.0 or r_hat_v == 0.0:
+            raise StationaryConvergenceError(f"Krylov solve broke down at iteration {k}")
+        alpha = rho_next / r_hat_v
+        s = r - alpha * v
+        if math.sqrt(np.vdot(s, s)) <= tol:  # also the exact case s = 0
+            return x + alpha * p, 2 * k + 1
+        t = apply(s)
+        omega = np.vdot(t, s) / np.vdot(t, t)
+        x = x + alpha * p + omega * s
+        r = s - omega * t
+        if math.sqrt(np.vdot(r, r)) <= tol:
+            return x, 2 * k + 2
+        if omega == 0.0:
+            raise StationaryConvergenceError(f"Krylov solve broke down at iteration {k}")
+        rho = rho_next
+    raise StationaryConvergenceError(f"Krylov solve stalled after {_KRYLOV_MAX_ITER} iterations")
 
 
 def solve_stationary(
@@ -182,58 +228,79 @@ def solve_stationary(
     reaction: Reaction,
     habitat: Habitat,
     route: str = FROM_ABOVE,
-    dt: float = None,
-    t_max: float = _T_MAX,
 ) -> StationaryResult:
-    """Long-time integration to the positive stationary state.
+    """The positive solution of F(u) = D u + u f(x, u) = 0, matrix-free.
 
-    Stops when consecutive snapshots (spacing 1.0) differ by less than
-    1e-9 in max norm, then certifies the result by the equation residual
-    (must be <= 1e-7).  The route's monotonicity (non-increasing from
-    above, non-decreasing from below) is checked per snapshot with 1e-10
-    slack; failure to converge by t_max raises with the residual.
+    From above: Newton from the super-solution M = beta0 + 1.  The linear
+    systems (-J) du = F(u) with J v = D v + (f(x, u) - slope u) v are
+    solved by _krylov; since u f is concave in u every iterate is a
+    super-solution and the iterates do not increase.
+
+    From below: the monotone iteration (K I - D) u_next = K u + u f(x, u)
+    of Sattinger (1972) from sub_solution, with K = sup |d_u(u f)| on
+    [0, beta0] (the iterates stay below u* <= beta0), does not decrease.
+    Once its largest step falls below 1e-3 max(u) it hands over to
+    Newton, whose first step lands on or above u* by concavity and whose
+    later steps do not increase.
+
+    Every step is checked against its direction with 1e-10 max(u) slack.
+    The iteration stops once a Newton step is below 1e-12 max(u) in max
+    norm, and the result is certified by the equation residual (at most
+    1e-7) and strict positivity.  The step limits are relative to the
+    iterate's height so that they scale with the carrying capacity.
     """
     if route not in (FROM_ABOVE, FROM_BELOW):
         raise ValueError(f"unknown route {route!r}")
+    top = reaction.beta0 + 1.0  # a super-solution by H1
     if route == FROM_ABOVE:
-        u = habitat.full(reaction.beta0 + 1.0)  # a super-solution by H1
+        u = np.full(habitat.shape, top)
     else:
-        u = sub_solution(op, reaction, habitat)
-
-    dt = step_size(op, reaction, u, dt)
+        u = sub_solution(op, reaction, habitat).values
 
     disp = op.bind(habitat)
     growth = reaction.bind(habitat)
-    n_chunks = int(math.ceil(t_max / _RECORD_SPACING))
-    monotone_ok = True
-    prev = u
-    converged = False
-    k = clip_count = 0
-    for k in range(1, n_chunks + 1):
-        traj = evolve(op, reaction, prev, _RECORD_SPACING, dt, record_every=10 ** 9)
-        clip_count += traj.clip_count
-        cur = traj.final
-        step = cur.values - prev.values
-        if route == FROM_ABOVE and float(step.max()) > _MONOTONE_SLACK:
-            monotone_ok = False
-        if route == FROM_BELOW and float(-step.min()) > _MONOTONE_SLACK:
-            monotone_ok = False
-        diff = float(np.abs(step).max())
-        prev = cur
-        if diff < _CONVERGENCE_TOL:
-            converged = True
-            break
+    base = growth(np.zeros(habitat.shape))
+    # sup |d_u(u f)| over [0, beta0], which holds every from-below iterate
+    # (u* <= beta0); [0, M] would let the +1 in M inflate K as u0* shrinks
+    K = float(max(np.abs(base).max(), np.abs(base - 2.0 * reaction.slope * reaction.beta0).max()))
 
-    u_star = prev
-    residual = float(np.abs(disp(u_star.values) + u_star.values * growth(u_star.values)).max())
-    if not converged:
+    def monotone(v):
+        return K * v - disp(v)
+
+    newton = route == FROM_ABOVE
+    sign = -1.0 if newton else 1.0  # the direction the next step must take
+    newton_steps = matvecs = 0
+    for k in range(1, _MAX_STEPS + 1):
+        g = growth(u)
+        F = disp(u) + u * g
+        if newton:
+            diag = g - reaction.slope * u
+
+            def apply(v, diag=diag):
+                return -disp(v) - diag * v
+        else:
+            apply = monotone
+        du, n = _krylov(apply, F)
+        matvecs += n
+        height = float(u.max())
+        if float((-sign * du).max()) > _MONOTONE_SLACK * height:
+            raise StationaryConvergenceError(
+                f"{route} step {k} violated monotonicity beyond {_MONOTONE_SLACK} max(u)")
+        u = u + du
+        size = float(np.abs(du).max()) / height
+        if newton:
+            newton_steps += 1
+            sign = -1.0  # after a step from below, Newton iterates are super-solutions
+            if size < _STEP_TOL:
+                break
+        elif size < _NEWTON_SWITCH:
+            newton = True
+    else:
         raise StationaryConvergenceError(
-            f"no convergence by t = {t_max} (last residual {residual:.3e})"
-        )
-    if not monotone_ok:
-        raise StationaryConvergenceError(
-            f"{route} iterates violated monotonicity beyond {_MONOTONE_SLACK}"
-        )
+            f"no convergence in {_MAX_STEPS} steps (last step {size:.3e} max(u))")
+
+    u_star = Field(habitat, u)
+    residual = float(np.abs(disp(u) + u * growth(u)).max())
     if residual > _RESIDUAL_TOL:
         raise StationaryConvergenceError(
             f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
@@ -245,7 +312,8 @@ def solve_stationary(
         route=route,
         residual=residual,
         iterations=k,
-        clip_count=clip_count,
+        newton_steps=newton_steps,
+        matvecs=matvecs,
     )
 
 

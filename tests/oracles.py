@@ -1,6 +1,13 @@
 """Slow reference implementations that the fast paths are tested against."""
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from kpplab import Field
+from kpplab.dynamics import evolve, step_size
+from kpplab.stationary import FROM_ABOVE, FROM_BELOW, StationaryConvergenceError, sub_solution
 
 
 def power_iteration(operator, max_iter=1_000_000):
@@ -17,3 +24,83 @@ def power_iteration(operator, max_iter=1_000_000):
             return top - s, v / v.max()
         v = w / top
     raise RuntimeError(f"oracle power iteration: no convergence in {max_iter} iterations")
+
+
+_T_MAX = 500.0
+_RECORD_SPACING = 1.0
+_MONOTONE_SLACK = 1e-10
+_CONVERGENCE_TOL = 1e-9
+_RESIDUAL_TOL = 1e-7
+
+
+@dataclass(eq=False)
+class MarchResult:
+    u_star: Field
+    residual: float
+    iterations: int  # marching chunks of one time unit
+    clip_count: int  # negative values clipped to zero, summed over the chunks
+
+
+def march_stationary(op, reaction, habitat, route=FROM_ABOVE):
+    """Long-time rk4 integration to the positive stationary state, from
+    the same starts as kpplab.solve_stationary.
+
+    Stops when consecutive snapshots (spacing 1.0) differ by less than
+    1e-9 in max norm, then certifies the result by the equation residual
+    (must be <= 1e-7).  The route's monotonicity (non-increasing from
+    above, non-decreasing from below) is checked per snapshot with 1e-10
+    slack; failure to converge by t = 500 raises with the residual.
+    """
+    if route not in (FROM_ABOVE, FROM_BELOW):
+        raise ValueError(f"unknown route {route!r}")
+    if route == FROM_ABOVE:
+        u = habitat.full(reaction.beta0 + 1.0)  # a super-solution by H1
+    else:
+        u = sub_solution(op, reaction, habitat)
+
+    dt = step_size(op, reaction, u)
+
+    disp = op.bind(habitat)
+    growth = reaction.bind(habitat)
+    n_chunks = int(math.ceil(_T_MAX / _RECORD_SPACING))
+    monotone_ok = True
+    prev = u
+    converged = False
+    k = clip_count = 0
+    for k in range(1, n_chunks + 1):
+        traj = evolve(op, reaction, prev, _RECORD_SPACING, dt, record_every=10 ** 9)
+        clip_count += traj.clip_count
+        cur = traj.final
+        step = cur.values - prev.values
+        if route == FROM_ABOVE and float(step.max()) > _MONOTONE_SLACK:
+            monotone_ok = False
+        if route == FROM_BELOW and float(-step.min()) > _MONOTONE_SLACK:
+            monotone_ok = False
+        diff = float(np.abs(step).max())
+        prev = cur
+        if diff < _CONVERGENCE_TOL:
+            converged = True
+            break
+
+    u_star = prev
+    residual = float(np.abs(disp(u_star.values) + u_star.values * growth(u_star.values)).max())
+    if not converged:
+        raise StationaryConvergenceError(
+            f"no convergence by t = {_T_MAX} (last residual {residual:.3e})"
+        )
+    if not monotone_ok:
+        raise StationaryConvergenceError(
+            f"{route} iterates violated monotonicity beyond {_MONOTONE_SLACK}"
+        )
+    if residual > _RESIDUAL_TOL:
+        raise StationaryConvergenceError(
+            f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
+        )
+    if not u_star.is_strictly_positive():
+        raise StationaryConvergenceError("stationary state is not strictly positive")
+    return MarchResult(
+        u_star=u_star,
+        residual=residual,
+        iterations=k,
+        clip_count=clip_count,
+    )

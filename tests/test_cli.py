@@ -204,9 +204,6 @@ def test_stationary_subcommand(tmp_path):
     [dispersal]
     kind = random
 
-    [solver]
-    T = 100
-
     [experiment]
     name = stationary_profile
     tail_radius = 4.0
@@ -220,7 +217,9 @@ def test_stationary_subcommand(tmp_path):
     summary = json.loads((out / "stationary_profile" / "summary.json").read_text())
     assert summary["routes_gap"] <= 1e-6
     assert summary["residual_from_above"] <= 1e-7
-    assert summary["clip_count"] == 0
+    assert "clip_count" not in summary
+    for route in ("from_above", "from_below"):
+        assert summary[f"newton_steps_{route}"] >= 1 and summary[f"matvecs_{route}"] > 0
     profile = (out / "stationary_profile" / "profile.csv").read_text().splitlines()
     assert profile[0] == "x,u_star" and len(profile) == 82
 
@@ -384,10 +383,10 @@ def test_unhonoured_solver_keys_exit_2(tmp_path, capsys):
             assert key in err
             if key == "solver.record_every":
                 assert name in err
-    # rk4 and auto recording stay accepted
+    # rk4 and auto recording stay accepted (stationary_profile takes no solver.T)
     cfg = _write(tmp_path, "ok.cfg", LATTICE_RUN.format(solver="scheme = rk4\nrecord_every = auto",
                                                   name="stationary_profile", experiment="",
-                                                  out=tmp_path / "o"))
+                                                  out=tmp_path / "o").replace("T = 25\n", ""))
     assert main(["validate", cfg, "--quiet"]) == 0
 
 
@@ -430,9 +429,48 @@ def test_empty_amplitudes_exit_2(tmp_path, capsys):
 
 
 def test_stationary_profile_stops_at_solver_T(tmp_path, capsys):
-    cfg = _write(tmp_path, "st.cfg",
-                 LATTICE_RUN.format(solver="", name="stationary_profile", experiment="",
-                                    out=tmp_path / "o")
-                 .replace("T = 25", "T = 2"))
-    assert main(["run", cfg, "--quiet"]) == 3
-    assert "no convergence by t = 2.0" in capsys.readouterr().err
+    # stationary_profile does not step in time: an explicit solver.T or
+    # solver.dt exits 2 and names the key; dt = auto stays accepted
+    text = LATTICE_RUN.format(solver="", name="stationary_profile", experiment="",
+                              out=tmp_path / "o")
+    for k, (old, new, key) in enumerate([("T = 25", "T = 2", "solver.T"),
+                                         ("T = 25", "dt = 0.1", "solver.dt")]):
+        cfg = _write(tmp_path, f"st{k}.cfg", text.replace(old, new))
+        for command in ("run", "validate"):
+            assert main([command, cfg, "--quiet"]) == 2, (key, command)
+            assert key in capsys.readouterr().err
+    cfg = _write(tmp_path, "auto.cfg", text.replace("T = 25", "dt = auto"))
+    assert main(["validate", cfg, "--quiet"]) == 0
+    assert not (tmp_path / "o").exists()
+
+
+def test_clipping_fails_the_verdict(tmp_path, monkeypatch):
+    # a systematic negative clip is an error, not a footnote: the same
+    # runs pass when nothing is clipped and fail when evolve reports one
+    import dataclasses
+
+    import kpplab.experiments as experiments
+
+    sweep = DISCRETE_FRONT.replace("name = front_speed",
+                                   "name = invariance_sweep\namplitudes = 0.0, 0.5")
+    spreading = LATTICE_RUN.format(solver="", name="spreading_features", experiment="clause = 1",
+                                   out="{out}")
+    # a clipped run cannot confirm a negative control either
+    control = spreading.replace("clause = 1", "clause = 1\nc_scale = 0.5\nexpect = fail")
+    cases = [("front_speed", DISCRETE_FRONT, "pass"), ("invariance_sweep", sweep, "pass"),
+             ("spreading_features", spreading, "pass"),
+             ("spreading_features", control, "expected-fail: confirmed")]
+    real = experiments.evolve
+    for clips in (0, 1):
+        def clip(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), clip_count=clips)
+
+        monkeypatch.setattr(experiments, "evolve", clip)
+        for k, (name, text, unclipped) in enumerate(cases):
+            out = tmp_path / f"{k}-{clips}"
+            cfg = _write(tmp_path, f"{k}.cfg", text.format(out=out))
+            expect_rc = 1 if clips or unclipped != "pass" else 0
+            assert main(["run", cfg, "--quiet"]) == expect_rc, (name, clips)
+            summary = json.loads((out / name / "summary.json").read_text())
+            assert summary["verdict"] == ("fail: clipped" if clips else unclipped), (name, clips)
+            assert (summary["clip_count"] > 0) == bool(clips)

@@ -2,6 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from kpplab import (
     DispersalOperator,
@@ -198,15 +202,74 @@ def test_two_dimensional_routes_agree():
 
 
 def test_clip_counts_are_summed_over_chunks(monkeypatch):
-    import kpplab.stationary as stationary
-
-    real = stationary.evolve
+    real = oracles.evolve
 
     def clip_once(*args, **kwargs):
         return dataclasses.replace(real(*args, **kwargs), clip_count=1)
 
-    monkeypatch.setattr(stationary, "evolve", clip_once)
+    monkeypatch.setattr(oracles, "evolve", clip_once)
     op, hab = _ops()[2]
     for route in (FROM_ABOVE, FROM_BELOW):
-        res = solve_stationary(op, BUMP, hab, route=route)
+        res = oracles.march_stationary(op, BUMP, hab, route=route)
         assert res.clip_count == res.iterations, route
+
+
+@st.composite
+def _stationary_problems(draw):
+    """(op, reaction, habitat): kind, dimension, boundary, kernel, rates
+    and growth law drawn on grids small enough for the marching oracle."""
+    kind = draw(st.sampled_from(["random", "nonlocal", "discrete"]))
+    dim = draw(st.integers(1, 2))
+    boundary = draw(st.sampled_from(["clamp", "periodic"]))
+    r0 = draw(st.floats(0.5, 2.0))
+    slope = draw(st.floats(0.5, 2.0))
+    amplitude = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 0.8)) * r0
+    reaction = Reaction.linear(r0, slope, amplitude=amplitude, radius=1.0)
+    if kind == "discrete":
+        offsets = LatticeWeights.symmetric(dim).offsets
+        if draw(st.booleans()):
+            rates = [draw(st.floats(0.3, 2.0))] * (2 * dim)
+        else:
+            rates = draw(st.lists(st.floats(0.2, 2.0), min_size=2 * dim, max_size=2 * dim))
+        op = DispersalOperator.discrete(LatticeWeights(dim, offsets, rates))
+        return op, reaction, Habitat("lattice", dim, 6, boundary=boundary)
+    spacing, half_extent = (0.25, 6.0) if dim == 1 else (0.5, 4.0)
+    habitat = Habitat("continuum", dim, half_extent, spacing, boundary=boundary)
+    if kind == "random":
+        return DispersalOperator.random(), reaction, habitat
+    profile = draw(st.sampled_from(["uniform", "triangle", "mollifier"]))
+    delta0 = draw(st.floats(2.0 * spacing, 1.5))
+    kernel = Kernel.from_profile(profile, delta0, spacing, dim)
+    return DispersalOperator.nonlocal_(kernel), reaction, habitat
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(_stationary_problems())
+def test_routes_match_the_marching_oracle(problem):
+    op, reaction, habitat = problem
+    for route in (FROM_ABOVE, FROM_BELOW):
+        fast = solve_stationary(op, reaction, habitat, route=route)
+        slow = oracles.march_stationary(op, reaction, habitat, route=route)
+        gap = np.abs(fast.u_star.values - slow.u_star.values).max()
+        assert gap <= 1e-8, (op.kind, habitat, route, gap)
+        assert fast.residual <= slow.residual
+        assert fast.newton_steps >= 1 and fast.matvecs > 0
+
+
+@pytest.mark.parametrize("capacity", [1e-2, 1e6])
+def test_routes_match_the_oracle_at_extreme_carrying_capacities(capacity):
+    # the step limits scale with max(u): u0* = 1e-2 must not hand over
+    # to Newton near zero, and u0* = 1e6 must stop above its rounding floor
+    hab1 = Habitat("continuum", 1, 6.0, 0.25)
+    cases = [
+        (DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.0, 0.25, 1)), hab1, -0.5),
+        (DispersalOperator.discrete(LatticeWeights.symmetric(2, 1.0)),
+         Habitat("lattice", 2, 6), 0.5),
+    ]
+    for op, habitat, amplitude in cases:
+        reaction = Reaction.logistic(1.0, capacity, amplitude=amplitude, radius=1.0)
+        for route in (FROM_ABOVE, FROM_BELOW):
+            fast = solve_stationary(op, reaction, habitat, route=route)
+            slow = oracles.march_stationary(op, reaction, habitat, route=route)
+            gap = np.abs(fast.u_star.values - slow.u_star.values).max()
+            assert gap <= 1e-8, (op.kind, route, gap)
