@@ -181,6 +181,8 @@ def build_solver(cp):
     record_every = _get(cp, "solver", "record_every", _or_auto(int), default=None)
     if dt is not None and dt <= 0:
         raise ConfigError("solver.dt: must be positive or 'auto'")
+    if record_every is not None and record_every < 1:
+        raise ConfigError("solver.record_every: must be at least 1 or 'auto'")
     if T <= 0:
         raise ConfigError("solver.T: must be positive")
     return {"T": T, "dt": dt, "record_every": record_every}
@@ -561,6 +563,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="kpplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     jobs = _env_value(parser, "KPPLAB_JOBS", int, 1)
+    if jobs < 1:
+        parser.error(f"environment variable KPPLAB_JOBS: must be at least 1, got {jobs}")
     seed = _env_value(parser, "KPPLAB_SEED", int, None)
     for name in ("run", "speed", "eigen", "validate"):
         p = sub.add_parser(name)
@@ -576,8 +580,10 @@ def main(argv=None) -> int:
     if args.command == "list-experiments":
         return _cmd_list({})
 
+    if args.jobs < 1:
+        parser.error(f"--jobs: must be at least 1, got {args.jobs}")
     options = {
-        "jobs": max(1, args.jobs),
+        "jobs": args.jobs,
         "output_dir": args.output_dir,
         "seed": args.seed,
         "quiet": args.quiet,

@@ -11,7 +11,8 @@ discrete  the 2*dim unit offsets of the lattice with the rates a_k
 On a habitat the stencil acts in difference form sum_j w_j (u(x+z_j) - u(x)),
 so constants are exact equilibria.  Under clamp boundaries out-of-domain
 terms are dropped and nonlocal rows are renormalized by their in-domain
-mass; under periodic boundaries indices wrap.
+mass; under periodic boundaries indices wrap, by the one rule of
+wrap_index.
 
 _Stencil.twist gives the factors f_j = exp(-mu z_j.xi) of the operator
 twisted by exp(-mu x.xi), or for the random stencil the first-order factors
@@ -158,14 +159,12 @@ class DispersalOperator:
         terms = [(tuple(off), w) for off, w in zip(st.offsets, st.weights) if any(off)]
 
         if habitat.boundary == PERIODIC:
-            axes = tuple(range(habitat.dim))
-            shifts = [([-o for o in off], w) for off, w in terms]
+            index = wrap_index([off for off, _ in terms], habitat.shape)
+            weights = np.array([w for _, w in terms])
 
             def action_wrap(u):
-                acc = np.zeros_like(u)
-                for shift, w in shifts:
-                    acc += w * (np.roll(u, shift, axis=axes) - u)
-                return acc
+                flat = u.ravel()
+                return (weights @ (flat[index] - flat)).reshape(u.shape)
 
             return action_wrap
 
@@ -188,6 +187,15 @@ class DispersalOperator:
 
     def apply(self, u: Field) -> Field:
         return Field(u.habitat, self.bind(u.habitat)(u.values))
+
+
+def wrap_index(offsets, shape):
+    """Flat indices of x + z_j on the periodic grid of the given shape, one
+    row per offset z_j: row j of u.ravel()[index] holds u(x + z_j) for
+    every x in C order.  Coinciding wrapped offsets give equal rows."""
+    grid = np.indices(shape).reshape(len(shape), 1, -1)
+    shifted = grid + np.asarray(offsets, dtype=int).reshape(-1, len(shape)).T[:, :, None]
+    return np.ravel_multi_index(tuple(shifted), shape, mode="wrap")
 
 
 def _difference_slices(off, shape):

@@ -6,9 +6,11 @@ random    Lu = lap u - 2 mu xi.grad u + (a(x) + mu^2) u
 nonlocal  Lu = int exp(-mu (y-x).xi) kappa(y-x) u(y) dy - u(x) + a(x) u(x)
 discrete  Lu = sum_k a_k (exp(-mu k.xi) u(j+k) - u(j)) + a(j) u(j)
 
-All three are one sparse matrix diag(a + d) + sum_j w_j (f_j S_j - I)
-built from the dispersal stencil (offsets z_j, weights w_j, shifts S_j)
-and its twist (factors f_j, diagonal term d; see dispersal._Stencil).
+All three are u -> (a + d) u + sum_j w_j (f_j u(x + z_j) - u), built
+from the dispersal stencil (offsets z_j, weights w_j) and its twist
+(factors f_j, diagonal term d; see dispersal._Stencil).  The neighbours
+x + z_j are gathered through dispersal.wrap_index, the same wrap rule
+the periodic habitat operator uses, so no matrix is stored.
 For a constant coefficient r the dominant eigenvalue is the stencil's
 symbol r + d + sum_j w_j (f_j - 1), which is the closed form.
 
@@ -18,7 +20,7 @@ matrix entrywise nonnegative with positive diagonal, and the iteration
 doubles as a positivity test (a converged eigenvector with a
 nonpositive entry signals an assembly bug, not a math fact).  On cells
 of at most DENSE_START_MAX points the iteration starts from the dense
-Perron vector (numpy.linalg.eig of the assembled matrix), which usually
+Perron vector (numpy.linalg.eig of the dense cell matrix), which usually
 passes the residual test at once; larger cells start from constants.
 """
 
@@ -28,9 +30,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .dispersal import DISCRETE, NONLOCAL, DispersalOperator
+from .dispersal import DISCRETE, NONLOCAL, DispersalOperator, wrap_index
 from .domain import Kernel, LatticeWeights, sampled_directions, unit_direction
 
 # cells up to this many points start the power iteration from the dense
@@ -57,7 +58,7 @@ class PeriodicCoefficient:
 
     def __post_init__(self):
         period = tuple(float(p) for p in np.atleast_1d(self.period))
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # a copy: freezing it spares the caller's
         if values.ndim != len(period):
             raise ValueError("coefficient array rank must match the period tuple")
         if not np.all(np.isfinite(values)):
@@ -101,21 +102,33 @@ class PeriodicCoefficient:
 
 @dataclass(eq=False)
 class CellOperator:
-    """Assembled twisted operator on a periodic cell.
+    """Twisted operator on a periodic cell,
+    (Lu)(x) = diag(x) u(x) + sum_j values_j u(x + z_j).
 
-    matvec acts on arrays of cell shape; shift is large enough that
-    (matvec + shift I) is entrywise nonnegative with positive diagonal.
+    index (one row per offset z_j, see dispersal.wrap_index) holds the
+    flat indices of x + z_j, values the w_j f_j and diag the flattened
+    diagonal.  matvec acts on arrays of cell shape; shift is large enough
+    that (matvec + shift I) is entrywise nonnegative with positive
+    diagonal.
     """
 
     shape: tuple
     shift: float
-    _matrix: sparse.csr_matrix
+    index: np.ndarray
+    values: np.ndarray
+    diag: np.ndarray
 
     def matvec(self, u):
-        return (self._matrix @ u.ravel()).reshape(self.shape)
+        flat = u.ravel()
+        return (self.values @ flat[self.index] + self.diag * flat).reshape(self.shape)
 
     def to_matrix(self):
-        return self._matrix.toarray()
+        """The dense matrix; coinciding wrapped entries add up."""
+        n = self.diag.size
+        matrix = np.diag(self.diag)
+        rows = np.broadcast_to(np.arange(n), self.index.shape)
+        np.add.at(matrix, (rows, self.index), self.values[:, None])
+        return matrix
 
 
 def cell_stencil(kind, a: PeriodicCoefficient, kernel: Kernel = None,
@@ -160,22 +173,9 @@ def assemble_cell_operator(
     factors, _, diag = st.twist(mu, unit_direction(xi, a.dim))
     coeff = a.values
     mass = float(st.weights.sum())
-    matrix = _wrapped_matrix(st.offsets, st.weights * factors, coeff + diag - mass)
     shift = 1.0 + float(np.abs(coeff).max()) + mu * mu + mass
-    return CellOperator(coeff.shape, shift, matrix)
-
-
-def _wrapped_matrix(offsets, values, diag):
-    """CSR matrix of u -> diag u + sum_j values_j u(x + offsets_j) on the
-    periodic grid of diag's shape; coinciding wrapped entries add up."""
-    n = diag.size
-    index = np.arange(n).reshape(diag.shape)
-    axes = tuple(range(diag.ndim))
-    cols = [np.roll(index, [-o for o in off], axis=axes).ravel() for off in offsets]
-    rows = np.tile(index.ravel(), len(offsets) + 1)
-    cols = np.concatenate(cols + [index.ravel()])
-    data = np.concatenate([np.repeat(values, n), diag.ravel()])
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return CellOperator(coeff.shape, shift, wrap_index(st.offsets, coeff.shape),
+                        st.weights * factors, (coeff + diag - mass).ravel())
 
 
 @dataclass(eq=False)

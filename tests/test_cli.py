@@ -72,8 +72,10 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     assert main(["validate", cfg]) == 2
     assert "reaction.r0" in capsys.readouterr().err
 
-    # solver keys that fail to parse name themselves
-    for line, key in [("dt = abc", "solver.dt"), ("record_every = x", "solver.record_every")]:
+    # solver keys that fail to parse, or fall out of range, name themselves
+    for line, key in [("dt = abc", "solver.dt"), ("record_every = x", "solver.record_every"),
+                      ("record_every = 0", "solver.record_every"),
+                      ("record_every = -7", "solver.record_every")]:
         text = DISCRETE_FRONT.format(out=tmp_path / "o4").replace("dt = auto", line)
         cfg = _write(tmp_path, "unparsable.cfg", text)
         assert main(["validate", cfg]) == 2, line
@@ -91,6 +93,20 @@ def test_unparsable_environment_exits_2(tmp_path, monkeypatch, capsys):
             assert name in capsys.readouterr().err
     monkeypatch.setenv("KPPLAB_JOBS", "2")
     assert main(["validate", cfg]) == 0
+
+
+def test_jobs_below_one_exit_2(tmp_path, monkeypatch, capsys):
+    # never run serially in silence: a job count below 1 is refused
+    cfg = _write(tmp_path, "ok.cfg", DISCRETE_FRONT.format(out=tmp_path / "out"))
+    for argv, env, name in [(["--jobs", "0"], None, "--jobs"), (["--jobs", "-3"], None, "--jobs"),
+                            ([], "0", "KPPLAB_JOBS")]:
+        with monkeypatch.context() as m:
+            if env is not None:
+                m.setenv("KPPLAB_JOBS", env)
+            with pytest.raises(SystemExit) as exc:
+                main(["validate", cfg, *argv])
+            assert exc.value.code == 2
+            assert name in capsys.readouterr().err
 
 
 def test_reaction_breaking_h1_exits_2(tmp_path, capsys):

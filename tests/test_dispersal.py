@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -68,7 +68,8 @@ def test_twisted_at_mu_zero_matches_apply():
                      kernel=op.kernel, weights=op.weights)
         u = rng.random(hab.shape)
         ref = op.apply(Field(hab, u)).values
-        # matrix and difference form sum in different orders
+        # the cell sums w_j u(x + z_j) - (sum_j w_j) u(x), the habitat
+        # operator sum_j w_j (u(x + z_j) - u(x)): different rounding
         assert np.abs(cell.matvec(u) - ref).max() <= 1e-14 * np.abs(ref).max(), op.kind
 
 
@@ -242,6 +243,40 @@ def test_stencil_properties(case, boundary, mu_h, angle, value):
     symbol = closed_form_eigenvalue(op.kind, mu, xi, 0.0, resolution=spacing, **payload)
     mass = op._stencil(dim, spacing).weights.sum()
     assert np.abs(ones - symbol).max() <= 1e-12 * (1.0 + mass)
+
+
+@settings(deadline=None, derandomize=True)
+@given(_stencil_cases(), st.floats(-0.99, 0.99), st.floats(0.0, 2.0 * np.pi),
+       st.integers(0, 99))
+@example((DispersalOperator.discrete(LatticeWeights(2, LatticeWeights.symmetric(2).offsets,
+                                                    [0.5, 1.0, 1.5, 2.0])), 2, 1.0, 2),
+         0.7, 0.4, 0)
+def test_twisted_cell_matches_dense_oracle(case, mu_h, angle, seed):
+    """The twisted cell operator against its matrix built entry by entry
+    with (i + z) mod n; lattice cells go down to 2 points per axis, where
+    the offsets +1 and -1 wrap onto the same neighbour and must add."""
+    op, dim, spacing, m = case
+    n = m if op.kind == "discrete" else 2 * m + 1
+    rng = np.random.default_rng(seed)
+    a = PeriodicCoefficient((n * spacing,) * dim, spacing, rng.uniform(-1.0, 1.0, (n,) * dim))
+    xi = np.array([np.cos(angle), np.sin(angle)]) if dim == 2 else np.array([1.0])
+    mu = mu_h / spacing
+    stencil = op._stencil(dim, spacing)
+    index = np.arange(n ** dim).reshape(a.values.shape)
+    dense = np.zeros((n ** dim, n ** dim))
+    for point in np.ndindex(a.values.shape):
+        row = index[point]
+        dense[row, row] += a.values[point] + (mu * mu if op.kind == "random" else 0.0)
+        for off, w in zip(stencil.offsets, stencil.weights):
+            drift = mu * spacing * float(np.dot(off, xi))
+            factor = 1.0 - drift if op.kind == "random" else np.exp(-drift)
+            dense[row, index[tuple((p + z) % n for p, z in zip(point, off))]] += w * factor
+            dense[row, row] -= w
+    cell = assemble_cell_operator(op.kind, mu, xi, a, kernel=op.kernel, weights=op.weights)
+    assert np.abs(cell.to_matrix() - dense).max() <= 1e-14 * np.abs(dense).max()
+    u = rng.random(a.values.shape)
+    out = cell.matvec(u).ravel()
+    assert np.abs(out - dense @ u.ravel()).max() <= 1e-14 * (np.abs(dense) @ u.ravel()).max()
 
 
 @settings(deadline=None, derandomize=True)

@@ -1,8 +1,14 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import kpplab
 from kpplab import (
     DispersalOperator,
     Field,
@@ -85,6 +91,38 @@ def test_stability_bound_refusal():
     bound = stability_dt_bound(op, FISHER, HAB.full(1.0))
     with pytest.raises(StabilityError, match="stability bound"):
         evolve(op, FISHER, HAB.full(1.0), T=1.0, dt=bound * 1.5)
+
+
+def test_record_every_below_one_is_refused():
+    op = DispersalOperator.random()
+    for record_every in (0, -7):
+        with pytest.raises(ValueError, match="record_every"):
+            evolve(op, FISHER, HAB.full(1.0), T=1.0, dt=0.01, record_every=record_every)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
+def test_large_grid_steps_do_not_page_fault():
+    # the 209 x 209 grid of perfbench/configs/spread_random.cfg: every rk4
+    # step makes a dozen 341 KiB temporaries, which must come from the heap
+    # and not from fresh mappings (about 2,300 minor faults a step).  A
+    # fresh process, since what other tests import moves glibc's threshold;
+    # a one-step warm-up first grows the heap.
+    code = textwrap.dedent("""
+        import resource
+        from kpplab import DispersalOperator, Habitat, Reaction, evolve, stability_dt_bound
+        hab = Habitat("continuum", 2, 26.0, 0.25)
+        op, rea = DispersalOperator.random(), Reaction.linear(1.0, 1.0, 0.5, 1.5)
+        u0 = hab.full(0.5)
+        dt = 0.95 * stability_dt_bound(op, rea, u0)
+        evolve(op, rea, u0, T=dt, dt=dt)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        evolve(op, rea, u0, T=20 * dt, dt=dt, record_every=10 ** 9)
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+    """)
+    src = os.path.dirname(os.path.dirname(kpplab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert float(out.stdout) < 100.0
 
 
 def test_divergence_is_reported_with_time(monkeypatch):

@@ -226,6 +226,13 @@ def test_mu_zero_directional_independence_2d():
         assert max(lams) - min(lams) < 1e-9, kind
 
 
+def test_periodic_coefficient_copies_the_callers_array():
+    vals = np.ones(8)
+    a = PeriodicCoefficient((8.0,), 1.0, vals)
+    vals[0] = 5.0  # the caller's array stays writable
+    assert a.values[0] == 1.0 and not a.values.flags.writeable
+
+
 def test_power_iteration_cap():
     # 512 points: above the dense-start cutoff, so the iteration starts
     # from constants and cannot converge in 3 steps
@@ -269,7 +276,10 @@ def test_dense_start_is_polished_to_the_certificate():
 
 
 def test_uncertified_dense_start_raises():
-    op = _wide_kernel_cell(6.0, 14.0, 3.0)
+    # lambda is about 2.9e6 here, so one rounding of (L + s) v is about
+    # 3e-10, above the absolute 1e-10 certificate: the residual stalls
+    # near 3e-9 whatever the summation order
+    op = _wide_kernel_cell(7.0, 16.0, 3.0)
     with pytest.raises(PowerIterationError, match="residual"):
         principal_eigenvalue(op, max_iter=200)
 
@@ -329,10 +339,13 @@ def test_principal_eigenpair_matches_power_iteration_oracle(case):
 
 def test_import_leaves_out_scipy_linalg():
     # scipy.linalg (also pulled in by scipy.sparse.linalg) adds about
-    # 140 ms and 9 MiB to every start-up; the dense solve uses numpy.linalg
+    # 140 ms and 9 MiB to every start-up, scipy.sparse about 90 ms and
+    # 17 MiB; the dense solve uses numpy.linalg and the cell operator
+    # gathers its neighbours through dispersal.wrap_index
     src = os.path.dirname(os.path.dirname(kpplab.__file__))
-    code = ("import sys, kpplab; "
-            "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])")
+    modules = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
+    code = ("import sys, kpplab, kpplab.cli; "
+            f"print([m for m in {modules!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
