@@ -175,6 +175,7 @@ def build_dispersal(cp, habitat) -> DispersalOperator:
 
 
 def build_solver(cp):
+    # selects nothing (the kind and dt pick the scheme); older configs set rk4
     _get(cp, "solver", "scheme", str, default=RK4, choices={RK4})
     T = _get(cp, "solver", "T", float, default=100.0)
     dt = _get(cp, "solver", "dt", _or_auto(float), default=None)
@@ -231,6 +232,8 @@ def _exp_front_speed(keys, habitat, reaction, op, solver, options):
         "fit_window": list(est.window),
         "cones_ok": cones.ok,
         "clip_count": run.traj.clip_count,
+        "scheme": run.traj.scheme,
+        "rhs_evals": run.traj.rhs_evals,
         "verdict": "pass" if ok else "fail",
     }
     artifacts = {
@@ -273,7 +276,7 @@ def _exp_invariance_sweep(keys, habitat, reaction, op, solver, options):
         "verdict": "pass" if report.ok else "fail",
         "cells": [
             {"amplitude": r.amplitude, "c_empirical": r.c_emp, "relative_error": r.rel_error,
-             "clip_count": r.clip_count}
+             "clip_count": r.clip_count, "scheme": r.scheme, "rhs_evals": r.rhs_evals}
             for r in report.rows
         ],
     }
@@ -306,6 +309,8 @@ def _exp_spreading_features(keys, habitat, reaction, op, solver, options):
         "threshold": verdict.threshold,
         "c_used": verdict.c_used,
         "clip_count": verdict.clip_count,
+        "scheme": verdict.scheme,
+        "rhs_evals": verdict.rhs_evals,
         "verdict": "pass" if verdict.ok else "fail",
     }
     return verdict.ok, summary, {}

@@ -3,10 +3,24 @@ structure that KPP flows preserve: comparison of ordered solutions,
 the part metric on strictly positive states, and exponential-envelope
 super-solution checks.
 
-Classical fourth-order Runge-Kutta (rk4) only.  Step sizes are refused
-up front when they violate the documented stability bound, negatives
-produced by roundoff are clipped to zero with systematic negativity
-counted, and divergence is reported with the first bad time.
+Two explicit schemes share one stepping loop (clip accounting,
+invariant-region guard, record rule):
+
+rk4   classical fourth-order Runge-Kutta, the scheme of evolve.  It
+      preserves the order of solutions at the documented step bound, so
+      the comparison and part-metric checks use it, and it is the oracle
+      for rkc2.
+rkc2  second-order Runge-Kutta-Chebyshev with damping 2/13 (Sommeijer,
+      Shampine & Verwer 1998; Verwer, Sommeijer & Hundsdorfer 2004).  Its
+      s stages reach the stability interval beta(s), about 0.65 s^2, so
+      the random kind is not held to the h^2 step of rk4.  It is not
+      order-preserving; march uses it only for the random kind at an
+      automatic step (the front, spreading and stability marches).
+
+Step sizes are refused up front when they violate the documented
+stability bound, negatives produced by roundoff are clipped to zero with
+systematic negativity counted, and divergence is reported with the first
+bad time.
 """
 
 from __future__ import annotations
@@ -20,9 +34,14 @@ from .dispersal import RANDOM, DispersalOperator
 from .domain import Field, Habitat, Reaction, unit_direction
 
 RK4 = "rk4"
+RKC2 = "rkc2"
 
 _CLIP_NOISE = 1e-14  # negatives beyond this magnitude count as systematic
 _STABILITY_SAFETY = 0.2
+_STEP_FRACTION = 0.95  # automatic steps stay this far inside the bound
+_RKC2_DAMPING = 2.0 / 13.0
+_RKC2_STAGE_SAFETY = 1.05  # beta(s) must cover 1.05 dt times the spectral bound
+_RECORDED_SNAPSHOTS = 240  # the automatic record rule keeps about this many
 _COMPARISON_TOL = 5e-10
 
 
@@ -42,6 +61,8 @@ class Trajectory:
     times: np.ndarray
     snapshots: list
     clip_count: int = 0
+    scheme: str = RK4  # the stepping scheme, rk4 or rkc2
+    rhs_evals: int = 0  # right-hand-side evaluations over the whole march
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -56,22 +77,28 @@ class Trajectory:
         return self.snapshots[-1]
 
 
+def _max_growth(reaction: Reaction, u0: Field) -> float:
+    """max|f| on the grid at u in {0, M} with M = max(max u0, beta0) + 1;
+    f is monotone in u so the endpoints dominate."""
+    h = u0.habitat
+    m_bound = max(u0.max, reaction.beta0) + 1.0
+    f_lo = reaction.evaluate(h, np.full(h.shape, m_bound))
+    f_hi = reaction.evaluate(h, np.zeros(h.shape))
+    return max(float(np.abs(f_lo).max()), float(np.abs(f_hi).max()))
+
+
 def stability_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
-    """Largest admissible dt for explicit stepping.
+    """Largest admissible rk4 step for u0.
 
     every kind:  dt <= 0.25 / (mass + max|f| + 1), a bounded-operator bound
                  with mass = sum of a_k (discrete) or 1 (nonlocal, random)
     random:      also dt <= h^2 / (2 dim (1 + safety)), the Laplacian's bound
 
-    max|f| is evaluated at u in {0, M} with M = max(max u0, beta0) + 1;
-    f is monotone in u so the endpoints dominate.
+    max|f| is evaluated at u in {0, M} with M = max(max u0, beta0) + 1.
+    rkc2 does not use the Laplacian clause: its stage count covers it.
     """
     h = u0.habitat
-    m_bound = max(u0.max, reaction.beta0) + 1.0
-    f_lo = reaction.evaluate(h, np.full(h.shape, m_bound))
-    f_hi = reaction.evaluate(h, np.zeros(h.shape))
-    max_f = max(float(np.abs(f_lo).max()), float(np.abs(f_hi).max()))
-    bound = 0.25 / (op.operator_mass + max_f + 1.0)
+    bound = 0.25 / (op.operator_mass + _max_growth(reaction, u0) + 1.0)
     if op.kind == RANDOM:
         bound = min(bound, h.spacing ** 2 / (2.0 * h.dim * (1.0 + _STABILITY_SAFETY)))
     return bound
@@ -79,7 +106,111 @@ def stability_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> 
 
 def step_size(op: DispersalOperator, reaction: Reaction, u0: Field, dt: float = None) -> float:
     """The given dt, else 0.95 times the stability bound for u0."""
-    return dt if dt is not None else 0.95 * stability_dt_bound(op, reaction, u0)
+    return dt if dt is not None else _STEP_FRACTION * stability_dt_bound(op, reaction, u0)
+
+
+def _record_every(T: float, dt: float, given: int = None) -> int:
+    """The given record_every, else one that keeps about 240 snapshots."""
+    return given if given is not None else max(1, int(math.ceil(T / dt / _RECORDED_SNAPSHOTS)))
+
+
+# ----------------------------------------------------------------------
+# rkc2: coefficients, stability interval and step rule
+# ----------------------------------------------------------------------
+
+
+def _chebyshev(s: int, w: float):
+    """T_j(w), T_j'(w) and T_j''(w) for j = 0..s by the three-term recurrence."""
+    t, d1, d2 = [1.0, w], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        t.append(2.0 * w * t[j - 1] - t[j - 2])
+        d1.append(2.0 * t[j - 1] + 2.0 * w * d1[j - 1] - d1[j - 2])
+        d2.append(4.0 * d1[j - 1] + 2.0 * w * d2[j - 1] - d2[j - 2])
+    return t, d1, d2
+
+
+def rkc2_coefficients(s: int):
+    """(mu~_1, stages, beta) of the damped s-stage rkc2 scheme (Verwer,
+    Sommeijer & Hundsdorfer 2004, eq. 2.6), with stages the tuples
+    (mu_j, nu_j, mu~_j, gamma~_j) for j = 2..s.  Its stability polynomial
+    is R_s(z) = a_s + b_s T_s(w0 + w1 z), with |R_s| <= 1 on [-beta, 0]."""
+    if s < 2:
+        raise ValueError(f"rkc2 needs at least 2 stages, got {s}")
+    w0 = 1.0 + _RKC2_DAMPING / s ** 2
+    t, d1, d2 = _chebyshev(s, w0)
+    w1 = d1[s] / d2[s]
+    b = [d2[max(j, 2)] / d1[max(j, 2)] ** 2 for j in range(s + 1)]  # b_0 = b_1 = b_2
+    stages = []
+    for j in range(2, s + 1):
+        mu_t = 2.0 * b[j] * w1 / b[j - 1]
+        a_prev = 1.0 - b[j - 1] * t[j - 1]
+        stages.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mu_t, -a_prev * mu_t))
+    return b[1] * w1, stages, (1.0 + w0) / w1
+
+
+def rkc2_rule(op: DispersalOperator, reaction: Reaction, u0: Field):
+    """(dt, s, rho) of the random kind's rkc2 march from u0.
+
+    dt is half the automatic step of the bounded-operator clause of
+    stability_dt_bound, 0.5 * 0.95 * 0.25 / (mass + max|f| + 1): the h^2
+    clause is left to the stages, and the half keeps the front speed
+    within 1e-3 of rk4's.  rho = 4 dim / h^2 + max|f| bounds the spectral
+    radius of the linearized right-hand side, and s is the smallest stage
+    count with beta(s) >= 1.05 dt rho.
+    """
+    h = u0.habitat
+    max_f = _max_growth(reaction, u0)
+    dt = 0.5 * _STEP_FRACTION * 0.25 / (op.operator_mass + max_f + 1.0)
+    rho = 4.0 * h.dim / h.spacing ** 2 + max_f
+    s = 2
+    while rkc2_coefficients(s)[2] < _RKC2_STAGE_SAFETY * dt * rho:
+        s += 1
+    return dt, s, rho
+
+
+def _rkc2_stepper(dt: float, s: int):
+    """One rkc2 step in increment form: with D_j = Y_j - u,
+    D_j = mu_j D_{j-1} + nu_j D_{j-2} + dt (mu~_j F(u + D_{j-1}) + gamma~_j F0),
+    so a state with F = 0 exactly (a constant equilibrium, the zeros
+    ahead of a front) is kept bit for bit."""
+    first, stages, _ = rkc2_coefficients(s)
+    first *= dt
+    scaled = [(m, n, dt * mt, dt * gt) for m, n, mt, gt in stages]
+
+    def step(rhs, u):
+        f0 = rhs(u)
+        d_prev, d = None, first * f0
+        for j, (m, n, mt, gt) in enumerate(scaled, start=2):
+            y = rhs(u + d)
+            y *= mt
+            y += gt * f0
+            y += m * d
+            if j > 2:  # D_0 = 0
+                y += n * d_prev
+            d_prev, d = d, y
+        return u + d
+
+    return step
+
+
+def _rk4_stepper(dt: float):
+    def step(rhs, u):
+        k1 = rhs(u)
+        k2 = rhs(u + (0.5 * dt) * k1)
+        k3 = rhs(u + (0.5 * dt) * k2)
+        k4 = rhs(u + dt * k3)
+        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return step
+
+
+def _check_march(u0: Field, T: float, dt: float, record_every: int):
+    if not u0.is_nonnegative():
+        raise ValueError("initial data must be nonnegative")
+    if not (T > 0 and dt > 0):
+        raise ValueError("T and dt must be positive")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
 
 
 def evolve(
@@ -93,25 +224,50 @@ def evolve(
     """Integrate by rk4 to final time >= T, recording every record_every
     (at least 1) steps and the last.
 
+    dt must not exceed stability_dt_bound (StabilityError otherwise).
     u0 must be nonnegative.  All snapshots are nonnegative (roundoff
     negatives are zeroed; clip_count counts values below -1e-14) and
     bounded by max(max u0, beta0) + 1, the invariant-region bound; any
     excursion past it or a non-finite value aborts with the first bad
     time.
     """
-    if not u0.is_nonnegative():
-        raise ValueError("initial data must be nonnegative")
-    if not (T > 0 and dt > 0):
-        raise ValueError("T and dt must be positive")
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every}")
-    habitat = u0.habitat
+    _check_march(u0, T, dt, record_every)
     bound = stability_dt_bound(op, reaction, u0)
     if dt > bound * (1.0 + 1e-12):
         raise StabilityError(
             f"dt={dt} violates the stability bound {bound:.6g} for kind={op.kind}"
         )
+    return _step_loop(op, reaction, u0, T, dt, record_every, _rk4_stepper(dt), RK4, 4)
 
+
+def march(
+    op: DispersalOperator,
+    reaction: Reaction,
+    u0: Field,
+    T: float,
+    dt: float = None,
+    record_every: int = None,
+) -> Trajectory:
+    """The march of the front, spreading and stability runs.
+
+    The random kind with dt None steps by rkc2 at the (dt, s) of rkc2_rule;
+    every other case is evolve (rk4) at dt, or at 0.95 times the
+    stability bound when dt is None.  record_every None keeps about 240
+    snapshots.  Snapshots obey evolve's clip, bound and record rules.
+    """
+    if op.kind == RANDOM and dt is None:
+        dt, s, _ = rkc2_rule(op, reaction, u0)
+        record_every = _record_every(T, dt, record_every)
+        _check_march(u0, T, dt, record_every)
+        return _step_loop(op, reaction, u0, T, dt, record_every, _rkc2_stepper(dt, s), RKC2, s)
+    dt = step_size(op, reaction, u0, dt)
+    return evolve(op, reaction, u0, T, dt, _record_every(T, dt, record_every))
+
+
+def _step_loop(op, reaction, u0, T, dt, record_every, step, scheme, evals_per_step):
+    """The stepping loop of every scheme: u <- step(rhs, u), then clip
+    accounting, the invariant-region guard and the record rule."""
+    habitat = u0.habitat
     disp = op.bind(habitat)
     growth = reaction.bind(habitat)
 
@@ -134,13 +290,9 @@ def evolve(
     snapshots = [u0]
     clip_count = 0
 
-    for step in range(1, n_steps + 1):
-        k1 = rhs(u)
-        k2 = rhs(u + (0.5 * dt) * k1)
-        k3 = rhs(u + (0.5 * dt) * k2)
-        k4 = rhs(u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = step * dt
+    for k in range(1, n_steps + 1):
+        u = step(rhs, u)
+        t = k * dt
 
         umin = u.min()
         if umin < 0.0:
@@ -152,7 +304,7 @@ def evolve(
                 f"integration diverged at t={t:.6g} (max={umax!r}, bound={m_bound:.6g})"
             )
 
-        if step % record_every == 0 or step == n_steps:
+        if k % record_every == 0 or k == n_steps:
             times.append(t)
             snapshots.append(Field(habitat, u))
 
@@ -161,6 +313,8 @@ def evolve(
         times=np.asarray(times),
         snapshots=snapshots,
         clip_count=clip_count,
+        scheme=scheme,
+        rhs_evals=evals_per_step * n_steps,
     )
 
 

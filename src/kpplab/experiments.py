@@ -1,5 +1,7 @@
 """End-to-end spreading experiments, the pipelines behind the CLI.
-run_front is the one front run of front_speed and of each sweep cell.
+run_front is the one front run of front_speed and of each sweep cell;
+it and the compact-data checks step by dynamics.march (rkc2 for the
+random kind at an automatic step, rk4 otherwise).
 
 Front positions are tracked as the farthest level crossing along a
 direction, empirical speeds come from a least-squares slope over a
@@ -28,7 +30,7 @@ from .domain import (
     sampled_directions,
     unit_direction,
 )
-from .dynamics import Trajectory, evolve, step_size
+from .dynamics import Trajectory, march
 from .speeds import SpeedResult, theoretical_speed
 from .stationary import FROM_ABOVE, solve_stationary
 
@@ -174,11 +176,6 @@ def estimate_speed(
     )
 
 
-def _record_every(T, dt, given=None):
-    """The given record_every, else one that keeps about 240 snapshots."""
-    return given if given is not None else max(1, int(math.ceil(T / dt / 240)))
-
-
 def _trailing_window(traj: Trajectory):
     """(t, snapshot) pairs over the last quarter of the recorded times."""
     start = 0.75 * float(traj.times[-1])
@@ -207,9 +204,7 @@ def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T
     if not np.all(reaction.r0 + reaction.perturbation(habitat) > 0.0):
         raise ValueError(f"amplitude {reaction.amplitude} makes f(x, 0) nonpositive somewhere")
 
-    u0 = make_front_initial(habitat, xi, sigma0)
-    dt = step_size(op, reaction, u0, dt)
-    traj = evolve(op, reaction, u0, T, dt, _record_every(T, dt, record_every))
+    traj = march(op, reaction, make_front_initial(habitat, xi, sigma0), T, dt, record_every)
     trace = track_front(traj, xi, level_fraction * reaction.u0_star)
     est = estimate_speed(trace, burn_in, exclusion=op.delta0 + 10.0 * habitat.spacing)
     theory = theoretical_speed(
@@ -308,6 +303,8 @@ class SweepRow:
     rms_residual: float
     window: tuple
     clip_count: int
+    scheme: str
+    rhs_evals: int
 
 
 @dataclass(eq=False)
@@ -339,6 +336,8 @@ def run_invariance_cell(setup: SweepSetup, amplitude: float) -> SweepRow:
         rms_residual=est.rms_residual,
         window=est.window,
         clip_count=run.traj.clip_count,
+        scheme=run.traj.scheme,
+        rhs_evals=run.traj.rhs_evals,
     )
 
 
@@ -381,6 +380,8 @@ class ClauseVerdict:
     c_used: float
     margin: float
     clip_count: int
+    scheme: str
+    rhs_evals: int
 
 
 def run_compact_spreading_checks(
@@ -427,8 +428,7 @@ def run_compact_spreading_checks(
         raise ValueError("support radius does not fit in the habitat")
     u0 = Field(habitat, sigma * np.clip(r + 1.0 - coord, 0.0, 1.0))
 
-    dt = step_size(op, reaction, u0, dt)
-    traj = evolve(op, reaction, u0, T, dt, record_every=_record_every(T, dt))
+    traj = march(op, reaction, u0, T, dt)
 
     if clause in (2, 4) and u_star is None:
         u_star = solve_stationary(op, reaction, habitat, route=FROM_ABOVE).u_star
@@ -457,4 +457,6 @@ def run_compact_spreading_checks(
         c_used=c_max if clause in (1, 3) else c_min,
         margin=margin,
         clip_count=traj.clip_count,
+        scheme=traj.scheme,
+        rhs_evals=traj.rhs_evals,
     )

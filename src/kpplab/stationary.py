@@ -25,7 +25,7 @@ import numpy as np
 
 from .dispersal import DispersalOperator
 from .domain import Field, Habitat, Reaction
-from .dynamics import evolve, step_size
+from .dynamics import march
 from .eigen import PeriodicCoefficient, assemble_cell_operator, principal_eigenvalue
 
 FROM_ABOVE = "from-above"
@@ -350,12 +350,13 @@ def check_stability(
     T: float = 200.0,
     tol: float = 1e-4,
 ) -> StabilityReport:
-    """Evolve strictly positive perturbations and report the max-norm
-    distance to u_star at the horizon; passes when all are below tol."""
+    """March strictly positive perturbations (rkc2 for the random kind,
+    rk4 otherwise) and report the max-norm distance to u_star at the
+    horizon; passes when all are below tol."""
     distances = []
     for u0 in perturbations:
         if not u0.is_strictly_positive():
             raise ValueError("perturbations must be strictly positive")
-        traj = evolve(op, reaction, u0, T, step_size(op, reaction, u0), record_every=10 ** 9)
+        traj = march(op, reaction, u0, T, record_every=10 ** 9)
         distances.append(float(np.abs(traj.final.values - u_star.values).max()))
     return StabilityReport(all(d < tol for d in distances), tuple(distances), tol, T)

@@ -1,4 +1,5 @@
 import json
+import math
 import textwrap
 
 import pytest
@@ -150,6 +151,51 @@ def test_front_speed_run_and_determinism(tmp_path):
     assert main(["run", cfg1, "--quiet"]) == 3
 
 
+RANDOM_FRONT = """
+[habitat]
+kind = continuum
+dim = 1
+half_extent = 100
+spacing = 0.2
+
+[reaction]
+r0 = 1.0
+b = 1.0
+amplitude = 0.5
+
+[dispersal]
+kind = random
+
+[solver]
+T = 40
+dt = {dt}
+
+[experiment]
+name = front_speed
+
+[output]
+directory = {out}
+"""
+
+
+def test_front_speed_reports_its_scheme(tmp_path):
+    # the random kind marches by rkc2 at dt = auto and by rk4 at an
+    # explicit admissible dt; summary.json says which, and how many
+    # right-hand sides it evaluated
+    summaries = {}
+    for dt in ("auto", "0.015"):
+        out = tmp_path / dt
+        cfg = _write(tmp_path, f"{dt}.cfg", RANDOM_FRONT.format(dt=dt, out=out))
+        assert main(["run", cfg, "--quiet"]) == 0, dt
+        summaries[dt] = json.loads((out / "front_speed" / "summary.json").read_text())
+    auto, explicit = summaries["auto"], summaries["0.015"]
+    assert auto["scheme"] == "rkc2" and explicit["scheme"] == "rk4"
+    assert explicit["rhs_evals"] == 4 * math.ceil(40 / 0.015 - 1e-12)
+    assert 0 < auto["rhs_evals"] < explicit["rhs_evals"]
+    assert auto["verdict"] == explicit["verdict"] == "pass"
+    assert auto["clip_count"] == explicit["clip_count"] == 0
+
+
 def test_expected_fail_negative_control(tmp_path):
     out = tmp_path / "neg"
     text = """
@@ -183,6 +229,7 @@ def test_expected_fail_negative_control(tmp_path):
     summary = json.loads((out / "spreading_features" / "summary.json").read_text())
     assert summary["verdict"] == "expected-fail: confirmed"
     assert summary["clip_count"] == 0
+    assert summary["scheme"] == "rk4" and summary["rhs_evals"] > 0
 
 
 def test_speed_and_eigen_subcommands(tmp_path):
@@ -272,6 +319,8 @@ def test_invariance_sweep_with_jobs(tmp_path):
     assert summary["verdict"] == "pass"
     assert len(summary["cells"]) == 2
     assert summary["clip_count"] == 0 and [c["clip_count"] for c in summary["cells"]] == [0, 0]
+    assert [c["scheme"] for c in summary["cells"]] == ["rk4", "rk4"]
+    assert all(c["rhs_evals"] > 0 for c in summary["cells"])
     sweep = (out / "invariance_sweep" / "sweep.csv").read_text().splitlines()
     assert sweep[0].startswith("amplitude,")
 
@@ -462,7 +511,7 @@ def test_stationary_profile_stops_at_solver_T(tmp_path, capsys):
 
 def test_clipping_fails_the_verdict(tmp_path, monkeypatch):
     # a systematic negative clip is an error, not a footnote: the same
-    # runs pass when nothing is clipped and fail when evolve reports one
+    # runs pass when nothing is clipped and fail when the march reports one
     import dataclasses
 
     import kpplab.experiments as experiments
@@ -476,12 +525,12 @@ def test_clipping_fails_the_verdict(tmp_path, monkeypatch):
     cases = [("front_speed", DISCRETE_FRONT, "pass"), ("invariance_sweep", sweep, "pass"),
              ("spreading_features", spreading, "pass"),
              ("spreading_features", control, "expected-fail: confirmed")]
-    real = experiments.evolve
+    real = experiments.march
     for clips in (0, 1):
         def clip(*args, **kwargs):
             return dataclasses.replace(real(*args, **kwargs), clip_count=clips)
 
-        monkeypatch.setattr(experiments, "evolve", clip)
+        monkeypatch.setattr(experiments, "march", clip)
         for k, (name, text, unclipped) in enumerate(cases):
             out = tmp_path / f"{k}-{clips}"
             cfg = _write(tmp_path, f"{k}.cfg", text.format(out=out))

@@ -7,6 +7,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kpplab
 from kpplab import (
@@ -26,6 +28,7 @@ from kpplab import (
     part_metric,
     stability_dt_bound,
 )
+from kpplab.dynamics import RKC2, march, rkc2_coefficients, rkc2_rule
 
 HAB = Habitat("continuum", 1, 10.0, 0.25)
 FISHER = Reaction.linear(1.0, 1.0)
@@ -103,13 +106,14 @@ def test_record_every_below_one_is_refused():
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
 def test_large_grid_steps_do_not_page_fault():
     # the 209 x 209 grid of perfbench/configs/spread_random.cfg: every rk4
-    # step makes a dozen 341 KiB temporaries, which must come from the heap
-    # and not from fresh mappings (about 2,300 minor faults a step).  A
-    # fresh process, since what other tests import moves glibc's threshold;
-    # a one-step warm-up first grows the heap.
+    # or rkc2 step makes a dozen 341 KiB temporaries, which must come from
+    # the heap and not from fresh mappings (about 2,300 minor faults a
+    # step).  A fresh process, since what other tests import moves glibc's
+    # threshold; a one-step warm-up first grows the heap.
     code = textwrap.dedent("""
         import resource
         from kpplab import DispersalOperator, Habitat, Reaction, evolve, stability_dt_bound
+        from kpplab.dynamics import march, rkc2_rule
         hab = Habitat("continuum", 2, 26.0, 0.25)
         op, rea = DispersalOperator.random(), Reaction.linear(1.0, 1.0, 0.5, 1.5)
         u0 = hab.full(0.5)
@@ -118,11 +122,18 @@ def test_large_grid_steps_do_not_page_fault():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         evolve(op, rea, u0, T=20 * dt, dt=dt, record_every=10 ** 9)
         print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+        dt = rkc2_rule(op, rea, u0)[0]
+        march(op, rea, u0, T=dt)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert march(op, rea, u0, T=20 * dt, record_every=10 ** 9).scheme == "rkc2"
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
     """)
     src = os.path.dirname(os.path.dirname(kpplab.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert float(out.stdout) < 100.0
+    rk4_faults, rkc2_faults = map(float, out.stdout.split())
+    assert rk4_faults < 100.0
+    assert rkc2_faults < 100.0
 
 
 def test_divergence_is_reported_with_time(monkeypatch):
@@ -193,17 +204,49 @@ def test_comparison_identical_and_scaled():
     assert t2.snapshots[k].values[center] - t1.snapshots[k].values[center] > 0.0
 
 
-def test_comparison_across_kinds_random_pairs():
-    rng = np.random.default_rng(17)
-    for op, hab in _three_ops():
-        for _ in range(5):
-            lo = rng.random(hab.shape)
-            hi = lo + rng.random(hab.shape)
-            dt = _dt(op, FISHER, Field(hab, hi))
-            t1 = evolve(op, FISHER, Field(hab, lo), T=1.0, dt=dt, record_every=20)
-            t2 = evolve(op, FISHER, Field(hab, hi), T=1.0, dt=dt, record_every=20)
-            rep = check_comparison(t1, t2)
-            assert rep.ok, (op.kind, rep)
+@st.composite
+def _order_problems(draw):
+    """(op, reaction, habitat): kind, dimension, clamp or periodic boundary,
+    kernel profile and delta0, symmetric or asymmetric lattice rates and a
+    localized growth law, on grids small enough for many rk4 marches."""
+    kind = draw(st.sampled_from(["random", "nonlocal", "discrete"]))
+    dim = draw(st.integers(1, 2))
+    boundary = draw(st.sampled_from(["clamp", "periodic"]))
+    r0 = draw(st.floats(0.5, 2.0))
+    amplitude = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.0, 0.8)) * r0
+    reaction = Reaction.linear(r0, draw(st.floats(0.5, 2.0)), amplitude=amplitude, radius=1.0)
+    if kind == "discrete":
+        offsets = LatticeWeights.symmetric(dim).offsets
+        if draw(st.booleans()):
+            rates = [draw(st.floats(0.3, 2.0))] * (2 * dim)
+        else:
+            rates = draw(st.lists(st.floats(0.2, 2.0), min_size=2 * dim, max_size=2 * dim))
+        op = DispersalOperator.discrete(LatticeWeights(dim, offsets, rates))
+        return op, reaction, Habitat("lattice", dim, 6 if dim == 1 else 3, boundary=boundary)
+    spacing = draw(st.sampled_from([0.25, 0.5]))
+    habitat = Habitat("continuum", dim, 3.0 if dim == 1 else 2.0, spacing, boundary=boundary)
+    if kind == "random":
+        return DispersalOperator.random(), reaction, habitat
+    profile = draw(st.sampled_from(["uniform", "triangle", "mollifier"]))
+    kernel = Kernel.from_profile(profile, draw(st.floats(2.0 * spacing, 1.5)), spacing, dim)
+    return DispersalOperator.nonlocal_(kernel), reaction, habitat
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(_order_problems(), st.integers(0, 2 ** 16))
+@example((DispersalOperator.random(), FISHER, HAB), 17)
+def test_comparison_across_kinds_random_pairs(problem, seed):
+    """The comparison principle under rk4 at the automatic step, 0.95
+    times the bound: rough ordered data lo <= hi stay ordered."""
+    op, rea, hab = problem
+    rng = np.random.default_rng(seed)
+    lo = rng.random(hab.shape) * rea.u0_star
+    hi = lo + rng.random(hab.shape)
+    dt = _dt(op, rea, Field(hab, hi))
+    t1 = evolve(op, rea, Field(hab, lo), T=1.0, dt=dt, record_every=10)
+    t2 = evolve(op, rea, Field(hab, hi), T=1.0, dt=dt, record_every=10)
+    rep = check_comparison(t1, t2)
+    assert rep.ok, (op.kind, rep)
 
 
 def test_comparison_input_errors():
@@ -268,14 +311,21 @@ def test_part_metric_decay():
     assert rep.ok
     assert rep.rhos[-1] < 0.05 * rep.rhos[0]  # decreasing toward 0
 
-    # localized-bump reaction, two random strictly positive starts
-    rng = np.random.default_rng(31)
-    rea = Reaction.linear(1.0, 1.0, amplitude=0.5, radius=2.0)
-    a = Field(HAB, 0.3 + rng.random(HAB.shape))
-    b = Field(HAB, 0.3 + rng.random(HAB.shape))
-    rep = check_part_metric_decay(op, rea, a, b, T=2.0,
-                                  dt=_dt(op, rea, b), record_every=10)
-    assert rep.ok, rep.violations
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(_order_problems(), st.integers(0, 2 ** 16))
+@example((DispersalOperator.random(), Reaction.linear(1.0, 1.0, amplitude=0.5, radius=2.0), HAB),
+         31)
+def test_part_metric_decay_across_kinds(problem, seed):
+    """The part metric between two rough strictly positive solutions does
+    not increase under rk4 at the automatic step, 0.95 times the bound."""
+    op, rea, hab = problem
+    rng = np.random.default_rng(seed)
+    a = Field(hab, 0.3 + rng.random(hab.shape))
+    b = Field(hab, 0.3 + rng.random(hab.shape))
+    dt = _dt(op, rea, Field(hab, np.maximum(a.values, b.values)))
+    rep = check_part_metric_decay(op, rea, a, b, T=2.0, dt=dt, record_every=10)
+    assert rep.ok, (op.kind, rep.violations)
 
 
 def test_exponential_envelope():
@@ -298,3 +348,89 @@ def test_exponential_envelope():
 
     with pytest.raises(ValueError, match="input error"):
         check_exponential_supersolution(traj, d=1e-6, mu=1.0, c=2.0, xi=1.0)
+
+
+# ---------------------------------------------------------------- rkc2
+
+
+def _scalar_amplification(dt, s, z):
+    """R_s(z) from one step of the stage code on y' = (z / dt) y, y(0) = 1."""
+    step = kpplab.dynamics._rkc2_stepper(dt, s)
+    return step(lambda y: (z / dt) * y, np.ones_like(z))
+
+
+def _beta(s):
+    """The rkc2 stability interval (1 + w0) / w1 from numpy's Chebyshev
+    polynomials, independently of the recurrences in kpplab.dynamics."""
+    w0 = 1.0 + (2.0 / 13.0) / s ** 2
+    cheb = np.polynomial.Chebyshev.basis(s)
+    return (1.0 + w0) * cheb.deriv(2)(w0) / cheb.deriv(1)(w0)
+
+
+@settings(deadline=None, derandomize=True)
+@given(dim=st.sampled_from([1, 2]), spacing=st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]),
+       r0=st.floats(0.1, 20.0), slope=st.floats(0.05, 20.0), amplitude=st.floats(-2.0, 2.0))
+def test_rkc2_stage_rule(dim, spacing, r0, slope, amplitude):
+    """The stage count the march picks is stable and the smallest that is:
+    |R_s(z)| <= 1 on [-dt rho, 0] (sampled from the stage code itself, and
+    equal to the closed form a_s + b_s T_s(w0 + w1 z)), while s - 1 stages
+    would leave beta(s - 1) < 1.05 dt rho."""
+    hab = Habitat("continuum", dim, 8.0 * spacing, spacing)
+    rea = Reaction.linear(r0, slope, amplitude=amplitude * r0, radius=2.0 * spacing)
+    op = DispersalOperator.random()
+    u0 = make_front_initial(hab, (1.0,) + (0.0,) * (dim - 1), rea.u0_star)
+    dt, s, rho = rkc2_rule(op, rea, u0)
+    top = max(u0.max, rea.beta0) + 1.0
+    max_f = max(float(np.abs(rea.evaluate(hab, np.full(hab.shape, u))).max()) for u in (0.0, top))
+    assert rho == pytest.approx(4.0 * dim / spacing ** 2 + max_f, rel=1e-12)
+    assert dt == pytest.approx(0.5 * 0.95 * 0.25 / (1.0 + max_f + 1.0), rel=1e-12)
+
+    assert rkc2_coefficients(s)[2] == pytest.approx(_beta(s), rel=1e-12)
+    assert _beta(s) >= 1.05 * dt * rho
+    assert s == 2 or _beta(s - 1) < 1.05 * dt * rho
+
+    z = np.linspace(-dt * rho, 0.0, 4001)
+    amp = _scalar_amplification(dt, s, z)
+    assert np.abs(amp).max() <= 1.0
+    w0 = 1.0 + (2.0 / 13.0) / s ** 2
+    cheb = np.polynomial.Chebyshev.basis(s)
+    b_s = cheb.deriv(2)(w0) / cheb.deriv(1)(w0) ** 2
+    w1 = cheb.deriv(1)(w0) / cheb.deriv(2)(w0)
+    closed = 1.0 - b_s * cheb(w0) + b_s * cheb(w0 + w1 * z)
+    assert np.abs(amp - closed).max() <= 1e-12
+
+
+def test_rkc2_is_second_order():
+    # the stage code against the scalar logistic closed form: halving dt
+    # divides the error by about 4
+    rea = Reaction.logistic(1.0, 2.0)
+    exact = logistic_exact(0.1, 1.0, 2.0, 1.0)
+
+    def err(dt, s):
+        step = kpplab.dynamics._rkc2_stepper(dt, s)
+        growth = rea.bind(HAB)
+        u = np.full(HAB.shape, 0.1)
+        for _ in range(int(round(1.0 / dt))):
+            u = step(lambda v: v * growth(v), u)
+        return abs(u.max() - exact)
+
+    for s in (2, 3, 6):
+        ratio = err(0.1, s) / err(0.05, s)
+        assert 3.5 < ratio < 4.5, (s, ratio)
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(dim=st.sampled_from([1, 2]), spacing=st.sampled_from([0.1, 0.25, 0.5]),
+       boundary=st.sampled_from(["clamp", "periodic"]), r0=st.floats(0.1, 20.0),
+       slope=st.floats(0.05, 20.0))
+def test_rkc2_keeps_constant_equilibria_exactly(dim, spacing, boundary, r0, slope):
+    """u = 0 and u = u0* are equilibria; the increment form keeps them bit
+    for bit (the stencil maps constants to exact zeros)."""
+    hab = Habitat("continuum", dim, 6.0 * spacing, spacing, boundary=boundary)
+    rea = Reaction.linear(r0, slope)
+    op = DispersalOperator.random()
+    for level in (0.0, rea.u0_star):
+        traj = march(op, rea, hab.full(level), T=1.0, record_every=1)
+        assert traj.scheme == RKC2
+        for snap in traj.snapshots:
+            assert np.all(snap.values == level), (level, np.abs(snap.values - level).max())

@@ -200,3 +200,28 @@ def test_cone_empty_error():
     op = DispersalOperator.random()
     with pytest.raises(ConeEmptyError):
         run_compact_spreading_checks(op, FISHER, hab, 1, T=15.0)
+
+
+def test_rkc2_front_speed_matches_rk4():
+    # the random kind's automatic march is rkc2; rk4 at an explicit step
+    # is its oracle.  Fisher front at h = 0.1: speeds agree within 1e-3.
+    hab = Habitat("continuum", 1, 120.0, 0.1)
+    op = DispersalOperator.random()
+    fast = run_front(op, FISHER, hab, 1.0, 40.0)
+    u0 = make_front_initial(hab, 1.0, 1.0)
+    oracle = run_front(op, FISHER, hab, 1.0, 40.0, dt=0.95 * stability_dt_bound(op, FISHER, u0))
+    assert (fast.traj.scheme, oracle.traj.scheme) == ("rkc2", "rk4")
+    assert fast.traj.clip_count == 0 and oracle.traj.clip_count == 0
+    assert fast.traj.rhs_evals < oracle.traj.rhs_evals / 5
+    gap = abs(fast.estimate.slope - oracle.estimate.slope) / oracle.estimate.slope
+    assert gap <= 1e-3, gap
+
+
+def test_rkc2_compact_ramp_in_two_dimensions_does_not_clip():
+    # clause 3 on a 2-D Laplacian habitat from the compact ramp: the rkc2
+    # march keeps every value nonnegative without clipping
+    hab = Habitat("continuum", 2, 26.0, 0.25)
+    rea = Reaction.linear(1.0, 1.0, amplitude=0.5, radius=1.5)
+    v = run_compact_spreading_checks(DispersalOperator.random(), rea, hab, 3, T=7.0, margin=0.5)
+    assert v.scheme == "rkc2" and v.clip_count == 0
+    assert v.ok, v
