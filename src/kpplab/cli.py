@@ -43,7 +43,7 @@ from .domain import (
     PERIODIC,
     Reaction,
 )
-from .dynamics import RK4, stability_dt_bound
+from .dynamics import RK4, march_dt_bound
 from .eigen import closed_form_eigenvalue
 from .experiments import (
     THEORY_TOL,
@@ -175,7 +175,7 @@ def build_dispersal(cp, habitat) -> DispersalOperator:
 
 
 def build_solver(cp):
-    # selects nothing (the kind and dt pick the scheme); older configs set rk4
+    # selects nothing (the kind and grid pick the scheme); older configs set rk4
     _get(cp, "solver", "scheme", str, default=RK4, choices={RK4})
     T = _get(cp, "solver", "T", float, default=100.0)
     dt = _get(cp, "solver", "dt", _or_auto(float), default=None)
@@ -393,7 +393,7 @@ def parse_config(cp) -> Job:
     op = build_dispersal(cp, habitat)
     solver = build_solver(cp)
     if solver["dt"] is not None:
-        bound = stability_dt_bound(op, reaction, habitat.full(reaction.beta0 + 1.0))
+        bound = march_dt_bound(op, reaction, habitat.full(reaction.beta0 + 1.0))
         if solver["dt"] > bound * (1.0 + 1e-12):
             raise ConfigError(f"solver.dt: {solver['dt']} violates the stability bound {bound:.6g}")
     keys = None if name is None else EXPERIMENTS[name][0](cp, habitat, reaction)

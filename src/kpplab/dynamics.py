@@ -14,8 +14,9 @@ rkc2  second-order Runge-Kutta-Chebyshev with damping 2/13 (Sommeijer,
       Shampine & Verwer 1998; Verwer, Sommeijer & Hundsdorfer 2004).  Its
       s stages reach the stability interval beta(s), about 0.65 s^2, so
       the random kind is not held to the h^2 step of rk4.  It is not
-      order-preserving; march uses it only for the random kind at an
-      automatic step (the front, spreading and stability marches).
+      order-preserving; march (the front, spreading and stability runs)
+      uses it for the random kind wherever it costs fewer right-hand
+      sides per unit time than rk4 (march_scheme).
 
 Step sizes are refused up front when they violate the documented
 stability bound, negatives produced by roundoff are clipped to zero with
@@ -87,6 +88,11 @@ def _max_growth(reaction: Reaction, u0: Field) -> float:
     return max(float(np.abs(f_lo).max()), float(np.abs(f_hi).max()))
 
 
+def _bounded_clause(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
+    """0.25 / (mass + max|f| + 1), the bounded-operator clause of every kind."""
+    return 0.25 / (op.operator_mass + _max_growth(reaction, u0) + 1.0)
+
+
 def stability_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
     """Largest admissible rk4 step for u0.
 
@@ -95,10 +101,11 @@ def stability_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> 
     random:      also dt <= h^2 / (2 dim (1 + safety)), the Laplacian's bound
 
     max|f| is evaluated at u in {0, M} with M = max(max u0, beta0) + 1.
-    rkc2 does not use the Laplacian clause: its stage count covers it.
+    rkc2 is held to the bounded-operator clause only: its stage count
+    covers the Laplacian.
     """
     h = u0.habitat
-    bound = 0.25 / (op.operator_mass + _max_growth(reaction, u0) + 1.0)
+    bound = _bounded_clause(op, reaction, u0)
     if op.kind == RANDOM:
         bound = min(bound, h.spacing ** 2 / (2.0 * h.dim * (1.0 + _STABILITY_SAFETY)))
     return bound
@@ -148,24 +155,45 @@ def rkc2_coefficients(s: int):
     return b[1] * w1, stages, (1.0 + w0) / w1
 
 
-def rkc2_rule(op: DispersalOperator, reaction: Reaction, u0: Field):
-    """(dt, s, rho) of the random kind's rkc2 march from u0.
+def rkc2_rule(op: DispersalOperator, reaction: Reaction, u0: Field, dt: float = None):
+    """(dt, s, rho) of an rkc2 march of the random kind from u0.
 
-    dt is half the automatic step of the bounded-operator clause of
-    stability_dt_bound, 0.5 * 0.95 * 0.25 / (mass + max|f| + 1): the h^2
-    clause is left to the stages, and the half keeps the front speed
-    within 1e-3 of rk4's.  rho = 4 dim / h^2 + max|f| bounds the spectral
-    radius of the linearized right-hand side, and s is the smallest stage
-    count with beta(s) >= 1.05 dt rho.
+    dt is the given step, else half the automatic step of the
+    bounded-operator clause of stability_dt_bound, 0.5 * 0.95 * 0.25 /
+    (mass + max|f| + 1): the h^2 clause is left to the stages, and the
+    half keeps the front speed within 1e-3 of rk4's.  rho = 4 dim / h^2 +
+    max|f| bounds the spectral radius of the linearized right-hand side,
+    and s is the smallest stage count with beta(s) >= 1.05 dt rho.
     """
     h = u0.habitat
     max_f = _max_growth(reaction, u0)
-    dt = 0.5 * _STEP_FRACTION * 0.25 / (op.operator_mass + max_f + 1.0)
+    if dt is None:
+        dt = 0.5 * (_STEP_FRACTION * _bounded_clause(op, reaction, u0))
     rho = 4.0 * h.dim / h.spacing ** 2 + max_f
     s = 2
     while rkc2_coefficients(s)[2] < _RKC2_STAGE_SAFETY * dt * rho:
         s += 1
     return dt, s, rho
+
+
+def march_scheme(op: DispersalOperator, reaction: Reaction, u0: Field) -> str:
+    """The scheme of march from u0: rkc2 for the random kind when, at the
+    two automatic steps, its s right-hand sides per step cost fewer per
+    unit time than rk4's four (s / dt_rkc2 < 4 / dt_rk4); rk4 otherwise.
+    rkc2 wins where rk4's h^2 clause binds; where the bounded-operator
+    clause binds the two cost the same and rk4 keeps its fourth order."""
+    if op.kind != RANDOM:
+        return RK4
+    dt, s, _ = rkc2_rule(op, reaction, u0)
+    return RKC2 if s * step_size(op, reaction, u0) < 4.0 * dt else RK4
+
+
+def march_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
+    """Largest admissible explicit dt of march from u0: the
+    bounded-operator clause under rkc2, stability_dt_bound under rk4."""
+    if march_scheme(op, reaction, u0) == RKC2:
+        return _bounded_clause(op, reaction, u0)
+    return stability_dt_bound(op, reaction, u0)
 
 
 def _rkc2_stepper(dt: float, s: int):
@@ -248,20 +276,25 @@ def march(
     dt: float = None,
     record_every: int = None,
 ) -> Trajectory:
-    """The march of the front, spreading and stability runs.
+    """The march of the front, spreading and stability runs, by the
+    scheme of march_scheme, which the operator, grid and reaction fix.
 
-    The random kind with dt None steps by rkc2 at the (dt, s) of rkc2_rule;
-    every other case is evolve (rk4) at dt, or at 0.95 times the
-    stability bound when dt is None.  record_every None keeps about 240
-    snapshots.  Snapshots obey evolve's clip, bound and record rules.
+    rkc2 steps at dt, or at rkc2_rule's step when dt is None, with
+    rkc2_rule's stage count for that dt; dt above the bounded-operator
+    clause raises StabilityError.  rk4 is evolve at dt, or at 0.95 times
+    the stability bound when dt is None.  record_every None keeps about
+    240 snapshots.  Snapshots obey evolve's clip, bound and record rules.
     """
-    if op.kind == RANDOM and dt is None:
-        dt, s, _ = rkc2_rule(op, reaction, u0)
-        record_every = _record_every(T, dt, record_every)
-        _check_march(u0, T, dt, record_every)
-        return _step_loop(op, reaction, u0, T, dt, record_every, _rkc2_stepper(dt, s), RKC2, s)
-    dt = step_size(op, reaction, u0, dt)
-    return evolve(op, reaction, u0, T, dt, _record_every(T, dt, record_every))
+    if march_scheme(op, reaction, u0) == RK4:
+        dt = step_size(op, reaction, u0, dt)
+        return evolve(op, reaction, u0, T, dt, _record_every(T, dt, record_every))
+    dt, s, _ = rkc2_rule(op, reaction, u0, dt)
+    record_every = _record_every(T, dt, record_every)
+    _check_march(u0, T, dt, record_every)
+    bound = _bounded_clause(op, reaction, u0)
+    if dt > bound * (1.0 + 1e-12):
+        raise StabilityError(f"dt={dt} violates the rkc2 stability bound {bound:.6g}")
+    return _step_loop(op, reaction, u0, T, dt, record_every, _rkc2_stepper(dt, s), RKC2, s)
 
 
 def _step_loop(op, reaction, u0, T, dt, record_every, step, scheme, evals_per_step):

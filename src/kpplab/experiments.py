@@ -1,7 +1,7 @@
 """End-to-end spreading experiments, the pipelines behind the CLI.
 run_front is the one front run of front_speed and of each sweep cell;
 it and the compact-data checks step by dynamics.march (rkc2 for the
-random kind at an automatic step, rk4 otherwise).
+random kind where it is the cheaper scheme, rk4 otherwise).
 
 Front positions are tracked as the farthest level crossing along a
 direction, empirical speeds come from a least-squares slope over a

@@ -350,8 +350,8 @@ def check_stability(
     T: float = 200.0,
     tol: float = 1e-4,
 ) -> StabilityReport:
-    """March strictly positive perturbations (rkc2 for the random kind,
-    rk4 otherwise) and report the max-norm distance to u_star at the
+    """March strictly positive perturbations (dynamics.march: rkc2 for the
+    random kind where it is the cheaper scheme, rk4 otherwise) and report the max-norm distance to u_star at the
     horizon; passes when all are below tol."""
     distances = []
     for u0 in perturbations:

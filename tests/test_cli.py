@@ -178,22 +178,35 @@ directory = {out}
 """
 
 
-def test_front_speed_reports_its_scheme(tmp_path):
-    # the random kind marches by rkc2 at dt = auto and by rk4 at an
-    # explicit admissible dt; summary.json says which, and how many
-    # right-hand sides it evaluated
-    summaries = {}
-    for dt in ("auto", "0.015"):
-        out = tmp_path / dt
-        cfg = _write(tmp_path, f"{dt}.cfg", RANDOM_FRONT.format(dt=dt, out=out))
-        assert main(["run", cfg, "--quiet"]) == 0, dt
-        summaries[dt] = json.loads((out / "front_speed" / "summary.json").read_text())
-    auto, explicit = summaries["auto"], summaries["0.015"]
-    assert auto["scheme"] == "rkc2" and explicit["scheme"] == "rk4"
-    assert explicit["rhs_evals"] == 4 * math.ceil(40 / 0.015 - 1e-12)
+def test_front_speed_reports_its_scheme(tmp_path, capsys):
+    # the grid, not solver.dt, picks the scheme: at h = 0.2 the random
+    # kind marches by rkc2 at dt = auto and at an explicit dt, and at
+    # h = 0.5, where rk4's h^2 clause does not bind, by rk4 at both.
+    # summary.json says which, and how many right-hand sides it evaluated
+    def run(spacing, dt):
+        out = tmp_path / f"{spacing}-{dt}"
+        text = RANDOM_FRONT.format(dt=dt, out=out).replace("spacing = 0.2", f"spacing = {spacing}")
+        cfg = _write(tmp_path, f"{spacing}-{dt}.cfg", text)
+        assert main(["run", cfg, "--quiet"]) == 0, (spacing, dt)
+        summary = json.loads((out / "front_speed" / "summary.json").read_text())
+        assert summary["verdict"] == "pass" and summary["clip_count"] == 0, summary
+        return summary
+
+    auto, explicit = run(0.2, "auto"), run(0.2, "0.015")
+    assert auto["scheme"] == explicit["scheme"] == "rkc2"
+    assert explicit["rhs_evals"] == 2 * math.ceil(40 / 0.015 - 1e-12)  # s = 2 at dt = 0.015
     assert 0 < auto["rhs_evals"] < explicit["rhs_evals"]
-    assert auto["verdict"] == explicit["verdict"] == "pass"
-    assert auto["clip_count"] == explicit["clip_count"] == 0
+    coarse, coarse_explicit = run(0.5, "auto"), run(0.5, "0.05")
+    assert coarse["scheme"] == coarse_explicit["scheme"] == "rk4"
+    assert coarse_explicit["rhs_evals"] == 4 * math.ceil(40 / 0.05 - 1e-12)
+    # under rkc2 an explicit dt answers to the bounded-operator clause,
+    # 0.25 / (2 + max|f|) = 0.0556 with max|f| = 2.5 at the parse's
+    # u = beta0 + 1: 0.05 is above rk4's h^2 bound (0.0167) and runs;
+    # 0.08 exits 2
+    assert run(0.2, "0.05")["scheme"] == "rkc2"
+    cfg = _write(tmp_path, "fast.cfg", RANDOM_FRONT.format(dt="0.08", out=tmp_path / "fast"))
+    assert main(["validate", cfg, "--quiet"]) == 2
+    assert "stability bound" in capsys.readouterr().err
 
 
 def test_expected_fail_negative_control(tmp_path):
