@@ -4,17 +4,17 @@ Subcommands: run, speed, eigen, validate, list-experiments.
 Configs are flat INI files (sections habitat/reaction/dispersal/solver/
 experiment/output).  run, speed, eigen and validate all call one parse,
 parse_config: it reads every key any of them honours (each experiment
-adds its own key parser), checks solver.dt against the stability bound,
-and then refuses every key in the file it did not read.  A misspelled
-key, a value that does not parse and a [solver] key the experiment
-cannot honour all exit 2 and name section.key, before any output is
-written.  Runtime errors exit 3, failed verdicts exit 1.  The pipelines
-live in kpplab.experiments and kpplab.stationary.  Artifacts are
-written to a fresh directory atomically (temp dir, removed on failure,
-then rename) with a manifest sufficient to rerun the job.  Flags beat
-environment variables (KPPLAB_JOBS, KPPLAB_OUTPUT_DIR, KPPLAB_SEED,
-KPPLAB_QUIET), which beat the config file; an unparsable environment
-value exits 2.
+adds its own key parser), checks an explicit solver.dt against the
+march_plan of every march the experiment runs, and then refuses every
+key in the file it did not read.  A misspelled key, a value that does
+not parse and a key the experiment cannot honour all exit 2 and name
+section.key, before any output is written.  Runtime errors exit 3,
+failed verdicts exit 1.  The pipelines live in kpplab.experiments and
+kpplab.stationary.  Artifacts are written to a fresh directory
+atomically (temp dir, removed on failure, then rename) with a manifest
+sufficient to rerun the job.  Flags beat environment variables
+(KPPLAB_JOBS, KPPLAB_OUTPUT_DIR, KPPLAB_QUIET), which beat the config
+file; an unparsable environment value exits 2.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .dispersal import KINDS, NONLOCAL, RANDOM, DispersalOperator
@@ -43,7 +42,7 @@ from .domain import (
     PERIODIC,
     Reaction,
 )
-from .dynamics import RK4, march_dt_bound
+from .dynamics import RK4, march_plan
 from .eigen import closed_form_eigenvalue
 from .experiments import (
     THEORY_TOL,
@@ -253,7 +252,7 @@ def _exp_invariance_sweep(keys, habitat, reaction, op, solver, options):
     setup = SweepSetup(
         op=op,
         habitat=habitat,
-        reaction0=dataclasses.replace(reaction, amplitude=0.0),
+        reaction0=reaction,
         T=solver["T"],
         dt=solver["dt"],
         record_every=solver["record_every"],
@@ -376,27 +375,43 @@ class Job:
     name: str  # experiment.name, None when unset
     keys: object  # the experiment's parsed keys, None when name is unset
     expect: str
-    seed: int
     xi: tuple  # experiment.direction
     mus: np.ndarray  # the mu grid of speed and eigen
     output_dir: str  # output.directory; --output-dir beats it
 
 
+def _march_starts(name, keys, habitat, reaction):
+    """(reaction, initial data) of each march the experiment runs.  march_plan
+    reads the data only through its habitat and max, so a constant field of
+    the run's own max stands in; without an experiment, front data at the
+    sigma0 default of 1."""
+    if name == "invariance_sweep":
+        u0 = habitat.full(keys["sigma0"])
+        return [(dataclasses.replace(reaction, amplitude=a), u0) for a in keys["amplitudes"]]
+    if name == "front_speed":
+        return [(reaction, habitat.full(keys[0]["sigma0"]))]
+    if name == "spreading_features":
+        return [(reaction, habitat.full(keys["sigma"]))]
+    if name is None:
+        return [(reaction, habitat.full(1.0))]
+    return []  # stationary_profile does not step in time
+
+
 def parse_config(cp) -> Job:
     """Read every key that run, speed, eigen or validate honours, with
-    solver.dt checked against the stability bound and the solver keys
-    against the experiment; then refuse every key in the file that was
-    not read, so none is silently ignored."""
+    the solver and reaction keys checked against the experiment and an
+    explicit solver.dt against the plan of each of its marches; then
+    refuse every key in the file that was not read, so none is silently
+    ignored."""
     name = _get(cp, "experiment", "name", str, default=None, choices=set(EXPERIMENTS))
     habitat = build_habitat(cp)
     reaction = build_reaction(cp)
     op = build_dispersal(cp, habitat)
     solver = build_solver(cp)
-    if solver["dt"] is not None:
-        bound = march_dt_bound(op, reaction, habitat.full(reaction.beta0 + 1.0))
-        if solver["dt"] > bound * (1.0 + 1e-12):
-            raise ConfigError(f"solver.dt: {solver['dt']} violates the stability bound {bound:.6g}")
     keys = None if name is None else EXPERIMENTS[name][0](cp, habitat, reaction)
+    if name == "invariance_sweep" and cp.has_option("reaction", "amplitude"):
+        raise ConfigError("reaction.amplitude: invariance_sweep sets the amplitude of each cell "
+                          "from experiment.amplitudes; leave it out")
     if name in ("spreading_features", "stationary_profile") and solver["record_every"] is not None:
         raise ConfigError(f"solver.record_every: {name} records no trajectory; leave it auto")
     if name == "stationary_profile":
@@ -404,8 +419,13 @@ def parse_config(cp) -> Job:
             raise ConfigError("solver.T: stationary_profile does not step in time; leave it out")
         if solver["dt"] is not None:
             raise ConfigError("solver.dt: stationary_profile does not step in time; leave it auto")
+    if solver["dt"] is not None:
+        for rea, u0 in _march_starts(name, keys, habitat, reaction):
+            plan = march_plan(op, rea, u0, solver["dt"])
+            if not plan.stable:
+                raise ConfigError(f"solver.dt: {plan.dt} violates the stability bound "
+                                  f"{plan.bound:.6g} of the {plan.scheme} march")
     expect = _get(cp, "experiment", "expect", str, default="pass", choices={"pass", "fail"})
-    seed = _get(cp, "experiment", "seed", int, default=0)
     xi = _direction(cp, habitat.dim)
     mu_max = _get(cp, "experiment", "mu_max", float, default=5.0)
     n_mu = _get(cp, "experiment", "n_mu", int, default=101)
@@ -417,7 +437,7 @@ def parse_config(cp) -> Job:
     unread = [f"{s}.{k}" for s in cp.sections() for k in cp[s] if (s, k) not in cp.read_keys]
     if unread:
         raise ConfigError(f"{', '.join(unread)}: unknown key, read by no command")
-    return Job(habitat, reaction, op, solver, name, keys, expect, seed, xi,
+    return Job(habitat, reaction, op, solver, name, keys, expect, xi,
                np.linspace(1e-3, mu_max, n_mu), output_dir)
 
 
@@ -458,7 +478,6 @@ def _manifest(cfg_text, summary, options, wall_time):
         "config": cfg_text,
         "kpplab_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "seed": options.get("seed"),
         "jobs": options.get("jobs"),
         "wall_time_s": wall_time,
@@ -474,8 +493,6 @@ def _manifest(cfg_text, summary, options, wall_time):
 def _cmd_run(job, cfg_text, options):
     if job.name is None:
         raise ConfigError("experiment.name: required key is missing")
-    if options["seed"] is None:
-        options["seed"] = job.seed
 
     runner = EXPERIMENTS[job.name][1]
     t0 = time.perf_counter()
@@ -570,13 +587,13 @@ def main(argv=None) -> int:
     jobs = _env_value(parser, "KPPLAB_JOBS", int, 1)
     if jobs < 1:
         parser.error(f"environment variable KPPLAB_JOBS: must be at least 1, got {jobs}")
-    seed = _env_value(parser, "KPPLAB_SEED", int, None)
     for name in ("run", "speed", "eigen", "validate"):
         p = sub.add_parser(name)
         p.add_argument("config")
         p.add_argument("--jobs", type=int, default=jobs)
         p.add_argument("--output-dir", default=os.environ.get("KPPLAB_OUTPUT_DIR"))
-        p.add_argument("--seed", type=int, default=seed)
+        # recorded in the manifest only; no experiment draws a random number
+        p.add_argument("--seed", type=int)
         p.add_argument("--quiet", action="store_true",
                        default=os.environ.get("KPPLAB_QUIET") == "1")
     sub.add_parser("list-experiments")

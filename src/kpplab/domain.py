@@ -14,7 +14,7 @@ between workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -326,19 +326,14 @@ class Kernel:
     spacing: float
     offsets: np.ndarray
     weights: np.ndarray
-    profile_name: str = "custom"
-    _profile: object = dc_field(default=None, repr=False)
+    profile: str  # the name of the profile, which resample samples again
 
     @classmethod
-    def from_profile(cls, profile, delta0, spacing, dim):
-        if isinstance(profile, str):
-            name = profile
-            try:
-                fn = _PROFILES[profile]
-            except KeyError:
-                raise ValueError(f"unknown kernel profile {profile!r}") from None
-        else:
-            name, fn = "custom", profile
+    def from_profile(cls, profile: str, delta0, spacing, dim):
+        try:
+            fn = _PROFILES[profile]
+        except KeyError:
+            raise ValueError(f"unknown kernel profile {profile!r}") from None
         if not (delta0 > 0 and spacing > 0):
             raise ValueError("delta0 and spacing must be positive")
         half = int(math.ceil(delta0 / spacing))
@@ -362,8 +357,7 @@ class Kernel:
             spacing=float(spacing),
             offsets=_frozen(offsets, dtype=int),
             weights=_frozen(vals),
-            profile_name=name,
-            _profile=fn,
+            profile=profile,
         )
         assert abs(k.mass - 1.0) <= 1e-15 * len(vals)
         return k
@@ -380,9 +374,7 @@ class Kernel:
         return self.offsets * self.spacing
 
     def resample(self, spacing) -> "Kernel":
-        if self._profile is None:
-            raise ValueError("kernel has no stored profile to resample")
-        return Kernel.from_profile(self._profile, self.delta0, spacing, self.dim)
+        return Kernel.from_profile(self.profile, self.delta0, spacing, self.dim)
 
     def halfspace_mass(self, xi) -> float:
         """Quadrature of kappa over {z . xi <= 0}; the dividing plane

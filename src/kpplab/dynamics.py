@@ -16,18 +16,21 @@ rkc2  second-order Runge-Kutta-Chebyshev with damping 2/13 (Sommeijer,
       the random kind is not held to the h^2 step of rk4.  It is not
       order-preserving; march (the front, spreading and stability runs)
       uses it for the random kind wherever it costs fewer right-hand
-      sides per unit time than rk4 (march_scheme).
+      sides per unit time than rk4.
 
-Step sizes are refused up front when they violate the documented
-stability bound, negatives produced by roundoff are clipped to zero with
-systematic negativity counted, and divergence is reported with the first
-bad time.
+march_plan states the march's step rule once: scheme, step, stage count
+and bound, all from one max|f|, read from u0 only through its habitat and
+max(u0), so a caller can check a step before it builds the initial data.
+Step sizes are refused up front when they violate the plan's bound,
+negatives produced by roundoff are clipped to zero with systematic
+negativity counted, and divergence is reported with the first bad time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +47,7 @@ _RKC2_DAMPING = 2.0 / 13.0
 _RKC2_STAGE_SAFETY = 1.05  # beta(s) must cover 1.05 dt times the spectral bound
 _RECORDED_SNAPSHOTS = 240  # the automatic record rule keeps about this many
 _COMPARISON_TOL = 5e-10
+_PART_METRIC_SLACK = 1e-8
 
 
 class StabilityError(ValueError):
@@ -78,19 +82,33 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def _max_growth(reaction: Reaction, u0: Field) -> float:
-    """max|f| on the grid at u in {0, M} with M = max(max u0, beta0) + 1;
-    f is monotone in u so the endpoints dominate."""
+class MarchPlan(NamedTuple):
+    """How a march steps: its scheme, step dt, right-hand sides per step
+    (4 for rk4, the stage count s for rkc2) and the largest admissible dt."""
+
+    scheme: str
+    dt: float
+    stages: int
+    bound: float
+
+    @property
+    def stable(self) -> bool:
+        return self.dt <= self.bound * (1.0 + 1e-12)
+
+
+def _step_bounds(op: DispersalOperator, reaction: Reaction, u0: Field):
+    """(max|f|, the bounded-operator clause, stability_dt_bound) for u0;
+    f is monotone in u, so max|f| is taken at u in {0, M}."""
     h = u0.habitat
     m_bound = max(u0.max, reaction.beta0) + 1.0
     f_lo = reaction.evaluate(h, np.full(h.shape, m_bound))
     f_hi = reaction.evaluate(h, np.zeros(h.shape))
-    return max(float(np.abs(f_lo).max()), float(np.abs(f_hi).max()))
-
-
-def _bounded_clause(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
-    """0.25 / (mass + max|f| + 1), the bounded-operator clause of every kind."""
-    return 0.25 / (op.operator_mass + _max_growth(reaction, u0) + 1.0)
+    max_f = max(float(np.abs(f_lo).max()), float(np.abs(f_hi).max()))
+    clause = 0.25 / (op.operator_mass + max_f + 1.0)
+    rk4 = clause
+    if op.kind == RANDOM:
+        rk4 = min(clause, h.spacing ** 2 / (2.0 * h.dim * (1.0 + _STABILITY_SAFETY)))
+    return max_f, clause, rk4
 
 
 def stability_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
@@ -104,25 +122,11 @@ def stability_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> 
     rkc2 is held to the bounded-operator clause only: its stage count
     covers the Laplacian.
     """
-    h = u0.habitat
-    bound = _bounded_clause(op, reaction, u0)
-    if op.kind == RANDOM:
-        bound = min(bound, h.spacing ** 2 / (2.0 * h.dim * (1.0 + _STABILITY_SAFETY)))
-    return bound
-
-
-def step_size(op: DispersalOperator, reaction: Reaction, u0: Field, dt: float = None) -> float:
-    """The given dt, else 0.95 times the stability bound for u0."""
-    return dt if dt is not None else _STEP_FRACTION * stability_dt_bound(op, reaction, u0)
-
-
-def _record_every(T: float, dt: float, given: int = None) -> int:
-    """The given record_every, else one that keeps about 240 snapshots."""
-    return given if given is not None else max(1, int(math.ceil(T / dt / _RECORDED_SNAPSHOTS)))
+    return _step_bounds(op, reaction, u0)[2]
 
 
 # ----------------------------------------------------------------------
-# rkc2: coefficients, stability interval and step rule
+# rkc2 coefficients and the march's step rule
 # ----------------------------------------------------------------------
 
 
@@ -155,45 +159,41 @@ def rkc2_coefficients(s: int):
     return b[1] * w1, stages, (1.0 + w0) / w1
 
 
-def rkc2_rule(op: DispersalOperator, reaction: Reaction, u0: Field, dt: float = None):
-    """(dt, s, rho) of an rkc2 march of the random kind from u0.
-
-    dt is the given step, else half the automatic step of the
-    bounded-operator clause of stability_dt_bound, 0.5 * 0.95 * 0.25 /
-    (mass + max|f| + 1): the h^2 clause is left to the stages, and the
-    half keeps the front speed within 1e-3 of rk4's.  rho = 4 dim / h^2 +
-    max|f| bounds the spectral radius of the linearized right-hand side,
-    and s is the smallest stage count with beta(s) >= 1.05 dt rho.
-    """
-    h = u0.habitat
-    max_f = _max_growth(reaction, u0)
-    if dt is None:
-        dt = 0.5 * (_STEP_FRACTION * _bounded_clause(op, reaction, u0))
-    rho = 4.0 * h.dim / h.spacing ** 2 + max_f
+def _rkc2_stages(dt: float, rho: float) -> int:
+    """The smallest s >= 2 with beta(s) >= 1.05 dt rho."""
     s = 2
     while rkc2_coefficients(s)[2] < _RKC2_STAGE_SAFETY * dt * rho:
         s += 1
-    return dt, s, rho
+    return s
 
 
-def march_scheme(op: DispersalOperator, reaction: Reaction, u0: Field) -> str:
-    """The scheme of march from u0: rkc2 for the random kind when, at the
-    two automatic steps, its s right-hand sides per step cost fewer per
-    unit time than rk4's four (s / dt_rkc2 < 4 / dt_rk4); rk4 otherwise.
-    rkc2 wins where rk4's h^2 clause binds; where the bounded-operator
-    clause binds the two cost the same and rk4 keeps its fourth order."""
-    if op.kind != RANDOM:
-        return RK4
-    dt, s, _ = rkc2_rule(op, reaction, u0)
-    return RKC2 if s * step_size(op, reaction, u0) < 4.0 * dt else RK4
+def march_plan(op: DispersalOperator, reaction: Reaction, u0: Field,
+               dt: float = None) -> MarchPlan:
+    """The MarchPlan of march from u0: the one statement of its step rule.
 
-
-def march_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
-    """Largest admissible explicit dt of march from u0: the
-    bounded-operator clause under rkc2, stability_dt_bound under rk4."""
-    if march_scheme(op, reaction, u0) == RKC2:
-        return _bounded_clause(op, reaction, u0)
-    return stability_dt_bound(op, reaction, u0)
+    rk4 is bounded by stability_dt_bound and steps at dt, else at 0.95
+    times that bound.  rkc2 is bounded by the bounded-operator clause
+    0.25 / (mass + max|f| + 1) alone, steps at dt, else at 0.5 * 0.95
+    times the clause (the half keeps the front speed within 1e-3 of
+    rk4's), and takes the smallest s with beta(s) >= 1.05 dt rho, where
+    rho = 4 dim / h^2 + max|f| bounds the spectral radius of the
+    linearized right-hand side (a dt above the bound gets the bound's s).
+    The scheme does not follow dt: it is rkc2 for the random kind when, at
+    the two automatic steps, s / dt_rkc2 < 4 / dt_rk4 (where rk4's h^2
+    clause binds; elsewhere the two cost the same and rk4 keeps its
+    fourth order), and rk4 otherwise.  u0 enters through its habitat and
+    max(u0) only.
+    """
+    max_f, clause, rk4 = _step_bounds(op, reaction, u0)
+    rk4_dt = _STEP_FRACTION * rk4
+    if op.kind == RANDOM:
+        h = u0.habitat
+        rho = 4.0 * h.dim / h.spacing ** 2 + max_f
+        auto = 0.5 * (_STEP_FRACTION * clause)
+        if _rkc2_stages(auto, rho) * rk4_dt < 4.0 * auto:
+            step = auto if dt is None else dt
+            return MarchPlan(RKC2, step, _rkc2_stages(min(step, clause), rho), clause)
+    return MarchPlan(RK4, rk4_dt if dt is None else dt, 4, rk4)
 
 
 def _rkc2_stepper(dt: float, s: int):
@@ -232,15 +232,6 @@ def _rk4_stepper(dt: float):
     return step
 
 
-def _check_march(u0: Field, T: float, dt: float, record_every: int):
-    if not u0.is_nonnegative():
-        raise ValueError("initial data must be nonnegative")
-    if not (T > 0 and dt > 0):
-        raise ValueError("T and dt must be positive")
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every}")
-
-
 def evolve(
     op: DispersalOperator,
     reaction: Reaction,
@@ -259,13 +250,8 @@ def evolve(
     excursion past it or a non-finite value aborts with the first bad
     time.
     """
-    _check_march(u0, T, dt, record_every)
-    bound = stability_dt_bound(op, reaction, u0)
-    if dt > bound * (1.0 + 1e-12):
-        raise StabilityError(
-            f"dt={dt} violates the stability bound {bound:.6g} for kind={op.kind}"
-        )
-    return _step_loop(op, reaction, u0, T, dt, record_every, _rk4_stepper(dt), RK4, 4)
+    plan = MarchPlan(RK4, dt, 4, stability_dt_bound(op, reaction, u0))
+    return _step_loop(op, reaction, u0, T, plan, record_every)
 
 
 def march(
@@ -276,30 +262,32 @@ def march(
     dt: float = None,
     record_every: int = None,
 ) -> Trajectory:
-    """The march of the front, spreading and stability runs, by the
-    scheme of march_scheme, which the operator, grid and reaction fix.
-
-    rkc2 steps at dt, or at rkc2_rule's step when dt is None, with
-    rkc2_rule's stage count for that dt; dt above the bounded-operator
-    clause raises StabilityError.  rk4 is evolve at dt, or at 0.95 times
-    the stability bound when dt is None.  record_every None keeps about
-    240 snapshots.  Snapshots obey evolve's clip, bound and record rules.
+    """The march of the front, spreading and stability runs, by the plan
+    of march_plan (dt None is its automatic step; a dt above its bound
+    raises StabilityError).  record_every None keeps about 240 snapshots.
+    Snapshots obey evolve's clip, bound and record rules.
     """
-    if march_scheme(op, reaction, u0) == RK4:
-        dt = step_size(op, reaction, u0, dt)
-        return evolve(op, reaction, u0, T, dt, _record_every(T, dt, record_every))
-    dt, s, _ = rkc2_rule(op, reaction, u0, dt)
-    record_every = _record_every(T, dt, record_every)
-    _check_march(u0, T, dt, record_every)
-    bound = _bounded_clause(op, reaction, u0)
-    if dt > bound * (1.0 + 1e-12):
-        raise StabilityError(f"dt={dt} violates the rkc2 stability bound {bound:.6g}")
-    return _step_loop(op, reaction, u0, T, dt, record_every, _rkc2_stepper(dt, s), RKC2, s)
+    return _step_loop(op, reaction, u0, T, march_plan(op, reaction, u0, dt), record_every)
 
 
-def _step_loop(op, reaction, u0, T, dt, record_every, step, scheme, evals_per_step):
-    """The stepping loop of every scheme: u <- step(rhs, u), then clip
-    accounting, the invariant-region guard and the record rule."""
+def _step_loop(op, reaction, u0, T, plan, record_every):
+    """The stepping loop of every scheme: input and stability checks, then
+    u <- step(rhs, u), clip accounting, the invariant-region guard and the
+    record rule (record_every None keeps about 240 snapshots)."""
+    dt = plan.dt
+    if not u0.is_nonnegative():
+        raise ValueError("initial data must be nonnegative")
+    if not (T > 0 and dt > 0):
+        raise ValueError("T and dt must be positive")
+    if record_every is None:
+        record_every = max(1, int(math.ceil(T / dt / _RECORDED_SNAPSHOTS)))
+    elif record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
+    if not plan.stable:
+        raise StabilityError(f"dt={dt} violates the {plan.scheme} stability bound "
+                             f"{plan.bound:.6g} for kind={op.kind}")
+    step = _rk4_stepper(dt) if plan.scheme == RK4 else _rkc2_stepper(dt, plan.stages)
+
     habitat = u0.habitat
     disp = op.bind(habitat)
     growth = reaction.bind(habitat)
@@ -346,8 +334,8 @@ def _step_loop(op, reaction, u0, T, dt, record_every, step, scheme, evals_per_st
         times=np.asarray(times),
         snapshots=snapshots,
         clip_count=clip_count,
-        scheme=scheme,
-        rhs_evals=evals_per_step * n_steps,
+        scheme=plan.scheme,
+        rhs_evals=plan.stages * n_steps,
     )
 
 
@@ -405,10 +393,10 @@ def check_part_metric_decay(
     T: float,
     dt: float,
     record_every: int = 1,
-    slack: float = 1e-8,
 ) -> PartMetricReport:
     """The part metric between two strictly positive solutions must be
-    non-increasing along the flow (up to a per-step roundoff slack)."""
+    non-increasing along the flow (up to a roundoff slack of 1e-8 per
+    recorded step)."""
     if not (u0.is_strictly_positive() and v0.is_strictly_positive()):
         raise ValueError("initial data must be strictly positive")
     tu = evolve(op, reaction, u0, T, dt, record_every)
@@ -416,9 +404,9 @@ def check_part_metric_decay(
     rhos = np.array([part_metric(a, b) for a, b in zip(tu.snapshots, tv.snapshots)])
     bad = []
     for k in range(1, len(rhos)):
-        if rhos[k] > rhos[k - 1] + slack:
+        if rhos[k] > rhos[k - 1] + _PART_METRIC_SLACK:
             bad.append((float(tu.times[k]), float(rhos[k] - rhos[k - 1])))
-    return PartMetricReport(not bad, rhos, tu.times, tuple(bad), slack)
+    return PartMetricReport(not bad, rhos, tu.times, tuple(bad), _PART_METRIC_SLACK)
 
 
 @dataclass(frozen=True)

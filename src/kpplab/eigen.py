@@ -37,6 +37,7 @@ from .domain import Kernel, LatticeWeights, sampled_directions, unit_direction
 # cells up to this many points start the power iteration from the dense
 # eigenvector; numpy.linalg.eig grows as n^3, about 30 ms on one core at 256
 DENSE_START_MAX = 256
+_AVERAGE_BOUND_SLACK = 1e-8  # check_average_lower_bound tolerates this shortfall
 
 
 class PowerIterationError(RuntimeError):
@@ -298,10 +299,9 @@ def check_average_lower_bound(
     a: PeriodicCoefficient,
     kernel: Kernel = None,
     weights: LatticeWeights = None,
-    slack: float = 1e-8,
 ) -> AverageBoundReport:
     """Spatial variation can only raise the dominant eigenvalue:
-    lambda(a) >= lambda(a_average) - slack.
+    lambda(a) >= lambda(a_average) - 1e-8.
 
     The constant-coefficient reference uses the same discretization as
     the assembled cell operator (for the nonlocal kind, the kernel
@@ -313,4 +313,5 @@ def check_average_lower_bound(
     a_hat = a.average
     resolution = kernel.spacing if kernel is not None else None
     bound = float(closed_form_eigenvalue(kind, mu, xi, a_hat, kernel, weights, resolution))
-    return AverageBoundReport(lam >= bound - slack, lam, bound, a_hat, slack)
+    return AverageBoundReport(lam >= bound - _AVERAGE_BOUND_SLACK, lam, bound, a_hat,
+                              _AVERAGE_BOUND_SLACK)

@@ -29,6 +29,7 @@ from .eigen import (
 _SCAN_POINTS = 60
 _MU_MIN = 1e-3
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MU_TOL = 1e-8  # relative width of the final golden-section bracket
 
 
 class BracketEdgeError(RuntimeError):
@@ -69,7 +70,7 @@ class DispersionRelation:
 @dataclass(eq=False)
 class SpeedResult:
     """c* = lambda(mu*)/mu*; bracket is the final golden-section bracket
-    (lo, hi) around mu*, with hi - lo <= tol * hi."""
+    (lo, hi) around mu*, with hi - lo <= 1e-8 * hi."""
 
     c_star: float
     mu_star: float
@@ -77,13 +78,13 @@ class SpeedResult:
     evaluations: int
 
 
-def minimize_speed(rel: DispersionRelation, tol: float = 1e-8) -> SpeedResult:
+def minimize_speed(rel: DispersionRelation) -> SpeedResult:
     """Minimize lambda(mu)/mu over mu > 0.
 
     Requires lambda(0+) > 0 (checked at mu = 1e-6), i.e. the zero state
     is linearly unstable so the speed is well posed.  Scans 60
     log-spaced points on [1e-3, mu_max] to bracket the minimizer, then
-    golden-section refines mu to relative tolerance tol.
+    golden-section refines mu to relative tolerance 1e-8.
     """
     evals = 0
 
@@ -113,7 +114,7 @@ def minimize_speed(rel: DispersionRelation, tol: float = 1e-8) -> SpeedResult:
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = c_of(x1), c_of(x2)
-    while (hi - lo) > tol * max(abs(lo), abs(hi)):
+    while (hi - lo) > _MU_TOL * max(abs(lo), abs(hi)):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)

@@ -31,8 +31,10 @@ from .eigen import PeriodicCoefficient, assemble_cell_operator, principal_eigenv
 FROM_ABOVE = "from-above"
 FROM_BELOW = "from-below"
 
+_SUB_SOLUTION_DELTA = 0.1  # the first height tried for delta * phi
 _SUB_SOLUTION_SLACK = 1e-10
 _RESIDUAL_TOL = 1e-7
+_STABILITY_TOL = 1e-4  # largest distance to u* at the horizon of check_stability
 # Step limits relative to the iterate's height max(u), so the iteration
 # behaves alike for every carrying capacity u0* = r0/slope.
 _MONOTONE_SLACK = 1e-10  # tolerated step against the route's direction
@@ -132,17 +134,13 @@ def periodic_minorant(reaction: Reaction, eps: float, habitat: Habitat):
     )
 
 
-def sub_solution(
-    op: DispersalOperator,
-    reaction: Reaction,
-    habitat: Habitat,
-    delta: float = 0.1,
-) -> Field:
+def sub_solution(op: DispersalOperator, reaction: Reaction, habitat: Habitat) -> Field:
     """Validated sub-solution delta * phi from the minorant eigenproblem.
 
     phi is the positive dominant eigenfunction of the untwisted periodic
     operator with coefficient h (eps = f0(0)/2), extended periodically
-    and normalized to max 1.  delta is halved (at most 10 times) until
+    and normalized to max 1.  delta starts at 0.1 and is halved (at most
+    10 times) until
     dispersal(delta phi) + delta phi f(x, delta phi) >= -slack holds at
     every grid point, with slack 1e-10.
     """
@@ -161,7 +159,7 @@ def sub_solution(
 
     disp = op.bind(habitat)
     growth = reaction.bind(habitat)
-    d = float(delta)
+    d = _SUB_SOLUTION_DELTA
     for _ in range(11):
         u = d * phi
         residual = disp(u) + u * growth(u)
@@ -348,15 +346,15 @@ def check_stability(
     u_star: Field,
     perturbations,
     T: float = 200.0,
-    tol: float = 1e-4,
 ) -> StabilityReport:
-    """March strictly positive perturbations (dynamics.march: rkc2 for the
-    random kind where it is the cheaper scheme, rk4 otherwise) and report the max-norm distance to u_star at the
-    horizon; passes when all are below tol."""
+    """March strictly positive perturbations by dynamics.march and report
+    the max-norm distance to u_star at the horizon; passes when all are
+    below 1e-4."""
     distances = []
     for u0 in perturbations:
         if not u0.is_strictly_positive():
             raise ValueError("perturbations must be strictly positive")
         traj = march(op, reaction, u0, T, record_every=10 ** 9)
         distances.append(float(np.abs(traj.final.values - u_star.values).max()))
-    return StabilityReport(all(d < tol for d in distances), tuple(distances), tol, T)
+    return StabilityReport(all(d < _STABILITY_TOL for d in distances), tuple(distances),
+                           _STABILITY_TOL, T)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kpplab import Field
-from kpplab.dynamics import evolve, step_size
+from kpplab.dynamics import evolve, stability_dt_bound
 from kpplab.stationary import FROM_ABOVE, FROM_BELOW, StationaryConvergenceError, sub_solution
 
 
@@ -58,7 +58,7 @@ def march_stationary(op, reaction, habitat, route=FROM_ABOVE):
     else:
         u = sub_solution(op, reaction, habitat)
 
-    dt = step_size(op, reaction, u)
+    dt = 0.95 * stability_dt_bound(op, reaction, u)
 
     disp = op.bind(habitat)
     growth = reaction.bind(habitat)

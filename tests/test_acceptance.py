@@ -158,7 +158,7 @@ def test_criterion_3_speed_minimizer_oracle():
             "discrete", 1.0, 0.3 + rng.random(), weights=w)))
     worst = 0.0
     for kind, rel in rels:
-        res = minimize_speed(rel, tol=1e-8)
+        res = minimize_speed(rel)
         c_brute = brute_force_speed(rel)
         worst = max(worst, abs(res.c_star - c_brute) / abs(c_brute))
     sqrt_ok = True
@@ -239,7 +239,7 @@ def test_criterion_5_average_coefficient_lower_bound():
             )
             a = PeriodicCoefficient((8.0,), spacing, vals)
             for mu in (0.0, 0.5, 2.0):
-                rep = check_average_lower_bound(kind, mu, 1.0, a, slack=1e-8, **kwargs)
+                rep = check_average_lower_bound(kind, mu, 1.0, a, **kwargs)
                 ok = ok and rep.ok
                 worst_gap = min(worst_gap, rep.lam - rep.bound)
     _report(5, "spatial variation never lowers the eigenvalue", ok,
@@ -267,7 +267,7 @@ def test_criterion_6_stationary_state():
             Field(habitat, 2.0 * u.values),
             Field(habitat, u.values + np.exp(-habitat.radius() ** 2)),
         ]
-        stab = check_stability(op, bump, u, perturbations, T=200.0, tol=1e-4)
+        stab = check_stability(op, bump, u, perturbations, T=200.0)
         case_ok = (gap <= 1e-6 and above.residual <= 1e-7 and below.residual <= 1e-7
                    and tail < 0.01 and stab.ok)
         ok = ok and case_ok
@@ -301,8 +301,7 @@ def test_criterion_7_order_structure_suite():
         u0 = Field(habitat, 0.2 + rng.random(habitat.shape))
         v0 = Field(habitat, 0.2 + rng.random(habitat.shape))
         dt = 0.9 * stability_dt_bound(op, FISHER, v0)
-        rep = check_part_metric_decay(op, FISHER, u0, v0, T=2.0, dt=dt,
-                                      record_every=10, slack=1e-8)
+        rep = check_part_metric_decay(op, FISHER, u0, v0, T=2.0, dt=dt, record_every=10)
         decay_ok = decay_ok and rep.ok
 
     habitat = Habitat("continuum", 1, 4.0, 0.5)

@@ -34,7 +34,6 @@ direction = 1
 sigma0 = 1.0
 level_fraction = 0.5
 burn_in = 0.5
-seed = 0
 
 [output]
 directory = {out}
@@ -85,7 +84,7 @@ def test_schema_errors_exit_2(tmp_path, capsys):
 
 def test_unparsable_environment_exits_2(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, "ok.cfg", DISCRETE_FRONT.format(out=tmp_path / "out"))
-    for name, raw in [("KPPLAB_JOBS", "abc"), ("KPPLAB_SEED", "x")]:
+    for name, raw in [("KPPLAB_JOBS", "abc")]:
         with monkeypatch.context() as m:
             m.setenv(name, raw)
             with pytest.raises(SystemExit) as exc:
@@ -200,9 +199,9 @@ def test_front_speed_reports_its_scheme(tmp_path, capsys):
     assert coarse["scheme"] == coarse_explicit["scheme"] == "rk4"
     assert coarse_explicit["rhs_evals"] == 4 * math.ceil(40 / 0.05 - 1e-12)
     # under rkc2 an explicit dt answers to the bounded-operator clause,
-    # 0.25 / (2 + max|f|) = 0.0556 with max|f| = 2.5 at the parse's
-    # u = beta0 + 1: 0.05 is above rk4's h^2 bound (0.0167) and runs;
-    # 0.08 exits 2
+    # 0.25 / (2 + max|f|) = 0.0714 with max|f| = 1.5 on the run's front
+    # data (max u0 = 1, M = beta0 + 1 = 2.5): 0.05 is above rk4's h^2
+    # bound (0.0167) and runs; 0.08 exits 2
     assert run(0.2, "0.05")["scheme"] == "rkc2"
     cfg = _write(tmp_path, "fast.cfg", RANDOM_FRONT.format(dt="0.08", out=tmp_path / "fast"))
     assert main(["validate", cfg, "--quiet"]) == 2
@@ -476,11 +475,11 @@ def test_validate_parses_every_experiment_key(tmp_path, capsys):
     for old, new, key in [
         ("amplitudes = -0.5, 0.0, 0.5, 1.0", "amplitudes =", "experiment.amplitudes"),
         ("sigma0 = 1.0", "sigma0 = abc", "experiment.sigma0"),
-        ("seed = 0", "seed = x", "experiment.seed"),
-        ("seed = 0", "expect = maybe", "experiment.expect"),
-        ("seed = 0", "n_mu = many", "experiment.n_mu"),
-        ("seed = 0", "n_mu = -1", "experiment.n_mu"),
-        ("seed = 0", "mu_max = 0", "experiment.mu_max"),
+        ("burn_in = 0.5", "burn_in = 0.5\nseed = 0", "experiment.seed"),
+        ("burn_in = 0.5", "burn_in = 0.5\nexpect = maybe", "experiment.expect"),
+        ("burn_in = 0.5", "burn_in = 0.5\nn_mu = many", "experiment.n_mu"),
+        ("burn_in = 0.5", "burn_in = 0.5\nn_mu = -1", "experiment.n_mu"),
+        ("burn_in = 0.5", "burn_in = 0.5\nmu_max = 0", "experiment.mu_max"),
     ]:
         assert old in text
         cfg = _write(tmp_path, "v.cfg", text.replace(old, new))
@@ -530,7 +529,8 @@ def test_clipping_fails_the_verdict(tmp_path, monkeypatch):
     import kpplab.experiments as experiments
 
     sweep = DISCRETE_FRONT.replace("name = front_speed",
-                                   "name = invariance_sweep\namplitudes = 0.0, 0.5")
+                                   "name = invariance_sweep\namplitudes = 0.0, 0.5").replace(
+                                       "amplitude = 0.5\n", "")
     spreading = LATTICE_RUN.format(solver="", name="spreading_features", experiment="clause = 1",
                                    out="{out}")
     # a clipped run cannot confirm a negative control either
@@ -552,3 +552,82 @@ def test_clipping_fails_the_verdict(tmp_path, monkeypatch):
             summary = json.loads((out / name / "summary.json").read_text())
             assert summary["verdict"] == ("fail: clipped" if clips else unclipped), (name, clips)
             assert (summary["clip_count"] > 0) == bool(clips)
+
+
+FISHER_FRONT = """
+[habitat]
+kind = continuum
+dim = 1
+half_extent = 100
+spacing = {spacing}
+
+[reaction]
+r0 = 1.0
+b = 1.0
+
+[dispersal]
+kind = random
+
+[solver]
+T = 40
+dt = {dt}
+
+[experiment]
+name = front_speed
+sigma0 = {sigma0}
+
+[output]
+directory = {out}
+"""
+
+
+def test_dt_precheck_accepts_what_the_march_accepts(tmp_path):
+    # h = 0.1, sigma0 = 1: the march's own bound is the rkc2 clause
+    # 0.25 / (2 + max|f|) = 0.0833 with max|f| = 1 from u <= 1, so
+    # dt = 0.07 validates and runs, and clips nothing
+    out = tmp_path / "a"
+    cfg = _write(tmp_path, "a.cfg", FISHER_FRONT.format(spacing=0.1, dt=0.07, sigma0=1.0, out=out))
+    assert main(["validate", cfg, "--quiet"]) == 0
+    assert main(["run", cfg, "--quiet"]) == 0
+    summary = json.loads((out / "front_speed" / "summary.json").read_text())
+    assert summary["verdict"] == "pass" and summary["clip_count"] == 0
+    assert summary["scheme"] == "rkc2"
+
+
+def test_dt_precheck_reads_the_front_height(tmp_path, capsys):
+    # h = 0.5, sigma0 = 8: the rk4 march from u <= 8 is bounded by
+    # 0.25 / (2 + 8) = 0.025, so dt = 0.05 exits 2 before any march
+    out = tmp_path / "b"
+    cfg = _write(tmp_path, "b.cfg", FISHER_FRONT.format(spacing=0.5, dt=0.05, sigma0=8.0, out=out))
+    for command in ("validate", "run"):
+        assert main([command, cfg, "--quiet"]) == 2, command
+        err = capsys.readouterr().err
+        assert "solver.dt" in err and "0.025" in err
+    assert not out.exists()
+
+
+def test_dt_precheck_covers_every_sweep_amplitude(tmp_path, capsys):
+    # the amplitude-2 cell is bounded by 0.25 / (2 + 3 + 1) = 0.0417, the
+    # amplitude-0 cell by 0.0625: dt = 0.045 exits 2 before any cell runs
+    out = tmp_path / "c"
+    text = LATTICE_RUN.format(solver="dt = 0.045", name="invariance_sweep",
+                              experiment="amplitudes = 0.0, 2.0", out=out)
+    cfg = _write(tmp_path, "c.cfg", text)
+    for command in ("validate", "run"):
+        assert main([command, cfg, "--quiet"]) == 2, command
+        err = capsys.readouterr().err
+        assert "solver.dt" in err and "0.0416667" in err
+    assert not out.exists()
+
+
+def test_sweep_refuses_reaction_amplitude(tmp_path, capsys):
+    # the sweep sets the amplitude of each cell; a reaction.amplitude
+    # would be silently replaced, so it exits 2 and names the key
+    out = tmp_path / "sw"
+    text = LATTICE_RUN.format(solver="", name="invariance_sweep",
+                              experiment="amplitudes = 0.0, 2.0", out=out)
+    cfg = _write(tmp_path, "sw.cfg", text.replace("b = 1.0", "b = 1.0\namplitude = 0.7"))
+    for command in ("validate", "run"):
+        assert main([command, cfg, "--quiet"]) == 2, command
+        assert "reaction.amplitude" in capsys.readouterr().err
+    assert not out.exists()

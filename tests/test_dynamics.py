@@ -28,7 +28,7 @@ from kpplab import (
     part_metric,
     stability_dt_bound,
 )
-from kpplab.dynamics import RK4, RKC2, march, march_scheme, rkc2_coefficients, rkc2_rule
+from kpplab.dynamics import RK4, RKC2, march, march_plan, rkc2_coefficients
 
 HAB = Habitat("continuum", 1, 10.0, 0.25)
 FISHER = Reaction.linear(1.0, 1.0)
@@ -113,7 +113,7 @@ def test_large_grid_steps_do_not_page_fault():
     code = textwrap.dedent("""
         import resource
         from kpplab import DispersalOperator, Habitat, Reaction, evolve, stability_dt_bound
-        from kpplab.dynamics import march, rkc2_rule
+        from kpplab.dynamics import march, march_plan
         hab = Habitat("continuum", 2, 26.0, 0.25)
         op, rea = DispersalOperator.random(), Reaction.linear(1.0, 1.0, 0.5, 1.5)
         u0 = hab.full(0.5)
@@ -122,7 +122,7 @@ def test_large_grid_steps_do_not_page_fault():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         evolve(op, rea, u0, T=20 * dt, dt=dt, record_every=10 ** 9)
         print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
-        dt = rkc2_rule(op, rea, u0)[0]
+        dt = march_plan(op, rea, u0).dt
         march(op, rea, u0, T=dt)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         assert march(op, rea, u0, T=20 * dt, record_every=10 ** 9).scheme == "rkc2"
@@ -389,7 +389,9 @@ def test_rkc2_stage_rule(dim, spacing, r0, slope, amplitude, fraction):
     explicit one up to the bounded-operator clause, is stable and the
     smallest that is: |R_s(z)| <= 1 on [-dt rho, 0] (sampled from the
     stage code itself, and equal to the closed form a_s + b_s T_s(w0 +
-    w1 z)), while s - 1 stages would leave beta(s - 1) < 1.05 dt rho."""
+    w1 z)), while s - 1 stages would leave beta(s - 1) < 1.05 dt rho.
+    The rkc2 stage rule is checked on every draw; where march_plan picks
+    rkc2, its plan is that step, that stage count and the clause."""
     hab = Habitat("continuum", dim, 8.0 * spacing, spacing)
     rea = Reaction.linear(r0, slope, amplitude=amplitude * r0, radius=2.0 * spacing)
     op = DispersalOperator.random()
@@ -398,12 +400,19 @@ def test_rkc2_stage_rule(dim, spacing, r0, slope, amplitude, fraction):
     max_f = max(float(np.abs(rea.evaluate(hab, np.full(hab.shape, u))).max()) for u in (0.0, top))
     clause = 0.25 / (1.0 + max_f + 1.0)
     given_dt = None if fraction is None else fraction * clause
-    dt, s, rho = rkc2_rule(op, rea, u0, given_dt)
-    assert rho == pytest.approx(4.0 * dim / spacing ** 2 + max_f, rel=1e-12)
-    if given_dt is None:
-        assert dt == pytest.approx(0.5 * 0.95 * clause, rel=1e-12)
+    rho = 4.0 * dim / spacing ** 2 + max_f
+    dt = 0.5 * 0.95 * clause if given_dt is None else given_dt
+    s = kpplab.dynamics._rkc2_stages(dt, rho)
+    plan = march_plan(op, rea, u0, given_dt)
+    if plan.scheme == RKC2:
+        if given_dt is None:
+            assert plan.dt == pytest.approx(0.5 * 0.95 * clause, rel=1e-12)
+        else:
+            assert plan.dt == given_dt
+        assert plan.stages == kpplab.dynamics._rkc2_stages(plan.dt, rho)
+        assert plan.bound == pytest.approx(clause, rel=1e-12)
     else:
-        assert dt == given_dt
+        assert plan.stages == 4 and plan.bound == stability_dt_bound(op, rea, u0)
 
     assert rkc2_coefficients(s)[2] == pytest.approx(_beta(s), rel=1e-12)
     assert _beta(s) >= 1.05 * dt * rho
@@ -418,6 +427,32 @@ def test_rkc2_stage_rule(dim, spacing, r0, slope, amplitude, fraction):
     w1 = cheb.deriv(1)(w0) / cheb.deriv(2)(w0)
     closed = 1.0 - b_s * cheb(w0) + b_s * cheb(w0 + w1 * z)
     assert np.abs(amp - closed).max() <= 1e-12
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(kind=st.sampled_from(["random", "nonlocal", "discrete"]), dim=st.sampled_from([1, 2]),
+       boundary=st.sampled_from(["clamp", "periodic"]),
+       spacing=st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]), r0=st.floats(0.1, 20.0),
+       slope=st.floats(0.05, 20.0), amplitude=st.floats(-0.9, 2.0), height=st.floats(0.0, 10.0),
+       seed=st.integers(0, 2 ** 32 - 1), fraction=st.one_of(st.none(), st.floats(0.01, 1.5)))
+def test_march_plan_reads_only_the_max(kind, dim, boundary, spacing, r0, slope, amplitude,
+                                       height, seed, fraction):
+    """march_plan reads u0 only through its habitat and max(u0), so a
+    constant field of that max gets the same plan, at the automatic step
+    and at an explicit one on either side of the bound.  This is what
+    lets the CLI check solver.dt before it builds the initial data."""
+    if kind == "discrete":
+        hab = Habitat("lattice", dim, 6.0, boundary=boundary)
+        op = DispersalOperator.discrete(LatticeWeights.symmetric(dim, 1.0))
+    else:
+        hab = Habitat("continuum", dim, 6.0 * spacing, spacing, boundary=boundary)
+        op = (DispersalOperator.random() if kind == "random" else
+              DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 2.0 * spacing,
+                                                              spacing, dim)))
+    rea = Reaction.linear(r0, slope, amplitude=amplitude * r0, radius=2.0 * hab.spacing)
+    u0 = Field(hab, height * np.random.default_rng(seed).random(hab.shape))
+    dt = None if fraction is None else fraction * march_plan(op, rea, u0).bound
+    assert march_plan(op, rea, u0, dt) == march_plan(op, rea, hab.full(u0.max), dt)
 
 
 def test_rkc2_is_second_order():
@@ -469,12 +504,12 @@ def test_march_scheme_follows_the_grid():
     coarse, fine = Habitat("continuum", 1, 20.0, 0.5), Habitat("continuum", 1, 20.0, 0.1)
     for hab, scheme in ((coarse, RK4), (fine, RKC2)):
         u0 = make_front_initial(hab, 1.0, 1.0)
-        assert march_scheme(op, FISHER, u0) == scheme
+        assert march_plan(op, FISHER, u0).scheme == scheme
         for dt in (None, 0.02):
             traj = march(op, FISHER, u0, T=1.0, dt=dt)
             assert traj.scheme == scheme and traj.clip_count == 0
     u0 = make_front_initial(fine, 1.0, 1.0)
-    s = rkc2_rule(op, FISHER, u0, 0.02)[1]
+    s = march_plan(op, FISHER, u0, 0.02).stages
     assert march(op, FISHER, u0, T=1.0, dt=0.02).rhs_evals == 50 * s
     clause = 0.25 / (1.0 + 1.0 + 1.0)  # max|f| is about 1 for Fisher from u <= 1
     march(op, FISHER, u0, T=1.0, dt=0.99 * clause)
@@ -482,4 +517,4 @@ def test_march_scheme_follows_the_grid():
         march(op, FISHER, u0, T=1.0, dt=1.01 * clause)
     # nonlocal and discrete kinds are not h^2-limited and keep rk4
     for op, hab in _three_ops()[1:]:
-        assert march_scheme(op, FISHER, hab.full(0.5)) == RK4
+        assert march_plan(op, FISHER, hab.full(0.5)).scheme == RK4

@@ -51,7 +51,7 @@ def test_golden_section_matches_brute_force():
         w = LatticeWeights.symmetric(1, 0.5 + rng.random())
         rels.append(DispersionRelation.closed_form("discrete", 1.0, 0.3 + rng.random(), weights=w))
     for rel in rels:
-        res = minimize_speed(rel, tol=1e-8)
+        res = minimize_speed(rel)
         c_brute, _ = brute_force_speed(rel)
         assert abs(res.c_star - c_brute) <= 1e-6 * abs(c_brute), (res.c_star, c_brute)
 

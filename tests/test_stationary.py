@@ -82,7 +82,7 @@ def test_sub_solution_homogeneous():
     # flat eigenfunction: delta phi = 0.1 and the inequality value is
     # delta f0(delta) > 0, so no halving happens
     op = DispersalOperator.random()
-    u = sub_solution(op, FISHER, HAB, delta=0.1)
+    u = sub_solution(op, FISHER, HAB)
     assert np.allclose(u.values, 0.1, atol=1e-12)
 
 
