@@ -4,11 +4,12 @@ Subcommands: run, speed, eigen, validate, list-experiments.
 Configs are flat INI files (sections habitat/reaction/dispersal/solver/
 experiment/output).  run, speed, eigen and validate all call one parse,
 parse_config: it reads every key any of them honours (each experiment
-adds its own key parser), checks an explicit solver.dt against the
-march_plan of every march the experiment runs, and then refuses every
-key in the file it did not read.  A misspelled key, a value that does
-not parse and a key the experiment cannot honour all exit 2 and name
-section.key, before any output is written.  Runtime errors exit 3,
+adds its own key parser), checks each reaction of a front run for
+f(x, 0) > 0 and an explicit solver.dt against the march_plan of every
+march the experiment runs, and then refuses every key in the file it
+did not read.  A misspelled key, a value that does not parse and a key
+the experiment cannot honour all exit 2 and name section.key, before
+any output is written.  Runtime errors exit 3,
 failed verdicts exit 1.  The pipelines live in kpplab.experiments and
 kpplab.stationary.  Artifacts are written to a fresh directory
 atomically (temp dir, removed on failure, then rename) with a manifest
@@ -47,6 +48,7 @@ from .eigen import closed_form_eigenvalue
 from .experiments import (
     THEORY_TOL,
     SweepSetup,
+    check_front_reaction,
     run_compact_spreading_checks,
     run_front,
     run_invariance_cell,
@@ -399,10 +401,10 @@ def _march_starts(name, keys, habitat, reaction):
 
 def parse_config(cp) -> Job:
     """Read every key that run, speed, eigen or validate honours, with
-    the solver and reaction keys checked against the experiment and an
-    explicit solver.dt against the plan of each of its marches; then
-    refuse every key in the file that was not read, so none is silently
-    ignored."""
+    the solver and reaction keys checked against the experiment (a front
+    run's amplitudes by check_front_reaction) and an explicit solver.dt
+    against the plan of each of its marches; then refuse every key in the
+    file that was not read, so none is silently ignored."""
     name = _get(cp, "experiment", "name", str, default=None, choices=set(EXPERIMENTS))
     habitat = build_habitat(cp)
     reaction = build_reaction(cp)
@@ -419,6 +421,13 @@ def parse_config(cp) -> Job:
             raise ConfigError("solver.T: stationary_profile does not step in time; leave it out")
         if solver["dt"] is not None:
             raise ConfigError("solver.dt: stationary_profile does not step in time; leave it auto")
+    if name in ("front_speed", "invariance_sweep"):
+        key = "reaction.amplitude" if name == "front_speed" else "experiment.amplitudes"
+        for rea, _ in _march_starts(name, keys, habitat, reaction):
+            try:
+                check_front_reaction(rea, habitat)
+            except ValueError as err:
+                raise ConfigError(f"{key}: {err}") from None
     if solver["dt"] is not None:
         for rea, u0 in _march_starts(name, keys, habitat, reaction):
             plan = march_plan(op, rea, u0, solver["dt"])

@@ -7,9 +7,11 @@ Two explicit schemes share one stepping loop (clip accounting,
 invariant-region guard, record rule):
 
 rk4   classical fourth-order Runge-Kutta, the scheme of evolve.  It
-      preserves the order of solutions at the documented step bound, so
-      the comparison and part-metric checks use it, and it is the oracle
-      for rkc2.
+      preserves the order of solutions at evolve's step bound
+      (stability_dt_bound), so the comparison and part-metric checks use
+      it, and it is the oracle for rkc2 and for the march.  march steps
+      rk4 at its stability step instead (about 4x longer for the nonlocal
+      and discrete kinds), which keeps it stable but not order-preserving.
 rkc2  second-order Runge-Kutta-Chebyshev with damping 2/13 (Sommeijer,
       Shampine & Verwer 1998; Verwer, Sommeijer & Hundsdorfer 2004).  Its
       s stages reach the stability interval beta(s), about 0.65 s^2, so
@@ -19,8 +21,9 @@ rkc2  second-order Runge-Kutta-Chebyshev with damping 2/13 (Sommeijer,
       sides per unit time than rk4.
 
 march_plan states the march's step rule once: scheme, step, stage count
-and bound, all from one max|f|, read from u0 only through its habitat and
-max(u0), so a caller can check a step before it builds the initial data.
+and bound, all from one spectral bound rho of the linearized right-hand
+side, read from u0 only through its habitat and max(u0), so a caller can
+check a step before it builds the initial data.
 Step sizes are refused up front when they violate the plan's bound,
 negatives produced by roundoff are clipped to zero with systematic
 negativity counted, and divergence is reported with the first bad time.
@@ -43,6 +46,8 @@ RKC2 = "rkc2"
 _CLIP_NOISE = 1e-14  # negatives beyond this magnitude count as systematic
 _STABILITY_SAFETY = 0.2
 _STEP_FRACTION = 0.95  # automatic steps stay this far inside the bound
+_RK4_INTERVAL = 2.785  # rk4 is stable on the real interval [-2.785, 0]
+_RK4_MARCH_FRACTION = 0.6  # the march's rk4 bound is this share of it over rho
 _RKC2_DAMPING = 2.0 / 13.0
 _RKC2_STAGE_SAFETY = 1.05  # beta(s) must cover 1.05 dt times the spectral bound
 _RECORDED_SNAPSHOTS = 240  # the automatic record rule keeps about this many
@@ -96,33 +101,38 @@ class MarchPlan(NamedTuple):
         return self.dt <= self.bound * (1.0 + 1e-12)
 
 
-def _step_bounds(op: DispersalOperator, reaction: Reaction, u0: Field):
-    """(max|f|, the bounded-operator clause, stability_dt_bound) for u0;
-    f is monotone in u, so max|f| is taken at u in {0, M}."""
-    h = u0.habitat
+def _reaction_maxima(reaction: Reaction, u0: Field):
+    """(max|f|, max|d_u(u f)|) over the grid and u in [0, M], with
+    M = max(max u0, beta0) + 1.  Both are linear in u, d_u(u f) = f(x, 0)
+    - 2 slope u = f(x, 2u), so each is taken at the two ends: f at u in
+    {0, M} and d_u(u f) through f at u in {0, 2M}."""
     m_bound = max(u0.max, reaction.beta0) + 1.0
-    f_lo = reaction.evaluate(h, np.full(h.shape, m_bound))
-    f_hi = reaction.evaluate(h, np.zeros(h.shape))
-    max_f = max(float(np.abs(f_lo).max()), float(np.abs(f_hi).max()))
-    clause = 0.25 / (op.operator_mass + max_f + 1.0)
-    rk4 = clause
-    if op.kind == RANDOM:
-        rk4 = min(clause, h.spacing ** 2 / (2.0 * h.dim * (1.0 + _STABILITY_SAFETY)))
-    return max_f, clause, rk4
+    growth = reaction.bind(u0.habitat)
+    at_0, at_m, at_2m = (float(np.abs(growth(u)).max()) for u in (0.0, m_bound, 2.0 * m_bound))
+    return max(at_0, at_m), max(at_0, at_2m)
+
+
+def _clause(op: DispersalOperator, max_f: float) -> float:
+    """The bounded-operator clause 0.25 / (mass + max|f| + 1)."""
+    return 0.25 / (op.operator_mass + max_f + 1.0)
 
 
 def stability_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
-    """Largest admissible rk4 step for u0.
+    """Largest admissible step of evolve for u0, the step at which rk4
+    preserves the order of solutions.
 
     every kind:  dt <= 0.25 / (mass + max|f| + 1), a bounded-operator bound
                  with mass = sum of a_k (discrete) or 1 (nonlocal, random)
     random:      also dt <= h^2 / (2 dim (1 + safety)), the Laplacian's bound
 
     max|f| is evaluated at u in {0, M} with M = max(max u0, beta0) + 1.
-    rkc2 is held to the bounded-operator clause only: its stage count
-    covers the Laplacian.
+    march does not use this bound: march_plan states its own.
     """
-    return _step_bounds(op, reaction, u0)[2]
+    bound = _clause(op, _reaction_maxima(reaction, u0)[0])
+    if op.kind == RANDOM:
+        h = u0.habitat
+        bound = min(bound, h.spacing ** 2 / (2.0 * h.dim * (1.0 + _STABILITY_SAFETY)))
+    return bound
 
 
 # ----------------------------------------------------------------------
@@ -171,24 +181,28 @@ def march_plan(op: DispersalOperator, reaction: Reaction, u0: Field,
                dt: float = None) -> MarchPlan:
     """The MarchPlan of march from u0: the one statement of its step rule.
 
-    rk4 is bounded by stability_dt_bound and steps at dt, else at 0.95
-    times that bound.  rkc2 is bounded by the bounded-operator clause
-    0.25 / (mass + max|f| + 1) alone, steps at dt, else at 0.5 * 0.95
-    times the clause (the half keeps the front speed within 1e-3 of
-    rk4's), and takes the smallest s with beta(s) >= 1.05 dt rho, where
-    rho = 4 dim / h^2 + max|f| bounds the spectral radius of the
-    linearized right-hand side (a dt above the bound gets the bound's s).
-    The scheme does not follow dt: it is rkc2 for the random kind when, at
-    the two automatic steps, s / dt_rkc2 < 4 / dt_rk4 (where rk4's h^2
-    clause binds; elsewhere the two cost the same and rk4 keeps its
-    fourth order), and rk4 otherwise.  u0 enters through its habitat and
-    max(u0) only.
+    Both schemes read one Gershgorin bound of the linearized right-hand
+    side, rho = rho_D + max|d_u(u f)| over u in [0, M], with rho_D =
+    4 dim / h^2 for the random kind and 2 mass otherwise.  rk4 is bounded
+    by 0.6 * 2.785 / rho, a share of its real stability interval (its
+    stability region also holds every disc |z + r| <= r with r <= 1.39,
+    which covers the discs of the non-symmetric clamp rows), and steps at
+    dt, else at 0.95 times that bound.  rkc2 is bounded by the
+    bounded-operator clause 0.25 / (mass + max|f| + 1), steps at dt, else
+    at 0.5 * 0.95 times the clause (the half keeps the front speed within
+    1e-3 of rk4's), and takes the smallest s with beta(s) >= 1.05 dt rho
+    (a dt above the bound gets the bound's s).  The scheme does not follow
+    dt: it is rkc2 for the random kind when, at the two automatic steps,
+    s / dt_rkc2 < 4 / dt_rk4, and rk4 otherwise.  u0 enters through its
+    habitat and max(u0) only.
     """
-    max_f, clause, rk4 = _step_bounds(op, reaction, u0)
+    max_f, max_df = _reaction_maxima(reaction, u0)
+    h = u0.habitat
+    rho = (4.0 * h.dim / h.spacing ** 2 if op.kind == RANDOM else 2.0 * op.operator_mass) + max_df
+    rk4 = _RK4_MARCH_FRACTION * _RK4_INTERVAL / rho
     rk4_dt = _STEP_FRACTION * rk4
     if op.kind == RANDOM:
-        h = u0.habitat
-        rho = 4.0 * h.dim / h.spacing ** 2 + max_f
+        clause = _clause(op, max_f)
         auto = 0.5 * (_STEP_FRACTION * clause)
         if _rkc2_stages(auto, rho) * rk4_dt < 4.0 * auto:
             step = auto if dt is None else dt

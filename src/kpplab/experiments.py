@@ -192,18 +192,21 @@ class FrontRun:
     theory: SpeedResult
 
 
+def check_front_reaction(reaction: Reaction, habitat: Habitat):
+    """The front run's rule on its reaction, beyond the H1 and H2 that the
+    reaction states itself: ValueError unless f(x, 0) > 0 on the habitat."""
+    if not np.all(reaction.r0 + reaction.perturbation(habitat) > 0.0):
+        raise ValueError(f"amplitude {reaction.amplitude} makes f(x, 0) nonpositive somewhere")
+
+
 def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T: float,
               dt: float = None, record_every: int = None, sigma0: float = 1.0,
               level_fraction: float = 0.5, burn_in: float = 0.5) -> FrontRun:
     """Evolve front data along xi, track level_fraction * u0* and fit the
-    speed after burn_in * T, delta0 + 10 h clear of the boundary.
-
-    The reaction states H1 and H2 itself; this refuses one that makes
-    f(x, 0) <= 0 somewhere.
+    speed after burn_in * T, delta0 + 10 h clear of the boundary.  The
+    reaction must pass check_front_reaction.
     """
-    if not np.all(reaction.r0 + reaction.perturbation(habitat) > 0.0):
-        raise ValueError(f"amplitude {reaction.amplitude} makes f(x, 0) nonpositive somewhere")
-
+    check_front_reaction(reaction, habitat)
     traj = march(op, reaction, make_front_initial(habitat, xi, sigma0), T, dt, record_every)
     trace = track_front(traj, xi, level_fraction * reaction.u0_star)
     est = estimate_speed(trace, burn_in, exclusion=op.delta0 + 10.0 * habitat.spacing)

@@ -406,10 +406,35 @@ def test_failed_write_leaves_no_temp_dir(tmp_path, monkeypatch, capsys):
 
 
 def test_front_speed_refuses_nonpositive_growth_at_zero(tmp_path, capsys):
-    text = DISCRETE_FRONT.format(out=tmp_path / "o").replace("amplitude = 0.5", "amplitude = -1.5")
+    # refused by the config parse: validate and run exit 2 and name the
+    # key, before any march and without an output directory
+    out = tmp_path / "o"
+    text = DISCRETE_FRONT.format(out=out).replace("amplitude = 0.5", "amplitude = -1.5")
     cfg = _write(tmp_path, "dip.cfg", text)
-    assert main(["run", cfg, "--quiet"]) == 3
-    assert "nonpositive" in capsys.readouterr().err
+    for command in ("validate", "run"):
+        assert main([command, cfg, "--quiet"]) == 2, command
+        err = capsys.readouterr().err
+        assert "reaction.amplitude" in err and "nonpositive" in err
+    assert not out.exists()
+
+
+def test_sweep_refuses_nonpositive_growth_at_zero_before_any_cell(tmp_path, capsys, monkeypatch):
+    import kpplab.experiments as experiments
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("a cell was marched")
+
+    monkeypatch.setattr(experiments, "march", no_march)
+    out = tmp_path / "o"
+    text = DISCRETE_FRONT.format(out=out).replace(
+        "name = front_speed", "name = invariance_sweep\namplitudes = 0.0, -1.5").replace(
+            "amplitude = 0.5\n", "")
+    cfg = _write(tmp_path, "dip.cfg", text)
+    for command in ("validate", "run"):
+        assert main([command, cfg, "--quiet"]) == 2, command
+        err = capsys.readouterr().err
+        assert "experiment.amplitudes" in err and "amplitude -1.5" in err
+    assert not out.exists()
 
 
 LATTICE_RUN = """
@@ -595,28 +620,31 @@ def test_dt_precheck_accepts_what_the_march_accepts(tmp_path):
 
 
 def test_dt_precheck_reads_the_front_height(tmp_path, capsys):
-    # h = 0.5, sigma0 = 8: the rk4 march from u <= 8 is bounded by
-    # 0.25 / (2 + 8) = 0.025, so dt = 0.05 exits 2 before any march
+    # h = 0.5, sigma0 = 8: the rk4 march from u <= 8 (M = 9) has
+    # rho = 4 / h^2 + |1 - 2 * 9| = 33 and is bounded by
+    # 0.6 * 2.785 / 33 = 0.0506, so dt = 0.06 exits 2 before any march
     out = tmp_path / "b"
-    cfg = _write(tmp_path, "b.cfg", FISHER_FRONT.format(spacing=0.5, dt=0.05, sigma0=8.0, out=out))
+    cfg = _write(tmp_path, "b.cfg", FISHER_FRONT.format(spacing=0.5, dt=0.06, sigma0=8.0, out=out))
     for command in ("validate", "run"):
         assert main([command, cfg, "--quiet"]) == 2, command
         err = capsys.readouterr().err
-        assert "solver.dt" in err and "0.025" in err
+        assert "solver.dt" in err and "0.0506364" in err
     assert not out.exists()
 
 
 def test_dt_precheck_covers_every_sweep_amplitude(tmp_path, capsys):
-    # the amplitude-2 cell is bounded by 0.25 / (2 + 3 + 1) = 0.0417, the
-    # amplitude-0 cell by 0.0625: dt = 0.045 exits 2 before any cell runs
+    # rho = 2 * 2 + max|f(x, 0) - 2 u| over u <= M: the amplitude-2 cell
+    # (M = 4) has rho = 4 + 7 and is bounded by 0.6 * 2.785 / 11 = 0.152,
+    # the amplitude-0 cell (M = 2) by 0.6 * 2.785 / 7 = 0.239: dt = 0.2
+    # exits 2 before any cell runs
     out = tmp_path / "c"
-    text = LATTICE_RUN.format(solver="dt = 0.045", name="invariance_sweep",
+    text = LATTICE_RUN.format(solver="dt = 0.2", name="invariance_sweep",
                               experiment="amplitudes = 0.0, 2.0", out=out)
     cfg = _write(tmp_path, "c.cfg", text)
     for command in ("validate", "run"):
         assert main([command, cfg, "--quiet"]) == 2, command
         err = capsys.readouterr().err
-        assert "solver.dt" in err and "0.0416667" in err
+        assert "solver.dt" in err and "0.151909" in err
     assert not out.exists()
 
 

@@ -372,6 +372,18 @@ def _scalar_amplification(dt, s, z):
     return step(lambda y: (z / dt) * y, np.ones_like(z))
 
 
+def _max_linearized_reaction(reaction, habitat, top):
+    """max |d_u(u f)| = max |f(x, 0) - 2 slope u| over the grid and u in
+    [0, top], from f(x, 0) alone: the expression is linear in u."""
+    f_zero = reaction.r0 + reaction.perturbation(habitat)
+    return float(max(np.abs(f_zero).max(), np.abs(f_zero - 2.0 * reaction.slope * top).max()))
+
+
+def _rk4_amplification(z):
+    """R_4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the rk4 stability polynomial."""
+    return 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+
+
 def _beta(s):
     """The rkc2 stability interval (1 + w0) / w1 from numpy's Chebyshev
     polynomials, independently of the recurrences in kpplab.dynamics."""
@@ -391,7 +403,8 @@ def test_rkc2_stage_rule(dim, spacing, r0, slope, amplitude, fraction):
     stage code itself, and equal to the closed form a_s + b_s T_s(w0 +
     w1 z)), while s - 1 stages would leave beta(s - 1) < 1.05 dt rho.
     The rkc2 stage rule is checked on every draw; where march_plan picks
-    rkc2, its plan is that step, that stage count and the clause."""
+    rkc2, its plan is that step, that stage count and the clause, and
+    where it picks rk4, the stability clause 0.6 * 2.785 / rho."""
     hab = Habitat("continuum", dim, 8.0 * spacing, spacing)
     rea = Reaction.linear(r0, slope, amplitude=amplitude * r0, radius=2.0 * spacing)
     op = DispersalOperator.random()
@@ -400,7 +413,7 @@ def test_rkc2_stage_rule(dim, spacing, r0, slope, amplitude, fraction):
     max_f = max(float(np.abs(rea.evaluate(hab, np.full(hab.shape, u))).max()) for u in (0.0, top))
     clause = 0.25 / (1.0 + max_f + 1.0)
     given_dt = None if fraction is None else fraction * clause
-    rho = 4.0 * dim / spacing ** 2 + max_f
+    rho = 4.0 * dim / spacing ** 2 + _max_linearized_reaction(rea, hab, top)
     dt = 0.5 * 0.95 * clause if given_dt is None else given_dt
     s = kpplab.dynamics._rkc2_stages(dt, rho)
     plan = march_plan(op, rea, u0, given_dt)
@@ -412,7 +425,7 @@ def test_rkc2_stage_rule(dim, spacing, r0, slope, amplitude, fraction):
         assert plan.stages == kpplab.dynamics._rkc2_stages(plan.dt, rho)
         assert plan.bound == pytest.approx(clause, rel=1e-12)
     else:
-        assert plan.stages == 4 and plan.bound == stability_dt_bound(op, rea, u0)
+        assert plan.stages == 4 and plan.bound == pytest.approx(0.6 * 2.785 / rho, rel=1e-12)
 
     assert rkc2_coefficients(s)[2] == pytest.approx(_beta(s), rel=1e-12)
     assert _beta(s) >= 1.05 * dt * rho
@@ -455,6 +468,96 @@ def test_march_plan_reads_only_the_max(kind, dim, boundary, spacing, r0, slope, 
     assert march_plan(op, rea, u0, dt) == march_plan(op, rea, hab.full(u0.max), dt)
 
 
+def _operator_matrix(op, hab):
+    """The dispersal operator on hab as a dense matrix, one apply per column."""
+    disp = op.bind(hab)
+    eye = np.eye(hab.n_points)
+    return np.stack([disp(col.reshape(hab.shape)).ravel() for col in eye], axis=1)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(kind=st.sampled_from(["random", "nonlocal", "discrete"]), dim=st.sampled_from([1, 2]),
+       boundary=st.sampled_from(["clamp", "periodic"]),
+       spacing=st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]), r0=st.floats(0.1, 20.0),
+       slope=st.floats(0.05, 20.0), amplitude=st.floats(-0.9, 2.0), height=st.floats(0.0, 10.0))
+def test_march_step_is_stable(kind, dim, boundary, spacing, r0, slope, amplitude, height):
+    """The march's automatic step lies in its scheme's stability region for
+    rho = rho_D + max|f(x, 0) - 2 slope u| over u in [0, M], with rho_D =
+    4 dim / h^2 (random) or 2 mass.  The assembled operator D shows why
+    rho is a Gershgorin bound of the linearized right-hand side D +
+    diag(f(x, 0) - 2 slope u): each row's disc lies in |z + rho_D / 2| <=
+    rho_D / 2, and every row of the Jacobian at u = 0 and at u = M has
+    absolute sum at most rho.  rk4 plans take dt rho <= 0.95 * 0.6 *
+    2.785, and |R_4| <= 1 on [-dt rho, 0] and on the circle |z + dt rho /
+    2| = dt rho / 2, hence on the scaled discs of D, which nest inside it;
+    rkc2 plans take beta(s) >= 1.05 dt rho."""
+    if kind == "discrete":
+        hab = Habitat("lattice", dim, 6.0, boundary=boundary)
+        op = DispersalOperator.discrete(LatticeWeights.symmetric(dim, 1.0))
+        rho_d = 2.0 * 2.0 * dim
+    else:
+        hab = Habitat("continuum", dim, 6.0 * spacing, spacing, boundary=boundary)
+        op = (DispersalOperator.random() if kind == "random" else
+              DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 2.0 * spacing,
+                                                              spacing, dim)))
+        rho_d = 4.0 * dim / spacing ** 2 if kind == "random" else 2.0
+    rea = Reaction.linear(r0, slope, amplitude=amplitude * r0, radius=2.0 * hab.spacing)
+    u0 = hab.full(height)
+    top = max(height, rea.beta0) + 1.0
+    rho = rho_d + _max_linearized_reaction(rea, hab, top)
+
+    d = _operator_matrix(op, hab)
+    centre = -np.diag(d)
+    assert np.all(np.abs(d).sum(axis=1) - centre <= centre * (1.0 + 1e-12))
+    assert centre.max() <= 0.5 * rho_d * (1.0 + 1e-12)
+    for u in (0.0, top):
+        jac = d + np.diag(rea.evaluate(hab, np.zeros(hab.shape)).ravel() - 2.0 * slope * u)
+        assert np.abs(jac).sum(axis=1).max() <= rho * (1.0 + 1e-12)
+
+    plan = march_plan(op, rea, u0)
+    if plan.scheme == RK4:
+        assert plan.dt * rho <= 0.95 * 0.6 * 2.785 * (1.0 + 1e-12)
+        r = 0.5 * plan.dt * rho
+        line = np.linspace(-2.0 * r, 0.0, 4001)
+        circle = -r + r * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4001))
+        for z in (line, circle):
+            assert np.abs(_rk4_amplification(z)).max() <= 1.0 + 1e-12
+    else:
+        assert _beta(plan.stages) >= 1.05 * plan.dt * rho
+
+
+def test_rk4_stability_region_holds_the_left_tangent_discs():
+    # the discs |z + r| <= r nest as r grows; rk4's region holds them up to
+    # r = 1.3926, whose diameter is the real stability interval 2.785, and
+    # the march's rk4 step keeps r = dt rho / 2 <= 0.95 * 0.6 * 2.785 / 2
+    theta = np.linspace(0.0, 2.0 * np.pi, 20001)
+    for r in (0.95 * 0.6 * 2.785 / 2.0, 1.3926):
+        assert np.abs(_rk4_amplification(-r + r * np.exp(1j * theta))).max() <= 1.0 + 1e-12
+    assert np.abs(_rk4_amplification(-2.0 * 1.3926)) <= 1.0
+    assert np.abs(_rk4_amplification(-2.0 * 1.3935)) > 1.0
+
+
+@pytest.mark.parametrize("kind", ["nonlocal", "discrete"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_march_does_not_clip_under_a_strong_reaction(kind, dim):
+    # f = 20 - 20 u with a bump of 0.5: rho is dominated by the reaction
+    # (|f(x, 0) - 2 * 20 M| = 60.5 against rho_D = 2 mass), and the rk4
+    # march from front data and from u = beta0 clips nothing and ends
+    # inside the invariant region [0, max(max u0, beta0)]
+    rea = Reaction.linear(20.0, 20.0, amplitude=0.5, radius=2.0)
+    if kind == "discrete":
+        hab = Habitat("lattice", dim, 40.0 if dim == 1 else 10.0)
+        op = DispersalOperator.discrete(LatticeWeights.symmetric(dim, 1.0))
+    else:
+        hab = Habitat("continuum", dim, 20.0 if dim == 1 else 5.0, 0.25)
+        op = DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.0, 0.25, dim))
+    xi = (1.0,) + (0.0,) * (dim - 1)
+    for u0 in (make_front_initial(hab, xi, rea.u0_star), hab.full(rea.beta0)):
+        traj = march(op, rea, u0, T=5.0)
+        assert traj.scheme == RK4 and traj.clip_count == 0
+        assert traj.final.max <= max(u0.max, rea.beta0)
+
+
 def test_rkc2_is_second_order():
     # the stage code against the scalar logistic closed form: halving dt
     # divides the error by about 4
@@ -494,10 +597,10 @@ def test_rkc2_keeps_constant_equilibria_exactly(dim, spacing, boundary, r0, slop
 
 def test_march_scheme_follows_the_grid():
     # rkc2 only where it needs fewer right-hand sides per unit time than
-    # rk4 at their automatic steps.  Fisher at h = 0.5: rk4's step is
-    # 0.95 * min(0.083, 0.104) = 0.079, 4 / 0.079 = 50.5 a unit time;
-    # rkc2's is 0.0396 with s = 2, also 50.5, so rk4 keeps its order.  At
-    # h = 0.1 rkc2 takes s = 6 at 0.0396 against rk4's 4 at 0.004.  The
+    # rk4 at their automatic steps.  Fisher at h = 0.5: rho = 16 + 3 and
+    # rk4's step is 0.95 * 0.6 * 2.785 / 19 = 0.0836, 4 / 0.0836 = 47.9 a
+    # unit time; rkc2's is 0.0396 with s = 2, 50.5, so rk4 keeps it.  At
+    # h = 0.1 rkc2 takes s = 6 at 0.0396 against rk4's 4 at 0.0039.  The
     # scheme does not follow dt: an explicit dt sets the step of the same
     # scheme, and under rkc2 answers to the bounded-operator clause only.
     op = DispersalOperator.random()

@@ -221,6 +221,33 @@ def test_rkc2_front_speed_matches_rk4():
     assert gap <= 1e-3, gap
 
 
+@pytest.mark.parametrize("kind", ["nonlocal", "discrete"])
+@pytest.mark.parametrize("amplitude", [-0.5, 0.0, 1.0])
+def test_rk4_march_front_speed_matches_evolve(kind, amplitude):
+    # the bounded kinds' front march is rk4 at its stability step; evolve
+    # at 0.95 * stability_dt_bound, the order-preserving step, tracked and
+    # fitted as run_front does, is the oracle: speeds agree within 1e-3,
+    # and the march spends under a third of the oracle's right-hand sides
+    if kind == "discrete":
+        hab, T = Habitat("lattice", 1, 200.0), 100.0
+        op = DispersalOperator.discrete(LatticeWeights.symmetric(1, 1.0))
+    else:
+        hab, T = Habitat("continuum", 1, 120.0, 0.25), 40.0
+        op = DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.0, 0.25, 1))
+    rea = Reaction.linear(1.0, 1.0, amplitude=amplitude, radius=2.0)
+    fast = run_front(op, rea, hab, 1.0, T)
+    u0 = make_front_initial(hab, 1.0, 1.0)
+    dt = 0.95 * stability_dt_bound(op, rea, u0)
+    oracle = evolve(op, rea, u0, T, dt, record_every=math.ceil(T / dt / 240))
+    trace = track_front(oracle, 1.0, 0.5 * rea.u0_star)
+    slope = estimate_speed(trace, 0.5, exclusion=op.delta0 + 10.0 * hab.spacing).slope
+    assert (fast.traj.scheme, oracle.scheme) == ("rk4", "rk4")
+    assert fast.traj.clip_count == 0 and oracle.clip_count == 0
+    assert fast.traj.rhs_evals < oracle.rhs_evals / 3
+    gap = abs(fast.estimate.slope - slope) / slope
+    assert gap <= 1e-3, gap
+
+
 def test_rkc2_compact_ramp_in_two_dimensions_does_not_clip():
     # clause 3 on a 2-D Laplacian habitat from the compact ramp: the rkc2
     # march keeps every value nonnegative without clipping
