@@ -27,6 +27,13 @@ check a step before it builds the initial data.
 Step sizes are refused up front when they violate the plan's bound,
 negatives produced by roundoff are clipped to zero with systematic
 negativity counted, and divergence is reported with the first bad time.
+
+The record rule: a march of n >= 1 steps to t_end = n dt >= T records
+t = 0, every record_every-th step and the last.  evolve keeps a snapshot
+of each record.  march does too, unless it is given an observer: then
+each record is handed to observer(t, values, t_end) as it arrives and the
+Trajectory keeps only the initial and final snapshots, so a reader that
+folds what it needs holds no history.
 """
 
 from __future__ import annotations
@@ -65,7 +72,10 @@ class IntegrationDivergedError(RuntimeError):
 
 @dataclass(eq=False)
 class Trajectory:
-    """Recorded evolution: strictly increasing times and one snapshot each."""
+    """Recorded evolution: strictly increasing times and one snapshot each.
+    evolve and a march without an observer keep every record; a march with
+    an observer keeps t = 0 and the final time only (run_front adds its
+    trailing window)."""
 
     habitat: Habitat
     times: np.ndarray
@@ -275,19 +285,30 @@ def march(
     T: float,
     dt: float = None,
     record_every: int = None,
+    observer=None,
 ) -> Trajectory:
     """The march of the front, spreading and stability runs, by the plan
     of march_plan (dt None is its automatic step; a dt above its bound
-    raises StabilityError).  record_every None keeps about 240 snapshots.
-    Snapshots obey evolve's clip, bound and record rules.
+    raises StabilityError).  record_every None makes about 240 records.
+    Records obey evolve's clip, bound and record rules.
+
+    Without an observer every record is kept as a snapshot.  With one,
+    observer(t, values, t_end) is called at t = 0 and at each later record
+    in time order, with t_end the final recorded time, and the returned
+    Trajectory holds the initial and final snapshots only; clip_count,
+    scheme and rhs_evals are those of the whole march.  values is a
+    read-only array that the march never changes afterwards, so the
+    observer may keep it.
     """
-    return _step_loop(op, reaction, u0, T, march_plan(op, reaction, u0, dt), record_every)
+    return _step_loop(op, reaction, u0, T, march_plan(op, reaction, u0, dt), record_every,
+                      observer)
 
 
-def _step_loop(op, reaction, u0, T, plan, record_every):
+def _step_loop(op, reaction, u0, T, plan, record_every, observer=None):
     """The stepping loop of every scheme: input and stability checks, then
     u <- step(rhs, u), clip accounting, the invariant-region guard and the
-    record rule (record_every None keeps about 240 snapshots)."""
+    record rule (record_every None makes about 240 records), each record
+    kept as a snapshot or, given an observer, handed to it."""
     dt = plan.dt
     if not u0.is_nonnegative():
         raise ValueError("initial data must be nonnegative")
@@ -310,7 +331,9 @@ def _step_loop(op, reaction, u0, T, plan, record_every):
         return disp(u) + u * growth(u)
 
     m_bound = max(u0.max, reaction.beta0) + 1.0
-    n_steps = int(math.ceil(T / dt - 1e-12))
+    # at least one step: for T below 1e-12 dt the ceiling alone gives none
+    n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
+    t_end = n_steps * dt
 
     # Allocate and free one untouched 16 MiB block.  Under glibc, freeing a
     # mapped block raises the dynamic mmap threshold to its size, so the
@@ -320,12 +343,21 @@ def _step_loop(op, reaction, u0, T, plan, record_every):
     # on that grid).
     np.empty(1 << 21)
 
-    u = u0.values.copy()
-    times = [0.0]
-    snapshots = [u0]
-    clip_count = 0
+    history = observer is None
+    if history:
+        times, snapshots = [0.0], [u0]
 
+        def observer(t, values, t_end):
+            times.append(t)
+            snapshots.append(Field(habitat, values))
+    else:
+        observer(0.0, u0.values, t_end)
+
+    u = u0.values
+    clip_count = 0
     for k in range(1, n_steps + 1):
+        # step and the clip below return fresh arrays, never writing into u,
+        # so an array handed to the observer is never changed afterwards
         u = step(rhs, u)
         t = k * dt
 
@@ -340,9 +372,11 @@ def _step_loop(op, reaction, u0, T, plan, record_every):
             )
 
         if k % record_every == 0 or k == n_steps:
-            times.append(t)
-            snapshots.append(Field(habitat, u))
+            u.setflags(write=False)
+            observer(t, u, t_end)
 
+    if not history:
+        times, snapshots = [0.0, t_end], [u0, Field(habitat, u)]
     return Trajectory(
         habitat=habitat,
         times=np.asarray(times),

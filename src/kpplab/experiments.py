@@ -86,19 +86,14 @@ def _front_position_1d(proj_sorted, u_sorted, level):
     return float(proj_sorted[i] + frac * (proj_sorted[i + 1] - proj_sorted[i]))
 
 
-def track_front(traj: Trajectory, xi, level: float) -> FrontTrace:
-    """Farthest point along xi where u >= level, per recorded time.
-
-    Linear interpolation between the straddling grid points (along the
-    axis for axis-aligned directions); NaN encodes an empty level set.
-    2-D tracking for non-axis directions falls back to the raw grid
-    maximum of x.xi, accurate to one spacing.
-    """
-    habitat = traj.habitat
+def _front_locator(habitat: Habitat, xi, level: float, initial_max: float):
+    """values -> the farthest point along xi where values >= level, the
+    per-snapshot rule of track_front, after its level guard against the
+    initial maximum."""
     v = unit_direction(xi, habitat.dim)
     if not (level > 0.0):
         raise ValueError("level must be positive")
-    if level >= 0.9 * traj.initial.max:
+    if level >= 0.9 * initial_max:
         raise ValueError("level must stay below 0.9 * max of the initial data")
 
     axis = None
@@ -110,24 +105,37 @@ def track_front(traj: Trajectory, xi, level: float) -> FrontTrace:
                 axis = d
                 break
 
-    positions = np.empty(len(traj.times))
     if axis is not None:
         sign = float(np.sign(v[axis]))
         proj = habitat.axis_coords() * sign
         order = np.argsort(proj)
         proj_sorted = proj[order]
-        for k, snap in enumerate(traj.snapshots):
-            u = snap.values
+
+        def locate(values):
             if habitat.dim == 2:
-                u = u.max(axis=1 - axis)
-            positions[k] = _front_position_1d(proj_sorted, u[order], level)
+                values = values.max(axis=1 - axis)
+            return _front_position_1d(proj_sorted, values[order], level)
     else:
         proj = habitat.projection(v).ravel()
-        for k, snap in enumerate(traj.snapshots):
-            mask = snap.values.ravel() >= level
-            positions[k] = float(proj[mask].max()) if np.any(mask) else math.nan
 
-    return FrontTrace(habitat, traj.times.copy(), positions, float(level), v)
+        def locate(values):
+            mask = values.ravel() >= level
+            return float(proj[mask].max()) if np.any(mask) else math.nan
+
+    return locate, v
+
+
+def track_front(traj: Trajectory, xi, level: float) -> FrontTrace:
+    """Farthest point along xi where u >= level, per recorded time.
+
+    Linear interpolation between the straddling grid points (along the
+    axis for axis-aligned directions); NaN encodes an empty level set.
+    2-D tracking for non-axis directions falls back to the raw grid
+    maximum of x.xi, accurate to one spacing.
+    """
+    locate, v = _front_locator(traj.habitat, xi, level, traj.initial.max)
+    positions = np.array([locate(snap.values) for snap in traj.snapshots], dtype=float)
+    return FrontTrace(traj.habitat, traj.times.copy(), positions, float(level), v)
 
 
 def estimate_speed(
@@ -176,15 +184,24 @@ def estimate_speed(
     )
 
 
+def _window_start(t_end: float) -> float:
+    """Start of the trailing window that the spreading checks read: the
+    last quarter of the recorded times, up to the final time t_end."""
+    return 0.75 * t_end
+
+
 def _trailing_window(traj: Trajectory):
     """(t, snapshot) pairs over the last quarter of the recorded times."""
-    start = 0.75 * float(traj.times[-1])
+    start = _window_start(float(traj.times[-1]))
     return [(t, snap) for t, snap in zip(traj.times, traj.snapshots) if t >= start]
 
 
 @dataclass(eq=False)
 class FrontRun:
-    """Trajectory, front trace, speed fit and amplitude-0 theory of a run."""
+    """Trajectory, front trace, speed fit and amplitude-0 theory of a run.
+    traj holds the initial snapshot and the records of the trailing window
+    (the final one among them), which is all that verify_spreading_cones
+    and traj.final read; trace holds a position at every record."""
 
     traj: Trajectory
     trace: FrontTrace
@@ -207,8 +224,22 @@ def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T
     reaction must pass check_front_reaction.
     """
     check_front_reaction(reaction, habitat)
-    traj = march(op, reaction, make_front_initial(habitat, xi, sigma0), T, dt, record_every)
-    trace = track_front(traj, xi, level_fraction * reaction.u0_star)
+    u0 = make_front_initial(habitat, xi, sigma0)
+    level = level_fraction * reaction.u0_star
+    locate, v = _front_locator(habitat, xi, level, u0.max)
+    times, positions = [], []
+    kept_times, kept = [0.0], [u0]
+
+    def record(t, values, t_end):
+        times.append(t)
+        positions.append(locate(values))
+        if t >= _window_start(t_end):
+            kept_times.append(t)
+            kept.append(Field(habitat, values))
+
+    marched = march(op, reaction, u0, T, dt, record_every, observer=record)
+    traj = dataclasses.replace(marched, times=np.array(kept_times), snapshots=kept)
+    trace = FrontTrace(habitat, np.array(times), np.array(positions, dtype=float), float(level), v)
     est = estimate_speed(trace, burn_in, exclusion=op.delta0 + 10.0 * habitat.spacing)
     theory = theoretical_speed(
         op.kind, dataclasses.replace(reaction, amplitude=0.0), xi,
@@ -407,6 +438,10 @@ def run_compact_spreading_checks(
     the radial versions with the speed extremized over 8 sampled
     directions (2 in 1-D).  c_scale deliberately rescales the theoretical
     speed so the suite can assert that wrong speeds are caught.
+
+    The march hands each record to an observer that folds the worst value
+    over the trailing window as it arrives, so no snapshot is kept.  A
+    clause 2/4 run without u_star solves for it before the march.
     """
     if clause not in (1, 2, 3, 4):
         raise ValueError("clause must be 1..4")
@@ -431,24 +466,28 @@ def run_compact_spreading_checks(
         raise ValueError("support radius does not fit in the habitat")
     u0 = Field(habitat, sigma * np.clip(r + 1.0 - coord, 0.0, 1.0))
 
-    traj = march(op, reaction, u0, T, dt)
-
     if clause in (2, 4) and u_star is None:
         u_star = solve_stationary(op, reaction, habitat, route=FROM_ABOVE).u_star
 
     worst = -math.inf
-    for t, snap in _trailing_window(traj):
+
+    def fold(t, values, t_end):
+        nonlocal worst
+        if t < _window_start(t_end):
+            return
         if clause in (1, 3):
             region = coord >= (1.0 + margin) * c_max * t
             if not np.any(region):
                 raise ConeEmptyError(f"outer region empty at t={t:.3g}")
-            worst = max(worst, float(snap.values[region].max()))
+            worst = max(worst, float(values[region].max()))
         else:
             region = coord <= (1.0 - margin) * c_min * t
             if not np.any(region):
                 raise ConeEmptyError(f"inner region empty at t={t:.3g}")
-            dev = np.abs(snap.values[region] - u_star.values[region])
+            dev = np.abs(values[region] - u_star.values[region])
             worst = max(worst, float(dev.max()))
+
+    traj = march(op, reaction, u0, T, dt, observer=fold)
 
     threshold = 0.01 * u0_star if clause in (1, 3) else 0.05 * u0_star
     return ClauseVerdict(

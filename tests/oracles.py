@@ -6,8 +6,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from kpplab import Field
-from kpplab.dynamics import evolve, stability_dt_bound
-from kpplab.stationary import FROM_ABOVE, FROM_BELOW, StationaryConvergenceError, sub_solution
+from kpplab.domain import make_front_initial, sampled_directions
+from kpplab.dynamics import evolve, march, stability_dt_bound
+from kpplab.experiments import ConeEmptyError, _trailing_window, track_front
+from kpplab.speeds import theoretical_speed
+from kpplab.stationary import (
+    FROM_ABOVE,
+    FROM_BELOW,
+    StationaryConvergenceError,
+    solve_stationary,
+    sub_solution,
+)
 
 
 def power_iteration(operator, max_iter=1_000_000):
@@ -108,3 +117,52 @@ def march_stationary(op, reaction, habitat, route=FROM_ABOVE):
         iterations=k,
         clip_count=clip_count,
     )
+
+
+def front_history(op, reaction, habitat, xi, T, dt=None, record_every=None, sigma0=1.0,
+                  level_fraction=0.5):
+    """(trajectory, trace) of a front run by the snapshot history: march
+    without an observer, keeping every record, then track_front over it.
+    It shares no observer with kpplab.experiments.run_front."""
+    traj = march(op, reaction, make_front_initial(habitat, xi, sigma0), T, dt, record_every)
+    return traj, track_front(traj, xi, level_fraction * reaction.u0_star)
+
+
+def compact_spreading_worst(op, reaction, habitat, clause, T, r=3.0, sigma=1.0, dt=None,
+                            margin=0.2, u_star=None, c_scale=1.0):
+    """(worst_value, clip_count, rhs_evals) of
+    kpplab.run_compact_spreading_checks by the snapshot history: march
+    without an observer, keeping every record, then fold the worst value
+    over _trailing_window of the kept trajectory."""
+    if clause in (1, 2):
+        v = np.array([1.0] + [0.0] * (habitat.dim - 1))
+        coord = np.abs(habitat.projection(v))
+        dirs = [v, -v]
+    else:
+        coord = habitat.radius()
+        dirs = sampled_directions(habitat.dim, 8)
+    speeds = [
+        theoretical_speed(op.kind, reaction, d, kernel=op.kernel, weights=op.weights).c_star
+        for d in dirs
+    ]
+    c_max = max(speeds) * c_scale
+    c_min = min(speeds) * c_scale
+    u0 = Field(habitat, sigma * np.clip(r + 1.0 - coord, 0.0, 1.0))
+
+    traj = march(op, reaction, u0, T, dt)
+    if clause in (2, 4) and u_star is None:
+        u_star = solve_stationary(op, reaction, habitat, route=FROM_ABOVE).u_star
+
+    worst = -math.inf
+    for t, snap in _trailing_window(traj):
+        if clause in (1, 3):
+            region = coord >= (1.0 + margin) * c_max * t
+            if not np.any(region):
+                raise ConeEmptyError(f"outer region empty at t={t:.3g}")
+            worst = max(worst, float(snap.values[region].max()))
+        else:
+            region = coord <= (1.0 - margin) * c_min * t
+            if not np.any(region):
+                raise ConeEmptyError(f"inner region empty at t={t:.3g}")
+            worst = max(worst, float(np.abs(snap.values[region] - u_star.values[region]).max()))
+    return worst, traj.clip_count, traj.rhs_evals

@@ -621,3 +621,39 @@ def test_march_scheme_follows_the_grid():
     # nonlocal and discrete kinds are not h^2-limited and keep rk4
     for op, hab in _three_ops()[1:]:
         assert march_plan(op, FISHER, hab.full(0.5)).scheme == RK4
+
+
+def test_march_shorter_than_the_step_tolerance_takes_one_step():
+    # T below 1e-12 dt used to round to no step at all, a final time 0 < T
+    op, u0 = DispersalOperator.random(), HAB.full(0.5)
+    plan = march_plan(op, FISHER, u0)
+    traj = march(op, FISHER, u0, T=1e-13 * plan.dt)
+    assert list(traj.times) == [0.0, plan.dt]
+    assert traj.rhs_evals == plan.stages
+    horizons = []
+    march(op, FISHER, u0, T=1e-13 * plan.dt, observer=lambda t, v, t_end: horizons.append(t_end))
+    assert horizons == [plan.dt, plan.dt]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_march_observer_sees_each_record_once_in_time_order(which):
+    # the observer gets the (t, values) bits of every snapshot that the
+    # unobserved march keeps, with the final time t_end from the first
+    # call on; the arrays it is handed are read-only and never change
+    # afterwards, and the observed march keeps only [initial, final]
+    op, hab = _three_ops()[which]
+    u0 = make_front_initial(hab, 1.0, 1.0)
+    full = march(op, FISHER, u0, T=3.0, record_every=7)
+    seen = []
+    observed = march(op, FISHER, u0, T=3.0, record_every=7,
+                     observer=lambda t, values, t_end: seen.append((t, values, t_end)))
+    assert [t for t, _, _ in seen] == list(full.times)
+    assert {t_end for _, _, t_end in seen} == {full.times[-1]}
+    for (_, values, _), snap in zip(seen, full.snapshots):
+        assert not values.flags.writeable
+        assert values.tobytes() == snap.values.tobytes()
+    assert list(observed.times) == [0.0, full.times[-1]]
+    assert observed.initial is u0
+    assert observed.final.values.tobytes() == full.final.values.tobytes()
+    assert (observed.clip_count, observed.scheme, observed.rhs_evals) == \
+        (full.clip_count, full.scheme, full.rhs_evals)

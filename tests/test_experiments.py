@@ -1,7 +1,13 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from kpplab import (
     ConeEmptyError,
@@ -200,6 +206,93 @@ def test_cone_empty_error():
     op = DispersalOperator.random()
     with pytest.raises(ConeEmptyError):
         run_compact_spreading_checks(op, FISHER, hab, 1, T=15.0)
+
+
+def test_cone_empty_error_matches_the_snapshot_oracle():
+    # the streamed check raises from inside the march, at the same record
+    # and with the same message as the check over the kept history
+    hab = Habitat("continuum", 1, 20.0, 0.25)
+    op = DispersalOperator.random()
+    with pytest.raises(ConeEmptyError) as oracle:
+        oracles.compact_spreading_worst(op, FISHER, hab, 1, T=15.0)
+    with pytest.raises(ConeEmptyError) as streamed:
+        run_compact_spreading_checks(op, FISHER, hab, 1, T=15.0)
+    assert str(streamed.value) == str(oracle.value)
+    assert str(streamed.value).startswith("outer region empty at t=")
+
+
+_BUMP = Reaction.linear(1.0, 1.0, amplitude=0.5, radius=1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_setup(kind, dim):
+    """(op, habitat, u_star) on a grid of at most 81 x 81 points."""
+    h = 0.25 if dim == 1 else 0.5
+    if kind == "random":
+        op, hab = DispersalOperator.random(), Habitat("continuum", dim, 20.0, h)
+    elif kind == "nonlocal":
+        op = DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.0, h, dim))
+        hab = Habitat("continuum", dim, 20.0, h)
+    else:
+        op, hab = DispersalOperator.discrete(LatticeWeights.symmetric(dim, 1.0)), \
+            Habitat("lattice", dim, 20.0)
+    return op, hab, solve_stationary(op, _BUMP, hab, FROM_ABOVE).u_star
+
+
+def _outcome(check):
+    """The check's result, or the message of the ConeEmptyError it raised."""
+    try:
+        return check()
+    except ConeEmptyError as err:
+        return str(err)
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(kind=st.sampled_from(["random", "nonlocal", "discrete"]), dim=st.sampled_from([1, 2]),
+       clause=st.sampled_from([1, 2, 3, 4]), c_scale=st.sampled_from([0.5, 1.0, 2.0]))
+def test_streamed_checks_match_the_snapshot_oracle(kind, dim, clause, c_scale):
+    """The observers of run_compact_spreading_checks and run_front fold
+    exactly what the kept snapshot history gives: the same worst value
+    (or the same empty-region error), clip count and right-hand sides,
+    and the same front position at every record."""
+    op, hab, u_star = _small_setup(kind, dim)
+    oracle = _outcome(lambda: oracles.compact_spreading_worst(
+        op, _BUMP, hab, clause, T=4.0, r=2.0, u_star=u_star, c_scale=c_scale))
+    streamed = _outcome(lambda: run_compact_spreading_checks(
+        op, _BUMP, hab, clause, T=4.0, r=2.0, c_scale=c_scale))
+    if not isinstance(streamed, str):
+        streamed = (streamed.worst_value, streamed.clip_count, streamed.rhs_evals)
+    assert streamed == oracle
+
+    xi = (1.0,) + (0.0,) * (dim - 1)
+    run = run_front(op, _BUMP, hab, xi, 6.0)
+    traj, trace = oracles.front_history(op, _BUMP, hab, xi, 6.0)
+    assert np.array_equal(run.trace.times, trace.times)
+    assert np.array_equal(run.trace.positions, trace.positions, equal_nan=True)
+    assert np.array_equal(run.traj.final.values, traj.final.values)
+    assert np.array_equal(run.traj.initial.values, traj.initial.values)
+    assert (run.traj.clip_count, run.traj.rhs_evals) == (traj.clip_count, traj.rhs_evals)
+    assert verify_spreading_cones(run.traj, xi, 2.0, 1.0) == \
+        verify_spreading_cones(traj, xi, 2.0, 1.0)
+
+
+def test_compact_checks_keep_no_snapshot_history():
+    # spread_random's 209 x 209 grid: the check used to keep every one of
+    # about 210 recorded grids for a window of the last quarter.  Streamed,
+    # the traced peak is about 51 grids, 48 of them the untouched 16 MiB
+    # heap block of the stepping loop.
+    hab = Habitat("continuum", 2, 26.0, 0.25)
+    rea = Reaction.linear(1.0, 1.0, amplitude=0.5, radius=1.5)
+    grid_bytes = hab.full(0.0).values.nbytes
+    tracemalloc.start()
+    try:
+        v = run_compact_spreading_checks(DispersalOperator.random(), rea, hab, 3, T=7.0,
+                                         margin=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.ok
+    assert peak <= 64 * grid_bytes, peak / grid_bytes
 
 
 def test_rkc2_front_speed_matches_rk4():
