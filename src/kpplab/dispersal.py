@@ -19,6 +19,16 @@ twisted by exp(-mu x.xi), or for the random stencil the first-order factors
 1 - mu z_j.xi (its centred drift) plus mu^2 on the diagonal.  The periodic
 cell operators of eigen and the constant-coefficient closed forms (the
 stencil's symbol) both read it.
+
+_Stencil.fourier reads the same stencil as a constant-coefficient
+convolution D0 on a torus, and DispersalOperator.bind_resolvent inverts
+c I - D0 by numpy.fft: on the torus of the grid under periodic boundaries,
+on the even extension of length 2n per axis under clamp boundaries (for
+unit offsets, dropping an out-of-domain term is reflection about the
+half point).  The inverse is exact for symmetric stencils with unit
+offsets on clamp habitats and for every symmetric stencil on periodic
+ones; elsewhere it is exact away from the boundary.  numpy.fft is reached
+only inside bind_resolvent, so importing kpplab does not load it.
 """
 
 from __future__ import annotations
@@ -78,6 +88,15 @@ class _Stencil:
         """diag + sum_j w_j (f_j - 1): the twisted stencil on constants."""
         _, excess, diag = self.twist(mu, xi)
         return diag + excess @ self.weights
+
+    def fourier(self, lengths):
+        """sum_j w_j (cos(theta.z_j) - 1) at the real-FFT frequencies theta
+        = 2 pi k / lengths of a torus (numpy.fft.rfftn's layout): the real
+        part of the DFT of the stencil placed on that torus."""
+        cells = np.zeros(lengths)
+        np.add.at(cells, tuple((self.offsets % lengths).T), self.weights)
+        cells.flat[0] -= self.weights.sum()
+        return np.fft.rfftn(cells).real
 
 
 @dataclass(eq=False)
@@ -182,6 +201,30 @@ class DispersalOperator:
             return acc if row_mass is None else acc / row_mass
 
         return action_clamp
+
+    def bind_resolvent(self, habitat: Habitat):
+        """Return (r, c) -> (c I - D0)^{-1} r for c > 0, with D0 the stencil
+        read as a convolution on the torus of the habitat's boundary (see
+        the module docstring); nonlocal clamp rows are divided by the
+        interior row mass, as bind divides them."""
+        self.check_habitat(habitat)
+        st = self._stencil(habitat.dim, habitat.spacing)
+        periodic = habitat.boundary == PERIODIC
+        lengths = habitat.shape if periodic else tuple(2 * n for n in habitat.shape)
+        symbol = st.fourier(lengths)
+        if st.renormalize and not periodic:
+            symbol /= st.weights.sum()
+        axes = tuple(range(habitat.dim))
+        inside = tuple(slice(0, n) for n in habitat.shape)
+
+        def resolvent(r, c):
+            if not periodic:
+                for ax in axes:
+                    r = np.concatenate((r, np.flip(r, ax)), axis=ax)
+            v = np.fft.irfftn(np.fft.rfftn(r) / (c - symbol), s=lengths, axes=axes)
+            return v[inside]
+
+        return resolvent
 
     # ---- public Field interface -------------------------------------------
 

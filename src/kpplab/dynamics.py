@@ -122,6 +122,20 @@ def _reaction_maxima(reaction: Reaction, u0: Field):
     return max(at_0, at_m), max(at_0, at_2m)
 
 
+def _dispersal_bound(op: DispersalOperator, habitat: Habitat) -> float:
+    """Gershgorin bound rho_D of the dispersal stencil: 4 dim / h^2 for the
+    random kind, 2 mass otherwise."""
+    if op.kind == RANDOM:
+        return 4.0 * habitat.dim / habitat.spacing ** 2
+    return 2.0 * op.operator_mass
+
+
+def spectral_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
+    """The Gershgorin bound rho = rho_D + max|d_u(u f)| over u in [0, M] of
+    the linearized right-hand side that march_plan steps by."""
+    return _dispersal_bound(op, u0.habitat) + _reaction_maxima(reaction, u0)[1]
+
+
 def _clause(op: DispersalOperator, max_f: float) -> float:
     """The bounded-operator clause 0.25 / (mass + max|f| + 1)."""
     return 0.25 / (op.operator_mass + max_f + 1.0)
@@ -207,8 +221,7 @@ def march_plan(op: DispersalOperator, reaction: Reaction, u0: Field,
     habitat and max(u0) only.
     """
     max_f, max_df = _reaction_maxima(reaction, u0)
-    h = u0.habitat
-    rho = (4.0 * h.dim / h.spacing ** 2 if op.kind == RANDOM else 2.0 * op.operator_mass) + max_df
+    rho = _dispersal_bound(op, u0.habitat) + max_df
     rk4 = _RK4_MARCH_FRACTION * _RK4_INTERVAL / rho
     rk4_dt = _STEP_FRACTION * rk4
     if op.kind == RANDOM:

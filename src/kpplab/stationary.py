@@ -4,7 +4,13 @@ The from-above route runs Newton from the constant super-solution
 M = beta0 + 1; the from-below route runs the monotone iteration of
 Sattinger (1972) upward from a small multiple of a periodically extended
 positive eigenfunction, then hands over to Newton.  Every linear solve
-is one BiCGSTAB loop on the dispersal closure, so no matrix is built.
+is one BiCGSTAB loop on the dispersal closure, so no matrix is built,
+right-preconditioned by the Fourier inverse of c I - D0, where D0 is
+the same stencil read as a constant-coefficient convolution
+(DispersalOperator.bind_resolvent).  A monotone step solves K I - D, which
+is c I - D0 itself for the random and symmetric discrete kinds, so it
+takes one or two applies; a Newton step solves a I - D with a varying
+a(x), preconditioned at c = mean(a).
 The eigenfunction comes from a periodic minorant of the growth rate at
 zero: a smooth periodic h(x) sitting below f(x, 0) whose cell average
 is within eps of the homogeneous rate, so its dominant eigenvalue is
@@ -25,7 +31,7 @@ import numpy as np
 
 from .dispersal import DispersalOperator
 from .domain import Field, Habitat, Reaction
-from .dynamics import march
+from .dynamics import march, spectral_bound
 from .eigen import PeriodicCoefficient, assemble_cell_operator, principal_eigenvalue
 
 FROM_ABOVE = "from-above"
@@ -34,6 +40,10 @@ FROM_BELOW = "from-below"
 _SUB_SOLUTION_DELTA = 0.1  # the first height tried for delta * phi
 _SUB_SOLUTION_SLACK = 1e-10
 _RESIDUAL_TOL = 1e-7
+# The residual's rounding floor is about eps rho max(u), with rho the
+# Gershgorin bound of the linearized equation, so the certificate grows
+# with the carrying capacity once that floor passes 1e-7.
+_RESIDUAL_ROUNDING = 4.0
 _STABILITY_TOL = 1e-4  # largest distance to u* at the horizon of check_stability
 # Step limits relative to the iterate's height max(u), so the iteration
 # behaves alike for every carrying capacity u0* = r0/slope.
@@ -182,12 +192,22 @@ class StationaryResult:
     matvecs: int  # operator applies inside the Krylov solves
 
 
-def _krylov(apply, b):
-    """Solve apply(x) = b by BiCGSTAB (van der Vorst 1992) from x = 0.
+def residual_tolerance(op: DispersalOperator, reaction: Reaction, u: Field) -> float:
+    """The largest equation residual max|D u + u f(x, u)| that certifies u:
+    max(1e-7, 4 eps rho max(u)), with rho = dynamics.spectral_bound at u."""
+    floor = np.finfo(float).eps * spectral_bound(op, reaction, u) * u.max
+    return max(_RESIDUAL_TOL, _RESIDUAL_ROUNDING * floor)
 
-    Stops when the 2-norm of the recursive residual is at most 1e-14
-    ||b|| and returns (x, applies).  A breakdown, or no convergence in
-    5000 iterations, raises StationaryConvergenceError.
+
+def _krylov(apply, b, precondition):
+    """Solve apply(x) = b by BiCGSTAB (van der Vorst 1992) from x = 0,
+    right-preconditioned: it iterates on apply(precondition(y)) = b and
+    returns x = precondition(y), so its recursive residual is that of
+    apply(x) = b itself.
+
+    Stops when the 2-norm of that residual is at most 1e-14 ||b|| and
+    returns (x, applies), counting the applies of apply.  A breakdown, or
+    no convergence in 5000 iterations, raises StationaryConvergenceError.
     """
     x = np.zeros_like(b)
     tol = _KRYLOV_TOL * math.sqrt(np.vdot(b, b))
@@ -201,17 +221,19 @@ def _krylov(apply, b):
     for k in range(_KRYLOV_MAX_ITER):
         rho_next = np.vdot(r_hat, r)
         p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
-        v = apply(p)
+        y = precondition(p)
+        v = apply(y)
         r_hat_v = np.vdot(r_hat, v)
         if rho_next == 0.0 or r_hat_v == 0.0:
             raise StationaryConvergenceError(f"Krylov solve broke down at iteration {k}")
         alpha = rho_next / r_hat_v
         s = r - alpha * v
         if math.sqrt(np.vdot(s, s)) <= tol:  # also the exact case s = 0
-            return x + alpha * p, 2 * k + 1
-        t = apply(s)
+            return x + alpha * y, 2 * k + 1
+        z = precondition(s)
+        t = apply(z)
         omega = np.vdot(t, s) / np.vdot(t, t)
-        x = x + alpha * p + omega * s
+        x = x + alpha * y + omega * z
         r = s - omega * t
         if math.sqrt(np.vdot(r, r)) <= tol:
             return x, 2 * k + 2
@@ -230,13 +252,16 @@ def solve_stationary(
     """The positive solution of F(u) = D u + u f(x, u) = 0, matrix-free.
 
     From above: Newton from the super-solution M = beta0 + 1.  The linear
-    systems (-J) du = F(u) with J v = D v + (f(x, u) - slope u) v are
-    solved by _krylov; since u f is concave in u every iterate is a
-    super-solution and the iterates do not increase.
+    systems (-J) du = F(u) with -J v = a v - D v, a = slope u - f(x, u),
+    are solved by _krylov, preconditioned by the Fourier inverse of
+    c I - D0 at c = mean(a) (max(a) if that mean is not positive); since
+    u f is concave in u every iterate is a super-solution and the
+    iterates do not increase.
 
     From below: the monotone iteration (K I - D) u_next = K u + u f(x, u)
     of Sattinger (1972) from sub_solution, with K = sup |d_u(u f)| on
-    [0, beta0] (the iterates stay below u* <= beta0), does not decrease.
+    [0, beta0] (the iterates stay below u* <= beta0), does not decrease;
+    its solves are preconditioned at c = K.
     Once its largest step falls below 1e-3 max(u) it hands over to
     Newton, whose first step lands on or above u* by concavity and whose
     later steps do not increase.
@@ -244,8 +269,10 @@ def solve_stationary(
     Every step is checked against its direction with 1e-10 max(u) slack.
     The iteration stops once a Newton step is below 1e-12 max(u) in max
     norm, and the result is certified by the equation residual (at most
-    1e-7) and strict positivity.  The step limits are relative to the
-    iterate's height so that they scale with the carrying capacity.
+    residual_tolerance: 1e-7, or its rounding floor where the carrying
+    capacity lifts that above 1e-7) and strict positivity.  The step
+    limits are relative to the iterate's height so that they scale with
+    the carrying capacity.
     """
     if route not in (FROM_ABOVE, FROM_BELOW):
         raise ValueError(f"unknown route {route!r}")
@@ -256,6 +283,7 @@ def solve_stationary(
         u = sub_solution(op, reaction, habitat).values
 
     disp = op.bind(habitat)
+    resolvent = op.bind_resolvent(habitat)
     growth = reaction.bind(habitat)
     base = growth(np.zeros(habitat.shape))
     # sup |d_u(u f)| over [0, beta0], which holds every from-below iterate
@@ -273,12 +301,15 @@ def solve_stationary(
         F = disp(u) + u * g
         if newton:
             diag = g - reaction.slope * u
+            c = -float(diag.mean())  # -J = -diag I - D, -diag = c on average
+            if c <= 0.0:
+                c = -float(diag.min())
 
             def apply(v, diag=diag):
                 return -disp(v) - diag * v
         else:
-            apply = monotone
-        du, n = _krylov(apply, F)
+            apply, c = monotone, K
+        du, n = _krylov(apply, F, lambda r, c=c: resolvent(r, c))
         matvecs += n
         height = float(u.max())
         if float((-sign * du).max()) > _MONOTONE_SLACK * height:
@@ -299,9 +330,10 @@ def solve_stationary(
 
     u_star = Field(habitat, u)
     residual = float(np.abs(disp(u) + u * growth(u)).max())
-    if residual > _RESIDUAL_TOL:
+    tolerance = residual_tolerance(op, reaction, u_star)
+    if residual > tolerance:
         raise StationaryConvergenceError(
-            f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
+            f"stationary residual {residual:.3e} exceeds {tolerance:.3e}"
         )
     if not u_star.is_strictly_positive():
         raise StationaryConvergenceError("stationary state is not strictly positive")

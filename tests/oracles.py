@@ -7,7 +7,7 @@ import numpy as np
 
 from kpplab import Field
 from kpplab.domain import make_front_initial, sampled_directions
-from kpplab.dynamics import evolve, march, stability_dt_bound
+from kpplab.dynamics import evolve, march, spectral_bound, stability_dt_bound
 from kpplab.experiments import ConeEmptyError, _trailing_window, track_front
 from kpplab.speeds import theoretical_speed
 from kpplab.stationary import (
@@ -44,6 +44,15 @@ _RECORD_SPACING = 1.0
 _MONOTONE_SLACK = 1e-10
 _CONVERGENCE_TOL = 1e-9
 _RESIDUAL_TOL = 1e-7
+_ROUNDING = 4.0  # the residual's rounding floor is below 4 eps rho max(u)
+
+
+def _scale(op, reaction, u):
+    """max(1, 4 eps rho max(u) / 1e-7), rho the march's spectral bound at u:
+    the factor that lifts both tolerances to the residual's rounding floor
+    at large carrying capacities."""
+    floor = _ROUNDING * np.finfo(float).eps * spectral_bound(op, reaction, u) * u.max
+    return max(1.0, floor / _RESIDUAL_TOL)
 
 
 @dataclass(eq=False)
@@ -60,7 +69,9 @@ def march_stationary(op, reaction, habitat, route=FROM_ABOVE):
 
     Stops when consecutive snapshots (spacing 1.0) differ by less than
     1e-9 in max norm, then certifies the result by the equation residual
-    (must be <= 1e-7).  The route's monotonicity (non-increasing from
+    (must be <= 1e-7); both tolerances are multiplied by _scale, which is 1
+    unless the carrying capacity lifts the residual's rounding floor
+    4 eps rho max(u) above 1e-7.  The route's monotonicity (non-increasing from
     above, non-decreasing from below) is checked per snapshot with 1e-10
     slack; failure to converge by t = 500 raises with the residual.
     """
@@ -91,12 +102,13 @@ def march_stationary(op, reaction, habitat, route=FROM_ABOVE):
             monotone_ok = False
         diff = float(np.abs(step).max())
         prev = cur
-        if diff < _CONVERGENCE_TOL:
+        if diff < _CONVERGENCE_TOL * _scale(op, reaction, cur):
             converged = True
             break
 
     u_star = prev
     residual = float(np.abs(disp(u_star.values) + u_star.values * growth(u_star.values)).max())
+    tolerance = _RESIDUAL_TOL * _scale(op, reaction, u_star)
     if not converged:
         raise StationaryConvergenceError(
             f"no convergence by t = {_T_MAX} (last residual {residual:.3e})"
@@ -105,9 +117,9 @@ def march_stationary(op, reaction, habitat, route=FROM_ABOVE):
         raise StationaryConvergenceError(
             f"{route} iterates violated monotonicity beyond {_MONOTONE_SLACK}"
         )
-    if residual > _RESIDUAL_TOL:
+    if residual > tolerance:
         raise StationaryConvergenceError(
-            f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
+            f"stationary residual {residual:.3e} exceeds {tolerance:.3e}"
         )
     if not u_star.is_strictly_positive():
         raise StationaryConvergenceError("stationary state is not strictly positive")

@@ -291,3 +291,34 @@ def test_habitat_operator_is_cooperative(case, boundary):
                       axis=1)
     np.fill_diagonal(matrix, 0.0)
     assert matrix.min() >= 0.0
+
+
+@st.composite
+def _resolvent_cases(draw):
+    """(op, habitat) on which bind_resolvent inverts exactly: the random
+    kind and symmetric unit-offset rates on either boundary, kernels on
+    periodic habitats.  Drawn through integers and sampled_from only."""
+    kind = draw(st.sampled_from(["random", "nonlocal", "discrete"]))
+    dim = draw(st.integers(1, 2))
+    m = draw(st.integers(2, 8))
+    boundary = "periodic" if kind == "nonlocal" else draw(st.sampled_from(["clamp", "periodic"]))
+    if kind == "discrete":
+        weights = LatticeWeights.symmetric(dim, draw(st.sampled_from([0.5, 1.0, 2.0])))
+        return DispersalOperator.discrete(weights), Habitat("lattice", dim, m, boundary=boundary)
+    spacing = draw(st.sampled_from([0.25, 0.5]))
+    hab = Habitat("continuum", dim, m * spacing, spacing, boundary=boundary)
+    if kind == "random":
+        return DispersalOperator.random(), hab
+    profile = draw(st.sampled_from(["uniform", "triangle", "mollifier"]))
+    kern = Kernel.from_profile(profile, draw(st.integers(2, 6)) * spacing, spacing, dim)
+    return DispersalOperator.nonlocal_(kern), hab
+
+
+@settings(deadline=None, derandomize=True)
+@given(_resolvent_cases(), st.sampled_from([0.5, 1.0, 4.0]), st.integers(0, 99))
+def test_resolvent_inverts_c_minus_the_stencil(case, c, seed):
+    op, hab = case
+    r = np.random.default_rng(seed).standard_normal(hab.shape)
+    v = op.bind_resolvent(hab)(r, c)
+    assert v.shape == hab.shape
+    assert np.abs(c * v - op.bind(hab)(v) - r).max() <= 1e-12 * np.abs(r).max()

@@ -342,9 +342,11 @@ def test_import_leaves_out_scipy_linalg():
     # 140 ms and 9 MiB to every start-up, scipy.sparse about 90 ms and
     # 17 MiB; the dense solve uses numpy.linalg and the cell operator
     # gathers its neighbours through dispersal.wrap_index.  Plain scipy
-    # (about 12 ms and 1.3 MiB) is left out too: kpplab runs no scipy code
+    # (about 12 ms and 1.3 MiB) is left out too: kpplab runs no scipy code.
+    # numpy.fft (about 1.2 MiB) is reached lazily, only by the stationary
+    # solve's preconditioner, so runs that solve no stationary state skip it
     src = os.path.dirname(os.path.dirname(kpplab.__file__))
-    modules = ("scipy", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
+    modules = ("scipy", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "numpy.fft")
     code = ("import sys, kpplab, kpplab.cli; "
             f"print([m for m in {modules!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

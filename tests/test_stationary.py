@@ -24,6 +24,7 @@ from kpplab import (
     stability_dt_bound,
     sub_solution,
 )
+from kpplab import stationary
 from kpplab.stationary import FROM_ABOVE, FROM_BELOW, extend_periodic, smooth_cutoff
 
 HAB = Habitat("continuum", 1, 10.0, 0.25)
@@ -273,3 +274,45 @@ def test_routes_match_the_oracle_at_extreme_carrying_capacities(capacity):
             slow = oracles.march_stationary(op, reaction, habitat, route=route)
             gap = np.abs(fast.u_star.values - slow.u_star.values).max()
             assert gap <= 1e-8, (op.kind, route, gap)
+
+
+@pytest.mark.parametrize("capacity", [1e8, 1e10])
+def test_residual_certificate_scales_with_the_carrying_capacity(capacity):
+    # from u0* = 1e8 on, the residual's rounding floor eps rho max(u)
+    # passes 1e-7; the certificate follows it, and both routes still land
+    # within a few rounding units of the marching oracle
+    hab1 = Habitat("continuum", 1, 6.0, 0.25)
+    cases = [
+        (DispersalOperator.random(), hab1),
+        (DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.0, 0.25, 1)), hab1),
+        (DispersalOperator.discrete(LatticeWeights.symmetric(2, 1.0)), Habitat("lattice", 2, 6)),
+    ]
+    reaction = Reaction.logistic(1.0, capacity, amplitude=0.5, radius=1.0)
+    for op, habitat in cases:
+        for route in (FROM_ABOVE, FROM_BELOW):
+            fast = solve_stationary(op, reaction, habitat, route=route)
+            slow = oracles.march_stationary(op, reaction, habitat, route=route)
+            gap = np.abs(fast.u_star.values - slow.u_star.values).max()
+            assert gap <= 1e-12 * fast.u_star.max, (op.kind, route, gap)
+            assert fast.residual <= stationary.residual_tolerance(op, reaction, fast.u_star)
+
+
+def test_preconditioned_solves_cost_a_few_applies(monkeypatch):
+    # the problem of configs/stationary_bump.cfg, where the unpreconditioned
+    # from-below route took 5,250 applies: each monotone step solves
+    # K I - D exactly in the preconditioner, so it costs one or two applies
+    habitat = Habitat("continuum", 1, 40.0, 0.1)
+    applies = []
+    krylov = stationary._krylov
+
+    def counted(apply, b, precondition):
+        x, n = krylov(apply, b, precondition)
+        applies.append(n)
+        return x, n
+
+    monkeypatch.setattr(stationary, "_krylov", counted)
+    res = solve_stationary(DispersalOperator.random(), BUMP, habitat, route=FROM_BELOW)
+    assert res.matvecs == sum(applies) <= 300
+    monotone_steps = res.iterations - res.newton_steps
+    assert monotone_steps > 0
+    assert max(applies[:monotone_steps]) <= 2
