@@ -14,6 +14,17 @@ terms are dropped and nonlocal rows are renormalized by their in-domain
 mass; under periodic boundaries indices wrap, by the one rule of
 wrap_index.
 
+The random and nonlocal stencils and symmetric lattice rates are
+symmetric (z and -z carry the same weight), so the clamp action shares
+one difference between the two terms of each such pair: the earlier
+term, of z, adds d = w (u[src] - u[dst]) into acc[dst], and the term of
+-z, whose slices are those of z swapped, subtracts the same d from
+acc[src].  Negation is exact in IEEE arithmetic, so each shared term is
+bitwise the w (u(x - z) - u(x)) it replaces; the terms are added in the
+stencil's order as before, so the result is bit-identical to the
+term-by-term action.  A term whose mirror is missing or weighted
+differently (asymmetric lattice rates) takes its own difference.
+
 _Stencil.twist gives the factors f_j = exp(-mu z_j.xi) of the operator
 twisted by exp(-mu x.xi), or for the random stencil the first-order factors
 1 - mu z_j.xi (its centred drift) plus mu^2 on the diagonal.  The periodic
@@ -187,7 +198,12 @@ class DispersalOperator:
 
             return action_wrap
 
-        slices = [(*_difference_slices(off, habitat.shape), w) for off, w in terms]
+        roles = _shared_differences(terms)
+        n_pairs = sum(not first for _, first in roles)
+        # the first term of a pair holds its difference in the pair's slot
+        # and the mirror subtracts it (the mirror's dst is the first's src)
+        steps = [(*_difference_slices(off, habitat.shape), w, slot, first)
+                 for (off, w), (slot, first) in zip(terms, roles)]
         row_mass = None
         if st.renormalize:
             row_mass = np.zeros(habitat.shape)
@@ -196,9 +212,20 @@ class DispersalOperator:
 
         def action_clamp(u):
             acc = np.zeros_like(u)
-            for dst, src, w in slices:
-                acc[dst] += w * (u[src] - u[dst])
-            return acc if row_mass is None else acc / row_mass
+            held = [None] * n_pairs
+            for dst, src, w, slot, first in steps:
+                if first:
+                    d = u[src] - u[dst]
+                    d *= w
+                    acc[dst] += d
+                    if slot is not None:
+                        held[slot] = d
+                else:
+                    acc[dst] -= held[slot]
+                    held[slot] = None
+            if row_mass is not None:
+                acc /= row_mass
+            return acc
 
         return action_clamp
 
@@ -239,6 +266,23 @@ def wrap_index(offsets, shape):
     grid = np.indices(shape).reshape(len(shape), 1, -1)
     shifted = grid + np.asarray(offsets, dtype=int).reshape(-1, len(shape)).T[:, :, None]
     return np.ravel_multi_index(tuple(shifted), shape, mode="wrap")
+
+
+def _shared_differences(terms):
+    """(slot, first) for each term (offset, weight) of a stencil: the
+    terms of z and -z with equal weights share one slot, whose difference
+    the earlier one takes (first True) and the later one negates; a term
+    without such a mirror is (None, True).  Each term pairs with the
+    earliest free mirror after it."""
+    roles, waiting, slot = [(None, True)] * len(terms), {}, 0
+    for j, (off, w) in enumerate(terms):
+        earlier = waiting.get((off, w))
+        if earlier:
+            roles[earlier.pop(0)], roles[j] = (slot, True), (slot, False)
+            slot += 1
+        else:
+            waiting.setdefault((tuple(-o for o in off), w), []).append(j)
+    return roles
 
 
 def _difference_slices(off, shape):

@@ -237,34 +237,67 @@ def _rkc2_stepper(dt: float, s: int):
     """One rkc2 step in increment form: with D_j = Y_j - u,
     D_j = mu_j D_{j-1} + nu_j D_{j-2} + dt (mu~_j F(u + D_{j-1}) + gamma~_j F0),
     so a state with F = 0 exactly (a constant equilibrium, the zeros
-    ahead of a front) is kept bit for bit."""
+    ahead of a front) is kept bit for bit.
+
+    rhs must return a new array on each call, which the step writes into:
+    each stage sum D_j accumulates in place in F(u + D_{j-1}), and the
+    stage states u + D_{j-1} and the scaled terms all go through one
+    buffer per step (rhs must not keep its argument).  The floating-point
+    operations and their order are those of the plain expressions, so the
+    result is bit-identical.  The step returns D_s + u in D_s's own array,
+    a fresh one each step, so an earlier result (an array handed to an
+    observer) is never written again."""
     first, stages, _ = rkc2_coefficients(s)
     first *= dt
     scaled = [(m, n, dt * mt, dt * gt) for m, n, mt, gt in stages]
 
     def step(rhs, u):
+        buf = np.empty_like(u)
         f0 = rhs(u)
         d_prev, d = None, first * f0
         for j, (m, n, mt, gt) in enumerate(scaled, start=2):
-            y = rhs(u + d)
+            y = rhs(np.add(u, d, out=buf))
             y *= mt
-            y += gt * f0
-            y += m * d
+            y += np.multiply(f0, gt, out=buf)
+            y += np.multiply(d, m, out=buf)
             if j > 2:  # D_0 = 0
-                y += n * d_prev
+                y += np.multiply(d_prev, n, out=buf)
             d_prev, d = d, y
-        return u + d
+        d += u
+        return d
 
     return step
 
 
 def _rk4_stepper(dt: float):
+    """One classical rk4 step, u + dt/6 (k1 + 2 k2 + 2 k3 + k4).
+
+    rhs must return a new array on each call, which the step writes into:
+    the weighted sum accumulates in place in k1 as each k_j arrives, and
+    the three stage states u + c dt k_j go through one buffer per step
+    (rhs must not keep its argument).  The floating-point operations and
+    their order are those of the plain expression, so the result is
+    bit-identical.  The step returns the result in k1's own array, a
+    fresh one each step, so an earlier result (an array handed to an
+    observer) is never written again."""
+    half, sixth = 0.5 * dt, dt / 6.0
+
     def step(rhs, u):
+        y = np.empty_like(u)
         k1 = rhs(u)
-        k2 = rhs(u + (0.5 * dt) * k1)
-        k3 = rhs(u + (0.5 * dt) * k2)
-        k4 = rhs(u + dt * k3)
-        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.add(u, np.multiply(k1, half, out=y), out=y)
+        k2 = rhs(y)
+        np.add(u, np.multiply(k2, half, out=y), out=y)
+        k2 *= 2.0
+        k1 += k2  # k1 + 2 k2
+        k3 = rhs(y)
+        np.add(u, np.multiply(k3, dt, out=y), out=y)
+        k3 *= 2.0
+        k1 += k3  # + 2 k3
+        k1 += rhs(y)  # + k4
+        k1 *= sixth
+        k1 += u
+        return k1
 
     return step
 
@@ -341,7 +374,12 @@ def _step_loop(op, reaction, u0, T, plan, record_every, observer=None):
     growth = reaction.bind(habitat)
 
     def rhs(u):
-        return disp(u) + u * growth(u)
+        # a new array each call, as the steppers require
+        out = disp(u)
+        g = growth(u)
+        g *= u
+        out += g
+        return out
 
     m_bound = max(u0.max, reaction.beta0) + 1.0
     # at least one step: for T below 1e-12 dt the ceiling alone gives none

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kpplab import Field
+from kpplab.dispersal import _difference_slices
 from kpplab.domain import make_front_initial, sampled_directions
 from kpplab.dynamics import evolve, march, spectral_bound, stability_dt_bound
 from kpplab.experiments import ConeEmptyError, _trailing_window, track_front
@@ -37,6 +38,25 @@ def power_iteration(operator, max_iter=1_000_000):
             return top - s, v / v.max()
         v = w / top
     raise RuntimeError(f"oracle power iteration: no convergence in {max_iter} iterations")
+
+
+def clamp_apply(op, habitat, u):
+    """A dispersal operator on a clamp habitat term by term: for each
+    offset z, w_z (u(x + z) - u(x)) added over the in-domain overlap, each
+    difference taken on its own, nonlocal rows then divided by their
+    in-domain mass.  It shares no pairing with kpplab's bound closure."""
+    st = op._stencil(habitat.dim, habitat.spacing)
+    acc = np.zeros_like(u)
+    for off, w in zip(st.offsets, st.weights):
+        if any(off):
+            dst, src = _difference_slices(off, habitat.shape)
+            acc[dst] += w * (u[src] - u[dst])
+    if not st.renormalize:
+        return acc
+    row_mass = np.zeros(habitat.shape)
+    for off, w in zip(st.offsets, st.weights):
+        row_mass[_difference_slices(off, habitat.shape)[0]] += w
+    return acc / row_mass
 
 
 _T_MAX = 500.0

@@ -4,6 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import oracles
+
 from kpplab import (
     DispersalOperator,
     Field,
@@ -190,6 +192,42 @@ def test_clamp_nonlocal_rows_match_dense_oracle():
         u = np.random.default_rng(dim).random(hab.shape)
         out = op.bind(hab)(u).ravel()
         assert np.abs(out - dense @ u.ravel()).max() <= 1e-13, dim
+
+
+@st.composite
+def _clamp_cases(draw):
+    """(op, clamp habitat) of every kind, down to grids narrower than the
+    stencil, with lattice rates that may differ between z and -z.  Drawn
+    through integers and sampled_from only."""
+    kind = draw(st.sampled_from(["random", "nonlocal", "discrete"]))
+    dim = draw(st.integers(1, 2))
+    half = draw(st.integers(1, 9))
+    if kind == "discrete":
+        rates = {tuple(off): draw(st.sampled_from([0.5, 1.0, 2.0]))
+                 for off in LatticeWeights.symmetric(dim).offsets}
+        return DispersalOperator.discrete(LatticeWeights.from_rates(rates)), \
+            Habitat("lattice", dim, half)
+    spacing = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    hab = Habitat("continuum", dim, half * spacing, spacing)
+    if kind == "random":
+        return DispersalOperator.random(), hab
+    profile = draw(st.sampled_from(["uniform", "triangle", "mollifier"]))
+    delta0 = draw(st.sampled_from([1.5, 2.0, 3.0, 4.5])) * spacing
+    return DispersalOperator.nonlocal_(Kernel.from_profile(profile, delta0, spacing, dim)), hab
+
+
+@settings(deadline=None, derandomize=True)
+@given(_clamp_cases(), st.integers(0, 99), st.integers(-3, 3))
+@example((DispersalOperator.random(), Habitat("continuum", 2, 26.0, 0.25)), 0, 0)
+@example((DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 2.0, 0.5, 2)),
+          Habitat("continuum", 2, 26.0, 0.5)), 0, 0)
+def test_clamp_apply_matches_the_term_by_term_oracle(case, seed, exponent):
+    """The bound clamp closure shares one difference between the terms z
+    and -z; each shared term is the exact negation of the one it
+    replaces, so the result is bit for bit the oracle's."""
+    op, hab = case
+    u = np.random.default_rng(seed).standard_normal(hab.shape) * 10.0 ** exponent
+    assert np.array_equal(op.bind(hab)(u), oracles.clamp_apply(op, hab, u))
 
 
 @st.composite

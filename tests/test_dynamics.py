@@ -108,11 +108,14 @@ def test_large_grid_steps_do_not_page_fault():
     # the 209 x 209 grid of perfbench/configs/spread_random.cfg: every rk4
     # or rkc2 step makes a dozen 341 KiB temporaries, which must come from
     # the heap and not from fresh mappings (about 2,300 minor faults a
-    # step).  A fresh process, since what other tests import moves glibc's
-    # threshold; a one-step warm-up first grows the heap.
+    # step).  The 105 x 105 nonlocal march of spread_nonlocal.cfg holds
+    # up to 22 pair differences at once in each apply.  A fresh process,
+    # since what other tests import moves glibc's threshold; a one-step
+    # warm-up first grows the heap.
     code = textwrap.dedent("""
         import resource
-        from kpplab import DispersalOperator, Habitat, Reaction, evolve, stability_dt_bound
+        from kpplab import (DispersalOperator, Habitat, Kernel, Reaction, evolve,
+                            stability_dt_bound)
         from kpplab.dynamics import march, march_plan
         hab = Habitat("continuum", 2, 26.0, 0.25)
         op, rea = DispersalOperator.random(), Reaction.linear(1.0, 1.0, 0.5, 1.5)
@@ -127,13 +130,22 @@ def test_large_grid_steps_do_not_page_fault():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         assert march(op, rea, u0, T=20 * dt, record_every=10 ** 9).scheme == "rkc2"
         print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+        hab = Habitat("continuum", 2, 26.0, 0.5)
+        op = DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 2.0, 0.5, 2))
+        u0 = hab.full(0.5)
+        dt = march_plan(op, rea, u0).dt
+        march(op, rea, u0, T=dt)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert march(op, rea, u0, T=20 * dt, record_every=10 ** 9).scheme == "rk4"
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
     """)
     src = os.path.dirname(os.path.dirname(kpplab.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    rk4_faults, rkc2_faults = map(float, out.stdout.split())
+    rk4_faults, rkc2_faults, nonlocal_faults = map(float, out.stdout.split())
     assert rk4_faults < 100.0
     assert rkc2_faults < 100.0
+    assert nonlocal_faults < 100.0
 
 
 def test_divergence_is_reported_with_time(monkeypatch):
@@ -657,3 +669,42 @@ def test_march_observer_sees_each_record_once_in_time_order(which):
     assert observed.final.values.tobytes() == full.final.values.tobytes()
     assert (observed.clip_count, observed.scheme, observed.rhs_evals) == \
         (full.clip_count, full.scheme, full.rhs_evals)
+
+
+@pytest.mark.parametrize("route", ["rk4", "rkc2", "evolve"])
+def test_handed_out_arrays_never_change_afterwards(route, monkeypatch):
+    # each array is compared with a copy taken when it was handed out, so
+    # a stage buffer that aliased a returned step shows here, where a
+    # second march by the same code would be corrupted alike
+    kept, copies = [], []
+
+    def keep(values):
+        kept.append(values)
+        copies.append(values.copy())
+
+    if route == "evolve":
+        op, hab = _three_ops()[1]
+    else:
+        op = DispersalOperator.random()
+        hab = Habitat("continuum", 1, 20.0, 0.5 if route == RK4 else 0.1)
+    u0 = make_front_initial(hab, 1.0, 1.0)
+    u0_copy = u0.values.copy()
+    if route == "evolve":
+        # evolve hands each record to Field(habitat, values) as it arrives
+        field = kpplab.dynamics.Field
+
+        def recording_field(habitat, values):
+            keep(values)
+            return field(habitat, values)
+
+        monkeypatch.setattr(kpplab.dynamics, "Field", recording_field)
+        traj = evolve(op, FISHER, u0, T=1.0, dt=_dt(op, FISHER, u0), record_every=3)
+        assert len(kept) == len(traj.snapshots) - 1  # u0 is kept as given
+    else:
+        traj = march(op, FISHER, u0, T=1.0, record_every=3,
+                     observer=lambda t, values, t_end: keep(values))
+        assert traj.scheme == route and kept[0] is u0.values
+    assert len(kept) > 3
+    for values, copy in zip(kept, copies):
+        assert np.array_equal(values, copy)
+    assert np.array_equal(u0.values, u0_copy)
