@@ -10,7 +10,14 @@ march the experiment runs, and then refuses every key in the file it
 did not read.  A misspelled key, a value that does not parse and a key
 the experiment cannot honour all exit 2 and name section.key, before
 any output is written.  Runtime errors exit 3,
-failed verdicts exit 1.  The pipelines live in kpplab.experiments and
+failed verdicts exit 1.
+
+No key sets a height or a gate: each is derived from the carrying
+capacity u0* = r0 / slope.  Front and compact data start at u0*, the
+front is tracked at 0.5 u0* and fitted after T/2, the march records by
+its automatic rule (about 240 records), and stationary_profile reads its
+tail from 4 patch radii out against 0.01 u0*, with a routes gap of at
+most 1e-6 u0*.  The pipelines live in kpplab.experiments and
 kpplab.stationary.  Artifacts are written to a fresh directory
 atomically (temp dir, removed on failure, then rename) with a manifest
 sufficient to rerun the job.  Flags beat environment variables
@@ -176,50 +183,39 @@ def build_dispersal(cp, habitat) -> DispersalOperator:
 
 
 def build_solver(cp):
-    # selects nothing (the kind and grid pick the scheme); older configs set rk4
+    # selects nothing (the kind and grid pick the scheme); read because the
+    # benchmark's perfbench/configs/spread_*.cfg set it to rk4
     _get(cp, "solver", "scheme", str, default=RK4, choices={RK4})
     T = _get(cp, "solver", "T", float, default=100.0)
     dt = _get(cp, "solver", "dt", _or_auto(float), default=None)
-    record_every = _get(cp, "solver", "record_every", _or_auto(int), default=None)
     if dt is not None and dt <= 0:
         raise ConfigError("solver.dt: must be positive or 'auto'")
-    if record_every is not None and record_every < 1:
-        raise ConfigError("solver.record_every: must be at least 1 or 'auto'")
     if T <= 0:
         raise ConfigError("solver.T: must be positive")
-    return {"T": T, "dt": dt, "record_every": record_every}
+    return {"T": T, "dt": dt}
 
 
 def _direction(cp, dim):
     return _get(cp, "experiment", "direction", floats, default=(1.0,) + (0.0,) * (dim - 1))
 
 
-def _front_keys(cp, dim):
-    """[experiment] keys of a front run, shared by front_speed and the sweep."""
-    return {
-        "xi": _direction(cp, dim),
-        "sigma0": _get(cp, "experiment", "sigma0", float, default=1.0),
-        "level_fraction": _get(cp, "experiment", "level_fraction", float, default=0.5),
-        "burn_in": _get(cp, "experiment", "burn_in", float, default=0.5),
-    }
-
-
 # ----------------------------------------------------------------------
-# experiments: a key parser, called by parse_config, and a runner that
-# gets the parsed keys and reads nothing else from the config
+# experiments: a key parser, called by parse_config (None where the
+# experiment has no keys of its own), and a runner that gets the parsed
+# keys and reads nothing else from the config
 # ----------------------------------------------------------------------
 
 
-def _front_speed_keys(cp, habitat, reaction):
-    return _front_keys(cp, habitat.dim), _get(cp, "experiment", "margin", float, default=0.2)
+def _front_speed_keys(cp, habitat):
+    return {"xi": _direction(cp, habitat.dim),
+            "margin": _get(cp, "experiment", "margin", float, default=0.2)}
 
 
 def _exp_front_speed(keys, habitat, reaction, op, solver, options):
-    front, margin = keys
-    run = run_front(op, reaction, habitat, **solver, **front)
+    run = run_front(op, reaction, habitat, keys["xi"], **solver)
     est = run.estimate
-    cones = verify_spreading_cones(run.traj, front["xi"], run.theory.c_star, reaction.u0_star,
-                                   margin)
+    cones = verify_spreading_cones(run.traj, keys["xi"], run.theory.c_star, reaction.u0_star,
+                                   keys["margin"])
     ok = est.rel_error <= THEORY_TOL and cones.ok
     summary = {
         "experiment": "front_speed",
@@ -244,22 +240,14 @@ def _exp_front_speed(keys, habitat, reaction, op, solver, options):
     return ok, summary, artifacts
 
 
-def _sweep_keys(cp, habitat, reaction):
+def _sweep_keys(cp, habitat):
     return {"amplitudes": _get(cp, "experiment", "amplitudes", floats,
                                default=(-0.5, 0.0, 0.5, 1.0)),
-            **_front_keys(cp, habitat.dim)}
+            "xi": _direction(cp, habitat.dim)}
 
 
 def _exp_invariance_sweep(keys, habitat, reaction, op, solver, options):
-    setup = SweepSetup(
-        op=op,
-        habitat=habitat,
-        reaction0=reaction,
-        T=solver["T"],
-        dt=solver["dt"],
-        record_every=solver["record_every"],
-        **keys,
-    )
+    setup = SweepSetup(op=op, habitat=habitat, reaction0=reaction, **solver, **keys)
     jobs = options.get("jobs", 1)
     rows = None
     if jobs > 1:
@@ -288,11 +276,10 @@ def _exp_invariance_sweep(keys, habitat, reaction, op, solver, options):
     return report.ok, summary, artifacts
 
 
-def _spreading_keys(cp, habitat, reaction):
+def _spreading_keys(cp, habitat):
     return {
         "clause": _get(cp, "experiment", "clause", int, choices={1, 2, 3, 4}),
         "r": _get(cp, "experiment", "support_radius", float, default=3.0),
-        "sigma": _get(cp, "experiment", "sigma", float, default=1.0),
         "c_scale": _get(cp, "experiment", "c_scale", float, default=1.0),
         "margin": _get(cp, "experiment", "margin", float, default=0.2),
     }
@@ -317,20 +304,13 @@ def _exp_spreading_features(keys, habitat, reaction, op, solver, options):
     return verdict.ok, summary, {}
 
 
-def _stationary_keys(cp, habitat, reaction):
-    return {
-        "tail_radius": _get(cp, "experiment", "tail_radius", float,
-                            default=4.0 * reaction.radius),
-        "tail_threshold": _get(cp, "experiment", "tail_threshold", float, default=0.01),
-    }
-
-
 def _exp_stationary_profile(keys, habitat, reaction, op, solver, options):
     above = solve_stationary(op, reaction, habitat, FROM_ABOVE)
     below = solve_stationary(op, reaction, habitat, FROM_BELOW)
     gap = float(np.abs(above.u_star.values - below.u_star.values).max())
-    tail = check_tail(above.u_star, reaction.u0_star, keys["tail_radius"], delta0=op.delta0)
-    ok = gap <= 1e-6 and tail < keys["tail_threshold"]
+    tail_radius = 4.0 * reaction.radius
+    tail = check_tail(above.u_star, reaction.u0_star, tail_radius, delta0=op.delta0)
+    ok = gap <= 1e-6 * reaction.u0_star and tail < 0.01 * reaction.u0_star
     summary = {
         "experiment": "stationary_profile",
         "kind": op.kind,
@@ -338,7 +318,7 @@ def _exp_stationary_profile(keys, habitat, reaction, op, solver, options):
         "residual_from_above": above.residual,
         "residual_from_below": below.residual,
         "tail_deviation": tail,
-        "tail_radius": keys["tail_radius"],
+        "tail_radius": tail_radius,
         "u0_star": reaction.u0_star,
         "newton_steps_from_above": above.newton_steps,
         "newton_steps_from_below": below.newton_steps,
@@ -361,7 +341,7 @@ EXPERIMENTS = {
                          "amplitude sweep; speeds must agree pairwise and with theory"),
     "spreading_features": (_spreading_keys, _exp_spreading_features,
                            "compact-data expanding-region checks (clauses 1-4)"),
-    "stationary_profile": (_stationary_keys, _exp_stationary_profile,
+    "stationary_profile": (None, _exp_stationary_profile,
                            "both monotone routes, uniqueness gap and tail deviation"),
 }
 
@@ -373,30 +353,13 @@ class Job:
     habitat: Habitat
     reaction: Reaction
     op: DispersalOperator
-    solver: dict  # T, dt and record_every; None stands for auto
+    solver: dict  # T and dt; a dt of None stands for auto
     name: str  # experiment.name, None when unset
     keys: object  # the experiment's parsed keys, None when name is unset
     expect: str
     xi: tuple  # experiment.direction
     mus: np.ndarray  # the mu grid of speed and eigen
     output_dir: str  # output.directory; --output-dir beats it
-
-
-def _march_starts(name, keys, habitat, reaction):
-    """(reaction, initial data) of each march the experiment runs.  march_plan
-    reads the data only through its habitat and max, so a constant field of
-    the run's own max stands in; without an experiment, front data at the
-    sigma0 default of 1."""
-    if name == "invariance_sweep":
-        u0 = habitat.full(keys["sigma0"])
-        return [(dataclasses.replace(reaction, amplitude=a), u0) for a in keys["amplitudes"]]
-    if name == "front_speed":
-        return [(reaction, habitat.full(keys[0]["sigma0"]))]
-    if name == "spreading_features":
-        return [(reaction, habitat.full(keys["sigma"]))]
-    if name is None:
-        return [(reaction, habitat.full(1.0))]
-    return []  # stationary_profile does not step in time
 
 
 def parse_config(cp) -> Job:
@@ -410,12 +373,14 @@ def parse_config(cp) -> Job:
     reaction = build_reaction(cp)
     op = build_dispersal(cp, habitat)
     solver = build_solver(cp)
-    keys = None if name is None else EXPERIMENTS[name][0](cp, habitat, reaction)
+    parse_keys = EXPERIMENTS[name][0] if name is not None else None
+    keys = parse_keys(cp, habitat) if parse_keys is not None else None
     if name == "invariance_sweep" and cp.has_option("reaction", "amplitude"):
         raise ConfigError("reaction.amplitude: invariance_sweep sets the amplitude of each cell "
                           "from experiment.amplitudes; leave it out")
-    if name in ("spreading_features", "stationary_profile") and solver["record_every"] is not None:
-        raise ConfigError(f"solver.record_every: {name} records no trajectory; leave it auto")
+    # the reaction of each march: one per sweep cell, else the config's own
+    reactions = ([dataclasses.replace(reaction, amplitude=a) for a in keys["amplitudes"]]
+                 if name == "invariance_sweep" else [reaction])
     if name == "stationary_profile":
         if cp.has_option("solver", "T"):
             raise ConfigError("solver.T: stationary_profile does not step in time; leave it out")
@@ -423,14 +388,16 @@ def parse_config(cp) -> Job:
             raise ConfigError("solver.dt: stationary_profile does not step in time; leave it auto")
     if name in ("front_speed", "invariance_sweep"):
         key = "reaction.amplitude" if name == "front_speed" else "experiment.amplitudes"
-        for rea, _ in _march_starts(name, keys, habitat, reaction):
+        for rea in reactions:
             try:
                 check_front_reaction(rea, habitat)
             except ValueError as err:
                 raise ConfigError(f"{key}: {err}") from None
     if solver["dt"] is not None:
-        for rea, u0 in _march_starts(name, keys, habitat, reaction):
-            plan = march_plan(op, rea, u0, solver["dt"])
+        # every march starts at height u0* < beta0, and march_plan reads the
+        # data only through its habitat and max, so a constant u0* stands in
+        for rea in reactions:
+            plan = march_plan(op, rea, habitat.full(rea.u0_star), solver["dt"])
             if not plan.stable:
                 raise ConfigError(f"solver.dt: {plan.dt} violates the stability bound "
                                   f"{plan.bound:.6g} of the {plan.scheme} march")

@@ -149,10 +149,14 @@ class DispersalOperator:
 
     @property
     def operator_mass(self) -> float:
-        """Bound on the off-diagonal mass, used in explicit step-size bounds."""
+        """The mass term of the bounded-operator step clause
+        dynamics._clause, 0.25 / (mass + max|f| + 1): the rate sum of the
+        discrete kind, and 1 otherwise (the normalized kernel mass; the
+        random kind adds its own h^2 bound).  For the nonlocal and discrete
+        kinds twice it is rho_D, the Gershgorin bound of the stencil."""
         if self.kind == DISCRETE:
             return self.weights.rate_sum
-        return 1.0  # normalized kernel mass; random adds its own h^2 bound
+        return 1.0
 
     def check_habitat(self, habitat: Habitat):
         if self.kind == DISCRETE and habitat.kind != LATTICE:

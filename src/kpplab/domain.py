@@ -133,9 +133,6 @@ class Habitat:
             out = out + v[d] * g[d]
         return out
 
-    def field(self, values) -> "Field":
-        return Field(self, values)
-
     def zeros(self) -> "Field":
         return Field(self, np.zeros(self.shape))
 

@@ -3,12 +3,15 @@ run_front is the one front run of front_speed and of each sweep cell;
 it and the compact-data checks step by dynamics.march (rkc2 for the
 random kind where it is the cheaper scheme, rk4 otherwise).
 
-Front positions are tracked as the farthest level crossing along a
-direction, empirical speeds come from a least-squares slope over a
-burn-in-trimmed window that stays clear of the boundary, and the
-spreading predictions are checked over the last quarter of the recorded
-times: the state must hug the stationary profile inside the slower cone
-and vanish outside the faster one.  Negative controls (deliberately
+Every height is relative to the carrying capacity u0* = r0 / slope:
+front and compact data start at u0*, the front is tracked at 0.5 u0*,
+and the gates are fractions of u0*, so rescaling u0* rescales the run
+and leaves its verdict alone.  Front positions are tracked as the
+farthest level crossing along a direction, empirical speeds come from a
+least-squares slope over the second half of the run (clear of the
+boundary), and the spreading predictions are checked over the last
+quarter of the recorded times: the state must hug the stationary
+profile inside the slower cone and vanish outside the faster one.  Negative controls (deliberately
 wrong theoretical speeds) are expected to fail and the test suite
 asserts that they do.
 """
@@ -199,9 +202,10 @@ def _trailing_window(traj: Trajectory):
 @dataclass(eq=False)
 class FrontRun:
     """Trajectory, front trace, speed fit and amplitude-0 theory of a run.
-    traj holds the initial snapshot and the records of the trailing window
-    (the final one among them), which is all that verify_spreading_cones
-    and traj.final read; trace holds a position at every record."""
+    traj holds the initial snapshot (height u0*) and the records of the
+    trailing window (the final one among them), which is all that
+    verify_spreading_cones and traj.final read; trace holds the position
+    of the level 0.5 u0* at every record, and estimate fits it after T/2."""
 
     traj: Trajectory
     trace: FrontTrace
@@ -217,15 +221,15 @@ def check_front_reaction(reaction: Reaction, habitat: Habitat):
 
 
 def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T: float,
-              dt: float = None, record_every: int = None, sigma0: float = 1.0,
-              level_fraction: float = 0.5, burn_in: float = 0.5) -> FrontRun:
-    """Evolve front data along xi, track level_fraction * u0* and fit the
-    speed after burn_in * T, delta0 + 10 h clear of the boundary.  The
-    reaction must pass check_front_reaction.
+              dt: float = None) -> FrontRun:
+    """Evolve front data of height u0* along xi, track the level 0.5 u0*
+    and fit the speed after T/2, delta0 + 10 h clear of the boundary.  The
+    march records by its automatic rule (about 240 records).  The reaction
+    must pass check_front_reaction.
     """
     check_front_reaction(reaction, habitat)
-    u0 = make_front_initial(habitat, xi, sigma0)
-    level = level_fraction * reaction.u0_star
+    u0 = make_front_initial(habitat, xi, reaction.u0_star)
+    level = 0.5 * reaction.u0_star
     locate, v = _front_locator(habitat, xi, level, u0.max)
     times, positions = [], []
     kept_times, kept = [0.0], [u0]
@@ -237,10 +241,10 @@ def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T
             kept_times.append(t)
             kept.append(Field(habitat, values))
 
-    marched = march(op, reaction, u0, T, dt, record_every, observer=record)
+    marched = march(op, reaction, u0, T, dt, observer=record)
     traj = dataclasses.replace(marched, times=np.array(kept_times), snapshots=kept)
     trace = FrontTrace(habitat, np.array(times), np.array(positions, dtype=float), float(level), v)
-    est = estimate_speed(trace, burn_in, exclusion=op.delta0 + 10.0 * habitat.spacing)
+    est = estimate_speed(trace, 0.5, exclusion=op.delta0 + 10.0 * habitat.spacing)
     theory = theoretical_speed(
         op.kind, dataclasses.replace(reaction, amplitude=0.0), xi,
         kernel=op.kernel, weights=op.weights,
@@ -315,6 +319,9 @@ def verify_spreading_cones(
 
 @dataclass(eq=False)
 class SweepSetup:
+    """One run_front per amplitude, each from front data of height u0*,
+    tracked at 0.5 u0* and fitted after T/2."""
+
     op: DispersalOperator
     habitat: Habitat
     reaction0: Reaction  # the amplitude-0 base; cells override amplitude
@@ -322,10 +329,6 @@ class SweepSetup:
     T: float
     amplitudes: tuple = (-0.5, 0.0, 0.5, 1.0)
     dt: float = None
-    record_every: int = None
-    sigma0: float = 1.0
-    level_fraction: float = 0.5
-    burn_in: float = 0.5
 
 
 @dataclass(eq=False)
@@ -356,11 +359,7 @@ def run_invariance_cell(setup: SweepSetup, amplitude: float) -> SweepRow:
     """One amplitude of the invariance sweep (kept top-level so batch
     runners can farm cells out to worker processes)."""
     reaction = dataclasses.replace(setup.reaction0, amplitude=float(amplitude))
-    habitat = setup.habitat
-    run = run_front(
-        setup.op, reaction, habitat, setup.xi, setup.T, setup.dt, setup.record_every,
-        sigma0=setup.sigma0, level_fraction=setup.level_fraction, burn_in=setup.burn_in,
-    )
+    run = run_front(setup.op, reaction, setup.habitat, setup.xi, setup.T, setup.dt)
     est = run.estimate
     return SweepRow(
         amplitude=float(amplitude),
@@ -425,13 +424,13 @@ def run_compact_spreading_checks(
     clause: int,
     T: float,
     r: float = 3.0,
-    sigma: float = 1.0,
     dt: float = None,
     margin: float = 0.2,
     u_star: Field = None,
     c_scale: float = 1.0,
 ) -> ClauseVerdict:
-    """Expanding-region checks for compactly supported initial data.
+    """Expanding-region checks for compactly supported initial data of
+    height u0*, ramping to zero between r and r + 1.
 
     clause 1/2 use the slab |x_1| <= r along e1 (vanish outside the fast
     cone / match the stationary profile inside the slow cone); clause 3/4 are
@@ -464,7 +463,7 @@ def run_compact_spreading_checks(
 
     if r + 1.0 >= habitat.half_extent:
         raise ValueError("support radius does not fit in the habitat")
-    u0 = Field(habitat, sigma * np.clip(r + 1.0 - coord, 0.0, 1.0))
+    u0 = Field(habitat, u0_star * np.clip(r + 1.0 - coord, 0.0, 1.0))
 
     if clause in (2, 4) and u_star is None:
         u_star = solve_stationary(op, reaction, habitat, route=FROM_ABOVE).u_star

@@ -151,21 +151,22 @@ def march_stationary(op, reaction, habitat, route=FROM_ABOVE):
     )
 
 
-def front_history(op, reaction, habitat, xi, T, dt=None, record_every=None, sigma0=1.0,
-                  level_fraction=0.5):
+def front_history(op, reaction, habitat, xi, T, dt=None):
     """(trajectory, trace) of a front run by the snapshot history: march
-    without an observer, keeping every record, then track_front over it.
-    It shares no observer with kpplab.experiments.run_front."""
-    traj = march(op, reaction, make_front_initial(habitat, xi, sigma0), T, dt, record_every)
-    return traj, track_front(traj, xi, level_fraction * reaction.u0_star)
+    front data of height u0* without an observer, keeping every record,
+    then track_front at 0.5 u0* over it.  It shares no observer with
+    kpplab.experiments.run_front."""
+    traj = march(op, reaction, make_front_initial(habitat, xi, reaction.u0_star), T, dt)
+    return traj, track_front(traj, xi, 0.5 * reaction.u0_star)
 
 
-def compact_spreading_worst(op, reaction, habitat, clause, T, r=3.0, sigma=1.0, dt=None,
+def compact_spreading_worst(op, reaction, habitat, clause, T, r=3.0, dt=None,
                             margin=0.2, u_star=None, c_scale=1.0):
     """(worst_value, clip_count, rhs_evals) of
     kpplab.run_compact_spreading_checks by the snapshot history: march
     without an observer, keeping every record, then fold the worst value
-    over _trailing_window of the kept trajectory."""
+    over _trailing_window of the kept trajectory.  The data have height
+    u0*, as there."""
     if clause in (1, 2):
         v = np.array([1.0] + [0.0] * (habitat.dim - 1))
         coord = np.abs(habitat.projection(v))
@@ -179,7 +180,7 @@ def compact_spreading_worst(op, reaction, habitat, clause, T, r=3.0, sigma=1.0, 
     ]
     c_max = max(speeds) * c_scale
     c_min = min(speeds) * c_scale
-    u0 = Field(habitat, sigma * np.clip(r + 1.0 - coord, 0.0, 1.0))
+    u0 = Field(habitat, reaction.u0_star * np.clip(r + 1.0 - coord, 0.0, 1.0))
 
     traj = march(op, reaction, u0, T, dt)
     if clause in (2, 4) and u_star is None:

@@ -31,9 +31,6 @@ dt = auto
 [experiment]
 name = front_speed
 direction = 1
-sigma0 = 1.0
-level_fraction = 0.5
-burn_in = 0.5
 
 [output]
 directory = {out}
@@ -73,9 +70,8 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     assert "reaction.r0" in capsys.readouterr().err
 
     # solver keys that fail to parse, or fall out of range, name themselves
-    for line, key in [("dt = abc", "solver.dt"), ("record_every = x", "solver.record_every"),
-                      ("record_every = 0", "solver.record_every"),
-                      ("record_every = -7", "solver.record_every")]:
+    for line, key in [("dt = abc", "solver.dt"), ("dt = 0", "solver.dt"),
+                      ("dt = -7", "solver.dt")]:
         text = DISCRETE_FRONT.format(out=tmp_path / "o4").replace("dt = auto", line)
         cfg = _write(tmp_path, "unparsable.cfg", text)
         assert main(["validate", cfg]) == 2, line
@@ -281,8 +277,6 @@ def test_stationary_subcommand(tmp_path):
 
     [experiment]
     name = stationary_profile
-    tail_radius = 4.0
-    tail_threshold = 0.01
 
     [output]
     directory = {out}
@@ -360,8 +354,8 @@ def test_unread_keys_exit_2(tmp_path, capsys):
 
     root = pathlib.Path(__file__).resolve().parents[1] / "configs"
     cases = [
-        ("stationary_bump.cfg", "tail_threshold = 0.01", "tail_treshold = 0.5",
-         "experiment.tail_treshold"),
+        ("stationary_bump.cfg", "name = stationary_profile",
+         "name = stationary_profile\ntail_treshold = 0.5", "experiment.tail_treshold"),
         ("fisher_speed.cfg", "T = 100", "Tmax = 5", "solver.tmax"),
         ("fisher_speed.cfg", "margin = 0.2", "margn = 0.9", "experiment.margn"),
         ("negative_control.cfg", "b = 1.0", "b = 1.0\ncarrying_capacity = 4",
@@ -464,29 +458,32 @@ directory = {out}
 
 
 def test_unhonoured_solver_keys_exit_2(tmp_path, capsys):
-    # rk4 is the only scheme, for every experiment; record_every only
-    # where a trajectory is recorded
+    # rk4 is the only scheme, for every experiment; every march records by
+    # its automatic rule, so record_every is read by no command
     cases = [
         ("front_speed", "scheme = explicit-euler", "solver.scheme"),
         ("invariance_sweep", "scheme = explicit-euler", "solver.scheme"),
         ("spreading_features", "scheme = explicit-euler", "solver.scheme"),
         ("stationary_profile", "scheme = explicit-euler", "solver.scheme"),
+        ("front_speed", "record_every = 5", "solver.record_every"),
         ("spreading_features", "record_every = 5", "solver.record_every"),
-        ("stationary_profile", "record_every = 5", "solver.record_every"),
+        ("stationary_profile", "record_every = auto", "solver.record_every"),
     ]
     for k, (name, line, key) in enumerate(cases):
         experiment = "clause = 1" if name == "spreading_features" else ""
         text = LATTICE_RUN.format(solver=line, name=name, experiment=experiment,
                                   out=tmp_path / "o")
+        if name == "stationary_profile":  # it takes no solver.T
+            text = text.replace("T = 25\n", "")
         cfg = _write(tmp_path, f"{k}.cfg", text)
         for command in ("run", "validate"):
             assert main([command, cfg, "--quiet"]) == 2, (name, line, command)
             err = capsys.readouterr().err
             assert key in err
             if key == "solver.record_every":
-                assert name in err
-    # rk4 and auto recording stay accepted (stationary_profile takes no solver.T)
-    cfg = _write(tmp_path, "ok.cfg", LATTICE_RUN.format(solver="scheme = rk4\nrecord_every = auto",
+                assert "unknown key" in err
+    # rk4 stays accepted (stationary_profile takes no solver.T)
+    cfg = _write(tmp_path, "ok.cfg", LATTICE_RUN.format(solver="scheme = rk4",
                                                   name="stationary_profile", experiment="",
                                                   out=tmp_path / "o").replace("T = 25\n", ""))
     assert main(["validate", cfg, "--quiet"]) == 0
@@ -499,12 +496,12 @@ def test_validate_parses_every_experiment_key(tmp_path, capsys):
     text = shipped.read_text()
     for old, new, key in [
         ("amplitudes = -0.5, 0.0, 0.5, 1.0", "amplitudes =", "experiment.amplitudes"),
-        ("sigma0 = 1.0", "sigma0 = abc", "experiment.sigma0"),
-        ("burn_in = 0.5", "burn_in = 0.5\nseed = 0", "experiment.seed"),
-        ("burn_in = 0.5", "burn_in = 0.5\nexpect = maybe", "experiment.expect"),
-        ("burn_in = 0.5", "burn_in = 0.5\nn_mu = many", "experiment.n_mu"),
-        ("burn_in = 0.5", "burn_in = 0.5\nn_mu = -1", "experiment.n_mu"),
-        ("burn_in = 0.5", "burn_in = 0.5\nmu_max = 0", "experiment.mu_max"),
+        ("direction = 1", "direction = east", "experiment.direction"),
+        ("direction = 1", "direction = 1\nseed = 0", "experiment.seed"),
+        ("direction = 1", "direction = 1\nexpect = maybe", "experiment.expect"),
+        ("direction = 1", "direction = 1\nn_mu = many", "experiment.n_mu"),
+        ("direction = 1", "direction = 1\nn_mu = -1", "experiment.n_mu"),
+        ("direction = 1", "direction = 1\nmu_max = 0", "experiment.mu_max"),
     ]:
         assert old in text
         cfg = _write(tmp_path, "v.cfg", text.replace(old, new))
@@ -512,7 +509,7 @@ def test_validate_parses_every_experiment_key(tmp_path, capsys):
         assert key in capsys.readouterr().err
     for name, line, key in [
         ("spreading_features", "clause = 7", "experiment.clause"),
-        ("stationary_profile", "tail_radius = far", "experiment.tail_radius"),
+        ("spreading_features", "clause = 1\nsupport_radius = far", "experiment.support_radius"),
         ("front_speed", "margin = wide", "experiment.margin"),
     ]:
         cfg = _write(tmp_path, "v.cfg", LATTICE_RUN.format(solver="", name=name, experiment=line,
@@ -599,7 +596,6 @@ dt = {dt}
 
 [experiment]
 name = front_speed
-sigma0 = {sigma0}
 
 [output]
 directory = {out}
@@ -607,11 +603,11 @@ directory = {out}
 
 
 def test_dt_precheck_accepts_what_the_march_accepts(tmp_path):
-    # h = 0.1, sigma0 = 1: the march's own bound is the rkc2 clause
-    # 0.25 / (2 + max|f|) = 0.0833 with max|f| = 1 from u <= 1, so
+    # h = 0.1, front height u0* = 1: the march's own bound is the rkc2
+    # clause 0.25 / (2 + max|f|) = 0.0833 with max|f| = 1 from u <= 1, so
     # dt = 0.07 validates and runs, and clips nothing
     out = tmp_path / "a"
-    cfg = _write(tmp_path, "a.cfg", FISHER_FRONT.format(spacing=0.1, dt=0.07, sigma0=1.0, out=out))
+    cfg = _write(tmp_path, "a.cfg", FISHER_FRONT.format(spacing=0.1, dt=0.07, out=out))
     assert main(["validate", cfg, "--quiet"]) == 0
     assert main(["run", cfg, "--quiet"]) == 0
     summary = json.loads((out / "front_speed" / "summary.json").read_text())
@@ -620,15 +616,18 @@ def test_dt_precheck_accepts_what_the_march_accepts(tmp_path):
 
 
 def test_dt_precheck_reads_the_front_height(tmp_path, capsys):
-    # h = 0.5, sigma0 = 8: the rk4 march from u <= 8 (M = 9) has
-    # rho = 4 / h^2 + |1 - 2 * 9| = 33 and is bounded by
-    # 0.6 * 2.785 / 33 = 0.0506, so dt = 0.06 exits 2 before any march
+    # h = 0.5, logistic with K = 8: the front starts at height u0* = 8,
+    # below beta0 = 8 + 1e-6, so the rk4 march has M = beta0 + 1 = 9,
+    # rho = 4 / h^2 + |1 - 2 * 9 / 8| = 17.25 and is bounded by
+    # 0.6 * 2.785 / 17.25 = 0.0969, so dt = 0.1 exits 2 before any march
     out = tmp_path / "b"
-    cfg = _write(tmp_path, "b.cfg", FISHER_FRONT.format(spacing=0.5, dt=0.06, sigma0=8.0, out=out))
+    text = FISHER_FRONT.format(spacing=0.5, dt=0.1, out=out).replace(
+        "r0 = 1.0\nb = 1.0", "family = logistic\nr0 = 1.0\ncarrying_capacity = 8")
+    cfg = _write(tmp_path, "b.cfg", text)
     for command in ("validate", "run"):
         assert main([command, cfg, "--quiet"]) == 2, command
         err = capsys.readouterr().err
-        assert "solver.dt" in err and "0.0506364" in err
+        assert "solver.dt" in err and "0.0968696" in err
     assert not out.exists()
 
 
@@ -659,3 +658,108 @@ def test_sweep_refuses_reaction_amplitude(tmp_path, capsys):
         assert main([command, cfg, "--quiet"]) == 2, command
         assert "reaction.amplitude" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_derived_keys_exit_2_as_unread(tmp_path, capsys):
+    # the heights, the front level, the fit window, the record rule and the
+    # tail gate are derived from u0* or fixed by the method: a config that
+    # sets any of them, even to the value the run uses, is refused
+    stationary = LATTICE_RUN.format(solver="", name="stationary_profile", experiment="",
+                                    out="{out}").replace("T = 25\n", "")
+    spreading = LATTICE_RUN.format(solver="", name="spreading_features", experiment="clause = 1",
+                                   out="{out}")
+    cases = [
+        (DISCRETE_FRONT, "dt = auto", "record_every = auto", "solver.record_every"),
+        (DISCRETE_FRONT, "direction = 1", "sigma0 = 1.0", "experiment.sigma0"),
+        (DISCRETE_FRONT, "direction = 1", "level_fraction = 0.5", "experiment.level_fraction"),
+        (DISCRETE_FRONT, "direction = 1", "burn_in = 0.5", "experiment.burn_in"),
+        (spreading, "clause = 1", "sigma = 1.0", "experiment.sigma"),
+        (stationary, "name = stationary_profile", "tail_radius = 4.0", "experiment.tail_radius"),
+        (stationary, "name = stationary_profile", "tail_threshold = 0.01",
+         "experiment.tail_threshold"),
+    ]
+    for k, (template, anchor, line, key) in enumerate(cases):
+        out = tmp_path / f"o{k}"
+        text = template.format(out=out)
+        assert anchor in text
+        cfg = _write(tmp_path, f"d{k}.cfg", text.replace(anchor, f"{anchor}\n{line}"))
+        for command in ("validate", "run"):
+            assert main([command, cfg, "--quiet"]) == 2, (key, command)
+            err = capsys.readouterr().err
+            assert key in err and "unknown key" in err, (key, command)
+        assert not out.exists()
+
+
+def test_front_speed_scales_with_carrying_capacity(tmp_path):
+    # logistic growth with K = 5: the front starts at u0* = 5 and is
+    # tracked at 2.5, and the run is the Fisher run with u scaled by 5.
+    # It passes with the same speed, up to the step size: the march's
+    # bound M = beta0 + 1 does not scale with u0*
+    def run(name, text):
+        out = tmp_path / name
+        cfg = _write(tmp_path, f"{name}.cfg", text.format(spacing=0.1, dt="auto", out=out))
+        assert main(["run", cfg, "--quiet"]) == 0, name
+        return json.loads((out / "front_speed" / "summary.json").read_text())
+
+    fisher = run("fisher", FISHER_FRONT)
+    scaled = run("k5", FISHER_FRONT.replace(
+        "r0 = 1.0\nb = 1.0", "family = logistic\nr0 = 1.0\ncarrying_capacity = 5"))
+    assert scaled["verdict"] == "pass" and scaled["clip_count"] == 0
+    assert scaled["c_empirical"] == pytest.approx(fisher["c_empirical"], rel=1e-6)
+
+
+def test_stationary_profile_scales_with_carrying_capacity(tmp_path):
+    # the shipped stationary config with K = 1e4: both gates are fractions
+    # of u0*, so the run passes with the tail of the K = 1 run, scaled
+    import pathlib
+
+    shipped = pathlib.Path(__file__).resolve().parents[1] / "configs" / "stationary_bump.cfg"
+    text = shipped.read_text()
+    old = "family = linear\nr0 = 1.0\nb = 1.0"
+    assert old in text
+
+    def run(name, text):
+        out = tmp_path / name
+        cfg = _write(tmp_path, f"{name}.cfg", text)
+        assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0, name
+        return json.loads((out / "stationary_profile" / "summary.json").read_text())
+
+    unit = run("k1", text)
+    scaled = run("k1e4", text.replace(old, "family = logistic\nr0 = 1.0\ncarrying_capacity = 1e4"))
+    assert scaled["verdict"] == "pass" and scaled["u0_star"] == 1e4
+    assert scaled["routes_gap"] <= 1e-6 * 1e4
+    assert scaled["tail_deviation"] / 1e4 == pytest.approx(unit["tail_deviation"], rel=1e-6)
+
+
+def test_config_schema_is_pinned(tmp_path):
+    # the exact section.key set that parse_config reads, per experiment and
+    # without one, for a linear reaction and discrete dispersal: a knob
+    # added or dropped shows up here
+    from kpplab.cli import load_config, parse_config
+
+    common = {
+        "habitat.kind", "habitat.dim", "habitat.half_extent", "habitat.spacing",
+        "habitat.boundary", "reaction.family", "reaction.r0", "reaction.amplitude",
+        "reaction.radius", "reaction.b", "dispersal.kind", "dispersal.a", "solver.scheme",
+        "solver.t", "solver.dt", "experiment.name", "experiment.expect",
+        "experiment.direction", "experiment.mu_max", "experiment.n_mu", "output.directory",
+    }
+    own = {
+        None: set(),
+        "front_speed": {"experiment.margin"},
+        "invariance_sweep": {"experiment.amplitudes"},
+        "spreading_features": {"experiment.clause", "experiment.support_radius",
+                               "experiment.c_scale", "experiment.margin"},
+        "stationary_profile": set(),
+    }
+    for name, keys in own.items():
+        text = LATTICE_RUN.format(solver="", name=name,
+                                  experiment="clause = 1" if name == "spreading_features" else "",
+                                  out=tmp_path / "o")
+        if name is None:
+            text = text.replace("name = None\n", "")
+        if name == "stationary_profile":
+            text = text.replace("T = 25\n", "")
+        cp, _ = load_config(_write(tmp_path, f"{name}.cfg", text))
+        parse_config(cp)
+        assert {f"{s}.{k}" for s, k in cp.read_keys} == common | keys, name
