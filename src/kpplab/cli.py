@@ -326,10 +326,10 @@ def _exp_stationary_profile(keys, habitat, reaction, op, solver, options):
         "matvecs_from_below": below.matvecs,
         "verdict": "pass" if ok else "fail",
     }
-    coords = habitat.grid()[0].ravel() if habitat.dim == 1 else habitat.radius().ravel()
+    coords = (habitat.grid()[0] if habitat.dim == 1 else habitat.radius()).ravel().tolist()
     artifacts = {
         "profile.csv": ("csv", ["x", "u_star"],
-                        [[x, u] for x, u in zip(coords, above.u_star.values.ravel())]),
+                        [[x, u] for x, u in zip(coords, above.u_star.values.ravel().tolist())]),
     }
     return ok, summary, artifacts
 

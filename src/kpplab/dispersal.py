@@ -31,15 +31,19 @@ twisted by exp(-mu x.xi), or for the random stencil the first-order factors
 cell operators of eigen and the constant-coefficient closed forms (the
 stencil's symbol) both read it.
 
-_Stencil.fourier reads the same stencil as a constant-coefficient
-convolution D0 on a torus, and DispersalOperator.bind_resolvent inverts
-c I - D0 by numpy.fft: on the torus of the grid under periodic boundaries,
-on the even extension of length 2n per axis under clamp boundaries (for
+torus_symbol reads a stencil as a constant-coefficient convolution D0 on
+a torus, and fourier_inverse inverts c I - D0 by numpy.fft.
+DispersalOperator.bind_resolvent applies them to the habitat's stencil:
+on the torus of the grid under periodic boundaries, on the even
+extension of length 2n per axis under clamp boundaries (for
 unit offsets, dropping an out-of-domain term is reflection about the
 half point).  The inverse is exact for symmetric stencils with unit
 offsets on clamp habitats and for every symmetric stencil on periodic
 ones; elsewhere it is exact away from the boundary.  numpy.fft is reached
-only inside bind_resolvent, so importing kpplab does not load it.
+only when a symbol is built, so importing kpplab does not load it.
+
+krylov is the one BiCGSTAB loop, right-preconditioned; the stationary
+solves and the Noda steps of eigen.principal_eigenvalue share it.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ RANDOM = "random"
 NONLOCAL = "nonlocal"
 DISCRETE = "discrete"
 KINDS = (RANDOM, NONLOCAL, DISCRETE)
+_KRYLOV_MAX_ITER = 5000
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,15 +104,6 @@ class _Stencil:
         """diag + sum_j w_j (f_j - 1): the twisted stencil on constants."""
         _, excess, diag = self.twist(mu, xi)
         return diag + excess @ self.weights
-
-    def fourier(self, lengths):
-        """sum_j w_j (cos(theta.z_j) - 1) at the real-FFT frequencies theta
-        = 2 pi k / lengths of a torus (numpy.fft.rfftn's layout): the real
-        part of the DFT of the stencil placed on that torus."""
-        cells = np.zeros(lengths)
-        np.add.at(cells, tuple((self.offsets % lengths).T), self.weights)
-        cells.flat[0] -= self.weights.sum()
-        return np.fft.rfftn(cells).real
 
 
 @dataclass(eq=False)
@@ -242,18 +238,18 @@ class DispersalOperator:
         st = self._stencil(habitat.dim, habitat.spacing)
         periodic = habitat.boundary == PERIODIC
         lengths = habitat.shape if periodic else tuple(2 * n for n in habitat.shape)
-        symbol = st.fourier(lengths)
+        symbol = torus_symbol(st.offsets, st.weights, -st.weights.sum(), lengths).real
         if st.renormalize and not periodic:
             symbol /= st.weights.sum()
-        axes = tuple(range(habitat.dim))
+        solve = fourier_inverse(symbol, lengths)
+        if periodic:
+            return solve
         inside = tuple(slice(0, n) for n in habitat.shape)
 
         def resolvent(r, c):
-            if not periodic:
-                for ax in axes:
-                    r = np.concatenate((r, np.flip(r, ax)), axis=ax)
-            v = np.fft.irfftn(np.fft.rfftn(r) / (c - symbol), s=lengths, axes=axes)
-            return v[inside]
+            for ax in range(habitat.dim):
+                r = np.concatenate((r, np.flip(r, ax)), axis=ax)
+            return solve(r, c)[inside]
 
         return resolvent
 
@@ -261,6 +257,79 @@ class DispersalOperator:
 
     def apply(self, u: Field) -> Field:
         return Field(u.habitat, self.bind(u.habitat)(u.values))
+
+
+def torus_symbol(offsets, weights, centre, lengths):
+    """centre + sum_j w_j exp(i theta.z_j) at the real-FFT frequencies
+    theta = 2 pi k / lengths of a torus (numpy.fft.rfftn's layout): the
+    symbol of the convolution u -> centre u + sum_j w_j u(x + z_j) on that
+    torus, the conjugate DFT of the stencil placed on it.  It is complex
+    for asymmetric weights (a twist), but Hermitian, since the
+    convolution is real; for symmetric weights it is real."""
+    cells = np.zeros(lengths)
+    np.add.at(cells, tuple((np.asarray(offsets) % lengths).T), weights)
+    cells.flat[0] += centre
+    return np.conj(np.fft.rfftn(cells))
+
+
+def fourier_inverse(symbol, lengths):
+    """Return (r, c) -> (c I - D0)^{-1} r on the torus of the given
+    lengths, for D0 of the given symbol (see torus_symbol); c must
+    keep c - symbol away from 0."""
+    axes = tuple(range(len(lengths)))
+
+    def solve(r, c):
+        return np.fft.irfftn(np.fft.rfftn(r) / (c - symbol), s=lengths, axes=axes)
+
+    return solve
+
+
+class KrylovError(RuntimeError):
+    """A Krylov solve broke down or did not converge."""
+
+
+def krylov(apply, b, precondition, rtol):
+    """Solve apply(x) = b by BiCGSTAB (van der Vorst 1992) from x = 0,
+    right-preconditioned: it iterates on apply(precondition(y)) = b and
+    returns x = precondition(y), so its recursive residual is that of
+    apply(x) = b itself.
+
+    Stops when the 2-norm of that residual is at most rtol ||b|| and
+    returns (x, applies), counting the applies of apply.  A breakdown, or no
+    convergence in 5000 iterations, raises KrylovError.
+    """
+    x = np.zeros_like(b)
+    tol = rtol * math.sqrt(np.vdot(b, b))
+    if tol == 0.0:
+        return x, 0
+    r = b.copy()
+    r_hat = b
+    p = np.zeros_like(b)
+    v = np.zeros_like(b)
+    rho = alpha = omega = 1.0
+    for k in range(_KRYLOV_MAX_ITER):
+        rho_next = np.vdot(r_hat, r)
+        p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+        y = precondition(p)
+        v = apply(y)
+        r_hat_v = np.vdot(r_hat, v)
+        if rho_next == 0.0 or r_hat_v == 0.0:
+            raise KrylovError(f"Krylov solve broke down at iteration {k}")
+        alpha = rho_next / r_hat_v
+        s = r - alpha * v
+        if math.sqrt(np.vdot(s, s)) <= tol:  # also the exact case s = 0
+            return x + alpha * y, 2 * k + 1
+        z = precondition(s)
+        t = apply(z)
+        omega = np.vdot(t, s) / np.vdot(t, t)
+        x = x + alpha * y + omega * z
+        r = s - omega * t
+        if math.sqrt(np.vdot(r, r)) <= tol:
+            return x, 2 * k + 2
+        if omega == 0.0:
+            raise KrylovError(f"Krylov solve broke down at iteration {k}")
+        rho = rho_next
+    raise KrylovError(f"Krylov solve stalled after {_KRYLOV_MAX_ITER} iterations")
 
 
 def wrap_index(offsets, shape):

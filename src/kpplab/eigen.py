@@ -14,14 +14,18 @@ the periodic habitat operator uses, so no matrix is stored.
 For a constant coefficient r the dominant eigenvalue is the stencil's
 symbol r + d + sum_j w_j (f_j - 1), which is the closed form.
 
-The dominant eigenvalue carries a positive eigenfunction, so it is
-certified by shifted power iteration: the shift makes the iteration
-matrix entrywise nonnegative with positive diagonal, and the iteration
-doubles as a positivity test (a converged eigenvector with a
-nonpositive entry signals an assembly bug, not a math fact).  On cells
-of at most DENSE_START_MAX points the iteration starts from the dense
-Perron vector (numpy.linalg.eig of the dense cell matrix), which usually
-passes the residual test at once; larger cells start from constants.
+The dominant eigenvalue carries a positive eigenfunction, and for every
+positive v it lies in the Collatz-Wielandt enclosure
+[min L v / v, max L v / v], so a narrow enclosure certifies the pair.
+Noda's iteration closes it: each step solves (sigma I - L) y = v at
+sigma = max L v / v by dispersal.krylov, the BiCGSTAB loop of the
+stationary solver, right-preconditioned by the Fourier inverse of a
+constant-coefficient stencil on the cell torus (dispersal.torus_symbol).
+On cells of at most DENSE_START_MAX points the iteration starts from the
+dense Perron vector (numpy.linalg.eig of the dense cell matrix), which
+usually certifies at once; larger cells start from constants.  A
+nonpositive entry in a certified eigenvector would signal an assembly
+bug, not a math fact, and raises.
 """
 
 from __future__ import annotations
@@ -31,17 +35,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersal import DISCRETE, NONLOCAL, DispersalOperator, wrap_index
+from .dispersal import (
+    DISCRETE,
+    NONLOCAL,
+    DispersalOperator,
+    KrylovError,
+    fourier_inverse,
+    krylov,
+    torus_symbol,
+    wrap_index,
+)
 from .domain import Kernel, LatticeWeights, sampled_directions, unit_direction
 
-# cells up to this many points start the power iteration from the dense
+# cells up to this many points start the Noda iteration from the dense
 # eigenvector; numpy.linalg.eig grows as n^3, about 30 ms on one core at 256
 DENSE_START_MAX = 256
+# the enclosure certifies once its width is at most REL (|lam| + shift) + ABS
+_CERTIFICATE_REL = 1e-14
+_CERTIFICATE_ABS = 1e-13
 _AVERAGE_BOUND_SLACK = 1e-8  # check_average_lower_bound tolerates this shortfall
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the iteration cap."""
+    """The principal eigenpair was not certified within the step cap, or
+    its iteration broke down."""
 
 
 @dataclass(eq=False)
@@ -183,55 +200,104 @@ def assemble_cell_operator(
 class EigenResult:
     lam: float
     eigenfunction: np.ndarray  # positive, normalized to max 1, cell shape
-    residual: float
-    iterations: int
+    residual: float  # max |L phi - lam phi|
+    iterations: int  # operator applies: one per enclosure, plus the Krylov applies
+    bracket: tuple  # (min L phi / phi, max L phi / phi), which encloses lam
+    gap: float = None  # spectral gap of the dense cell matrix, where it was formed
 
 
 def _start_vector(operator: CellOperator):
-    """The dense Perron vector, |v| / max|v| for the eigenvector v of the
-    eigenvalue with the largest real part, on cells of at most
-    DENSE_START_MAX points; the constant vector on larger cells."""
+    """(v, gap): the dense Perron vector, |v| / max|v| for the eigenvector
+    v of the eigenvalue with the largest real part, and the gap from that
+    real part to the next, on cells of at most DENSE_START_MAX points;
+    the constant vector and no gap on larger cells."""
     if np.prod(operator.shape) > DENSE_START_MAX:
-        return np.ones(operator.shape)
+        return np.ones(operator.shape), None
     vals, vecs = np.linalg.eig(operator.to_matrix())
     v = np.abs(vecs[:, np.argmax(vals.real)])
-    return (v / v.max()).reshape(operator.shape)
+    real = np.sort(vals.real)
+    gap = float(real[-1] - real[-2]) if real.size > 1 else None
+    return (v / v.max()).reshape(operator.shape), gap
 
 
-def principal_eigenvalue(operator: CellOperator, max_iter: int = 50_000) -> EigenResult:
-    """Dominant eigenvalue by shifted power iteration.
+def _noda_step(operator: CellOperator, v, sigma):
+    """(y, applies) for (sigma I - L) y = v with positive v, solved by
+    dispersal.krylov in the variable z = y / v: the right-hand side is
+    the constant 1 and the operator sigma z - L (v z) / v.  It is
+    right-preconditioned by the Fourier inverse of sigma I minus its
+    circulant part, the stencil whose weights are values_j times the
+    geometric mean over the cell of v(x + z_j) / v(x), plus the mean of
+    diag; from constant v that is L's own twisted stencil.  Solving for
+    z keeps every entry of y accurate relative to itself, where the
+    Collatz-Wielandt ratios need it.
 
-    Iterates v -> (L + s I) v / ||.||_inf from the start vector (the
-    dense Perron vector on small cells, see _start_vector); the
-    eigenvalue estimate is max(w) for max-normalized positive v and the
-    residual is the max norm of L v - lam v, which must fall to 1e-10.
-    The dense start only saves iterations: every returned pair passes
-    this same residual test.  Non-convergence raises with the last
-    residual; a nonpositive entry in a converged eigenvector raises (it
-    would contradict the dominant-eigenpair structure and indicates an
-    assembly bug).
+    The solve stops at a 2-norm residual of min(0.1, 0.5 / sqrt(n)) times
+    ||1|| = sqrt(n), at most 1/2 in every entry: z then solves the system
+    for a positive right-hand side, so y is positive (the inexact Noda
+    iteration of Jia, Lin and Liu 2015)."""
+    flat = v.ravel()
+    weights = operator.values * np.exp(np.log(flat[operator.index] / flat).mean(axis=1))
+    offsets = np.transpose(np.unravel_index(operator.index[:, 0], operator.shape))
+    symbol = torus_symbol(offsets, weights, operator.diag.mean(), operator.shape)
+    solve = fourier_inverse(symbol, operator.shape)
+    z, applies = krylov(lambda z: sigma * z - operator.matvec(v * z) / v, np.ones(v.shape),
+                        lambda r: solve(r, sigma), min(0.1, 0.5 / np.sqrt(v.size)))
+    return v * z, applies
+
+
+def principal_eigenvalue(operator: CellOperator, max_iter: int = 50) -> EigenResult:
+    """Dominant eigenpair by Noda's iteration, certified by the
+    Collatz-Wielandt enclosure.
+
+    For every positive v the dominant eigenvalue lies in
+    [min L v / v, max L v / v].  From the start vector (the dense Perron
+    vector on small cells, see _start_vector) each step takes sigma =
+    max L v / v plus the certificate's width (which keeps the last,
+    nearly singular solves from breaking down), solves
+    (sigma I - L) y = v inexactly (_noda_step; Noda 1971) and continues
+    from y / max(y).  The pair is
+    certified once the enclosure is at most 1e-14 (|lam| + shift) + 1e-13
+    wide; lam is its midpoint and phi = v, normalized to max 1.  A start
+    vector that certifies costs one apply and builds no Fourier solver.
+
+    At most max_iter steps are taken; no certificate by then, a breakdown
+    of a step's Krylov solve or a non-finite enclosure raises
+    PowerIterationError with the enclosure width.  The width is measured
+    through L v / v, so an eigenfunction that spans many orders of
+    magnitude (max phi / min phi beyond about 1e30: long 1-D cells under
+    a twist or a nearly local kernel) can fail to certify.  A nonpositive entry in a
+    certified eigenfunction raises too (it indicates an assembly bug).
     """
     s = operator.shift
-    v = _start_vector(operator)
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        w = operator.matvec(v) + s * v
-        lam_shifted = float(w.max())
-        if not np.isfinite(lam_shifted) or lam_shifted <= 0.0:
-            raise PowerIterationError(
-                f"iteration left the positive cone at step {it} (max={lam_shifted!r})"
-            )
-        residual = float(np.max(np.abs(w - lam_shifted * v)))
-        if residual <= 1e-10:
+    v, gap = _start_vector(operator)
+    applies = 0
+    for step in range(max_iter + 1):
+        w = operator.matvec(v)
+        applies += 1
+        ratio = w / v
+        lo, hi = float(ratio.min()), float(ratio.max())
+        width = hi - lo
+        if not np.isfinite(width):
+            raise PowerIterationError(f"enclosure not finite at step {step}: [{lo!r}, {hi!r}]")
+        lam = 0.5 * (lo + hi)
+        bound = _CERTIFICATE_REL * (abs(lam) + s) + _CERTIFICATE_ABS
+        if width <= bound:
             if v.min() <= 0.0:
                 raise PowerIterationError(
-                    "internal error: converged eigenfunction has a nonpositive entry"
-                )
-            v = v / v.max()
-            return EigenResult(lam_shifted - s, v, residual, it)
-        v = w / lam_shifted
+                    "internal error: certified eigenfunction has a nonpositive entry")
+            residual = float(np.max(np.abs(w - lam * v)))
+            return EigenResult(lam, v, residual, applies, (lo, hi), gap)
+        if step == max_iter:
+            break
+        try:
+            y, n = _noda_step(operator, v, hi + bound)
+        except KrylovError as err:
+            raise PowerIterationError(
+                f"Noda step {step + 1} failed at enclosure width {width:.3e}: {err}") from None
+        applies += n
+        v = y / y.max()
     raise PowerIterationError(
-        f"no convergence in {max_iter} iterations (last residual {residual:.3e})"
+        f"no certificate in {max_iter} steps (last enclosure width {width:.3e})"
     )
 
 

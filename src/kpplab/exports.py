@@ -14,6 +14,8 @@ import numpy as np
 
 
 def fmt(x) -> str:
+    if type(x) is float:  # the common case, ahead of the isinstance chain
+        return format(x, ".17e")
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):

@@ -4,7 +4,8 @@ The from-above route runs Newton from the constant super-solution
 M = beta0 + 1; the from-below route runs the monotone iteration of
 Sattinger (1972) upward from a small multiple of a periodically extended
 positive eigenfunction, then hands over to Newton.  Every linear solve
-is one BiCGSTAB loop on the dispersal closure, so no matrix is built,
+runs dispersal.krylov, the BiCGSTAB loop that the eigenvalue solver
+shares, on the dispersal closure, so no matrix is built; it is
 right-preconditioned by the Fourier inverse of c I - D0, where D0 is
 the same stencil read as a constant-coefficient convolution
 (DispersalOperator.bind_resolvent).  A monotone step solves K I - D, which
@@ -14,7 +15,8 @@ a(x), preconditioned at c = mean(a).
 The eigenfunction comes from a periodic minorant of the growth rate at
 zero: a smooth periodic h(x) sitting below f(x, 0) whose cell average
 is within eps of the homogeneous rate, so its dominant eigenvalue is
-positive and delta*phi is a genuine sub-solution for small delta.
+positive and delta*phi is a genuine sub-solution for small delta; the
+eigenpair is certified by eigen.principal_eigenvalue's Noda iteration.
 
 Both routes bracket the same stationary state; agreement of the two is
 the uniqueness check, the equation residual is the existence
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersal import DispersalOperator
+from .dispersal import DispersalOperator, krylov
 from .domain import Field, Habitat, Reaction
 from .dynamics import march, spectral_bound
 from .eigen import PeriodicCoefficient, assemble_cell_operator, principal_eigenvalue
@@ -52,7 +54,6 @@ _NEWTON_SWITCH = 1e-3  # largest monotone step at which Newton takes over
 _STEP_TOL = 1e-12  # Newton step (max norm) that ends the iteration
 _MAX_STEPS = 1000
 _KRYLOV_TOL = 1e-14
-_KRYLOV_MAX_ITER = 5000
 
 
 class PeriodTooLargeError(ValueError):
@@ -199,50 +200,6 @@ def residual_tolerance(op: DispersalOperator, reaction: Reaction, u: Field) -> f
     return max(_RESIDUAL_TOL, _RESIDUAL_ROUNDING * floor)
 
 
-def _krylov(apply, b, precondition):
-    """Solve apply(x) = b by BiCGSTAB (van der Vorst 1992) from x = 0,
-    right-preconditioned: it iterates on apply(precondition(y)) = b and
-    returns x = precondition(y), so its recursive residual is that of
-    apply(x) = b itself.
-
-    Stops when the 2-norm of that residual is at most 1e-14 ||b|| and
-    returns (x, applies), counting the applies of apply.  A breakdown, or
-    no convergence in 5000 iterations, raises StationaryConvergenceError.
-    """
-    x = np.zeros_like(b)
-    tol = _KRYLOV_TOL * math.sqrt(np.vdot(b, b))
-    if tol == 0.0:
-        return x, 0
-    r = b.copy()
-    r_hat = b
-    p = np.zeros_like(b)
-    v = np.zeros_like(b)
-    rho = alpha = omega = 1.0
-    for k in range(_KRYLOV_MAX_ITER):
-        rho_next = np.vdot(r_hat, r)
-        p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
-        y = precondition(p)
-        v = apply(y)
-        r_hat_v = np.vdot(r_hat, v)
-        if rho_next == 0.0 or r_hat_v == 0.0:
-            raise StationaryConvergenceError(f"Krylov solve broke down at iteration {k}")
-        alpha = rho_next / r_hat_v
-        s = r - alpha * v
-        if math.sqrt(np.vdot(s, s)) <= tol:  # also the exact case s = 0
-            return x + alpha * y, 2 * k + 1
-        z = precondition(s)
-        t = apply(z)
-        omega = np.vdot(t, s) / np.vdot(t, t)
-        x = x + alpha * y + omega * z
-        r = s - omega * t
-        if math.sqrt(np.vdot(r, r)) <= tol:
-            return x, 2 * k + 2
-        if omega == 0.0:
-            raise StationaryConvergenceError(f"Krylov solve broke down at iteration {k}")
-        rho = rho_next
-    raise StationaryConvergenceError(f"Krylov solve stalled after {_KRYLOV_MAX_ITER} iterations")
-
-
 def solve_stationary(
     op: DispersalOperator,
     reaction: Reaction,
@@ -253,7 +210,7 @@ def solve_stationary(
 
     From above: Newton from the super-solution M = beta0 + 1.  The linear
     systems (-J) du = F(u) with -J v = a v - D v, a = slope u - f(x, u),
-    are solved by _krylov, preconditioned by the Fourier inverse of
+    are solved by dispersal.krylov to 1e-14 relative, preconditioned by the Fourier inverse of
     c I - D0 at c = mean(a) (max(a) if that mean is not positive); since
     u f is concave in u every iterate is a super-solution and the
     iterates do not increase.
@@ -309,7 +266,7 @@ def solve_stationary(
                 return -disp(v) - diag * v
         else:
             apply, c = monotone, K
-        du, n = _krylov(apply, F, lambda r, c=c: resolvent(r, c))
+        du, n = krylov(apply, F, lambda r, c=c: resolvent(r, c), _KRYLOV_TOL)
         matvecs += n
         height = float(u.max())
         if float((-sign * du).max()) > _MONOTONE_SLACK * height:

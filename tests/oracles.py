@@ -40,6 +40,18 @@ def power_iteration(operator, max_iter=1_000_000):
     raise RuntimeError(f"oracle power iteration: no convergence in {max_iter} iterations")
 
 
+def fmt(x):
+    """kpplab.exports.fmt by its isinstance chain alone, without the
+    plain-float fast path."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17e")
+    return str(x)
+
+
 def clamp_apply(op, habitat, u):
     """A dispersal operator on a clamp habitat term by term: for each
     offset z, w_z (u(x + z) - u(x)) added over the in-domain overlap, each

@@ -4,16 +4,18 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from oracles import power_iteration
 
 import kpplab
 from kpplab import (
+    Habitat,
     Kernel,
     LatticeWeights,
     PeriodicCoefficient,
     PowerIterationError,
+    Reaction,
     assemble_cell_operator,
     check_average_lower_bound,
     check_eigenvalue_existence,
@@ -235,12 +237,12 @@ def test_periodic_coefficient_copies_the_callers_array():
 
 def test_power_iteration_cap():
     # 512 points: above the dense-start cutoff, so the iteration starts
-    # from constants and cannot converge in 3 steps
+    # from constants and needs 4 Noda steps; 3 leave the enclosure open
     a = PeriodicCoefficient.from_function(
         lambda x: 0.5 + 0.2 * np.sin(2.0 * np.pi * x / 4.0), (4.0,), 1.0 / 128.0
     )
     op = assemble_cell_operator("random", 0.3, 1.0, a)
-    with pytest.raises(PowerIterationError, match="residual"):
+    with pytest.raises(PowerIterationError, match="enclosure width"):
         principal_eigenvalue(op, max_iter=3)
 
 
@@ -264,24 +266,34 @@ def _wide_kernel_cell(delta0, period, mu):
     return assemble_cell_operator("nonlocal", mu, 1.0, a, kernel=kern)
 
 
-def test_dense_start_is_polished_to_the_certificate():
-    # the raw dense vector leaves a residual of about 6e-10; the power
-    # iteration takes it below 1e-10
+def _certified(res, op):
+    """The enclosure holds lam and is within the certificate's width."""
+    lo, hi = res.bracket
+    return lo <= res.lam <= hi and hi - lo <= 1e-14 * (abs(res.lam) + op.shift) + 1e-13
+
+
+def test_dense_start_certifies_by_the_enclosure():
+    # lambda is about 1.2e5; the raw dense vector, whose absolute residual
+    # of about 6e-10 failed the old 1e-10 test, closes the enclosure to
+    # 1.2e-9, inside the relative certificate, with one apply
     op = _wide_kernel_cell(5.0, 12.0, 3.5)
     res = principal_eigenvalue(op)
-    assert res.iterations > 1 and res.residual <= 1e-10
+    assert _certified(res, op) and res.iterations == 1 and res.gap > 0.0
     lam, phi = power_iteration(op)
     assert abs(res.lam - lam) < 1e-9
     assert np.abs(res.eigenfunction - phi).max() < 1e-8
 
 
-def test_uncertified_dense_start_raises():
-    # lambda is about 2.9e6 here, so one rounding of (L + s) v is about
-    # 3e-10, above the absolute 1e-10 certificate: the residual stalls
-    # near 3e-9 whatever the summation order
+def test_wide_cell_certifies_by_the_enclosure():
+    # lambda is about 2.9e6, so one rounding of L v is about 3e-10: no
+    # absolute 1e-10 residual can be reached, but the enclosure, relative
+    # to |lambda| + shift, closes in one Noda step and lambda agrees with
+    # the dense spectrum to a few roundings
     op = _wide_kernel_cell(7.0, 16.0, 3.0)
-    with pytest.raises(PowerIterationError, match="residual"):
-        principal_eigenvalue(op, max_iter=200)
+    res = principal_eigenvalue(op)
+    assert _certified(res, op) and res.eigenfunction.min() > 0.0
+    dense = np.linalg.eigvals(op.to_matrix()).real.max()
+    assert abs(res.lam - dense) <= 1e-14 * abs(dense)
 
 
 @st.composite
@@ -337,6 +349,91 @@ def test_principal_eigenpair_matches_power_iteration_oracle(case):
     assert np.abs(res.eigenfunction - phi).max() <= 1e-8, kind
 
 
+@st.composite
+def _large_cells(draw):
+    """(operator, label) on a 2-D cell of 17-32 points per axis (289 to
+    1,024 points), above the dense start's cutoff, drawn through integers
+    and sampled_from only, with |mu| inside the twist limit.  The
+    coefficient is one smooth bump of drawn height, so the cell has a
+    single well and the oracle's power iteration closes in well under a
+    second.  Long 1-D cells are left out: their eigenfunctions can spread
+    over 40 and more orders of magnitude, which the enclosure cannot
+    resolve (test_widely_spread_eigenfunction_is_refused)."""
+    kind = draw(st.sampled_from(["random", "nonlocal", "discrete"]))
+    n = draw(st.integers(17, 32))
+    payload = {}
+    if kind == "discrete":
+        spacing = 1.0
+        rates = [draw(st.integers(1, 20)) / 10.0 for _ in range(4)]
+        payload["weights"] = LatticeWeights(2, LatticeWeights.symmetric(2).offsets, rates)
+        mu = draw(st.integers(-20, 20)) / 10.0
+    elif kind == "random":
+        spacing = draw(st.sampled_from([0.25, 0.5]))
+        mu = draw(st.integers(-19, 19)) / (20.0 * spacing)
+    else:
+        spacing = draw(st.sampled_from([0.25, 0.5]))
+        profile = draw(st.sampled_from(["uniform", "triangle", "mollifier"]))
+        delta0 = spacing * draw(st.integers(2, 8))
+        payload["kernel"] = Kernel.from_profile(profile, delta0, spacing, 2)
+        mu = draw(st.integers(-20, 20)) / 10.0
+    period = n * spacing
+    axes = np.meshgrid(*[np.arange(n) * spacing] * 2, indexing="ij")
+    height = draw(st.sampled_from([0.0, 0.5, 0.75, 1.0]))
+    vals = draw(st.integers(-10, 10)) / 10.0 + height * np.prod(
+        [np.cos(np.pi * x / period) ** 2 for x in axes], axis=0)
+    angle = draw(st.integers(0, 15)) * np.pi / 8.0
+    a = PeriodicCoefficient((period, period), spacing, vals)
+    return assemble_cell_operator(kind, mu, (np.cos(angle), np.sin(angle)), a, **payload), kind
+
+
+def _minorant_cell():
+    # the 32 x 32 minorant cell of the 2-D stationary problem (h = 0.25,
+    # a dip of 0.5), which power iteration needed 2,057 steps for
+    from kpplab.stationary import periodic_minorant
+
+    habitat = Habitat("continuum", 2, 8.0, 0.25)
+    reaction = Reaction.linear(1.0, 1.0, amplitude=-0.5, radius=1.0)
+    _, coeff = periodic_minorant(reaction, 0.5, habitat)
+    return assemble_cell_operator("random", 0.0, (1.0, 0.0), coeff), "minorant"
+
+
+@settings(deadline=None, derandomize=True, max_examples=12)
+@given(_large_cells())
+@example(_minorant_cell())
+@example((_wide_kernel_cell(7.0, 16.0, 3.0), "wide"))
+def test_noda_matches_the_oracles_above_the_dense_cutoff(case):
+    # lambda against the power-iteration oracle and the dense spectrum to
+    # 1e-9, plus the oracle's own rounding, 1e-13 (|lambda| + shift),
+    # which only the lambda = 2.9e6 example reaches; phi to 1e-8.  The
+    # spread max phi / min phi is reported as an event
+    op, kind = case
+    res = principal_eigenvalue(op)
+    lam, phi = power_iteration(op)
+    spread = 1.0 / res.eigenfunction.min()
+    event(f"max phi / min phi ~ 1e{int(np.log10(spread))}")
+    dense = np.linalg.eigvals(op.to_matrix()).real.max()
+    tol = 1e-9 + 1e-13 * (abs(lam) + op.shift)
+    assert _certified(res, op) and res.eigenfunction.min() > 0.0, kind
+    assert abs(res.lam - lam) <= tol and abs(res.lam - dense) <= tol, kind
+    assert np.abs(res.eigenfunction - phi).max() <= 1e-8, (kind, spread)
+
+
+def test_widely_spread_eigenfunction_is_refused():
+    # a nearly local kernel (three offsets) under a bump of 0.5 on a
+    # 257-point cell: phi spans about 41 orders of magnitude, beyond what
+    # the Collatz-Wielandt ratios resolve in double precision.  The solver
+    # raises rather than return an uncertified pair; the absolute 1e-10
+    # residual of power iteration accepted this cell
+    h = 0.125
+    x = np.arange(257) * h
+    a = PeriodicCoefficient((257 * h,), h, 0.5 * np.cos(np.pi * x / (257 * h)) ** 2)
+    op = assemble_cell_operator("nonlocal", 0.0, 1.0, a,
+                                kernel=Kernel.from_profile("uniform", 2 * h, h, 1))
+    with pytest.raises(PowerIterationError, match="enclosure width"):
+        principal_eigenvalue(op)
+    assert 1.0 / power_iteration(op)[1].min() > 1e40
+
+
 def test_import_leaves_out_scipy_linalg():
     # scipy.linalg (also pulled in by scipy.sparse.linalg) adds about
     # 140 ms and 9 MiB to every start-up, scipy.sparse about 90 ms and
@@ -352,3 +449,39 @@ def test_import_leaves_out_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_certified_dense_start_loads_no_fft():
+    # eigen-backed speed minimizations on the three 16-point cells of the
+    # dispersion benchmark (random and nonlocal at period 4 and h = 0.25,
+    # lattice at period 8): every cell certifies from the dense start
+    # with one apply, so the Fourier solver is never built
+    src = os.path.dirname(os.path.dirname(kpplab.__file__))
+    code = """
+import sys
+import numpy as np
+import kpplab as K
+import kpplab.speeds as S
+applies = []
+solve = S.principal_eigenvalue
+def counted(op):
+    res = solve(op)
+    applies.append(res.iterations)
+    return res
+S.principal_eigenvalue = counted
+x = np.arange(16) * 0.25
+kernel = K.Kernel.from_profile("triangle", 1.0, 0.25, 1)
+for kind, a, payload in [
+    ("random", K.PeriodicCoefficient((4.0,), 0.25, 1.0 + 0.12 * np.sin(np.pi * x / 2)), {}),
+    ("nonlocal", K.PeriodicCoefficient((4.0,), 0.25, 1.0 + 0.08 * np.cos(np.pi * x)),
+     {"kernel": kernel}),
+    ("discrete", K.PeriodicCoefficient((8.0,), 1.0, 1.0 + 0.12 * np.sin(np.arange(8.0))),
+     {"weights": K.LatticeWeights.symmetric(1, 1.0)}),
+]:
+    K.minimize_speed(K.DispersionRelation.eigen_backed(kind, 1.0, a, mu_max=3.5, **payload))
+print(len(applies), max(applies), "numpy.fft" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    solves, most, fft_loaded = out.stdout.split()
+    assert int(solves) > 100 and most == "1" and fft_loaded == "False", out.stdout

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+from oracles import fmt as fmt_oracle
 
 from kpplab import DispersalOperator, Habitat, Reaction, evolve, stability_dt_bound
 from kpplab.exports import fmt, sha256_text, write_csv, write_json
@@ -62,3 +63,14 @@ def test_trajectory_export(tmp_path):
     write_json(man_path, manifest)
     assert csv_path.read_bytes() == first_csv
     assert man_path.read_bytes() == first_manifest
+
+
+def test_write_csv_matches_the_isinstance_oracle(tmp_path):
+    # the plain-float fast path writes the bytes the isinstance chain does
+    row = [True, np.bool_(False), 7, np.int64(-3), 0.1, -1.0 / 3.0, np.float64(2.0 ** -52),
+           np.float32(0.1), "label", 1e300, np.float64(-0.0)]
+    rows = [row, row[::-1], [x for x in row if not isinstance(x, str)]]
+    path = tmp_path / "mixed.csv"
+    write_csv(path, ["c"], rows)
+    expected = "c\n" + "".join(",".join(fmt_oracle(x) for x in r) + "\n" for r in rows)
+    assert path.read_bytes() == expected.encode()

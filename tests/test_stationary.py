@@ -303,14 +303,14 @@ def test_preconditioned_solves_cost_a_few_applies(monkeypatch):
     # K I - D exactly in the preconditioner, so it costs one or two applies
     habitat = Habitat("continuum", 1, 40.0, 0.1)
     applies = []
-    krylov = stationary._krylov
+    krylov = stationary.krylov
 
-    def counted(apply, b, precondition):
-        x, n = krylov(apply, b, precondition)
+    def counted(apply, b, precondition, rtol):
+        x, n = krylov(apply, b, precondition, rtol)
         applies.append(n)
         return x, n
 
-    monkeypatch.setattr(stationary, "_krylov", counted)
+    monkeypatch.setattr(stationary, "krylov", counted)
     res = solve_stationary(DispersalOperator.random(), BUMP, habitat, route=FROM_BELOW)
     assert res.matvecs == sum(applies) <= 300
     monotone_steps = res.iterations - res.newton_steps
