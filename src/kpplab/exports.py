@@ -14,14 +14,13 @@ import numpy as np
 
 
 def fmt(x) -> str:
-    if type(x) is float:  # the common case, ahead of the isinstance chain
-        return format(x, ".17e")
+    # floats first, the common case; bool and int are not float subclasses
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17e")
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17e")
     return str(x)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersal import DispersalOperator, krylov
+from .dispersal import DispersalOperator, KrylovError, krylov
 from .domain import Field, Habitat, Reaction
 from .dynamics import march, spectral_bound
 from .eigen import PeriodicCoefficient, assemble_cell_operator, principal_eigenvalue
@@ -266,7 +266,10 @@ def solve_stationary(
                 return -disp(v) - diag * v
         else:
             apply, c = monotone, K
-        du, n = krylov(apply, F, lambda r, c=c: resolvent(r, c), _KRYLOV_TOL)
+        try:
+            du, n = krylov(apply, F, lambda r, c=c: resolvent(r, c), _KRYLOV_TOL)
+        except KrylovError as err:
+            raise StationaryConvergenceError(f"{route} step {k}: {err}") from None
         matvecs += n
         height = float(u.max())
         if float((-sign * du).max()) > _MONOTONE_SLACK * height:

@@ -41,8 +41,8 @@ def power_iteration(operator, max_iter=1_000_000):
 
 
 def fmt(x):
-    """kpplab.exports.fmt by its isinstance chain alone, without the
-    plain-float fast path."""
+    """kpplab.exports.fmt in its former branch order (bool, int, then
+    float), before floats were tested first."""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):

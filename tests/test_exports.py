@@ -66,7 +66,7 @@ def test_trajectory_export(tmp_path):
 
 
 def test_write_csv_matches_the_isinstance_oracle(tmp_path):
-    # the plain-float fast path writes the bytes the isinstance chain does
+    # testing floats first writes the bytes the former branch order does
     row = [True, np.bool_(False), 7, np.int64(-3), 0.1, -1.0 / 3.0, np.float64(2.0 ** -52),
            np.float32(0.1), "label", 1e300, np.float64(-0.0)]
     rows = [row, row[::-1], [x for x in row if not isinstance(x, str)]]

@@ -316,3 +316,14 @@ def test_preconditioned_solves_cost_a_few_applies(monkeypatch):
     monotone_steps = res.iterations - res.newton_steps
     assert monotone_steps > 0
     assert max(applies[:monotone_steps]) <= 2
+
+
+def test_krylov_breakdown_raises_the_stationary_error(monkeypatch):
+    # a preconditioner that returns zero makes BiCGSTAB break down at once;
+    # the failure reaches callers as StationaryConvergenceError, step named
+    monkeypatch.setattr(DispersalOperator, "bind_resolvent",
+                        lambda self, habitat: lambda r, c: np.zeros_like(r))
+    for route in (FROM_ABOVE, FROM_BELOW):
+        with pytest.raises(stationary.StationaryConvergenceError,
+                           match=f"{route} step 1: Krylov solve broke down"):
+            solve_stationary(DispersalOperator.random(), BUMP, HAB, route=route)
