@@ -28,7 +28,6 @@ file; an unparsable environment value exits 2.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import dataclasses
 import itertools
@@ -251,6 +250,10 @@ def _exp_invariance_sweep(keys, habitat, reaction, op, solver, options):
     jobs = options.get("jobs", 1)
     rows = None
     if jobs > 1:
+        # imported here: it loads logging, traceback and string, about
+        # 4-5 ms of every start-up, and only this branch uses it
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(run_invariance_cell, itertools.repeat(setup), setup.amplitudes))
     report = run_speed_invariance_sweep(setup, rows=rows)

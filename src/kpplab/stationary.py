@@ -5,9 +5,10 @@ M = beta0 + 1; the from-below route runs the monotone iteration of
 Sattinger (1972) upward from a small multiple of a periodically extended
 positive eigenfunction, then hands over to Newton.  Every linear solve
 runs dispersal.krylov, the BiCGSTAB loop that the eigenvalue solver
-shares, on the dispersal closure, so no matrix is built; it is
-right-preconditioned by the Fourier inverse of c I - D0, where D0 is
-the same stencil read as a constant-coefficient convolution
+shares, on the dispersal closure, so no operator matrix is built; it is
+right-preconditioned by the inverse of c I - D0, where D0 is the same
+stencil read as a constant-coefficient convolution, diagonal in Fourier
+modes on periodic habitats and in cosine modes on clamp ones
 (DispersalOperator.bind_resolvent).  A monotone step solves K I - D, which
 is c I - D0 itself for the random and symmetric discrete kinds, so it
 takes one or two applies; a Newton step solves a I - D with a varying
@@ -210,8 +211,8 @@ def solve_stationary(
 
     From above: Newton from the super-solution M = beta0 + 1.  The linear
     systems (-J) du = F(u) with -J v = a v - D v, a = slope u - f(x, u),
-    are solved by dispersal.krylov to 1e-14 relative, preconditioned by the Fourier inverse of
-    c I - D0 at c = mean(a) (max(a) if that mean is not positive); since
+    are solved by dispersal.krylov to 1e-14 relative, preconditioned by the inverse of
+    c I - D0 (bind_resolvent) at c = mean(a) (max(a) if that mean is not positive); since
     u f is concave in u every iterate is a super-solution and the
     iterates do not increase.
 

@@ -71,6 +71,29 @@ def clamp_apply(op, habitat, u):
     return acc / row_mass
 
 
+def even_extension_resolvent(op, habitat, r, c):
+    """(c I - D0)^{-1} r on a clamp habitat by the FFT of the even
+    extension, of length 2n per axis: D0 is the stencil as a convolution
+    on that torus, its symbol is taken by its real part and divided by the
+    interior row mass for nonlocal rows, and the result is the extension's
+    solve restricted to the grid.  This is how bind_resolvent inverted on
+    every clamp habitat before the cosine transforms; it builds its own
+    symbol by full complex FFTs and shares no code with kpplab's."""
+    st = op._stencil(habitat.dim, habitat.spacing)
+    lengths = tuple(2 * n for n in habitat.shape)
+    cells = np.zeros(lengths)
+    for off, w in zip(st.offsets, st.weights):
+        cells[tuple(np.mod(off, lengths))] += w
+    cells.flat[0] -= st.weights.sum()
+    symbol = np.fft.fftn(cells).real
+    if st.renormalize:
+        symbol /= st.weights.sum()
+    for ax in range(habitat.dim):
+        r = np.concatenate((r, np.flip(r, ax)), axis=ax)
+    out = np.fft.ifftn(np.fft.fftn(r) / (c - symbol)).real
+    return out[tuple(slice(0, n) for n in habitat.shape)]
+
+
 _T_MAX = 500.0
 _RECORD_SPACING = 1.0
 _MONOTONE_SLACK = 1e-10

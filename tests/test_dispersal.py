@@ -16,6 +16,7 @@ from kpplab import (
     assemble_cell_operator,
     closed_form_eigenvalue,
 )
+from kpplab import dispersal
 
 HAB = Habitat("continuum", 1, 10.0, 0.1)
 LAT = Habitat("lattice", 1, 10)
@@ -354,9 +355,41 @@ def _resolvent_cases(draw):
 
 @settings(deadline=None, derandomize=True)
 @given(_resolvent_cases(), st.sampled_from([0.5, 1.0, 4.0]), st.integers(0, 99))
+# the drawn grids have at most 17 points per axis, all on the dense cosine
+# side of bind_resolvent's clamp selection; a habitat has 2m + 1 points per
+# axis, so 255 is the longest dense axis and 257 the shortest FFT one
+@example((DispersalOperator.random(), Habitat("continuum", 1, 31.75, 0.25)), 0.5, 0)
+@example((DispersalOperator.random(), Habitat("continuum", 1, 32.0, 0.25)), 0.5, 1)
+@example((DispersalOperator.discrete(LatticeWeights.symmetric(1, 2.0)), Habitat("lattice", 1, 150)),
+         1.0, 2)
 def test_resolvent_inverts_c_minus_the_stencil(case, c, seed):
     op, hab = case
     r = np.random.default_rng(seed).standard_normal(hab.shape)
     v = op.bind_resolvent(hab)(r, c)
     assert v.shape == hab.shape
     assert np.abs(c * v - op.bind(hab)(v) - r).max() <= 1e-12 * np.abs(r).max()
+
+
+def test_clamp_resolvent_selects_cosine_transforms_by_axis_length(monkeypatch):
+    chosen = []
+    monkeypatch.setattr(dispersal, "cosine_inverse", lambda symbol, shape: chosen.append(shape))
+    for half in (127, 128):
+        DispersalOperator.random().bind_resolvent(Habitat("continuum", 1, half, 1.0))
+    assert chosen == [(255,)]
+
+
+@settings(deadline=None, derandomize=True)
+@given(_clamp_cases(), st.sampled_from([0.5, 2.5, 40.0]), st.integers(0, 99))
+@example((DispersalOperator.random(), Habitat("continuum", 2, 8.0, 0.25)), 2.5, 0)
+@example((DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.0, 0.1, 1)),
+          Habitat("continuum", 1, 12.7, 0.1)), 0.5, 0)
+def test_cosine_resolvent_matches_the_even_extension_oracle(case, c, seed):
+    """On clamp habitats below the cutoff bind_resolvent inverts by cosine
+    transforms of the n points per axis; the FFT of the 2n-point even
+    extension applies the same operator, also where neither inverts the
+    clamp stencil exactly (nonlocal boundary rows, asymmetric rates, whose
+    symbol is taken by its real part)."""
+    op, hab = case
+    r = np.random.default_rng(seed).standard_normal(hab.shape)
+    want = oracles.even_extension_resolvent(op, hab, r, c)
+    assert np.abs(op.bind_resolvent(hab)(r, c) - want).max() <= 1e-13 * np.abs(want).max()

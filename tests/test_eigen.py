@@ -440,10 +440,15 @@ def test_import_leaves_out_scipy_linalg():
     # 17 MiB; the dense solve uses numpy.linalg and the cell operator
     # gathers its neighbours through dispersal.wrap_index.  Plain scipy
     # (about 12 ms and 1.3 MiB) is left out too: kpplab runs no scipy code.
-    # numpy.fft (about 1.2 MiB) is reached lazily, only by the stationary
-    # solve's preconditioner, so runs that solve no stationary state skip it
+    # numpy.fft (about 1.2 MiB) is reached lazily, only where a symbol is
+    # built: bind_resolvent for the stationary solves, and eigen's Noda
+    # steps, which a cell certified by its dense start never takes; runs
+    # that build neither skip it.
+    # concurrent.futures, about 4-5 ms, is imported only by a sweep with
+    # --jobs above 1
     src = os.path.dirname(os.path.dirname(kpplab.__file__))
-    modules = ("scipy", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "numpy.fft")
+    modules = ("scipy", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "numpy.fft",
+               "concurrent.futures")
     code = ("import sys, kpplab, kpplab.cli; "
             f"print([m for m in {modules!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -297,11 +297,8 @@ def test_residual_certificate_scales_with_the_carrying_capacity(capacity):
             assert fast.residual <= stationary.residual_tolerance(op, reaction, fast.u_star)
 
 
-def test_preconditioned_solves_cost_a_few_applies(monkeypatch):
-    # the problem of configs/stationary_bump.cfg, where the unpreconditioned
-    # from-below route took 5,250 applies: each monotone step solves
-    # K I - D exactly in the preconditioner, so it costs one or two applies
-    habitat = Habitat("continuum", 1, 40.0, 0.1)
+def _count_applies(monkeypatch):
+    """The list that each stationary Krylov solve appends its applies to."""
     applies = []
     krylov = stationary.krylov
 
@@ -311,11 +308,36 @@ def test_preconditioned_solves_cost_a_few_applies(monkeypatch):
         return x, n
 
     monkeypatch.setattr(stationary, "krylov", counted)
+    return applies
+
+
+def test_preconditioned_solves_cost_a_few_applies(monkeypatch):
+    # the problem of configs/stationary_bump.cfg, where the unpreconditioned
+    # from-below route took 5,250 applies: each monotone step solves
+    # K I - D exactly in the preconditioner, so it costs one or two applies
+    habitat = Habitat("continuum", 1, 40.0, 0.1)
+    applies = _count_applies(monkeypatch)
     res = solve_stationary(DispersalOperator.random(), BUMP, habitat, route=FROM_BELOW)
     assert res.matvecs == sum(applies) <= 300
     monotone_steps = res.iterations - res.newton_steps
     assert monotone_steps > 0
     assert max(applies[:monotone_steps]) <= 2
+
+
+def test_cosine_preconditioned_monotone_steps_take_one_apply(monkeypatch):
+    # the 65 x 65 dip problem of the 2-D stationary benchmark unit, whose
+    # clamp resolvent inverts by cosine transforms: each monotone step is
+    # solved exactly, and the transforms sum their modes from the highest
+    # frequency down, so the rounding leaves the first half-step residual
+    # at 2.3e-15 to 3.7e-15 relative, below the 1e-14 gate (in increasing
+    # order it was 1.1e-14 to 2.2e-14, and every step took two applies)
+    habitat = Habitat("continuum", 2, 8.0, 0.25)
+    applies = _count_applies(monkeypatch)
+    dip = Reaction.linear(1.0, 1.0, amplitude=-0.5, radius=1.0)
+    res = solve_stationary(DispersalOperator.random(), dip, habitat, route=FROM_BELOW)
+    monotone_steps = res.iterations - res.newton_steps
+    assert monotone_steps > 0
+    assert applies[:monotone_steps] == [1] * monotone_steps
 
 
 def test_krylov_breakdown_raises_the_stationary_error(monkeypatch):
