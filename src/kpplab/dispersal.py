@@ -245,15 +245,14 @@ class DispersalOperator:
         grid's own torus under periodic boundaries, the even extension
         under clamp boundaries, inverted there by cosine transforms on
         axes of at most _DENSE_AXIS_MAX points and by the FFT of the
-        extension otherwise (see the module docstring); nonlocal clamp rows
-        are divided by the interior row mass, as bind divides them."""
+        extension otherwise (see the module docstring).  Interior nonlocal
+        rows have mass 1 (Kernel.from_profile), so bind's division of each
+        clamp row by its in-domain mass leaves them as D0's."""
         self.check_habitat(habitat)
         st = self._stencil(habitat.dim, habitat.spacing)
         periodic = habitat.boundary == PERIODIC
         lengths = habitat.shape if periodic else tuple(2 * n for n in habitat.shape)
         symbol = torus_symbol(st.offsets, st.weights, -st.weights.sum(), lengths).real
-        if st.renormalize and not periodic:
-            symbol /= st.weights.sum()
         if periodic:
             return fourier_inverse(symbol, lengths)
         if max(habitat.shape) <= _DENSE_AXIS_MAX:

@@ -223,7 +223,7 @@ class Reaction:
         if not (f_beta0 < 0.0 and math.isfinite(self.beta0)):
             raise ValueError(
                 f"f(x, beta0) = {f_beta0:.3g} is not negative at beta0 = {self.beta0:.17g} "
-                "(H1 fails in floating point; reduce r0 / slope)"
+                "(H1 fails in floating point; reduce r0 / slope or amplitude / r0)"
             )
 
     @classmethod
@@ -246,8 +246,14 @@ class Reaction:
 
     @property
     def beta0(self) -> float:
-        """A level above which f(x, u) < 0 strictly, for every x."""
-        return (self.r0 + max(self.amplitude, 0.0)) / self.slope + 1e-6
+        """A level above which f(x, u) < 0 strictly, for every x: the root
+        of the largest f(x, .) plus a margin of 1e-6 u0*."""
+        return (self.r0 + max(self.amplitude, 0.0)) / self.slope + 1e-6 * self.u0_star
+
+    def ceiling(self, height: float) -> float:
+        """The invariant-region bound M = max(height, beta0) + u0* of a flow
+        from data of the given max height; the one statement of M."""
+        return max(height, self.beta0) + self.u0_star
 
     def perturbation(self, habitat: Habitat):
         """A * bump(|x|/L0) sampled on the habitat grid (exact zeros outside L0)."""

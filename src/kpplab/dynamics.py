@@ -111,14 +111,13 @@ class MarchPlan(NamedTuple):
         return self.dt <= self.bound * (1.0 + 1e-12)
 
 
-def _reaction_maxima(reaction: Reaction, u0: Field):
-    """(max|f|, max|d_u(u f)|) over the grid and u in [0, M], with
-    M = max(max u0, beta0) + 1.  Both are linear in u, d_u(u f) = f(x, 0)
-    - 2 slope u = f(x, 2u), so each is taken at the two ends: f at u in
-    {0, M} and d_u(u f) through f at u in {0, 2M}."""
-    m_bound = max(u0.max, reaction.beta0) + 1.0
-    growth = reaction.bind(u0.habitat)
-    at_0, at_m, at_2m = (float(np.abs(growth(u)).max()) for u in (0.0, m_bound, 2.0 * m_bound))
+def _reaction_maxima(reaction: Reaction, habitat: Habitat, top: float):
+    """(max|f|, max|d_u(u f)|) over the grid and u in [0, top]; the march
+    takes top = reaction.ceiling(max u0).  Both are linear in u,
+    d_u(u f) = f(x, 0) - 2 slope u = f(x, 2u), so each is taken at the two
+    ends: f at u in {0, top} and d_u(u f) through f at u in {0, 2 top}."""
+    growth = reaction.bind(habitat)
+    at_0, at_m, at_2m = (float(np.abs(growth(u)).max()) for u in (0.0, top, 2.0 * top))
     return max(at_0, at_m), max(at_0, at_2m)
 
 
@@ -133,7 +132,8 @@ def _dispersal_bound(op: DispersalOperator, habitat: Habitat) -> float:
 def spectral_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
     """The Gershgorin bound rho = rho_D + max|d_u(u f)| over u in [0, M] of
     the linearized right-hand side that march_plan steps by."""
-    return _dispersal_bound(op, u0.habitat) + _reaction_maxima(reaction, u0)[1]
+    top = reaction.ceiling(u0.max)
+    return _dispersal_bound(op, u0.habitat) + _reaction_maxima(reaction, u0.habitat, top)[1]
 
 
 def _clause(op: DispersalOperator, max_f: float) -> float:
@@ -149,10 +149,11 @@ def stability_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> 
                  with mass = sum of a_k (discrete) or 1 (nonlocal, random)
     random:      also dt <= h^2 / (2 dim (1 + safety)), the Laplacian's bound
 
-    max|f| is evaluated at u in {0, M} with M = max(max u0, beta0) + 1.
-    march does not use this bound: march_plan states its own.
+    max|f| is evaluated at u in {0, M} with M = reaction.ceiling(max u0)
+    = max(max u0, beta0) + u0*.  march does not use this bound: march_plan
+    states its own.
     """
-    bound = _clause(op, _reaction_maxima(reaction, u0)[0])
+    bound = _clause(op, _reaction_maxima(reaction, u0.habitat, reaction.ceiling(u0.max))[0])
     if op.kind == RANDOM:
         h = u0.habitat
         bound = min(bound, h.spacing ** 2 / (2.0 * h.dim * (1.0 + _STABILITY_SAFETY)))
@@ -220,7 +221,7 @@ def march_plan(op: DispersalOperator, reaction: Reaction, u0: Field,
     s / dt_rkc2 < 4 / dt_rk4, and rk4 otherwise.  u0 enters through its
     habitat and max(u0) only.
     """
-    max_f, max_df = _reaction_maxima(reaction, u0)
+    max_f, max_df = _reaction_maxima(reaction, u0.habitat, reaction.ceiling(u0.max))
     rho = _dispersal_bound(op, u0.habitat) + max_df
     rk4 = _RK4_MARCH_FRACTION * _RK4_INTERVAL / rho
     rk4_dt = _STEP_FRACTION * rk4
@@ -316,9 +317,9 @@ def evolve(
     dt must not exceed stability_dt_bound (StabilityError otherwise).
     u0 must be nonnegative.  All snapshots are nonnegative (roundoff
     negatives are zeroed; clip_count counts values below -1e-14) and
-    bounded by max(max u0, beta0) + 1, the invariant-region bound; any
-    excursion past it or a non-finite value aborts with the first bad
-    time.
+    bounded by the invariant-region bound reaction.ceiling(max u0) =
+    max(max u0, beta0) + u0*; any excursion past it or a non-finite value
+    aborts with the first bad time.
     """
     plan = MarchPlan(RK4, dt, 4, stability_dt_bound(op, reaction, u0))
     return _step_loop(op, reaction, u0, T, plan, record_every)
@@ -381,7 +382,7 @@ def _step_loop(op, reaction, u0, T, plan, record_every, observer=None):
         out += g
         return out
 
-    m_bound = max(u0.max, reaction.beta0) + 1.0
+    m_bound = reaction.ceiling(u0.max)
     # at least one step: for T below 1e-12 dt the ceiling alone gives none
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     t_end = n_steps * dt

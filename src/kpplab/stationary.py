@@ -1,10 +1,10 @@
 """Positive stationary states of D u + u f(x, u) = 0, matrix-free.
 
 The from-above route runs Newton from the constant super-solution
-M = beta0 + 1; the from-below route runs the monotone iteration of
-Sattinger (1972) upward from a small multiple of a periodically extended
-positive eigenfunction, then hands over to Newton.  Every linear solve
-runs dispersal.krylov, the BiCGSTAB loop that the eigenvalue solver
+M = reaction.ceiling(beta0) = beta0 + u0*; the from-below route runs the
+monotone iteration of Sattinger (1972) upward from a small multiple of a
+periodically extended positive eigenfunction, then hands over to Newton.
+Every linear solve runs dispersal.krylov, the BiCGSTAB loop that the eigenvalue solver
 shares, on the dispersal closure, so no operator matrix is built; it is
 right-preconditioned by the inverse of c I - D0, where D0 is the same
 stencil read as a constant-coefficient convolution, diagonal in Fourier
@@ -34,20 +34,20 @@ import numpy as np
 
 from .dispersal import DispersalOperator, KrylovError, krylov
 from .domain import Field, Habitat, Reaction
-from .dynamics import march, spectral_bound
+from .dynamics import _reaction_maxima, march, spectral_bound
 from .eigen import PeriodicCoefficient, assemble_cell_operator, principal_eigenvalue
 
 FROM_ABOVE = "from-above"
 FROM_BELOW = "from-below"
 
+# Heights in units of u0*.
 _SUB_SOLUTION_DELTA = 0.1  # the first height tried for delta * phi
 _SUB_SOLUTION_SLACK = 1e-10
 _RESIDUAL_TOL = 1e-7
-# The residual's rounding floor is about eps rho max(u), with rho the
-# Gershgorin bound of the linearized equation, so the certificate grows
-# with the carrying capacity once that floor passes 1e-7.
-_RESIDUAL_ROUNDING = 4.0
 _STABILITY_TOL = 1e-4  # largest distance to u* at the horizon of check_stability
+# The residual's rounding floor is about eps rho max(u), rho the Gershgorin
+# bound of the linearized equation; on fine grids it passes 1e-7 u0*.
+_RESIDUAL_ROUNDING = 4.0
 # Step limits relative to the iterate's height max(u), so the iteration
 # behaves alike for every carrying capacity u0* = r0/slope.
 _MONOTONE_SLACK = 1e-10  # tolerated step against the route's direction
@@ -151,10 +151,10 @@ def sub_solution(op: DispersalOperator, reaction: Reaction, habitat: Habitat) ->
 
     phi is the positive dominant eigenfunction of the untwisted periodic
     operator with coefficient h (eps = f0(0)/2), extended periodically
-    and normalized to max 1.  delta starts at 0.1 and is halved (at most
-    10 times) until
+    and normalized to max 1.  delta starts at 0.1 u0* and is halved (at
+    most 10 times) until
     dispersal(delta phi) + delta phi f(x, delta phi) >= -slack holds at
-    every grid point, with slack 1e-10.
+    every grid point, with slack 1e-10 u0*.
     """
     eps = reaction.r0 / 2.0
     _, coeff = periodic_minorant(reaction, eps, habitat)
@@ -173,13 +173,13 @@ def sub_solution(op: DispersalOperator, reaction: Reaction, habitat: Habitat) ->
     growth = reaction.bind(habitat)
     d = _SUB_SOLUTION_DELTA
     for _ in range(11):
-        u = d * phi
+        u = (d * reaction.u0_star) * phi
         residual = disp(u) + u * growth(u)
-        if float(residual.min()) >= -_SUB_SOLUTION_SLACK:
+        if float(residual.min()) >= -_SUB_SOLUTION_SLACK * reaction.u0_star:
             return Field(habitat, u)
         d *= 0.5
     raise SubSolutionError(
-        "sub-solution inequality still fails at delta = {:.3e}; the minorant "
+        "sub-solution inequality still fails at delta = {:.3e} u0*; the minorant "
         "eigenvalue may be nonpositive or the resolution too coarse".format(d * 2.0)
     )
 
@@ -196,9 +196,9 @@ class StationaryResult:
 
 def residual_tolerance(op: DispersalOperator, reaction: Reaction, u: Field) -> float:
     """The largest equation residual max|D u + u f(x, u)| that certifies u:
-    max(1e-7, 4 eps rho max(u)), with rho = dynamics.spectral_bound at u."""
+    max(1e-7 u0*, 4 eps rho max(u)), with rho = dynamics.spectral_bound at u."""
     floor = np.finfo(float).eps * spectral_bound(op, reaction, u) * u.max
-    return max(_RESIDUAL_TOL, _RESIDUAL_ROUNDING * floor)
+    return max(_RESIDUAL_TOL * reaction.u0_star, _RESIDUAL_ROUNDING * floor)
 
 
 def solve_stationary(
@@ -209,7 +209,7 @@ def solve_stationary(
 ) -> StationaryResult:
     """The positive solution of F(u) = D u + u f(x, u) = 0, matrix-free.
 
-    From above: Newton from the super-solution M = beta0 + 1.  The linear
+    From above: Newton from the super-solution M = beta0 + u0*.  The linear
     systems (-J) du = F(u) with -J v = a v - D v, a = slope u - f(x, u),
     are solved by dispersal.krylov to 1e-14 relative, preconditioned by the inverse of
     c I - D0 (bind_resolvent) at c = mean(a) (max(a) if that mean is not positive); since
@@ -227,26 +227,21 @@ def solve_stationary(
     Every step is checked against its direction with 1e-10 max(u) slack.
     The iteration stops once a Newton step is below 1e-12 max(u) in max
     norm, and the result is certified by the equation residual (at most
-    residual_tolerance: 1e-7, or its rounding floor where the carrying
-    capacity lifts that above 1e-7) and strict positivity.  The step
-    limits are relative to the iterate's height so that they scale with
-    the carrying capacity.
+    residual_tolerance: 1e-7 u0*, or its rounding floor on fine grids) and
+    strict positivity.  Every height is relative to max(u) or a fraction
+    of u0*, so a power-of-two u0* scales the iterates bit for bit.
     """
     if route not in (FROM_ABOVE, FROM_BELOW):
         raise ValueError(f"unknown route {route!r}")
-    top = reaction.beta0 + 1.0  # a super-solution by H1
     if route == FROM_ABOVE:
-        u = np.full(habitat.shape, top)
+        u = np.full(habitat.shape, reaction.ceiling(reaction.beta0))  # a super-solution by H1
     else:
         u = sub_solution(op, reaction, habitat).values
 
     disp = op.bind(habitat)
     resolvent = op.bind_resolvent(habitat)
     growth = reaction.bind(habitat)
-    base = growth(np.zeros(habitat.shape))
-    # sup |d_u(u f)| over [0, beta0], which holds every from-below iterate
-    # (u* <= beta0); [0, M] would let the +1 in M inflate K as u0* shrinks
-    K = float(max(np.abs(base).max(), np.abs(base - 2.0 * reaction.slope * reaction.beta0).max()))
+    K = _reaction_maxima(reaction, habitat, reaction.beta0)[1]  # the iterates stay below u*
 
     def monotone(v):
         return K * v - disp(v)
@@ -342,12 +337,13 @@ def check_stability(
 ) -> StabilityReport:
     """March strictly positive perturbations by dynamics.march and report
     the max-norm distance to u_star at the horizon; passes when all are
-    below 1e-4."""
+    below 1e-4 u0*."""
+    tolerance = _STABILITY_TOL * reaction.u0_star
     distances = []
     for u0 in perturbations:
         if not u0.is_strictly_positive():
             raise ValueError("perturbations must be strictly positive")
         traj = march(op, reaction, u0, T, record_every=10 ** 9)
         distances.append(float(np.abs(traj.final.values - u_star.values).max()))
-    return StabilityReport(all(d < _STABILITY_TOL for d in distances), tuple(distances),
-                           _STABILITY_TOL, T)
+    return StabilityReport(all(d < tolerance for d in distances), tuple(distances),
+                           tolerance, T)

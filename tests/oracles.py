@@ -133,7 +133,7 @@ def march_stationary(op, reaction, habitat, route=FROM_ABOVE):
     if route not in (FROM_ABOVE, FROM_BELOW):
         raise ValueError(f"unknown route {route!r}")
     if route == FROM_ABOVE:
-        u = habitat.full(reaction.beta0 + 1.0)  # a super-solution by H1
+        u = habitat.full(reaction.ceiling(reaction.beta0))  # a super-solution by H1
     else:
         u = sub_solution(op, reaction, habitat)
 

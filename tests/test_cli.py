@@ -106,10 +106,11 @@ def test_jobs_below_one_exit_2(tmp_path, monkeypatch, capsys):
 
 
 def test_reaction_breaking_h1_exits_2(tmp_path, capsys):
-    # K = 1e12: beta0 rounds to K, so f(x, beta0) = 0 is not negative
+    # amplitude 1e12 against r0 = 1: beta0's margin of 1e-6 u0* is below
+    # one rounding of beta0, so f(x, beta0) = 0 is not negative
     text = DISCRETE_FRONT.format(out=tmp_path / "o").replace(
-        "family = linear", "family = logistic\ncarrying_capacity = 1e12")
-    cfg = _write(tmp_path, "huge_k.cfg", text)
+        "amplitude = 0.5", "amplitude = 1e12")
+    cfg = _write(tmp_path, "huge_amplitude.cfg", text)
     for command in ("validate", "run"):
         assert main([command, cfg, "--quiet"]) == 2, command
         assert "reaction" in capsys.readouterr().err
@@ -196,7 +197,7 @@ def test_front_speed_reports_its_scheme(tmp_path, capsys):
     assert coarse_explicit["rhs_evals"] == 4 * math.ceil(40 / 0.05 - 1e-12)
     # under rkc2 an explicit dt answers to the bounded-operator clause,
     # 0.25 / (2 + max|f|) = 0.0714 with max|f| = 1.5 on the run's front
-    # data (max u0 = 1, M = beta0 + 1 = 2.5): 0.05 is above rk4's h^2
+    # data (max u0 = 1, M = beta0 + u0* = 2.5): 0.05 is above rk4's h^2
     # bound (0.0167) and runs; 0.08 exits 2
     assert run(0.2, "0.05")["scheme"] == "rkc2"
     cfg = _write(tmp_path, "fast.cfg", RANDOM_FRONT.format(dt="0.08", out=tmp_path / "fast"))
@@ -617,9 +618,9 @@ def test_dt_precheck_accepts_what_the_march_accepts(tmp_path):
 
 def test_dt_precheck_reads_the_front_height(tmp_path, capsys):
     # h = 0.5, logistic with K = 8: the front starts at height u0* = 8,
-    # below beta0 = 8 + 1e-6, so the rk4 march has M = beta0 + 1 = 9,
-    # rho = 4 / h^2 + |1 - 2 * 9 / 8| = 17.25 and is bounded by
-    # 0.6 * 2.785 / 17.25 = 0.0969, so dt = 0.1 exits 2 before any march
+    # below beta0 = 8 + 8e-6, so the rk4 march has M = beta0 + u0* = 16.000008,
+    # rho = 4 / h^2 + |1 - 2 * 16.000008 / 8| = 19.000002 and is bounded by
+    # 0.6 * 2.785 / 19.000002 = 0.0879, so dt = 0.1 exits 2 before any march
     out = tmp_path / "b"
     text = FISHER_FRONT.format(spacing=0.5, dt=0.1, out=out).replace(
         "r0 = 1.0\nb = 1.0", "family = logistic\nr0 = 1.0\ncarrying_capacity = 8")
@@ -627,7 +628,7 @@ def test_dt_precheck_reads_the_front_height(tmp_path, capsys):
     for command in ("validate", "run"):
         assert main([command, cfg, "--quiet"]) == 2, command
         err = capsys.readouterr().err
-        assert "solver.dt" in err and "0.0968696" in err
+        assert "solver.dt" in err and "0.0879474" in err
     assert not out.exists()
 
 
@@ -693,8 +694,9 @@ def test_derived_keys_exit_2_as_unread(tmp_path, capsys):
 def test_front_speed_scales_with_carrying_capacity(tmp_path):
     # logistic growth with K = 5: the front starts at u0* = 5 and is
     # tracked at 2.5, and the run is the Fisher run with u scaled by 5.
-    # It passes with the same speed, up to the step size: the march's
-    # bound M = beta0 + 1 does not scale with u0*
+    # It passes with the same speed and the same steps, since the march's
+    # bound M = beta0 + u0* scales with u0*; 5 is not a power of two, so
+    # the scaling rounds
     def run(name, text):
         out = tmp_path / name
         cfg = _write(tmp_path, f"{name}.cfg", text.format(spacing=0.1, dt="auto", out=out))

@@ -80,12 +80,13 @@ def test_homogeneous_reaction_is_x_independent():
 
 
 def test_h1_refused_at_construction():
-    # K = 1e9 still leaves f(x, beta0) < 0 in floating point; at K = 1e12
-    # beta0 rounds to K itself and f(x, beta0) = 1 - 1e-12 * 1e12 = 0
-    large = Reaction.logistic(1.0, 1e9)
+    # beta0's margin is 1e-6 u0*, so f(x, beta0) = -1e-6 r0 survives the
+    # rounding at every finite carrying capacity, K = 1e12 included; it is
+    # lost where the amplitude outweighs r0 by about 1e-6 / eps
+    large = Reaction.logistic(1.0, 1e12)
     assert large.u0_star < large.beta0
     with pytest.raises(ValueError, match="beta0"):
-        Reaction.logistic(1.0, 1e12)
+        Reaction.linear(1.0, 1.0, amplitude=1e12)  # beta0 rounds to 1e12 + 1
     with pytest.raises(ValueError, match="beta0"):
         Reaction.linear(1e300, 1e-300)  # r0 / slope overflows
     with pytest.raises(ValueError, match="r0"):

@@ -149,17 +149,16 @@ def test_large_grid_steps_do_not_page_fault():
 
 
 def test_divergence_is_reported_with_time(monkeypatch):
-    # rk4 with a violently stiff reaction escapes the invariant region;
-    # the guard must catch it and name the first bad time.  The
-    # random bound now includes the reaction, so the step is forced past it
-    # by restoring the diffusion-only bound h^2 / (2 dim 1.2).
-    rea = Reaction.linear(900.0, 1.0)
+    # rk4 at twice the Laplacian's bound h^2 / (2 dim 1.2), forced past
+    # the bound check, amplifies the grid's checkerboard mode until it
+    # escapes the invariant region [0, M], M = beta0 + u0* = 2; the guard
+    # must catch it and name the first bad time
     op = DispersalOperator.random()
-    u0 = HAB.full(0.1)
-    diffusion_only = HAB.spacing ** 2 / (2.0 * HAB.dim * 1.2)
-    monkeypatch.setattr("kpplab.dynamics.stability_dt_bound", lambda *args: diffusion_only)
+    u0 = Field(HAB, 0.5 + 1e-3 * (-1.0) ** np.arange(HAB.n_per_axis))
+    dt = 2.0 * HAB.spacing ** 2 / (2.0 * HAB.dim * 1.2)
+    monkeypatch.setattr("kpplab.dynamics.stability_dt_bound", lambda *args: dt)
     with pytest.raises(IntegrationDivergedError, match="t="):
-        evolve(op, rea, u0, T=1.0, dt=diffusion_only)
+        evolve(op, FISHER, u0, T=1.0, dt=dt)
 
 
 def test_random_step_bound_includes_reaction():
@@ -421,7 +420,7 @@ def test_rkc2_stage_rule(dim, spacing, r0, slope, amplitude, fraction):
     rea = Reaction.linear(r0, slope, amplitude=amplitude * r0, radius=2.0 * spacing)
     op = DispersalOperator.random()
     u0 = make_front_initial(hab, (1.0,) + (0.0,) * (dim - 1), rea.u0_star)
-    top = max(u0.max, rea.beta0) + 1.0
+    top = max(u0.max, rea.beta0) + rea.u0_star
     max_f = max(float(np.abs(rea.evaluate(hab, np.full(hab.shape, u))).max()) for u in (0.0, top))
     clause = 0.25 / (1.0 + max_f + 1.0)
     given_dt = None if fraction is None else fraction * clause
@@ -515,7 +514,7 @@ def test_march_step_is_stable(kind, dim, boundary, spacing, r0, slope, amplitude
         rho_d = 4.0 * dim / spacing ** 2 if kind == "random" else 2.0
     rea = Reaction.linear(r0, slope, amplitude=amplitude * r0, radius=2.0 * hab.spacing)
     u0 = hab.full(height)
-    top = max(height, rea.beta0) + 1.0
+    top = max(height, rea.beta0) + rea.u0_star
     rho = rho_d + _max_linearized_reaction(rea, hab, top)
 
     d = _operator_matrix(op, hab)

@@ -25,6 +25,8 @@ from kpplab import (
     sub_solution,
 )
 from kpplab import stationary
+from kpplab.domain import make_front_initial
+from kpplab.dynamics import march, march_plan, spectral_bound
 from kpplab.stationary import FROM_ABOVE, FROM_BELOW, extend_periodic, smooth_cutoff
 
 HAB = Habitat("continuum", 1, 10.0, 0.25)
@@ -176,6 +178,17 @@ def test_stability_of_stationary_state():
     assert rep0.distances[0] < 1e-6
 
 
+def test_stability_check_refuses_a_wrong_state_at_a_small_capacity():
+    # u0* = 2^-17: the wrong state u*/2 lies 4.7e-6 from u*, below an
+    # absolute 1e-4, so only a distance gate in units of u0* refuses it
+    rea = Reaction.logistic(1.0, 2.0 ** -17, amplitude=0.5, radius=1.0)
+    op = DispersalOperator.random()
+    u = solve_stationary(op, rea, HAB, route=FROM_ABOVE).u_star
+    rep = check_stability(op, rea, Field(HAB, 0.5 * u.values), [u], T=5.0)
+    assert not rep.ok, rep.distances
+    assert check_stability(op, rea, u, [u], T=5.0).ok
+
+
 def test_uniqueness_via_part_metric():
     op = DispersalOperator.random()
     rea = BUMP
@@ -278,8 +291,8 @@ def test_routes_match_the_oracle_at_extreme_carrying_capacities(capacity):
 
 @pytest.mark.parametrize("capacity", [1e8, 1e10])
 def test_residual_certificate_scales_with_the_carrying_capacity(capacity):
-    # from u0* = 1e8 on, the residual's rounding floor eps rho max(u)
-    # passes 1e-7; the certificate follows it, and both routes still land
+    # the certificate is 1e-7 u0*, which its rounding floor 4 eps rho max(u)
+    # stays below on these grids at every u0*; both routes still land
     # within a few rounding units of the marching oracle
     hab1 = Habitat("continuum", 1, 6.0, 0.25)
     cases = [
@@ -295,6 +308,64 @@ def test_residual_certificate_scales_with_the_carrying_capacity(capacity):
             gap = np.abs(fast.u_star.values - slow.u_star.values).max()
             assert gap <= 1e-12 * fast.u_star.max, (op.kind, route, gap)
             assert fast.residual <= stationary.residual_tolerance(op, reaction, fast.u_star)
+
+
+def test_residual_certificate_follows_its_rounding_floor():
+    # h = 1e-4: rho_D = 4 / h^2 = 4e8 lifts the floor 4 eps rho max(u) to
+    # 4.4e-7, above the gate 1e-7 u0*, and the certificate follows it
+    habitat = Habitat("continuum", 1, 2.0, 1e-4)
+    op = DispersalOperator.random()
+    res = solve_stationary(op, BUMP, habitat, route=FROM_ABOVE)
+    u = res.u_star
+    floor = 4.0 * np.finfo(float).eps * spectral_bound(op, BUMP, u) * u.max
+    tolerance = stationary.residual_tolerance(op, BUMP, u)
+    assert tolerance == floor > 1e-7 * BUMP.u0_star
+    assert res.residual <= tolerance
+
+
+def _scale_problem(kind, dim):
+    """(op, habitat) of one dispersal kind on a small clamp grid."""
+    if kind == "discrete":
+        return DispersalOperator.discrete(LatticeWeights.symmetric(dim, 1.0)), Habitat(
+            "lattice", dim, 6)
+    spacing, half_extent = (0.25, 6.0) if dim == 1 else (0.5, 4.0)
+    habitat = Habitat("continuum", dim, half_extent, spacing)
+    if kind == "random":
+        return DispersalOperator.random(), habitat
+    kernel = Kernel.from_profile("triangle", 1.0, spacing, dim)
+    return DispersalOperator.nonlocal_(kernel), habitat
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["random", "nonlocal", "discrete"])
+def test_runs_scale_exactly_with_the_carrying_capacity(kind, dim):
+    """Every height of the march and of the stationary solver is a fraction
+    of u0*, so at K = 2^m, where scaling by K is exact in floating point,
+    the march plan and the stability verdict are those of K = 1, and the
+    final state of a march and the u* of both routes are K times those of
+    K = 1, bit for bit."""
+    op, habitat = _scale_problem(kind, dim)
+
+    def run(capacity):
+        rea = Reaction.logistic(1.0, capacity, amplitude=-0.5, radius=1.0)
+        u0 = make_front_initial(habitat, (1.0,) + (0.0,) * (dim - 1), rea.u0_star)
+        above = solve_stationary(op, rea, habitat, route=FROM_ABOVE).u_star
+        below = solve_stationary(op, rea, habitat, route=FROM_BELOW).u_star
+        stability = check_stability(op, rea, above, [Field(habitat, 0.5 * above.values)],
+                                    T=20.0)
+        states = (march(op, rea, u0, 2.0).final.values, above.values, below.values)
+        return march_plan(op, rea, u0), states, stability
+
+    plan, states, stability = run(1.0)
+    assert stability.ok
+    for m in (-20, -10, 10, 20):
+        K = 2.0 ** m
+        scaled_plan, scaled_states, scaled_stability = run(K)
+        assert scaled_plan == plan, m
+        for name, got, want in zip(("march", FROM_ABOVE, FROM_BELOW), scaled_states, states):
+            assert np.array_equal(got, K * want), (m, name)
+        assert scaled_stability.ok == stability.ok, m
+        assert scaled_stability.distances == tuple(K * d for d in stability.distances), m
 
 
 def _count_applies(monkeypatch):
