@@ -61,7 +61,7 @@ from .experiments import (
     run_speed_invariance_sweep,
     verify_spreading_cones,
 )
-from .exports import fmt, sha256_text, write_csv, write_json
+from .exports import sha256_text, write_csv, write_json
 from .speeds import theoretical_speed
 from .stationary import FROM_ABOVE, FROM_BELOW, check_tail, solve_stationary
 
@@ -523,7 +523,7 @@ def _cmd_speed(job, cfg_text, options):
     }
     _write_run_dir(job, options, "speed", artifacts, _manifest(cfg_text, summary, options, 0.0))
     if not options["quiet"]:
-        print(f"c* = {fmt(result.c_star)} at mu* = {fmt(result.mu_star)}")
+        print(f"c* = {result.c_star:.17e} at mu* = {result.mu_star:.17e}")
     return 0
 
 

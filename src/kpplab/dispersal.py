@@ -25,6 +25,14 @@ stencil's order as before, so the result is bit-identical to the
 term-by-term action.  A term whose mirror is missing or weighted
 differently (asymmetric lattice rates) takes its own difference.
 
+Only this module asks which kind an operator is.  The other modules read
+what depends on the kind from DispersalOperator (check_habitat and
+check_cell, which share one payload check; symbol_stencil, the
+closed-form resampling) and from its stencil's rho and mass, the two
+numbers of the step rules of dynamics: 4 dim / h^2 and 1 for the random
+kind, 2 and 1 for the nonlocal kind, twice the rate sum and the rate sum
+for the discrete kind.
+
 _Stencil.twist gives the factors f_j = exp(-mu z_j.xi) of the operator
 twisted by exp(-mu x.xi), or for the random stencil the first-order factors
 1 - mu z_j.xi (its centred drift) plus mu^2 on the diagonal.  The periodic
@@ -84,12 +92,17 @@ _DENSE_AXIS_MAX = 256
 @dataclass(frozen=True, eq=False)
 class _Stencil:
     """Integer offsets (m, dim) with weights (m,) on a grid of the given
-    spacing; renormalize divides each clamp row by its in-domain mass;
-    first_order selects the random kind's first-order twist."""
+    spacing; rho is a Gershgorin bound of the stencil's action (each row's
+    disc lies in |z + rho / 2| <= rho / 2) and mass the mass term of the
+    bounded-operator step clause; renormalize divides each clamp row by
+    its in-domain mass; first_order selects the random kind's first-order
+    twist."""
 
     offsets: np.ndarray
     weights: np.ndarray
     spacing: float
+    rho: float
+    mass: float
     renormalize: bool = False
     first_order: bool = False
 
@@ -153,28 +166,38 @@ class DispersalOperator:
             return 1.0
         return 0.0
 
-    @property
-    def operator_mass(self) -> float:
-        """The mass term of the bounded-operator step clause
-        dynamics._clause, 0.25 / (mass + max|f| + 1): the rate sum of the
-        discrete kind, and 1 otherwise (the normalized kernel mass; the
-        random kind adds its own h^2 bound).  For the nonlocal and discrete
-        kinds twice it is rho_D, the Gershgorin bound of the stencil."""
-        if self.kind == DISCRETE:
-            return self.weights.rate_sum
-        return 1.0
-
     def check_habitat(self, habitat: Habitat):
         if self.kind == DISCRETE and habitat.kind != LATTICE:
             raise ValueError("discrete dispersal requires a lattice habitat")
         if self.kind in (RANDOM, NONLOCAL) and habitat.kind != CONTINUUM:
             raise ValueError(f"{self.kind} dispersal requires a continuum habitat")
+        self._check_payload(habitat.dim, habitat.spacing, "habitat")
+
+    def check_cell(self, period, spacing: float, shape):
+        """The checks of a periodic cell of the given period (one entry per
+        axis), sample spacing and sample shape: a payload of the cell's
+        dimension and a kernel sampled at its spacing, spacing 1 for the
+        discrete kind and at least 8 samples per period for the others,
+        and every period above twice the kernel radius, so that the
+        wrapped kernel cannot see itself."""
+        self._check_payload(len(period), spacing, "cell")
+        if self.kind == DISCRETE:
+            if spacing != 1.0:
+                raise ValueError("lattice cells have spacing 1")
+        elif min(shape) < 8:
+            raise ValueError("cell resolution too coarse: need >= 8 points per period")
+        if self.kind == NONLOCAL and min(period) <= 2.0 * self.kernel.delta0:
+            raise ValueError(
+                f"period {min(period)} must exceed twice the kernel radius {self.kernel.delta0}")
+
+    def _check_payload(self, dim: int, spacing: float, grid: str):
+        """A kernel or lattice weights of the grid's dimension, and a kernel
+        sampled at the grid's spacing; grid names the grid in the message."""
         for name, payload in (("kernel", self.kernel), ("weights", self.weights)):
-            if payload is not None and payload.dim != habitat.dim:
-                raise ValueError(
-                    f"{name} has dimension {payload.dim}, the habitat has {habitat.dim}")
-        if self.kind == NONLOCAL and abs(self.kernel.spacing - habitat.spacing) > 1e-12:
-            raise ValueError("kernel sampling spacing must match the habitat spacing")
+            if payload is not None and payload.dim != dim:
+                raise ValueError(f"{name} has dimension {payload.dim}, the {grid} has {dim}")
+        if self.kind == NONLOCAL and abs(self.kernel.spacing - spacing) > 1e-12:
+            raise ValueError(f"kernel sampling spacing must match the {grid} spacing")
 
     def _stencil(self, dim: int, spacing: float) -> _Stencil:
         """The stencil of this operator on a grid of the given dimension
@@ -182,12 +205,26 @@ class DispersalOperator:
         if self.kind == RANDOM:
             offsets = _unit_offsets(dim)
             return _Stencil(offsets, np.full(len(offsets), 1.0 / spacing ** 2), spacing,
-                            first_order=True)
+                            4.0 * dim / spacing ** 2, 1.0, first_order=True)
         if self.kind == NONLOCAL:
             k = self.kernel
-            return _Stencil(k.offsets, k.weights * k.spacing ** k.dim, k.spacing,
+            return _Stencil(k.offsets, k.weights * k.spacing ** k.dim, k.spacing, 2.0, 1.0,
                             renormalize=True)
-        return _Stencil(self.weights.offsets, self.weights.values, 1.0)
+        rate_sum = self.weights.rate_sum
+        return _Stencil(self.weights.offsets, self.weights.values, 1.0, 2.0 * rate_sum,
+                        rate_sum)
+
+    def symbol_stencil(self, dim: int, resolution: float = None) -> _Stencil:
+        """The stencil whose symbol is the constant-coefficient closed form
+        (eigen.constant_symbol): the random stencil on the unit grid,
+        where its drift terms cancel exactly (its symbol is mu^2 for
+        every h), and the kernel resampled at resolution (default: one
+        quarter of its own sampling step)."""
+        op = self
+        if self.kind == NONLOCAL and resolution != self.kernel.spacing:
+            op = DispersalOperator.nonlocal_(self.kernel.resample(
+                resolution if resolution is not None else self.kernel.spacing / 4.0))
+        return op._stencil(dim, 1.0)
 
     # ---- raw-array action -------------------------------------------------
 

@@ -17,13 +17,16 @@ rkc2  second-order Runge-Kutta-Chebyshev with damping 2/13 (Sommeijer,
       s stages reach the stability interval beta(s), about 0.65 s^2, so
       the random kind is not held to the h^2 step of rk4.  It is not
       order-preserving; march (the front, spreading and stability runs)
-      uses it for the random kind wherever it costs fewer right-hand
-      sides per unit time than rk4.
+      uses it wherever it costs fewer right-hand sides per unit time than
+      rk4, which only a stencil whose bound grows as 1 / h^2 (the random
+      kind's) can reach.
 
 march_plan states the march's step rule once: scheme, step, stage count
 and bound, all from one spectral bound rho of the linearized right-hand
 side, read from u0 only through its habitat and max(u0), so a caller can
-check a step before it builds the initial data.
+check a step before it builds the initial data.  The step rules read the
+dispersal through its stencil's rho and clause mass (dispersal._Stencil)
+and never ask which kind it is.
 Step sizes are refused up front when they violate the plan's bound,
 negatives produced by roundoff are clipped to zero with systematic
 negativity counted, and divergence is reported with the first bad time.
@@ -44,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispersal import RANDOM, DispersalOperator
+from .dispersal import DispersalOperator
 from .domain import Field, Habitat, Reaction, unit_direction
 
 RK4 = "rk4"
@@ -121,43 +124,38 @@ def _reaction_maxima(reaction: Reaction, habitat: Habitat, top: float):
     return max(at_0, at_m), max(at_0, at_2m)
 
 
-def _dispersal_bound(op: DispersalOperator, habitat: Habitat) -> float:
-    """Gershgorin bound rho_D of the dispersal stencil: 4 dim / h^2 for the
-    random kind, 2 mass otherwise."""
-    if op.kind == RANDOM:
-        return 4.0 * habitat.dim / habitat.spacing ** 2
-    return 2.0 * op.operator_mass
-
-
 def spectral_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
     """The Gershgorin bound rho = rho_D + max|d_u(u f)| over u in [0, M] of
-    the linearized right-hand side that march_plan steps by."""
-    top = reaction.ceiling(u0.max)
-    return _dispersal_bound(op, u0.habitat) + _reaction_maxima(reaction, u0.habitat, top)[1]
+    the linearized right-hand side that march_plan steps by, with rho_D
+    the stencil's (dispersal._Stencil.rho)."""
+    h, top = u0.habitat, reaction.ceiling(u0.max)
+    return op._stencil(h.dim, h.spacing).rho + _reaction_maxima(reaction, h, top)[1]
 
 
-def _clause(op: DispersalOperator, max_f: float) -> float:
+def _clause(mass: float, max_f: float) -> float:
     """The bounded-operator clause 0.25 / (mass + max|f| + 1)."""
-    return 0.25 / (op.operator_mass + max_f + 1.0)
+    return 0.25 / (mass + max_f + 1.0)
 
 
 def stability_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
     """Largest admissible step of evolve for u0, the step at which rk4
-    preserves the order of solutions.
+    preserves the order of solutions: the smaller of
 
-    every kind:  dt <= 0.25 / (mass + max|f| + 1), a bounded-operator bound
-                 with mass = sum of a_k (discrete) or 1 (nonlocal, random)
-    random:      also dt <= h^2 / (2 dim (1 + safety)), the Laplacian's bound
+    the clause   0.25 / (mass + max|f| + 1), a bounded-operator bound with
+                 the stencil's clause mass (the rate sum of the discrete
+                 kind, 1 otherwise)
+    the stencil  2 / ((1 + safety) rho_D), safety 0.2: h^2 / (2.4 dim) for
+                 the random kind (to 1 ulp); for the bounded kinds rho_D
+                 is twice the clause mass, and this term never binds
 
     max|f| is evaluated at u in {0, M} with M = reaction.ceiling(max u0)
     = max(max u0, beta0) + u0*.  march does not use this bound: march_plan
     states its own.
     """
-    bound = _clause(op, _reaction_maxima(reaction, u0.habitat, reaction.ceiling(u0.max))[0])
-    if op.kind == RANDOM:
-        h = u0.habitat
-        bound = min(bound, h.spacing ** 2 / (2.0 * h.dim * (1.0 + _STABILITY_SAFETY)))
-    return bound
+    h = u0.habitat
+    st = op._stencil(h.dim, h.spacing)
+    clause = _clause(st.mass, _reaction_maxima(reaction, h, reaction.ceiling(u0.max))[0])
+    return min(clause, 2.0 / ((1.0 + _STABILITY_SAFETY) * st.rho))
 
 
 # ----------------------------------------------------------------------
@@ -207,30 +205,39 @@ def march_plan(op: DispersalOperator, reaction: Reaction, u0: Field,
     """The MarchPlan of march from u0: the one statement of its step rule.
 
     Both schemes read one Gershgorin bound of the linearized right-hand
-    side, rho = rho_D + max|d_u(u f)| over u in [0, M], with rho_D =
-    4 dim / h^2 for the random kind and 2 mass otherwise.  rk4 is bounded
-    by 0.6 * 2.785 / rho, a share of its real stability interval (its
-    stability region also holds every disc |z + r| <= r with r <= 1.39,
-    which covers the discs of the non-symmetric clamp rows), and steps at
-    dt, else at 0.95 times that bound.  rkc2 is bounded by the
-    bounded-operator clause 0.25 / (mass + max|f| + 1), steps at dt, else
-    at 0.5 * 0.95 times the clause (the half keeps the front speed within
-    1e-3 of rk4's), and takes the smallest s with beta(s) >= 1.05 dt rho
-    (a dt above the bound gets the bound's s).  The scheme does not follow
-    dt: it is rkc2 for the random kind when, at the two automatic steps,
-    s / dt_rkc2 < 4 / dt_rk4, and rk4 otherwise.  u0 enters through its
-    habitat and max(u0) only.
+    side, rho = rho_D + max|d_u(u f)| over u in [0, M], with rho_D the
+    dispersal stencil's bound (4 dim / h^2 for the random kind, twice the
+    clause mass otherwise).  rk4 is bounded by 0.6 * 2.785 / rho, a share
+    of its real stability interval (its stability region also holds every
+    disc |z + r| <= r with r <= 1.39, which covers the discs of the
+    non-symmetric clamp rows), and steps at dt, else at 0.95 times that
+    bound.  rkc2 is bounded by the bounded-operator clause
+    0.25 / (mass + max|f| + 1), steps at dt, else at 0.5 * 0.95 times the
+    clause (the half keeps the front speed within 1e-3 of rk4's), and
+    takes the smallest s with beta(s) >= 1.05 dt rho (a dt above the bound
+    gets the bound's s).  The scheme does not follow dt: it is rkc2 when,
+    at the two automatic steps, s / dt_rkc2 < 4 / dt_rk4, and rk4
+    otherwise, which only the random kind can reach.  u0 enters through
+    its habitat and max(u0) only.
     """
-    max_f, max_df = _reaction_maxima(reaction, u0.habitat, reaction.ceiling(u0.max))
-    rho = _dispersal_bound(op, u0.habitat) + max_df
+    h = u0.habitat
+    max_f, max_df = _reaction_maxima(reaction, h, reaction.ceiling(u0.max))
+    st = op._stencil(h.dim, h.spacing)
+    rho = st.rho + max_df
     rk4 = _RK4_MARCH_FRACTION * _RK4_INTERVAL / rho
     rk4_dt = _STEP_FRACTION * rk4
-    if op.kind == RANDOM:
-        clause = _clause(op, max_f)
-        auto = 0.5 * (_STEP_FRACTION * clause)
-        if _rkc2_stages(auto, rho) * rk4_dt < 4.0 * auto:
-            step = auto if dt is None else dt
-            return MarchPlan(RKC2, step, _rkc2_stages(min(step, clause), rho), clause)
+    clause = _clause(st.mass, max_f)
+    auto = 0.5 * (_STEP_FRACTION * clause)
+    # Cost alone picks the scheme, and only an h^2-limited stencil can pass:
+    # beta(s) grows as about 0.65 s^2, so rkc2 pays only where rho_D does as
+    # 1 / h^2.  For a bounded stencil rho_D = 2 mass, and with F = max|f|
+    # on [0, M], max|d_u(u f)| = max(|f(x, 0)|, |2 f(x, M) - f(x, 0)|) <= 3 F,
+    # so rho <= 2 mass + 3 F < 3 (mass + F + 1).  The test below reads
+    # s * 1.58745 (mass + F + 1) < 0.475 rho, which fails for every s >= 2:
+    # every bounded kind steps by rk4.
+    if _rkc2_stages(auto, rho) * rk4_dt < 4.0 * auto:
+        step = auto if dt is None else dt
+        return MarchPlan(RKC2, step, _rkc2_stages(min(step, clause), rho), clause)
     return MarchPlan(RK4, rk4_dt if dt is None else dt, 4, rk4)
 
 
@@ -420,7 +427,7 @@ def _step_loop(op, reaction, u0, T, plan, record_every, observer=None):
         umax = u.max()
         if not np.isfinite(umax) or umax > m_bound:
             raise IntegrationDivergedError(
-                f"integration diverged at t={t:.6g} (max={umax!r}, bound={m_bound:.6g})"
+                f"integration diverged at t={t:.6g} (max={umax:.6g}, bound={m_bound:.6g})"
             )
 
         if k % record_every == 0 or k == n_steps:

@@ -36,8 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersal import (
-    DISCRETE,
-    NONLOCAL,
     DispersalOperator,
     KrylovError,
     fourier_inverse,
@@ -151,25 +149,10 @@ class CellOperator:
 
 def cell_stencil(kind, a: PeriodicCoefficient, kernel: Kernel = None,
                  weights: LatticeWeights = None):
-    """The dispersal stencil on a's cell, after the cell checks: a kernel
-    or lattice weights of the cell's dimension, at least 8 samples per
-    period for continuum kinds, and every period above twice the kernel
-    radius, so that the wrapped kernel cannot see itself."""
+    """The dispersal stencil on a's cell, after the cell checks of
+    DispersalOperator.check_cell."""
     op = DispersalOperator(kind, kernel=kernel, weights=weights)
-    for name, payload in (("kernel", kernel), ("weights", weights)):
-        if payload is not None and payload.dim != a.dim:
-            raise ValueError(f"{name} has dimension {payload.dim}, the cell has {a.dim}")
-    if kind == DISCRETE:
-        if a.spacing != 1.0:
-            raise ValueError("lattice cells have spacing 1")
-    elif min(a.values.shape) < 8:
-        raise ValueError("cell resolution too coarse: need >= 8 points per period")
-    if kind == NONLOCAL:
-        if abs(kernel.spacing - a.spacing) > 1e-12:
-            raise ValueError("kernel spacing must match the cell spacing")
-        if min(a.period) <= 2.0 * kernel.delta0:
-            raise ValueError(
-                f"period {min(a.period)} must exceed twice the kernel radius {kernel.delta0}")
+    op.check_cell(a.period, a.spacing, a.values.shape)
     return op._stencil(a.dim, a.spacing)
 
 
@@ -306,15 +289,13 @@ def constant_symbol(kind: str, xi, kernel: Kernel = None, weights: LatticeWeight
     """mu -> lambda(mu) - r for a constant coefficient r: the symbol of
     the twisted stencil, vectorized in mu, with the stencil built once.
 
-    The nonlocal kernel is resampled at `resolution` (default: one quarter
-    of its own sampling step).  The random symbol is mu^2 for every h; it
-    is taken on the unit grid, where its drift terms cancel exactly.
+    The stencil is DispersalOperator.symbol_stencil's: a nonlocal kernel
+    is resampled at `resolution` (default: one quarter of its own sampling
+    step), and the random symbol, mu^2 for every h, is taken on the unit
+    grid, where its drift terms cancel exactly.
     """
     op = DispersalOperator(kind, kernel=kernel, weights=weights)
-    if kind == NONLOCAL and resolution != kernel.spacing:
-        op = DispersalOperator(NONLOCAL, kernel=kernel.resample(
-            resolution if resolution is not None else kernel.spacing / 4.0))
-    st = op._stencil(np.size(xi), 1.0)
+    st = op.symbol_stencil(np.size(xi), resolution)
     return functools.partial(st.symbol, xi=unit_direction(xi, st.offsets.shape[1]))
 
 

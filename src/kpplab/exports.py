@@ -13,21 +13,12 @@ import json
 import numpy as np
 
 
-def fmt(x) -> str:
-    # floats first, the common case; bool and int are not float subclasses
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17e")
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
-
-
 def write_csv(path, header, rows):
+    """Write header and rows, one value per header column, each value
+    formatted as a float by "%.17e" (nan and inf as nan, inf, -inf)."""
+    row_format = ",".join(["%.17e"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
+    lines.extend(row_format % tuple(row) for row in rows)
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

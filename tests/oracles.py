@@ -8,7 +8,17 @@ import numpy as np
 from kpplab import Field
 from kpplab.dispersal import _difference_slices
 from kpplab.domain import make_front_initial, sampled_directions
-from kpplab.dynamics import evolve, march, spectral_bound, stability_dt_bound
+from kpplab.dynamics import (
+    RK4,
+    RKC2,
+    MarchPlan,
+    _reaction_maxima,
+    _rkc2_stages,
+    evolve,
+    march,
+    spectral_bound,
+    stability_dt_bound,
+)
 from kpplab.experiments import ConeEmptyError, _trailing_window, track_front
 from kpplab.speeds import theoretical_speed
 from kpplab.stationary import (
@@ -41,8 +51,9 @@ def power_iteration(operator, max_iter=1_000_000):
 
 
 def fmt(x):
-    """kpplab.exports.fmt in its former branch order (bool, int, then
-    float), before floats were tested first."""
+    """The value formatter kpplab.exports.write_csv used before it took
+    one "%.17e" format per row, in its first branch order (bool, int,
+    then float)."""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -50,6 +61,28 @@ def fmt(x):
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17e")
     return str(x)
+
+
+def kind_gated_plan(op, reaction, u0, dt=None):
+    """kpplab.dynamics.march_plan as it was when a kind gate let only the
+    random kind weigh rkc2 against rk4, with the dispersal bound rho_D
+    and the clause mass restated here by kind: 4 dim / h^2 and 1 for the
+    random kind, 2 and 1 for the nonlocal kind, twice the rate sum and
+    the rate sum for the discrete kind."""
+    habitat = u0.habitat
+    max_f, max_df = _reaction_maxima(reaction, habitat, reaction.ceiling(u0.max))
+    mass = op.weights.rate_sum if op.kind == "discrete" else 1.0
+    rho_d = 4.0 * habitat.dim / habitat.spacing ** 2 if op.kind == "random" else 2.0 * mass
+    rho = rho_d + max_df
+    rk4 = 0.6 * 2.785 / rho
+    rk4_dt = 0.95 * rk4
+    if op.kind == "random":
+        clause = 0.25 / (mass + max_f + 1.0)
+        auto = 0.5 * (0.95 * clause)
+        if _rkc2_stages(auto, rho) * rk4_dt < 4.0 * auto:
+            step = auto if dt is None else dt
+            return MarchPlan(RKC2, step, _rkc2_stages(min(step, clause), rho), clause)
+    return MarchPlan(RK4, rk4_dt if dt is None else dt, 4, rk4)
 
 
 def clamp_apply(op, habitat, u):
@@ -102,12 +135,19 @@ _RESIDUAL_TOL = 1e-7
 _ROUNDING = 4.0  # the residual's rounding floor is below 4 eps rho max(u)
 
 
+def _unit(reaction):
+    """min(1, u0*): the oracle's gates are absolute at u0* >= 1 and
+    relative to u0* below it."""
+    return min(1.0, reaction.u0_star)
+
+
 def _scale(op, reaction, u):
-    """max(1, 4 eps rho max(u) / 1e-7), rho the march's spectral bound at u:
-    the factor that lifts both tolerances to the residual's rounding floor
-    at large carrying capacities."""
+    """max(1, 4 eps rho max(u) / (1e-7 min(1, u0*))), rho the march's
+    spectral bound at u: the factor that lifts the convergence and
+    residual gates to the residual's rounding floor at large carrying
+    capacities."""
     floor = _ROUNDING * np.finfo(float).eps * spectral_bound(op, reaction, u) * u.max
-    return max(1.0, floor / _RESIDUAL_TOL)
+    return max(1.0, floor / (_RESIDUAL_TOL * _unit(reaction)))
 
 
 @dataclass(eq=False)
@@ -124,11 +164,12 @@ def march_stationary(op, reaction, habitat, route=FROM_ABOVE):
 
     Stops when consecutive snapshots (spacing 1.0) differ by less than
     1e-9 in max norm, then certifies the result by the equation residual
-    (must be <= 1e-7); both tolerances are multiplied by _scale, which is 1
-    unless the carrying capacity lifts the residual's rounding floor
-    4 eps rho max(u) above 1e-7.  The route's monotonicity (non-increasing from
+    (must be <= 1e-7); the route's monotonicity (non-increasing from
     above, non-decreasing from below) is checked per snapshot with 1e-10
-    slack; failure to converge by t = 500 raises with the residual.
+    slack.  All three gates are multiplied by min(1, u0*), and the first
+    two by _scale, which is 1 unless the carrying capacity lifts the
+    residual's rounding floor 4 eps rho max(u) above the scaled residual
+    gate.  Failure to converge by t = 500 raises with the residual.
     """
     if route not in (FROM_ABOVE, FROM_BELOW):
         raise ValueError(f"unknown route {route!r}")
@@ -138,6 +179,8 @@ def march_stationary(op, reaction, habitat, route=FROM_ABOVE):
         u = sub_solution(op, reaction, habitat)
 
     dt = 0.95 * stability_dt_bound(op, reaction, u)
+    unit = _unit(reaction)
+    slack = _MONOTONE_SLACK * unit
 
     disp = op.bind(habitat)
     growth = reaction.bind(habitat)
@@ -151,26 +194,26 @@ def march_stationary(op, reaction, habitat, route=FROM_ABOVE):
         clip_count += traj.clip_count
         cur = traj.final
         step = cur.values - prev.values
-        if route == FROM_ABOVE and float(step.max()) > _MONOTONE_SLACK:
+        if route == FROM_ABOVE and float(step.max()) > slack:
             monotone_ok = False
-        if route == FROM_BELOW and float(-step.min()) > _MONOTONE_SLACK:
+        if route == FROM_BELOW and float(-step.min()) > slack:
             monotone_ok = False
         diff = float(np.abs(step).max())
         prev = cur
-        if diff < _CONVERGENCE_TOL * _scale(op, reaction, cur):
+        if diff < _CONVERGENCE_TOL * unit * _scale(op, reaction, cur):
             converged = True
             break
 
     u_star = prev
     residual = float(np.abs(disp(u_star.values) + u_star.values * growth(u_star.values)).max())
-    tolerance = _RESIDUAL_TOL * _scale(op, reaction, u_star)
+    tolerance = _RESIDUAL_TOL * unit * _scale(op, reaction, u_star)
     if not converged:
         raise StationaryConvergenceError(
             f"no convergence by t = {_T_MAX} (last residual {residual:.3e})"
         )
     if not monotone_ok:
         raise StationaryConvergenceError(
-            f"{route} iterates violated monotonicity beyond {_MONOTONE_SLACK}"
+            f"{route} iterates violated monotonicity beyond {slack:.3e}"
         )
     if residual > tolerance:
         raise StationaryConvergenceError(

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +19,7 @@ from kpplab import (
     assemble_cell_operator,
     closed_form_eigenvalue,
 )
+import kpplab
 from kpplab import dispersal
 
 HAB = Habitat("continuum", 1, 10.0, 0.1)
@@ -393,3 +397,42 @@ def test_cosine_resolvent_matches_the_even_extension_oracle(case, c, seed):
     r = np.random.default_rng(seed).standard_normal(hab.shape)
     want = oracles.even_extension_resolvent(op, hab, r, c)
     assert np.abs(op.bind_resolvent(hab)(r, c) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+_KIND_NAMES = {"RANDOM", "NONLOCAL", "DISCRETE", "KINDS"}
+
+
+def _kind_references(source):
+    """(line, what) for each comparison with a dispersal kind constant or a
+    kind string, and each import of a kind constant, in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for leaf in (leaf for operand in (node.left, *node.comparators)
+                         for leaf in ast.walk(operand)):
+                if (isinstance(leaf, ast.Name) and leaf.id in _KIND_NAMES
+                        or isinstance(leaf, ast.Attribute) and leaf.attr in _KIND_NAMES
+                        or isinstance(leaf, ast.Constant) and leaf.value in dispersal.KINDS):
+                    found.append((node.lineno, "compares with a kind"))
+        if isinstance(node, ast.ImportFrom) and any(a.name in _KIND_NAMES for a in node.names):
+            found.append((node.lineno, "imports a kind constant"))
+    return found
+
+
+def test_only_dispersal_asks_which_kind():
+    # every kind-dependent fact lives in dispersal.py; cli.py maps config
+    # strings to constructors and __init__.py re-exports the constants
+    package = pathlib.Path(kpplab.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("dispersal.py", "cli.py"):
+            continue
+        for line, what in _kind_references(path.read_text()):
+            if not (path.name == "__init__.py" and what == "imports a kind constant"):
+                found.append(f"{path.name}:{line} {what}")
+    assert not found
+    # the guard sees each form a kind branch takes
+    assert len(_kind_references(
+        "from .dispersal import RANDOM\n"
+        "a = op.kind == RANDOM\nb = kind != dispersal.NONLOCAL\n"
+        "c = kind in (\"discrete\",)\nd = kind not in KINDS\n")) == 5

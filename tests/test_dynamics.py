@@ -1,6 +1,7 @@
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 import kpplab
 from kpplab import (
@@ -157,8 +160,14 @@ def test_divergence_is_reported_with_time(monkeypatch):
     u0 = Field(HAB, 0.5 + 1e-3 * (-1.0) ** np.arange(HAB.n_per_axis))
     dt = 2.0 * HAB.spacing ** 2 / (2.0 * HAB.dim * 1.2)
     monkeypatch.setattr("kpplab.dynamics.stability_dt_bound", lambda *args: dt)
-    with pytest.raises(IntegrationDivergedError, match="t="):
+    with pytest.raises(IntegrationDivergedError) as err:
         evolve(op, FISHER, u0, T=1.0, dt=dt)
+    # t, max and bound all print as plain %g numbers, never a numpy repr
+    found = re.fullmatch(r"integration diverged at t=(\S+) \(max=(\S+), bound=2\)",
+                         str(err.value))
+    assert found, str(err.value)
+    t, top = map(float, found.groups())
+    assert 0.0 < t <= 1.0 + dt and not top <= 2.0
 
 
 def test_random_step_bound_includes_reaction():
@@ -170,7 +179,7 @@ def test_random_step_bound_includes_reaction():
     u0 = make_front_initial(hab, 1.0, 1.0)
     max_f = float(np.abs(rea.evaluate(hab, np.full(hab.shape, rea.beta0 + 1.0))).max())
     bound = stability_dt_bound(op, rea, u0)
-    assert bound <= 0.25 / (op.operator_mass + max_f + 1.0)
+    assert bound <= 0.25 / (1.0 + max_f + 1.0)  # the random kind's clause mass is 1
     assert evolve(op, rea, u0, T=20.0, dt=_dt(op, rea, u0), record_every=10 ** 9).clip_count == 0
     # where the Laplacian is the stiffer part, its bound is unchanged
     assert stability_dt_bound(op, FISHER, HAB.full(0.5)) == HAB.spacing ** 2 / 2.4
@@ -477,6 +486,57 @@ def test_march_plan_reads_only_the_max(kind, dim, boundary, spacing, r0, slope, 
     u0 = Field(hab, height * np.random.default_rng(seed).random(hab.shape))
     dt = None if fraction is None else fraction * march_plan(op, rea, u0).bound
     assert march_plan(op, rea, u0, dt) == march_plan(op, rea, hab.full(u0.max), dt)
+
+
+def _plan_problems(kind, dim):
+    """(operator, habitat) over fixed grids: every spacing, profile and
+    radius delta0 of a continuum kind, every lattice rate."""
+    if kind == "discrete":
+        for rate in (0.25, 1.0, 4.0):
+            yield (DispersalOperator.discrete(LatticeWeights.symmetric(dim, rate)),
+                   Habitat("lattice", dim, 6.0))
+        return
+    for h in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.5, 1.0):
+        hab = Habitat("continuum", dim, 6.0 * h, h)
+        if kind == "random":
+            yield DispersalOperator.random(), hab
+            continue
+        for profile in ("uniform", "triangle", "mollifier"):
+            for delta0 in (2.0 * h, 4.0 * h):
+                yield DispersalOperator.nonlocal_(Kernel.from_profile(profile, delta0, h, dim)), hab
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["random", "nonlocal", "discrete"])
+def test_march_plan_matches_the_kind_gated_rule(kind, dim):
+    """Without its kind gate march_plan picks every plan the gated rule
+    did, field by field, at the automatic step and at an explicit one, so
+    no bounded kind gets rkc2.  evolve's step bound is the clause for the
+    bounded kinds and, for the random kind, the smaller of the clause and
+    h^2 / (2.4 dim) to within 1 ulp."""
+    compared = 0
+    for op, hab in _plan_problems(kind, dim):
+        for amplitude in (-0.9, 0.0, 3.0):
+            for capacity in (2.0 ** -20, 1e-2, 1.0, 1e3, 1e6):
+                rea = Reaction.logistic(1.0, capacity, amplitude=amplitude,
+                                        radius=2.0 * hab.spacing)
+                u0 = hab.full(rea.u0_star)
+                expected = oracles.kind_gated_plan(op, rea, u0)
+                for dt in (None, 0.5 * expected.bound):
+                    plan = march_plan(op, rea, u0, dt)
+                    assert plan == oracles.kind_gated_plan(op, rea, u0, dt), (op.kind, hab, rea)
+                    assert plan.scheme == RK4 or kind == "random"
+                    compared += 1
+                max_f = kpplab.dynamics._reaction_maxima(rea, hab, rea.ceiling(u0.max))[0]
+                mass = op.weights.rate_sum if kind == "discrete" else 1.0
+                clause = 0.25 / (mass + max_f + 1.0)
+                bound = stability_dt_bound(op, rea, u0)
+                if kind == "random":
+                    laplacian = hab.spacing ** 2 / (2.4 * dim)
+                    assert abs(bound - min(clause, laplacian)) <= math.ulp(laplacian)
+                else:
+                    assert bound == clause
+    assert compared >= 90
 
 
 def _operator_matrix(op, hab):

@@ -1,19 +1,21 @@
 import json
+import math
 
 import numpy as np
 from oracles import fmt as fmt_oracle
 
 from kpplab import DispersalOperator, Habitat, Reaction, evolve, stability_dt_bound
-from kpplab.exports import fmt, sha256_text, write_csv, write_json
+from kpplab.exports import sha256_text, write_csv, write_json
 
 
-def test_fmt_round_trip():
-    xs = [0.1, -1.0 / 3.0, 2.0 ** -52, 1e300]
-    for x in xs:
-        assert float(fmt(x)) == x
-    assert fmt(3) == "3"
-    assert fmt(True) == "true"
-    assert fmt(np.float64(0.5)) == format(0.5, ".17e")
+def test_write_csv_round_trips_floats(tmp_path):
+    xs = [0.1, -1.0 / 3.0, 2.0 ** -52, 1e300, np.float64(0.5)]
+    path = tmp_path / "floats.csv"
+    write_csv(path, ["x"], [[x] for x in xs])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x"
+    assert [float(line) for line in lines[1:]] == xs
+    assert lines[-1] == format(0.5, ".17e")
 
 
 def test_csv_and_json_determinism(tmp_path):
@@ -66,11 +68,13 @@ def test_trajectory_export(tmp_path):
 
 
 def test_write_csv_matches_the_isinstance_oracle(tmp_path):
-    # testing floats first writes the bytes the former branch order does
-    row = [True, np.bool_(False), 7, np.int64(-3), 0.1, -1.0 / 3.0, np.float64(2.0 ** -52),
-           np.float32(0.1), "label", 1e300, np.float64(-0.0)]
-    rows = [row, row[::-1], [x for x in row if not isinstance(x, str)]]
-    path = tmp_path / "mixed.csv"
-    write_csv(path, ["c"], rows)
-    expected = "c\n" + "".join(",".join(fmt_oracle(x) for x in r) + "\n" for r in rows)
+    # one "%.17e" row format writes the bytes of formatting each float on
+    # its own, also for nan, the infinities, -0.0 and subnormals
+    row = [0.1, -1.0 / 3.0, np.float64(2.0 ** -52), np.float32(0.1), 1e300, np.float64(-0.0),
+           math.nan, math.inf, -math.inf, 5e-324, -2.0 ** -1060, np.float64(2.2e-308)]
+    rows = [row, row[::-1], [-x for x in row]]
+    header = [f"c{j}" for j in range(len(row))]
+    path = tmp_path / "floats.csv"
+    write_csv(path, header, rows)
+    expected = "".join(",".join(map(fmt_oracle, r)) + "\n" for r in [header, *rows])
     assert path.read_bytes() == expected.encode()
