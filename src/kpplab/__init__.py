@@ -60,7 +60,6 @@ from .stationary import (
     StationaryConvergenceError,
     StationaryResult,
     SubSolutionError,
-    check_stability,
     check_tail,
     periodic_minorant,
     solve_stationary,

@@ -17,12 +17,13 @@ capacity u0* = r0 / slope.  Front and compact data start at u0*, the
 front is tracked at 0.5 u0* and fitted after T/2, the march records by
 its automatic rule (about 240 records), and stationary_profile reads its
 tail from 4 patch radii out against 0.01 u0*, with a routes gap of at
-most 1e-6 u0*.  The pipelines live in kpplab.experiments and
-kpplab.stationary.  Artifacts are written to a fresh directory
-atomically (temp dir, removed on failure, then rename) with a manifest
-sufficient to rerun the job.  Flags beat environment variables
-(KPPLAB_JOBS, KPPLAB_OUTPUT_DIR, KPPLAB_QUIET), which beat the config
-file; an unparsable environment value exits 2.
+most 1e-6 u0* and a negative stability bound on both routes.  The
+pipelines live in kpplab.experiments and kpplab.stationary.  Artifacts
+are written to a fresh directory atomically (temp dir, removed on
+failure, then rename) with a manifest sufficient to rerun the job.
+Flags beat environment variables (KPPLAB_JOBS, KPPLAB_OUTPUT_DIR,
+KPPLAB_QUIET), which beat the config file; an unparsable environment
+value exits 2.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .domain import (
     LatticeWeights,
     PERIODIC,
     Reaction,
+    unit_direction,
 )
 from .dynamics import RK4, march_plan
 from .eigen import closed_form_eigenvalue
@@ -55,6 +57,7 @@ from .experiments import (
     THEORY_TOL,
     SweepSetup,
     check_front_reaction,
+    check_support_radius,
     run_compact_spreading_checks,
     run_front,
     run_invariance_cell,
@@ -195,7 +198,11 @@ def build_solver(cp):
 
 
 def _direction(cp, dim):
-    return _get(cp, "experiment", "direction", floats, default=(1.0,) + (0.0,) * (dim - 1))
+    xi = _get(cp, "experiment", "direction", floats, default=(1.0,) + (0.0,) * (dim - 1))
+    try:
+        return tuple(unit_direction(xi, dim).tolist())
+    except ValueError as exc:
+        raise ConfigError(f"experiment.direction: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -280,9 +287,14 @@ def _exp_invariance_sweep(keys, habitat, reaction, op, solver, options):
 
 
 def _spreading_keys(cp, habitat):
+    r = _get(cp, "experiment", "support_radius", float, default=3.0)
+    try:
+        check_support_radius(r, habitat)
+    except ValueError as err:
+        raise ConfigError(f"experiment.support_radius: {err}") from None
     return {
         "clause": _get(cp, "experiment", "clause", int, choices={1, 2, 3, 4}),
-        "r": _get(cp, "experiment", "support_radius", float, default=3.0),
+        "r": r,
         "c_scale": _get(cp, "experiment", "c_scale", float, default=1.0),
         "margin": _get(cp, "experiment", "margin", float, default=0.2),
     }
@@ -313,7 +325,8 @@ def _exp_stationary_profile(keys, habitat, reaction, op, solver, options):
     gap = float(np.abs(above.u_star.values - below.u_star.values).max())
     tail_radius = 4.0 * reaction.radius
     tail = check_tail(above.u_star, reaction.u0_star, tail_radius, delta0=op.delta0)
-    ok = gap <= 1e-6 * reaction.u0_star and tail < 0.01 * reaction.u0_star
+    ok = (gap <= 1e-6 * reaction.u0_star and tail < 0.01 * reaction.u0_star
+          and above.stability_bound < 0.0 and below.stability_bound < 0.0)
     summary = {
         "experiment": "stationary_profile",
         "kind": op.kind,
@@ -327,6 +340,8 @@ def _exp_stationary_profile(keys, habitat, reaction, op, solver, options):
         "newton_steps_from_below": below.newton_steps,
         "matvecs_from_above": above.matvecs,
         "matvecs_from_below": below.matvecs,
+        "stability_bound_from_above": above.stability_bound,
+        "stability_bound_from_below": below.stability_bound,
         "verdict": "pass" if ok else "fail",
     }
     coords = (habitat.grid()[0] if habitat.dim == 1 else habitat.radius()).ravel().tolist()
@@ -339,13 +354,14 @@ def _exp_stationary_profile(keys, habitat, reaction, op, solver, options):
 
 EXPERIMENTS = {
     "front_speed": (_front_speed_keys, _exp_front_speed,
-                    "evolve front data, fit the empirical speed, cone verdict"),
+                    "march front data, fit the empirical speed, cone verdict"),
     "invariance_sweep": (_sweep_keys, _exp_invariance_sweep,
                          "amplitude sweep; speeds must agree pairwise and with theory"),
     "spreading_features": (_spreading_keys, _exp_spreading_features,
-                           "compact-data expanding-region checks (clauses 1-4)"),
+                           "march compact data, expanding-region checks (clauses 1-4)"),
     "stationary_profile": (None, _exp_stationary_profile,
-                           "both monotone routes, uniqueness gap and tail deviation"),
+                           "both monotone routes, uniqueness gap, tail deviation and "
+                           "stability bound"),
 }
 
 

@@ -207,7 +207,6 @@ class Reaction:
     slope: float
     amplitude: float = 0.0
     radius: float = 1.0
-    family: str = "linear"
 
     def __post_init__(self):
         if not (self.r0 > 0):
@@ -228,12 +227,12 @@ class Reaction:
 
     @classmethod
     def linear(cls, r0, b, amplitude=0.0, radius=1.0):
-        return cls(float(r0), float(b), float(amplitude), float(radius), "linear")
+        return cls(float(r0), float(b), float(amplitude), float(radius))
 
     @classmethod
     def logistic(cls, r0, carrying_capacity, amplitude=0.0, radius=1.0):
         r0 = float(r0)
-        return cls(r0, r0 / float(carrying_capacity), float(amplitude), float(radius), "logistic")
+        return cls(r0, r0 / float(carrying_capacity), float(amplitude), float(radius))
 
     def f0(self, u):
         """Homogeneous base growth rate f0(u)."""

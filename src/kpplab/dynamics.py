@@ -16,9 +16,9 @@ rkc2  second-order Runge-Kutta-Chebyshev with damping 2/13 (Sommeijer,
       Shampine & Verwer 1998; Verwer, Sommeijer & Hundsdorfer 2004).  Its
       s stages reach the stability interval beta(s), about 0.65 s^2, so
       the random kind is not held to the h^2 step of rk4.  It is not
-      order-preserving; march (the front, spreading and stability runs)
-      uses it wherever it costs fewer right-hand sides per unit time than
-      rk4, which only a stencil whose bound grows as 1 / h^2 (the random
+      order-preserving; march (the front and spreading runs) uses it
+      wherever it costs fewer right-hand sides per unit time than rk4,
+      which only a stencil whose bound grows as 1 / h^2 (the random
       kind's) can reach.
 
 march_plan states the march's step rule once: scheme, step, stage count
@@ -341,7 +341,7 @@ def march(
     record_every: int = None,
     observer=None,
 ) -> Trajectory:
-    """The march of the front, spreading and stability runs, by the plan
+    """The march of the front and spreading runs, by the plan
     of march_plan (dt None is its automatic step; a dt above its bound
     raises StabilityError).  record_every None makes about 240 records.
     Records obey evolve's clip, bound and record rules.
@@ -447,14 +447,17 @@ def _step_loop(op, reaction, u0, T, plan, record_every, observer=None):
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
+class ViolationReport:
+    """The worst violation of an order check over a trajectory, the time
+    it occurred and the tolerance it was held to."""
+
     ok: bool
     violation: float
     worst_time: float
     tolerance: float
 
 
-def check_comparison(traj1: Trajectory, traj2: Trajectory) -> ComparisonReport:
+def check_comparison(traj1: Trajectory, traj2: Trajectory) -> ViolationReport:
     """Ordered initial data should stay ordered: reports the largest
     positive part of u1 - u2 over all recorded times (passes up to 5e-10)."""
     if traj1.habitat != traj2.habitat:
@@ -472,7 +475,7 @@ def check_comparison(traj1: Trajectory, traj2: Trajectory) -> ComparisonReport:
         if v > violation:
             violation, worst_time = v, float(t)
     violation = max(violation, 0.0)
-    return ComparisonReport(violation <= _COMPARISON_TOL, violation, worst_time, _COMPARISON_TOL)
+    return ViolationReport(violation <= _COMPARISON_TOL, violation, worst_time, _COMPARISON_TOL)
 
 
 def part_metric(u: Field, v: Field) -> float:
@@ -516,17 +519,9 @@ def check_part_metric_decay(
     return PartMetricReport(not bad, rhos, tu.times, tuple(bad), _PART_METRIC_SLACK)
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
-    ok: bool
-    violation: float
-    worst_time: float
-    tolerance: float
-
-
 def check_exponential_supersolution(
     traj: Trajectory, d: float, mu: float, c: float, xi
-) -> EnvelopeReport:
+) -> ViolationReport:
     """Check u(t, x) <= d exp(-mu (x.xi - c t)) along a trajectory.
 
     The initial data must already sit below the envelope; that is an
@@ -546,4 +541,4 @@ def check_exponential_supersolution(
         if v > violation:
             violation, worst_time = v, float(t)
     tol = 1e-8 * d
-    return EnvelopeReport(violation <= tol, violation, worst_time, tol)
+    return ViolationReport(violation <= tol, violation, worst_time, tol)

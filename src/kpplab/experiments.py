@@ -417,6 +417,14 @@ class ClauseVerdict:
     rhs_evals: int
 
 
+def check_support_radius(r: float, habitat: Habitat):
+    """The compact data's rule on its support radius: ValueError unless
+    0 < r and the ramp to zero at r + 1 ends inside the habitat."""
+    if not (0.0 < r and r + 1.0 < habitat.half_extent):
+        raise ValueError(f"support radius {r} must be positive with r + 1 below "
+                         f"half_extent = {habitat.half_extent}")
+
+
 def run_compact_spreading_checks(
     op: DispersalOperator,
     reaction: Reaction,
@@ -461,8 +469,7 @@ def run_compact_spreading_checks(
     c_max = max(speeds) * c_scale
     c_min = min(speeds) * c_scale
 
-    if r + 1.0 >= habitat.half_extent:
-        raise ValueError("support radius does not fit in the habitat")
+    check_support_radius(r, habitat)
     u0 = Field(habitat, u0_star * np.clip(r + 1.0 - coord, 0.0, 1.0))
 
     if clause in (2, 4) and u_star is None:

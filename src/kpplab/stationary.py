@@ -21,8 +21,9 @@ eigenpair is certified by eigen.principal_eigenvalue's Noda iteration.
 
 Both routes bracket the same stationary state; agreement of the two is
 the uniqueness check, the equation residual is the existence
-certificate, and reconvergence of strictly positive perturbations under
-the time-dependent flow is the stability check.
+certificate, and the Collatz-Wielandt bound max(J u* / u*) on the
+spectral abscissa of the cooperative Newton Jacobian J at u* is the
+stability certificate: a negative bound makes u* linearly stable.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .dispersal import DispersalOperator, KrylovError, krylov
 from .domain import Field, Habitat, Reaction
-from .dynamics import _reaction_maxima, march, spectral_bound
+from .dynamics import _reaction_maxima, spectral_bound
 from .eigen import PeriodicCoefficient, assemble_cell_operator, principal_eigenvalue
 
 FROM_ABOVE = "from-above"
@@ -44,7 +45,6 @@ FROM_BELOW = "from-below"
 _SUB_SOLUTION_DELTA = 0.1  # the first height tried for delta * phi
 _SUB_SOLUTION_SLACK = 1e-10
 _RESIDUAL_TOL = 1e-7
-_STABILITY_TOL = 1e-4  # largest distance to u* at the horizon of check_stability
 # The residual's rounding floor is about eps rho max(u), rho the Gershgorin
 # bound of the linearized equation; on fine grids it passes 1e-7 u0*.
 _RESIDUAL_ROUNDING = 4.0
@@ -192,6 +192,8 @@ class StationaryResult:
     iterations: int  # outer steps: monotone steps plus Newton steps
     newton_steps: int
     matvecs: int  # operator applies inside the Krylov solves
+    # max(J u* / u*) >= the spectral abscissa of the Newton Jacobian at u*
+    stability_bound: float
 
 
 def residual_tolerance(op: DispersalOperator, reaction: Reaction, u: Field) -> float:
@@ -230,6 +232,12 @@ def solve_stationary(
     residual_tolerance: 1e-7 u0*, or its rounding floor on fine grids) and
     strict positivity.  Every height is relative to max(u) or a fraction
     of u0*, so a power-of-two u0* scales the iterates bit for bit.
+
+    stability_bound is max(J u* / u*) for the Newton Jacobian
+    J = D + diag(f(x, u*) - slope u*), read off the residual's F(u*) as
+    J u* = F(u*) - slope u*^2 with no further apply.  J is cooperative, so
+    by Collatz-Wielandt the bound is at least its spectral abscissa; it
+    equals -slope min(u*) up to max|F(u*)| / min(u*), and is scale-free.
     """
     if route not in (FROM_ABOVE, FROM_BELOW):
         raise ValueError(f"unknown route {route!r}")
@@ -285,7 +293,8 @@ def solve_stationary(
             f"no convergence in {_MAX_STEPS} steps (last step {size:.3e} max(u))")
 
     u_star = Field(habitat, u)
-    residual = float(np.abs(disp(u) + u * growth(u)).max())
+    F = disp(u) + u * growth(u)
+    residual = float(np.abs(F).max())
     tolerance = residual_tolerance(op, reaction, u_star)
     if residual > tolerance:
         raise StationaryConvergenceError(
@@ -300,6 +309,7 @@ def solve_stationary(
         iterations=k,
         newton_steps=newton_steps,
         matvecs=matvecs,
+        stability_bound=float(((F - reaction.slope * u * u) / u).max()),
     )
 
 
@@ -318,32 +328,3 @@ def check_tail(u_star: Field, u0_star: float, R: float, delta0: float = 0.0) -> 
     if not np.any(mask):
         raise ValueError("empty tail window: no grid points in range")
     return float(np.abs(u_star.values[mask] - u0_star).max())
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    ok: bool
-    distances: tuple
-    tolerance: float
-    horizon: float
-
-
-def check_stability(
-    op: DispersalOperator,
-    reaction: Reaction,
-    u_star: Field,
-    perturbations,
-    T: float = 200.0,
-) -> StabilityReport:
-    """March strictly positive perturbations by dynamics.march and report
-    the max-norm distance to u_star at the horizon; passes when all are
-    below 1e-4 u0*."""
-    tolerance = _STABILITY_TOL * reaction.u0_star
-    distances = []
-    for u0 in perturbations:
-        if not u0.is_strictly_positive():
-            raise ValueError("perturbations must be strictly positive")
-        traj = march(op, reaction, u0, T, record_every=10 ** 9)
-        distances.append(float(np.abs(traj.final.values - u_star.values).max()))
-    return StabilityReport(all(d < tolerance for d in distances), tuple(distances),
-                           tolerance, T)

@@ -229,6 +229,29 @@ def march_stationary(op, reaction, habitat, route=FROM_ABOVE):
     )
 
 
+@dataclass(frozen=True)
+class ReconvergeReport:
+    ok: bool
+    distances: tuple
+    tolerance: float
+    horizon: float
+
+
+def reconverge(op, reaction, u_star, perturbations, T=200.0):
+    """March strictly positive perturbations by dynamics.march and report
+    the max-norm distance to u_star at the horizon; passes when all are
+    below 1e-4 u0*.  The slow oracle for StationaryResult.stability_bound."""
+    tolerance = 1e-4 * reaction.u0_star
+    distances = []
+    for u0 in perturbations:
+        if not u0.is_strictly_positive():
+            raise ValueError("perturbations must be strictly positive")
+        traj = march(op, reaction, u0, T, record_every=10 ** 9)
+        distances.append(float(np.abs(traj.final.values - u_star.values).max()))
+    return ReconvergeReport(all(d < tolerance for d in distances), tuple(distances),
+                            tolerance, T)
+
+
 def front_history(op, reaction, habitat, xi, T, dt=None):
     """(trajectory, trace) of a front run by the snapshot history: march
     front data of height u0* without an observer, keeping every record,

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import power_iteration
+from oracles import power_iteration, reconverge
 
 from kpplab import (
     DispersalOperator,
@@ -27,7 +27,6 @@ from kpplab import (
     check_comparison,
     check_exponential_supersolution,
     check_part_metric_decay,
-    check_stability,
     check_tail,
     estimate_speed,
     evolve,
@@ -267,11 +266,12 @@ def test_criterion_6_stationary_state():
             Field(habitat, 2.0 * u.values),
             Field(habitat, u.values + np.exp(-habitat.radius() ** 2)),
         ]
-        stab = check_stability(op, bump, u, perturbations, T=200.0)
+        stab = reconverge(op, bump, u, perturbations, T=200.0)
+        bound = max(above.stability_bound, below.stability_bound)
         case_ok = (gap <= 1e-6 and above.residual <= 1e-7 and below.residual <= 1e-7
-                   and tail < 0.01 and stab.ok)
+                   and tail < 0.01 and stab.ok and bound < 0.0)
         ok = ok and case_ok
-        details.append(f"{op.kind}: gap={gap:.1e}, tail={tail:.1e}, "
+        details.append(f"{op.kind}: gap={gap:.1e}, tail={tail:.1e}, bound={bound:.4f}, "
                        f"reconverge={max(stab.distances):.1e}")
     _report(6, "unique globally stable positive stationary state", ok, "; ".join(details))
 

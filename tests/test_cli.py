@@ -290,6 +290,7 @@ def test_stationary_subcommand(tmp_path):
     assert "clip_count" not in summary
     for route in ("from_above", "from_below"):
         assert summary[f"newton_steps_{route}"] >= 1 and summary[f"matvecs_{route}"] > 0
+        assert summary[f"stability_bound_{route}"] < 0.0
     profile = (out / "stationary_profile" / "profile.csv").read_text().splitlines()
     assert profile[0] == "x,u_star" and len(profile) == 82
 
@@ -511,7 +512,12 @@ def test_validate_parses_every_experiment_key(tmp_path, capsys):
     for name, line, key in [
         ("spreading_features", "clause = 7", "experiment.clause"),
         ("spreading_features", "clause = 1\nsupport_radius = far", "experiment.support_radius"),
+        # the run needs 0 < r and r + 1 < half_extent = 80
+        ("spreading_features", "clause = 1\nsupport_radius = 79.5", "experiment.support_radius"),
+        ("spreading_features", "clause = 1\nsupport_radius = -1", "experiment.support_radius"),
         ("front_speed", "margin = wide", "experiment.margin"),
+        ("front_speed", "direction = 0", "experiment.direction"),
+        ("front_speed", "direction = 1, 0", "experiment.direction"),
     ]:
         cfg = _write(tmp_path, "v.cfg", LATTICE_RUN.format(solver="", name=name, experiment=line,
                                                            out=tmp_path / "o"))

@@ -15,7 +15,6 @@ from kpplab import (
     LatticeWeights,
     PeriodTooLargeError,
     Reaction,
-    check_stability,
     check_tail,
     evolve,
     part_metric,
@@ -171,11 +170,12 @@ def test_stability_of_stationary_state():
         Field(HAB, 2.0 * u.values),
         Field(HAB, u.values + bump),
     ]
-    rep = check_stability(op, BUMP, u, perturbations, T=200.0)
+    rep = oracles.reconverge(op, BUMP, u, perturbations, T=200.0)
     assert rep.ok, rep.distances
     # feeding u* itself stays at residual level
-    rep0 = check_stability(op, BUMP, u, [u], T=5.0)
+    rep0 = oracles.reconverge(op, BUMP, u, [u], T=5.0)
     assert rep0.distances[0] < 1e-6
+    assert res.stability_bound < 0.0
 
 
 def test_stability_check_refuses_a_wrong_state_at_a_small_capacity():
@@ -184,9 +184,9 @@ def test_stability_check_refuses_a_wrong_state_at_a_small_capacity():
     rea = Reaction.logistic(1.0, 2.0 ** -17, amplitude=0.5, radius=1.0)
     op = DispersalOperator.random()
     u = solve_stationary(op, rea, HAB, route=FROM_ABOVE).u_star
-    rep = check_stability(op, rea, Field(HAB, 0.5 * u.values), [u], T=5.0)
+    rep = oracles.reconverge(op, rea, Field(HAB, 0.5 * u.values), [u], T=5.0)
     assert not rep.ok, rep.distances
-    assert check_stability(op, rea, u, [u], T=5.0).ok
+    assert oracles.reconverge(op, rea, u, [u], T=5.0).ok
 
 
 def test_uniqueness_via_part_metric():
@@ -324,13 +324,14 @@ def test_residual_certificate_follows_its_rounding_floor():
     assert res.residual <= tolerance
 
 
-def _scale_problem(kind, dim):
-    """(op, habitat) of one dispersal kind on a small clamp grid."""
+def _small_problem(kind, dim, boundary="clamp", reach=6):
+    """(op, habitat) of one dispersal kind on a small grid, of half extent
+    reach in 1-D and 4 (6 on the lattice) in 2-D."""
     if kind == "discrete":
         return DispersalOperator.discrete(LatticeWeights.symmetric(dim, 1.0)), Habitat(
-            "lattice", dim, 6)
-    spacing, half_extent = (0.25, 6.0) if dim == 1 else (0.5, 4.0)
-    habitat = Habitat("continuum", dim, half_extent, spacing)
+            "lattice", dim, reach if dim == 1 else 6, boundary=boundary)
+    spacing, half_extent = (0.25, float(reach)) if dim == 1 else (0.5, 4.0)
+    habitat = Habitat("continuum", dim, half_extent, spacing, boundary=boundary)
     if kind == "random":
         return DispersalOperator.random(), habitat
     kernel = Kernel.from_profile("triangle", 1.0, spacing, dim)
@@ -342,31 +343,58 @@ def _scale_problem(kind, dim):
 def test_runs_scale_exactly_with_the_carrying_capacity(kind, dim):
     """Every height of the march and of the stationary solver is a fraction
     of u0*, so at K = 2^m, where scaling by K is exact in floating point,
-    the march plan and the stability verdict are those of K = 1, and the
-    final state of a march and the u* of both routes are K times those of
-    K = 1, bit for bit."""
-    op, habitat = _scale_problem(kind, dim)
+    the march plan, the stability bounds of both routes and the oracle's
+    reconvergence verdict are those of K = 1, and the final state of a
+    march and the u* of both routes are K times those of K = 1, bit for
+    bit."""
+    op, habitat = _small_problem(kind, dim)
 
     def run(capacity):
         rea = Reaction.logistic(1.0, capacity, amplitude=-0.5, radius=1.0)
         u0 = make_front_initial(habitat, (1.0,) + (0.0,) * (dim - 1), rea.u0_star)
-        above = solve_stationary(op, rea, habitat, route=FROM_ABOVE).u_star
-        below = solve_stationary(op, rea, habitat, route=FROM_BELOW).u_star
-        stability = check_stability(op, rea, above, [Field(habitat, 0.5 * above.values)],
-                                    T=20.0)
-        states = (march(op, rea, u0, 2.0).final.values, above.values, below.values)
-        return march_plan(op, rea, u0), states, stability
+        above = solve_stationary(op, rea, habitat, route=FROM_ABOVE)
+        below = solve_stationary(op, rea, habitat, route=FROM_BELOW)
+        stability = oracles.reconverge(op, rea, above.u_star,
+                                       [Field(habitat, 0.5 * above.u_star.values)], T=20.0)
+        states = (march(op, rea, u0, 2.0).final.values, above.u_star.values,
+                  below.u_star.values)
+        bounds = (above.stability_bound, below.stability_bound)
+        return march_plan(op, rea, u0), states, bounds, stability
 
-    plan, states, stability = run(1.0)
-    assert stability.ok
+    plan, states, bounds, stability = run(1.0)
+    assert stability.ok and max(bounds) < 0.0
     for m in (-20, -10, 10, 20):
         K = 2.0 ** m
-        scaled_plan, scaled_states, scaled_stability = run(K)
+        scaled_plan, scaled_states, scaled_bounds, scaled_stability = run(K)
         assert scaled_plan == plan, m
         for name, got, want in zip(("march", FROM_ABOVE, FROM_BELOW), scaled_states, states):
             assert np.array_equal(got, K * want), (m, name)
+        assert scaled_bounds == bounds, m
         assert scaled_stability.ok == stability.ok, m
         assert scaled_stability.distances == tuple(K * d for d in stability.distances), m
+
+
+@pytest.mark.parametrize("amplitude", [0.5, -0.5, -3.0])
+@pytest.mark.parametrize("boundary", ["clamp", "periodic"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["random", "nonlocal", "discrete"])
+def test_stability_bound_certifies_both_routes(kind, dim, boundary, amplitude):
+    """J u* = F(u*) - slope u*^2, so the Collatz-Wielandt bound
+    max(J u* / u*) lies within max|F(u*)| / min(u*) of -slope min(u*),
+    up to the rounding of the quotient, and is negative."""
+    # at reach 6 no minorant period fits the 1-D dip of depth 3
+    op, habitat = _small_problem(kind, dim, boundary, reach=10)
+    reaction = Reaction.linear(1.0, 1.0, amplitude=amplitude, radius=1.0)
+    disp, growth = op.bind(habitat), reaction.bind(habitat)
+    eps = np.finfo(float).eps
+    for route in (FROM_ABOVE, FROM_BELOW):
+        res = solve_stationary(op, reaction, habitat, route=route)
+        u = res.u_star.values
+        F = np.abs(disp(u) + u * growth(u)).max()
+        rounding = 4.0 * eps * reaction.slope * u.max()
+        assert res.stability_bound < 0.0, route
+        assert (abs(res.stability_bound + reaction.slope * u.min())
+                <= F / u.min() + rounding), route
 
 
 def _count_applies(monkeypatch):
