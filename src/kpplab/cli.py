@@ -66,7 +66,7 @@ from .experiments import (
 )
 from .exports import sha256_text, write_csv, write_json
 from .speeds import theoretical_speed
-from .stationary import FROM_ABOVE, FROM_BELOW, check_tail, solve_stationary
+from .stationary import FROM_ABOVE, FROM_BELOW, check_tail, solve_stationary, tail_window
 
 
 class ConfigError(Exception):
@@ -319,11 +319,16 @@ def _exp_spreading_features(keys, habitat, reaction, op, solver, options):
     return verdict.ok, summary, {}
 
 
+def _tail_radius(reaction):
+    """The inner radius of stationary_profile's tail window: four patch radii."""
+    return 4.0 * reaction.radius
+
+
 def _exp_stationary_profile(keys, habitat, reaction, op, solver, options):
     above = solve_stationary(op, reaction, habitat, FROM_ABOVE)
     below = solve_stationary(op, reaction, habitat, FROM_BELOW)
     gap = float(np.abs(above.u_star.values - below.u_star.values).max())
-    tail_radius = 4.0 * reaction.radius
+    tail_radius = _tail_radius(reaction)
     tail = check_tail(above.u_star, reaction.u0_star, tail_radius, delta0=op.delta0)
     ok = (gap <= 1e-6 * reaction.u0_star and tail < 0.01 * reaction.u0_star
           and above.stability_bound < 0.0 and below.stability_bound < 0.0)
@@ -405,6 +410,11 @@ def parse_config(cp) -> Job:
             raise ConfigError("solver.T: stationary_profile does not step in time; leave it out")
         if solver["dt"] is not None:
             raise ConfigError("solver.dt: stationary_profile does not step in time; leave it auto")
+        R = _tail_radius(reaction)
+        try:
+            tail_window(habitat, R, op.delta0)
+        except ValueError as err:
+            raise ConfigError(f"reaction.radius: {err}, with R = 4 radius = {R:g}") from None
     if name in ("front_speed", "invariance_sweep"):
         key = "reaction.amplitude" if name == "front_speed" else "experiment.amplitudes"
         for rea in reactions:

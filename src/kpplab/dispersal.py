@@ -14,16 +14,31 @@ terms are dropped and nonlocal rows are renormalized by their in-domain
 mass; under periodic boundaries indices wrap, by the one rule of
 wrap_index.
 
+Under clamp boundaries every term runs as a 1-D op on the C-order flat
+arrays (_flat_overlap): the in-domain overlap of offset z becomes one
+contiguous range [d0, d1) of the flat grid, from the overlap's first
+point to its last, and its source is the same range shifted by the flat
+offset of z.  In 2-D the range also holds |z_col| positions between each
+two rows of the overlap whose column falls outside it, where the shift
+wraps to a neighbouring row; after d = w (u[src] - u[dst]) the term sets
+d = +0.0 there, before it adds d into acc[dst].  acc starts at +0.0 and
+can never become -0.0 (in round-to-nearest a sum is -0.0 only when both
+addends are), so adding +0.0 in place of a dropped term leaves every
+partial sum's bits unchanged.  In 1-D the range is the overlap itself.
+
 The random and nonlocal stencils and symmetric lattice rates are
 symmetric (z and -z carry the same weight), so the clamp action shares
 one difference between the two terms of each such pair: the earlier
-term, of z, adds d = w (u[src] - u[dst]) into acc[dst], and the term of
--z, whose slices are those of z swapped, subtracts the same d from
-acc[src].  Negation is exact in IEEE arithmetic, so each shared term is
-bitwise the w (u(x - z) - u(x)) it replaces; the terms are added in the
-stencil's order as before, so the result is bit-identical to the
-term-by-term action.  A term whose mirror is missing or weighted
-differently (asymmetric lattice rates) takes its own difference.
+term, of z, adds d into acc[dst], and the term of -z, whose ranges are
+those of z swapped and whose wrapped positions are the same, subtracts
+the same d, zeroed already, from acc[src].  Negation is exact in IEEE
+arithmetic, so each shared term is bitwise the w (u(x - z) - u(x)) it
+replaces; the terms are added in the stencil's order, and the nonlocal
+row masses are summed the same way, so the result is bit-identical to
+the term-by-term action by 2-D slices.  A term whose mirror is missing
+or weighted differently (asymmetric lattice rates) takes its own
+difference.  The differences live in one workspace per bound closure,
+a row per pair, so an apply allocates only its result.
 
 Only this module asks which kind an operator is.  The other modules read
 what depends on the kind from DispersalOperator (check_habitat and
@@ -229,11 +244,15 @@ class DispersalOperator:
     # ---- raw-array action -------------------------------------------------
 
     def bind(self, habitat: Habitat):
-        """Return the action as a fast array -> array closure."""
+        """Return the action as a fast array -> array closure.  It returns
+        a fresh C-contiguous array for an input of any layout; a clamp
+        closure keeps its differences in one workspace, so calls of one
+        closure must not overlap."""
         self.check_habitat(habitat)
         st = self._stencil(habitat.dim, habitat.spacing)
+        offsets = [tuple(off) for off in st.offsets.tolist()]
         # the centre offset contributes w_0 (u(x) - u(x)) = 0
-        terms = [(tuple(off), w) for off, w in zip(st.offsets, st.weights) if any(off)]
+        terms = [(off, w) for off, w in zip(offsets, st.weights) if any(off)]
 
         if habitat.boundary == PERIODIC:
             index = wrap_index([off for off, _ in terms], habitat.shape)
@@ -245,34 +264,45 @@ class DispersalOperator:
 
             return action_wrap
 
+        overlaps = {off: _flat_overlap(off, habitat.shape) for off in offsets}
         roles = _shared_differences(terms)
+        # one workspace row per pair and one for the unpaired terms: the
+        # first term of a pair leaves its difference in the pair's row and
+        # the mirror, whose dst is the first's src, subtracts it from there
         n_pairs = sum(not first for _, first in roles)
-        # the first term of a pair holds its difference in the pair's slot
-        # and the mirror subtracts it (the mirror's dst is the first's src)
-        steps = [(*_difference_slices(off, habitat.shape), w, slot, first)
-                 for (off, w), (slot, first) in zip(terms, roles)]
+        work = np.empty((n_pairs + 1, habitat.n_points))
+        steps = []
+        for (off, w), (slot, first) in zip(terms, roles):
+            if overlaps[off] is not None:  # an empty overlap's mirror is empty too
+                dst, src, bad = overlaps[off]
+                d = work[n_pairs if slot is None else slot, :dst.stop - dst.start]
+                steps.append((dst, src, bad, w, d, first))
         row_mass = None
         if st.renormalize:
-            row_mass = np.zeros(habitat.shape)
-            for off, w in zip(st.offsets, st.weights):
-                row_mass[_difference_slices(off, habitat.shape)[0]] += w
+            row_mass = np.zeros(habitat.n_points)
+            for off, w in zip(offsets, st.weights):
+                if overlaps[off] is not None:
+                    dst, _, bad = overlaps[off]
+                    m = np.full(dst.stop - dst.start, w)
+                    if bad is not None:
+                        m[bad] = 0.0
+                    row_mass[dst] += m
 
         def action_clamp(u):
-            acc = np.zeros_like(u)
-            held = [None] * n_pairs
-            for dst, src, w, slot, first in steps:
+            flat = u.ravel()  # C order: a copy of an F-ordered or strided input
+            acc = np.zeros(flat.size)
+            for dst, src, bad, w, d, first in steps:
                 if first:
-                    d = u[src] - u[dst]
+                    np.subtract(flat[src], flat[dst], d)
                     d *= w
+                    if bad is not None:
+                        d[bad] = 0.0
                     acc[dst] += d
-                    if slot is not None:
-                        held[slot] = d
                 else:
-                    acc[dst] -= held[slot]
-                    held[slot] = None
+                    acc[dst] -= d
             if row_mass is not None:
                 acc /= row_mass
-            return acc
+            return acc.reshape(u.shape)
 
         return action_clamp
 
@@ -452,12 +482,23 @@ def _shared_differences(terms):
     return roles
 
 
-def _difference_slices(off, shape):
-    """Destination/source index slices for the in-domain overlap of an
-    integer offset (clamp semantics: out-of-domain terms contribute 0)."""
-    dst, src = [], []
-    for o, n in zip(off, shape):
-        lo, hi = max(0, -o), n - max(0, o)
-        dst.append(slice(lo, hi))
-        src.append(slice(lo + o, hi + o))
-    return tuple(dst), tuple(src)
+def _flat_overlap(off, shape):
+    """The in-domain overlap of an integer offset z on a C-order grid of
+    the given shape (1-D or 2-D) as one contiguous range of the flat grid:
+    (dst, src, bad), with dst the slice from the overlap's first point to
+    its last, src the same slice shifted by the flat offset of z, and bad
+    the positions of dst, counted from its start, whose column lies
+    outside the overlap (|z_col| between each two of its rows), or None
+    where there are none, as always in 1-D.  None for an empty overlap
+    (clamp semantics: out-of-domain terms contribute 0)."""
+    (rows, cols), (zr, zc) = ((1, *shape), (0, *off)) if len(shape) == 1 else (shape, off)
+    r0, r1 = max(0, -zr), rows - max(0, zr)
+    c0, c1 = max(0, -zc), cols - max(0, zc)
+    if r1 <= r0 or c1 <= c0:
+        return None
+    start, stop = r0 * cols + c0, (r1 - 1) * cols + c1
+    shift = zr * cols + zc
+    bad = None
+    if zc and r1 - r0 > 1:
+        bad = (np.arange(c1 - c0, stop - start, cols)[:, None] + np.arange(abs(zc))).ravel()
+    return slice(start, stop), slice(start + shift, stop + shift), bad

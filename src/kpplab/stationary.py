@@ -313,13 +313,13 @@ def solve_stationary(
     )
 
 
-def check_tail(u_star: Field, u0_star: float, R: float, delta0: float = 0.0) -> float:
-    """sup |u* - u0| over the annulus R <= |x| <= L - delta0 - 5h.
+def tail_window(habitat: Habitat, R: float, delta0: float = 0.0) -> np.ndarray:
+    """The mask of the annulus R <= |x| <= L - delta0 - 5h on the habitat;
+    ValueError when it holds no grid point.
 
     The upper cutoff keeps the window clear of the truncation boundary
     where the operators deviate from their unbounded-domain versions.
     """
-    habitat = u_star.habitat
     outer = habitat.half_extent - delta0 - 5.0 * habitat.spacing
     if not (R < outer):
         raise ValueError(f"empty tail window: need R < {outer}")
@@ -327,4 +327,10 @@ def check_tail(u_star: Field, u0_star: float, R: float, delta0: float = 0.0) -> 
     mask = (r >= R) & (r <= outer)
     if not np.any(mask):
         raise ValueError("empty tail window: no grid points in range")
+    return mask
+
+
+def check_tail(u_star: Field, u0_star: float, R: float, delta0: float = 0.0) -> float:
+    """sup |u* - u0| over the tail window R <= |x| <= L - delta0 - 5h."""
+    mask = tail_window(u_star.habitat, R, delta0)
     return float(np.abs(u_star.values[mask] - u0_star).max())

@@ -494,17 +494,20 @@ def test_unhonoured_solver_keys_exit_2(tmp_path, capsys):
 def test_validate_parses_every_experiment_key(tmp_path, capsys):
     import pathlib
 
-    shipped = pathlib.Path(__file__).resolve().parents[1] / "configs" / "invariance_discrete.cfg"
-    text = shipped.read_text()
-    for old, new, key in [
-        ("amplitudes = -0.5, 0.0, 0.5, 1.0", "amplitudes =", "experiment.amplitudes"),
-        ("direction = 1", "direction = east", "experiment.direction"),
-        ("direction = 1", "direction = 1\nseed = 0", "experiment.seed"),
-        ("direction = 1", "direction = 1\nexpect = maybe", "experiment.expect"),
-        ("direction = 1", "direction = 1\nn_mu = many", "experiment.n_mu"),
-        ("direction = 1", "direction = 1\nn_mu = -1", "experiment.n_mu"),
-        ("direction = 1", "direction = 1\nmu_max = 0", "experiment.mu_max"),
+    configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    sweep = "invariance_discrete.cfg"
+    for shipped, old, new, key in [
+        (sweep, "amplitudes = -0.5, 0.0, 0.5, 1.0", "amplitudes =", "experiment.amplitudes"),
+        (sweep, "direction = 1", "direction = east", "experiment.direction"),
+        (sweep, "direction = 1", "direction = 1\nseed = 0", "experiment.seed"),
+        (sweep, "direction = 1", "direction = 1\nexpect = maybe", "experiment.expect"),
+        (sweep, "direction = 1", "direction = 1\nn_mu = many", "experiment.n_mu"),
+        (sweep, "direction = 1", "direction = 1\nn_mu = -1", "experiment.n_mu"),
+        (sweep, "direction = 1", "direction = 1\nmu_max = 0", "experiment.mu_max"),
+        # the tail window 4 radius <= |x| <= L - delta0 - 5h = 39.5 is empty
+        ("stationary_bump.cfg", "radius = 1.0", "radius = 10", "reaction.radius"),
     ]:
+        text = (configs / shipped).read_text()
         assert old in text
         cfg = _write(tmp_path, "v.cfg", text.replace(old, new))
         assert main(["validate", cfg, "--quiet"]) == 2, new

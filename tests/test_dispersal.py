@@ -221,18 +221,82 @@ def _clamp_cases(draw):
     return DispersalOperator.nonlocal_(Kernel.from_profile(profile, delta0, spacing, dim)), hab
 
 
+def _same_bits(a, b):
+    """Equal shapes and bit patterns, so that -0.0 differs from 0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @settings(deadline=None, derandomize=True)
-@given(_clamp_cases(), st.integers(0, 99), st.integers(-3, 3))
-@example((DispersalOperator.random(), Habitat("continuum", 2, 26.0, 0.25)), 0, 0)
+@given(_clamp_cases(), st.integers(0, 99), st.integers(-3, 3), st.booleans())
+@example((DispersalOperator.random(), Habitat("continuum", 2, 26.0, 0.25)), 0, 0, False)
 @example((DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 2.0, 0.5, 2)),
-          Habitat("continuum", 2, 26.0, 0.5)), 0, 0)
-def test_clamp_apply_matches_the_term_by_term_oracle(case, seed, exponent):
+          Habitat("continuum", 2, 26.0, 0.5)), 0, 0, False)
+# 3 x 3 points under a kernel of reach 4: offsets such as (0, 4) overlap
+# the grid along one axis only
+@example((DispersalOperator.nonlocal_(Kernel.from_profile("uniform", 2.25, 0.5, 2)),
+          Habitat("continuum", 2, 0.5, 0.5)), 1, 0, False)
+# asymmetric rates on both axes: unpaired terms, among them column offsets
+# whose flat ranges hold wrapped positions
+@example((DispersalOperator.discrete(LatticeWeights.from_rates(
+    {(-1, 0): 0.5, (1, 0): 2.0, (0, -1): 1.0, (0, 1): 0.5})), Habitat("lattice", 2, 4)), 2, 0, False)
+@example((DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.5, 0.5, 2)),
+          Habitat("continuum", 2, 3.0, 0.5)), 3, 0, True)
+@example((DispersalOperator.random(), Habitat("continuum", 1, 2.0, 0.25)), 4, 0, True)
+def test_clamp_apply_matches_the_term_by_term_oracle(case, seed, exponent, signed_zeros):
     """The bound clamp closure shares one difference between the terms z
-    and -z; each shared term is the exact negation of the one it
-    replaces, so the result is bit for bit the oracle's."""
+    and -z, and runs each term over one flat range, zeroing the positions
+    whose column lies outside the overlap; each shared term is the exact
+    negation of the one it replaces, and adding +0.0 to an accumulator
+    that is never -0.0 leaves its bits alone, so the result is bit for bit
+    the oracle's, also where u holds exact zeros of either sign."""
     op, hab = case
     u = np.random.default_rng(seed).standard_normal(hab.shape) * 10.0 ** exponent
-    assert np.array_equal(op.bind(hab)(u), oracles.clamp_apply(op, hab, u))
+    if signed_zeros:
+        u.flat[::3] = 0.0
+        u.flat[1::3] = -0.0
+    assert _same_bits(op.bind(hab)(u), oracles.clamp_apply(op, hab, u))
+
+
+def _layout_cases():
+    """(op, clamp habitat) of each kind in 1-D and 2-D; the lattice rates
+    differ between z and -z, so unpaired terms are read too."""
+    cases = []
+    for dim in (1, 2):
+        hab = Habitat("continuum", dim, 3.0, 0.25)
+        rates = {tuple(off): r for off, r in zip(LatticeWeights.symmetric(dim).offsets,
+                                                  (0.5, 2.0, 1.0, 1.5))}
+        cases += [(DispersalOperator.random(), hab),
+                  (DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.0, 0.25, dim)),
+                   hab),
+                  (DispersalOperator.discrete(LatticeWeights.from_rates(rates)),
+                   Habitat("lattice", dim, 6))]
+    return cases
+
+
+@pytest.mark.parametrize("case", _layout_cases(),
+                         ids=lambda c: f"{c[0].kind}-{c[1].dim}d")
+def test_clamp_apply_reads_every_memory_layout(case):
+    """The clamp closure reads u through its C-order flat values: an
+    F-ordered array, a transposed view and strided views (a step of 2, a
+    reversal) give the oracle's bits in a fresh C-contiguous array, and
+    the input is left alone."""
+    op, hab = case
+    rng = np.random.default_rng(7)
+    apply = op.bind(hab)
+    big = rng.standard_normal(tuple(2 * n for n in hab.shape))
+    inputs = {
+        "F order": np.asfortranarray(rng.standard_normal(hab.shape)),
+        "transposed": rng.standard_normal(hab.shape).T,
+        "step 2": big[(slice(None, None, 2),) * hab.dim],
+        "reversed": rng.standard_normal(hab.shape)[(slice(None, None, -1),) * hab.dim],
+    }
+    for name, u in inputs.items():
+        before = u.copy()
+        out = apply(u)
+        assert out.flags.c_contiguous, name
+        assert _same_bits(out, oracles.clamp_apply(op, hab, u)), name
+        assert _same_bits(u, before), name
 
 
 @st.composite
