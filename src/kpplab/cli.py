@@ -49,20 +49,19 @@ from .domain import (
     LatticeWeights,
     PERIODIC,
     Reaction,
+    check_support_radius,
     unit_direction,
 )
 from .dynamics import RK4, march_plan
 from .eigen import closed_form_eigenvalue
 from .experiments import (
-    THEORY_TOL,
     SweepSetup,
+    check_cone_scales,
     check_front_reaction,
-    check_support_radius,
     run_compact_spreading_checks,
     run_front,
     run_invariance_cell,
     run_speed_invariance_sweep,
-    verify_spreading_cones,
 )
 from .exports import sha256_text, write_csv, write_json
 from .speeds import theoretical_speed
@@ -136,16 +135,21 @@ def load_config(path):
     return cp, text
 
 
+def _checked(key, check, *args):
+    """check(*args), with a ValueError it raises reported as a ConfigError on key."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from None
+
+
 def build_habitat(cp) -> Habitat:
     kind = _get(cp, "habitat", "kind", str, choices={CONTINUUM, "lattice"})
     dim = _get(cp, "habitat", "dim", int, default=1, choices={1, 2})
     L = _get(cp, "habitat", "half_extent", float)
     spacing = _get(cp, "habitat", "spacing", float, default=1.0)
     boundary = _get(cp, "habitat", "boundary", str, default=CLAMP, choices={CLAMP, PERIODIC})
-    try:
-        return Habitat(kind, dim, L, spacing, boundary)
-    except ValueError as exc:
-        raise ConfigError(f"habitat: {exc}") from None
+    return _checked("habitat", Habitat, kind, dim, L, spacing, boundary)
 
 
 def build_reaction(cp) -> Reaction:
@@ -154,34 +158,29 @@ def build_reaction(cp) -> Reaction:
     r0 = _get(cp, "reaction", "r0", float)
     amplitude = _get(cp, "reaction", "amplitude", float, default=0.0)
     radius = _get(cp, "reaction", "radius", float, default=1.0)
-    try:
-        if family == "linear":
-            b = _get(cp, "reaction", "b", float, default=1.0)
-            return Reaction.linear(r0, b, amplitude, radius)
-        K = _get(cp, "reaction", "carrying_capacity", float)
-        return Reaction.logistic(r0, K, amplitude, radius)
-    except ValueError as exc:
-        raise ConfigError(f"reaction: {exc}") from None
+    if family == "linear":
+        b = _get(cp, "reaction", "b", float, default=1.0)
+        return _checked("reaction", Reaction.linear, r0, b, amplitude, radius)
+    K = _get(cp, "reaction", "carrying_capacity", float)
+    return _checked("reaction", Reaction.logistic, r0, K, amplitude, radius)
 
 
 def build_dispersal(cp, habitat) -> DispersalOperator:
     kind = _get(cp, "dispersal", "kind", str, choices=set(KINDS))
-    try:
-        if kind == RANDOM:
-            op = DispersalOperator.random()
-        elif kind == NONLOCAL:
-            profile = _get(cp, "dispersal", "profile", str, default="triangle",
-                           choices={"uniform", "triangle", "mollifier"})
-            delta0 = _get(cp, "dispersal", "delta0", float, default=1.0)
-            kernel = Kernel.from_profile(profile, delta0, habitat.spacing, habitat.dim)
-            op = DispersalOperator.nonlocal_(kernel)
-        else:
-            a = _get(cp, "dispersal", "a", float, default=1.0)
-            op = DispersalOperator.discrete(LatticeWeights.symmetric(habitat.dim, a))
-        op.check_habitat(habitat)
-        return op
-    except ValueError as exc:
-        raise ConfigError(f"dispersal: {exc}") from None
+    if kind == RANDOM:
+        op = DispersalOperator.random()
+    elif kind == NONLOCAL:
+        profile = _get(cp, "dispersal", "profile", str, default="triangle",
+                       choices={"uniform", "triangle", "mollifier"})
+        delta0 = _get(cp, "dispersal", "delta0", float, default=1.0)
+        op = DispersalOperator.nonlocal_(_checked("dispersal", Kernel.from_profile, profile,
+                                                  delta0, habitat.spacing, habitat.dim))
+    else:
+        a = _get(cp, "dispersal", "a", float, default=1.0)
+        op = DispersalOperator.discrete(_checked("dispersal", LatticeWeights.symmetric,
+                                                 habitat.dim, a))
+    _checked("dispersal", op.check_habitat, habitat)
+    return op
 
 
 def build_solver(cp):
@@ -197,35 +196,29 @@ def build_solver(cp):
     return {"T": T, "dt": dt}
 
 
-def _direction(cp, dim):
-    xi = _get(cp, "experiment", "direction", floats, default=(1.0,) + (0.0,) * (dim - 1))
-    try:
-        return tuple(unit_direction(xi, dim).tolist())
-    except ValueError as exc:
-        raise ConfigError(f"experiment.direction: {exc}") from None
+def _margin(cp):
+    margin = _get(cp, "experiment", "margin", float, default=0.2)
+    _checked("experiment.margin", check_cone_scales, margin)
+    return margin
 
 
 # ----------------------------------------------------------------------
 # experiments: a key parser, called by parse_config (None where the
-# experiment has no keys of its own), and a runner that gets the parsed
-# keys and reads nothing else from the config
+# experiment has no keys of its own), and a runner that gets the Job and
+# reads nothing else from the config
 # ----------------------------------------------------------------------
 
 
 def _front_speed_keys(cp, habitat):
-    return {"xi": _direction(cp, habitat.dim),
-            "margin": _get(cp, "experiment", "margin", float, default=0.2)}
+    return {"margin": _margin(cp)}
 
 
-def _exp_front_speed(keys, habitat, reaction, op, solver, options):
-    run = run_front(op, reaction, habitat, keys["xi"], **solver)
+def _exp_front_speed(job, options):
+    run = run_front(job.op, job.reaction, job.habitat, job.xi, **job.solver, **job.keys)
     est = run.estimate
-    cones = verify_spreading_cones(run.traj, keys["xi"], run.theory.c_star, reaction.u0_star,
-                                   keys["margin"])
-    ok = est.rel_error <= THEORY_TOL and cones.ok
     summary = {
         "experiment": "front_speed",
-        "kind": op.kind,
+        "kind": job.op.kind,
         "c_empirical": est.slope,
         "c_theory": run.theory.c_star,
         "mu_star": run.theory.mu_star,
@@ -233,27 +226,27 @@ def _exp_front_speed(keys, habitat, reaction, op, solver, options):
         "relative_error": est.rel_error,
         "rms_residual": est.rms_residual,
         "fit_window": list(est.window),
-        "cones_ok": cones.ok,
+        "cones_ok": run.cones.ok,
         "clip_count": run.traj.clip_count,
         "scheme": run.traj.scheme,
         "rhs_evals": run.traj.rhs_evals,
-        "verdict": "pass" if ok else "fail",
+        "verdict": "pass" if run.ok else "fail",
     }
     artifacts = {
         "front_trace.csv": ("csv", ["t", "position"],
                             [[t, p] for t, p in zip(run.trace.times, run.trace.positions)]),
     }
-    return ok, summary, artifacts
+    return run.ok, summary, artifacts
 
 
 def _sweep_keys(cp, habitat):
     return {"amplitudes": _get(cp, "experiment", "amplitudes", floats,
-                               default=(-0.5, 0.0, 0.5, 1.0)),
-            "xi": _direction(cp, habitat.dim)}
+                               default=(-0.5, 0.0, 0.5, 1.0))}
 
 
-def _exp_invariance_sweep(keys, habitat, reaction, op, solver, options):
-    setup = SweepSetup(op=op, habitat=habitat, reaction0=reaction, **solver, **keys)
+def _exp_invariance_sweep(job, options):
+    setup = SweepSetup(op=job.op, habitat=job.habitat, reaction0=job.reaction, xi=job.xi,
+                       **job.solver, **job.keys)
     jobs = options.get("jobs", 1)
     rows = None
     if jobs > 1:
@@ -266,7 +259,7 @@ def _exp_invariance_sweep(keys, habitat, reaction, op, solver, options):
     report = run_speed_invariance_sweep(setup, rows=rows)
     summary = {
         "experiment": "invariance_sweep",
-        "kind": op.kind,
+        "kind": job.op.kind,
         "c_theory": report.c_theory,
         "pairwise_spread": report.pairwise_spread,
         "ok_theory": report.ok_theory,
@@ -288,25 +281,20 @@ def _exp_invariance_sweep(keys, habitat, reaction, op, solver, options):
 
 def _spreading_keys(cp, habitat):
     r = _get(cp, "experiment", "support_radius", float, default=3.0)
-    try:
-        check_support_radius(r, habitat)
-    except ValueError as err:
-        raise ConfigError(f"experiment.support_radius: {err}") from None
-    return {
-        "clause": _get(cp, "experiment", "clause", int, choices={1, 2, 3, 4}),
-        "r": r,
-        "c_scale": _get(cp, "experiment", "c_scale", float, default=1.0),
-        "margin": _get(cp, "experiment", "margin", float, default=0.2),
-    }
+    _checked("experiment.support_radius", check_support_radius, r, habitat)
+    clause = _get(cp, "experiment", "clause", int, choices={1, 2, 3, 4})
+    c_scale = _get(cp, "experiment", "c_scale", float, default=1.0)
+    margin = _margin(cp)
+    _checked("experiment.c_scale", check_cone_scales, margin, c_scale)
+    return {"clause": clause, "r": r, "c_scale": c_scale, "margin": margin}
 
 
-def _exp_spreading_features(keys, habitat, reaction, op, solver, options):
-    verdict = run_compact_spreading_checks(
-        op, reaction, habitat, T=solver["T"], dt=solver["dt"], **keys,
-    )
+def _exp_spreading_features(job, options):
+    verdict = run_compact_spreading_checks(job.op, job.reaction, job.habitat, **job.solver,
+                                           **job.keys)
     summary = {
         "experiment": "spreading_features",
-        "kind": op.kind,
+        "kind": job.op.kind,
         "clause": verdict.clause,
         "worst_value": verdict.worst_value,
         "threshold": verdict.threshold,
@@ -324,7 +312,8 @@ def _tail_radius(reaction):
     return 4.0 * reaction.radius
 
 
-def _exp_stationary_profile(keys, habitat, reaction, op, solver, options):
+def _exp_stationary_profile(job, options):
+    habitat, reaction, op = job.habitat, job.reaction, job.op
     above = solve_stationary(op, reaction, habitat, FROM_ABOVE)
     below = solve_stationary(op, reaction, habitat, FROM_BELOW)
     gap = float(np.abs(above.u_star.values - below.u_star.values).max())
@@ -418,10 +407,7 @@ def parse_config(cp) -> Job:
     if name in ("front_speed", "invariance_sweep"):
         key = "reaction.amplitude" if name == "front_speed" else "experiment.amplitudes"
         for rea in reactions:
-            try:
-                check_front_reaction(rea, habitat)
-            except ValueError as err:
-                raise ConfigError(f"{key}: {err}") from None
+            _checked(key, check_front_reaction, rea, habitat)
     if solver["dt"] is not None:
         # every march starts at height u0* < beta0, and march_plan reads the
         # data only through its habitat and max, so a constant u0* stands in
@@ -431,7 +417,9 @@ def parse_config(cp) -> Job:
                 raise ConfigError(f"solver.dt: {plan.dt} violates the stability bound "
                                   f"{plan.bound:.6g} of the {plan.scheme} march")
     expect = _get(cp, "experiment", "expect", str, default="pass", choices={"pass", "fail"})
-    xi = _direction(cp, habitat.dim)
+    xi = _get(cp, "experiment", "direction", floats,
+              default=(1.0,) + (0.0,) * (habitat.dim - 1))
+    xi = tuple(_checked("experiment.direction", unit_direction, xi, habitat.dim).tolist())
     mu_max = _get(cp, "experiment", "mu_max", float, default=5.0)
     n_mu = _get(cp, "experiment", "n_mu", int, default=101)
     if not mu_max > 1e-3:
@@ -501,8 +489,7 @@ def _cmd_run(job, cfg_text, options):
 
     runner = EXPERIMENTS[job.name][1]
     t0 = time.perf_counter()
-    ok, summary, artifacts = runner(job.keys, job.habitat, job.reaction, job.op, job.solver,
-                                    options)
+    ok, summary, artifacts = runner(job, options)
     wall = time.perf_counter() - t0
 
     if summary.get("clip_count", 0) > 0:

@@ -283,14 +283,19 @@ def make_front_initial(habitat: Habitat, xi, sigma0: float) -> Field:
     return Field(habitat, sigma0 * np.clip(1.0 - proj, 0.0, 1.0))
 
 
+def check_support_radius(r: float, habitat: Habitat):
+    """The compact data's rule on its support radius: DomainSizeError
+    unless 0 < r and the ramp to zero at r + 1 ends inside the habitat."""
+    if not (0.0 < r and r + 1.0 < habitat.half_extent):
+        raise DomainSizeError(f"support radius {r} must be positive with r + 1 below "
+                              f"half_extent = {habitat.half_extent}")
+
+
 def make_compact_initial(habitat: Habitat, r: float, sigma: float) -> Field:
     """Radial plateau: sigma on |x| <= r, continuous ramp to zero at r + 1."""
-    if not (r > 0 and sigma > 0):
-        raise ValueError("r and sigma must be positive")
-    if r + 1.0 >= habitat.half_extent:
-        raise DomainSizeError(
-            f"domain too small: need r + 1 < half_extent, got r={r}, L={habitat.half_extent}"
-        )
+    check_support_radius(r, habitat)
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
     return Field(habitat, sigma * np.clip(r + 1.0 - habitat.radius(), 0.0, 1.0))
 
 

@@ -77,8 +77,7 @@ class IntegrationDivergedError(RuntimeError):
 class Trajectory:
     """Recorded evolution: strictly increasing times and one snapshot each.
     evolve and a march without an observer keep every record; a march with
-    an observer keeps t = 0 and the final time only (run_front adds its
-    trailing window)."""
+    an observer keeps t = 0 and the final time only."""
 
     habitat: Habitat
     times: np.ndarray
@@ -124,12 +123,21 @@ def _reaction_maxima(reaction: Reaction, habitat: Habitat, top: float):
     return max(at_0, at_m), max(at_0, at_2m)
 
 
+def _step_inputs(op: DispersalOperator, reaction: Reaction, u0: Field):
+    """(stencil, max|f|, rho) of the flow from u0: the dispersal._Stencil,
+    and over u in [0, M], M = reaction.ceiling(max u0), max|f| and the
+    Gershgorin bound rho = rho_D + max|d_u(u f)| of the linearized
+    right-hand side, rho_D the stencil's; the one statement of rho."""
+    h = u0.habitat
+    st = op._stencil(h.dim, h.spacing)
+    max_f, max_df = _reaction_maxima(reaction, h, reaction.ceiling(u0.max))
+    return st, max_f, st.rho + max_df
+
+
 def spectral_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
-    """The Gershgorin bound rho = rho_D + max|d_u(u f)| over u in [0, M] of
-    the linearized right-hand side that march_plan steps by, with rho_D
-    the stencil's (dispersal._Stencil.rho)."""
-    h, top = u0.habitat, reaction.ceiling(u0.max)
-    return op._stencil(h.dim, h.spacing).rho + _reaction_maxima(reaction, h, top)[1]
+    """The Gershgorin bound rho of the linearized right-hand side that
+    march_plan steps by, as _step_inputs states it."""
+    return _step_inputs(op, reaction, u0)[2]
 
 
 def _clause(mass: float, max_f: float) -> float:
@@ -152,9 +160,8 @@ def stability_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> 
     = max(max u0, beta0) + u0*.  march does not use this bound: march_plan
     states its own.
     """
-    h = u0.habitat
-    st = op._stencil(h.dim, h.spacing)
-    clause = _clause(st.mass, _reaction_maxima(reaction, h, reaction.ceiling(u0.max))[0])
+    st, max_f, _ = _step_inputs(op, reaction, u0)
+    clause = _clause(st.mass, max_f)
     return min(clause, 2.0 / ((1.0 + _STABILITY_SAFETY) * st.rho))
 
 
@@ -220,10 +227,7 @@ def march_plan(op: DispersalOperator, reaction: Reaction, u0: Field,
     otherwise, which only the random kind can reach.  u0 enters through
     its habitat and max(u0) only.
     """
-    h = u0.habitat
-    max_f, max_df = _reaction_maxima(reaction, h, reaction.ceiling(u0.max))
-    st = op._stencil(h.dim, h.spacing)
-    rho = st.rho + max_df
+    st, max_f, rho = _step_inputs(op, reaction, u0)
     rk4 = _RK4_MARCH_FRACTION * _RK4_INTERVAL / rho
     rk4_dt = _STEP_FRACTION * rk4
     clause = _clause(st.mass, max_f)

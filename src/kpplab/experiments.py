@@ -11,7 +11,10 @@ farthest level crossing along a direction, empirical speeds come from a
 least-squares slope over the second half of the run (clear of the
 boundary), and the spreading predictions are checked over the last
 quarter of the recorded times: the state must hug the stationary
-profile inside the slower cone and vanish outside the faster one.  Negative controls (deliberately
+profile inside the slower cone and vanish outside the faster one.  Each
+run folds its checks record by record in one march observer and keeps
+no snapshot history; track_front and verify_spreading_cones apply the
+same rules to a stored Trajectory.  Negative controls (deliberately
 wrong theoretical speeds) are expected to fail and the test suite
 asserts that they do.
 """
@@ -29,6 +32,7 @@ from .domain import (
     Field,
     Habitat,
     Reaction,
+    check_support_radius,
     make_front_initial,
     sampled_directions,
     unit_direction,
@@ -43,7 +47,8 @@ PAIRWISE_TOL = 0.02
 
 
 class ConeEmptyError(RuntimeError):
-    """A verification cone contains no grid points (domain/time mismatch)."""
+    """The outer region of a compact-data check contains no grid points:
+    its fast cone has left the habitat (a domain/time mismatch)."""
 
 
 @dataclass(eq=False)
@@ -64,15 +69,10 @@ class SpeedEstimate:
     window: tuple
     rms_residual: float
     n_samples: int
-    theoretical: float = None
-    rel_error: float = None
+    rel_error: float = None  # |slope - c*| / c*, set by with_theory
 
     def with_theory(self, c_theory: float) -> "SpeedEstimate":
-        return dataclasses.replace(
-            self,
-            theoretical=c_theory,
-            rel_error=abs(self.slope - c_theory) / abs(c_theory),
-        )
+        return dataclasses.replace(self, rel_error=abs(self.slope - c_theory) / abs(c_theory))
 
 
 def _front_position_1d(proj_sorted, u_sorted, level):
@@ -99,15 +99,7 @@ def _front_locator(habitat: Habitat, xi, level: float, initial_max: float):
     if level >= 0.9 * initial_max:
         raise ValueError("level must stay below 0.9 * max of the initial data")
 
-    axis = None
-    if habitat.dim == 1:
-        axis = 0
-    else:
-        for d in range(habitat.dim):
-            if abs(abs(v[d]) - 1.0) < 1e-12:
-                axis = d
-                break
-
+    axis = next((d for d in range(habitat.dim) if abs(abs(v[d]) - 1.0) < 1e-12), None)
     if axis is not None:
         sign = float(np.sign(v[axis]))
         proj = habitat.axis_coords() * sign
@@ -193,63 +185,14 @@ def _window_start(t_end: float) -> float:
     return 0.75 * t_end
 
 
-def _trailing_window(traj: Trajectory):
-    """(t, snapshot) pairs over the last quarter of the recorded times."""
-    start = _window_start(float(traj.times[-1]))
-    return [(t, snap) for t, snap in zip(traj.times, traj.snapshots) if t >= start]
-
-
-@dataclass(eq=False)
-class FrontRun:
-    """Trajectory, front trace, speed fit and amplitude-0 theory of a run.
-    traj holds the initial snapshot (height u0*) and the records of the
-    trailing window (the final one among them), which is all that
-    verify_spreading_cones and traj.final read; trace holds the position
-    of the level 0.5 u0* at every record, and estimate fits it after T/2."""
-
-    traj: Trajectory
-    trace: FrontTrace
-    estimate: SpeedEstimate
-    theory: SpeedResult
-
-
-def check_front_reaction(reaction: Reaction, habitat: Habitat):
-    """The front run's rule on its reaction, beyond the H1 and H2 that the
-    reaction states itself: ValueError unless f(x, 0) > 0 on the habitat."""
-    if not np.all(reaction.r0 + reaction.perturbation(habitat) > 0.0):
-        raise ValueError(f"amplitude {reaction.amplitude} makes f(x, 0) nonpositive somewhere")
-
-
-def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T: float,
-              dt: float = None) -> FrontRun:
-    """Evolve front data of height u0* along xi, track the level 0.5 u0*
-    and fit the speed after T/2, delta0 + 10 h clear of the boundary.  The
-    march records by its automatic rule (about 240 records).  The reaction
-    must pass check_front_reaction.
-    """
-    check_front_reaction(reaction, habitat)
-    u0 = make_front_initial(habitat, xi, reaction.u0_star)
-    level = 0.5 * reaction.u0_star
-    locate, v = _front_locator(habitat, xi, level, u0.max)
-    times, positions = [], []
-    kept_times, kept = [0.0], [u0]
-
-    def record(t, values, t_end):
-        times.append(t)
-        positions.append(locate(values))
-        if t >= _window_start(t_end):
-            kept_times.append(t)
-            kept.append(Field(habitat, values))
-
-    marched = march(op, reaction, u0, T, dt, observer=record)
-    traj = dataclasses.replace(marched, times=np.array(kept_times), snapshots=kept)
-    trace = FrontTrace(habitat, np.array(times), np.array(positions, dtype=float), float(level), v)
-    est = estimate_speed(trace, 0.5, exclusion=op.delta0 + 10.0 * habitat.spacing)
-    theory = theoretical_speed(
-        op.kind, dataclasses.replace(reaction, amplitude=0.0), xi,
-        kernel=op.kernel, weights=op.weights,
-    )
-    return FrontRun(traj, trace, est.with_theory(theory.c_star), theory)
+def check_cone_scales(margin: float, c: float = 1.0):
+    """The cone checks' rule on their scales: ValueError unless 0 < margin < 1
+    and the cone speed c (or c_scale) is finite and positive.  Both cones then
+    advance, and the inner one x.xi <= (1 - margin) c t always holds the origin."""
+    if not 0.0 < margin < 1.0:
+        raise ValueError(f"margin {margin} must lie strictly between 0 and 1")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"cone speed {c} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -265,51 +208,117 @@ class ConesVerdict:
     u0_star: float
 
 
-def verify_spreading_cones(
-    traj: Trajectory,
-    xi,
-    c_theory: float,
-    u0_star: float,
-    margin: float = 0.2,
-) -> ConesVerdict:
+def _cone_fold(habitat: Habitat, xi, c_theory: float, u0_star: float, margin: float):
+    """(fold, verdict): fold(t, values, t_end) is the per-record rule of
+    verify_spreading_cones, a march observer that folds each record of the
+    trailing window into the cone extrema and skips the earlier ones;
+    verdict() states the ConesVerdict of the records folded so far."""
+    check_cone_scales(margin, c_theory)
+    proj = habitat.projection(xi)
+    inside_min, outside_max, outside_empty = math.inf, -math.inf, False
+
+    def fold(t, values, t_end):
+        nonlocal inside_min, outside_max, outside_empty
+        if t < _window_start(t_end):
+            return
+        inside = proj <= (1.0 - margin) * c_theory * t
+        inside_min = min(inside_min, float(values[inside].min()))
+        outside = proj >= (1.0 + margin) * c_theory * t
+        if np.any(outside):
+            outside_max = max(outside_max, float(values[outside].max()))
+        else:
+            outside_empty = True
+
+    def verdict():
+        inside_ok = inside_min >= 0.5 * u0_star
+        outside_ok = (not outside_empty) and outside_max <= 0.01 * u0_star
+        return ConesVerdict(inside_ok and outside_ok, inside_ok, outside_ok, inside_min,
+                            outside_max, outside_empty, c_theory, margin, u0_star)
+
+    return fold, verdict
+
+
+def verify_spreading_cones(traj: Trajectory, xi, c_theory: float, u0_star: float,
+                           margin: float = 0.2) -> ConesVerdict:
     """Finite-horizon surrogate of the spreading-speed dichotomy.
 
     Over the final quarter of recorded times: inside the cone
     x.xi <= (1 - margin) c t the state must stay above 0.5 u0; outside
-    x.xi >= (1 + margin) c t it must stay below 0.01 u0.  An empty
-    inside cone is a setup error; an empty outside cone is reported and
+    x.xi >= (1 + margin) c t it must stay below 0.01 u0.  margin and c
+    must pass check_cone_scales.  An empty outside cone is reported and
     fails the verdict without raising, so deliberately wrong c values
-    still produce a clean failure.
+    still produce a clean failure.  The stored-trajectory driver of the
+    rule that run_front folds while it marches.
     """
-    habitat = traj.habitat
-    proj = habitat.projection(unit_direction(xi, habitat.dim))
+    fold, verdict = _cone_fold(traj.habitat, xi, c_theory, u0_star, margin)
+    t_end = float(traj.times[-1])
+    for t, snap in zip(traj.times, traj.snapshots):
+        fold(t, snap.values, t_end)
+    return verdict()
 
-    inside_min = math.inf
-    outside_max = -math.inf
-    outside_empty = False
-    for t, snap in _trailing_window(traj):
-        inside = proj <= (1.0 - margin) * c_theory * t
-        if not np.any(inside):
-            raise ConeEmptyError(f"inside cone empty at t={t:.3g}")
-        inside_min = min(inside_min, float(snap.values[inside].min()))
-        outside = proj >= (1.0 + margin) * c_theory * t
-        if np.any(outside):
-            outside_max = max(outside_max, float(snap.values[outside].max()))
-        else:
-            outside_empty = True
-    inside_ok = inside_min >= 0.5 * u0_star
-    outside_ok = (not outside_empty) and outside_max <= 0.01 * u0_star
-    return ConesVerdict(
-        ok=inside_ok and outside_ok,
-        inside_ok=inside_ok,
-        outside_ok=outside_ok,
-        inside_min=inside_min,
-        outside_max=outside_max,
-        outside_empty=outside_empty,
-        c_theory=c_theory,
-        margin=margin,
-        u0_star=u0_star,
+
+@dataclass(eq=False)
+class FrontRun:
+    """A front run's verdict, folded while it marched.  traj is the
+    march's own Trajectory: the initial snapshot (height u0*) and the
+    final one.  trace holds the position of the level 0.5 u0* at every
+    record, estimate fits it after T/2 against theory, the amplitude-0
+    c*, and cones is the verdict of verify_spreading_cones over the same
+    records."""
+
+    traj: Trajectory
+    trace: FrontTrace
+    estimate: SpeedEstimate
+    theory: SpeedResult
+    cones: ConesVerdict
+
+    @property
+    def ok_theory(self) -> bool:
+        """The theory gate: the fitted speed lies within THEORY_TOL of c*."""
+        return self.estimate.rel_error <= THEORY_TOL
+
+    @property
+    def ok(self) -> bool:
+        """The front_speed verdict: the theory gate and the cone check."""
+        return self.ok_theory and self.cones.ok
+
+
+def check_front_reaction(reaction: Reaction, habitat: Habitat):
+    """The front run's rule on its reaction, beyond the H1 and H2 that the
+    reaction states itself: ValueError unless f(x, 0) > 0 on the habitat."""
+    if not np.all(reaction.r0 + reaction.perturbation(habitat) > 0.0):
+        raise ValueError(f"amplitude {reaction.amplitude} makes f(x, 0) nonpositive somewhere")
+
+
+def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T: float,
+              dt: float = None, margin: float = 0.2) -> FrontRun:
+    """Evolve front data of height u0* along xi.  One observer folds each of
+    the march's records (about 240) into the position of the level 0.5 u0*
+    and into the cone check of verify_spreading_cones against the
+    amplitude-0 c* at the given margin; the speed is then fitted after T/2,
+    delta0 + 10 h clear of the boundary.  The reaction must pass
+    check_front_reaction and the margin check_cone_scales.
+    """
+    check_front_reaction(reaction, habitat)
+    theory = theoretical_speed(
+        op.kind, dataclasses.replace(reaction, amplitude=0.0), xi,
+        kernel=op.kernel, weights=op.weights,
     )
+    u0 = make_front_initial(habitat, xi, reaction.u0_star)
+    level = 0.5 * reaction.u0_star
+    locate, v = _front_locator(habitat, xi, level, u0.max)
+    cone, cones = _cone_fold(habitat, xi, theory.c_star, reaction.u0_star, margin)
+    times, positions = [], []
+
+    def record(t, values, t_end):
+        times.append(t)
+        positions.append(locate(values))
+        cone(t, values, t_end)
+
+    traj = march(op, reaction, u0, T, dt, observer=record)
+    trace = FrontTrace(habitat, np.array(times), np.array(positions, dtype=float), float(level), v)
+    est = estimate_speed(trace, 0.5, exclusion=op.delta0 + 10.0 * habitat.spacing)
+    return FrontRun(traj, trace, est.with_theory(theory.c_star), theory, cones())
 
 
 # ----------------------------------------------------------------------
@@ -337,11 +346,10 @@ class SweepRow:
     c_emp: float
     c_theory: float
     rel_error: float
-    rms_residual: float
-    window: tuple
     clip_count: int
     scheme: str
     rhs_evals: int
+    ok_theory: bool  # FrontRun.ok_theory of the cell's run
 
 
 @dataclass(eq=False)
@@ -356,8 +364,9 @@ class SweepReport:
 
 
 def run_invariance_cell(setup: SweepSetup, amplitude: float) -> SweepRow:
-    """One amplitude of the invariance sweep (kept top-level so batch
-    runners can farm cells out to worker processes)."""
+    """One amplitude of the invariance sweep: run_front at the default
+    cone margin (kept top-level so batch runners can farm cells out to
+    worker processes)."""
     reaction = dataclasses.replace(setup.reaction0, amplitude=float(amplitude))
     run = run_front(setup.op, reaction, setup.habitat, setup.xi, setup.T, setup.dt)
     est = run.estimate
@@ -366,11 +375,10 @@ def run_invariance_cell(setup: SweepSetup, amplitude: float) -> SweepRow:
         c_emp=est.slope,
         c_theory=run.theory.c_star,
         rel_error=est.rel_error,
-        rms_residual=est.rms_residual,
-        window=est.window,
         clip_count=run.traj.clip_count,
         scheme=run.traj.scheme,
         rhs_evals=run.traj.rhs_evals,
+        ok_theory=run.ok_theory,
     )
 
 
@@ -385,7 +393,7 @@ def run_speed_invariance_sweep(setup: SweepSetup, rows=None) -> SweepReport:
     c_theory = rows[0].c_theory
     speeds = np.array([r.c_emp for r in rows])
     spread = float((speeds.max() - speeds.min()) / speeds.mean())
-    ok_theory = all(r.rel_error <= THEORY_TOL for r in rows)
+    ok_theory = all(r.ok_theory for r in rows)
     ok_pairwise = spread <= PAIRWISE_TOL
     return SweepReport(
         kind=setup.op.kind,
@@ -417,14 +425,6 @@ class ClauseVerdict:
     rhs_evals: int
 
 
-def check_support_radius(r: float, habitat: Habitat):
-    """The compact data's rule on its support radius: ValueError unless
-    0 < r and the ramp to zero at r + 1 ends inside the habitat."""
-    if not (0.0 < r and r + 1.0 < habitat.half_extent):
-        raise ValueError(f"support radius {r} must be positive with r + 1 below "
-                         f"half_extent = {habitat.half_extent}")
-
-
 def run_compact_spreading_checks(
     op: DispersalOperator,
     reaction: Reaction,
@@ -444,7 +444,8 @@ def run_compact_spreading_checks(
     cone / match the stationary profile inside the slow cone); clause 3/4 are
     the radial versions with the speed extremized over 8 sampled
     directions (2 in 1-D).  c_scale deliberately rescales the theoretical
-    speed so the suite can assert that wrong speeds are caught.
+    speed so the suite can assert that wrong speeds are caught.  r must
+    pass domain.check_support_radius, margin and c_scale check_cone_scales.
 
     The march hands each record to an observer that folds the worst value
     over the trailing window as it arrives, so no snapshot is kept.  A
@@ -452,6 +453,8 @@ def run_compact_spreading_checks(
     """
     if clause not in (1, 2, 3, 4):
         raise ValueError("clause must be 1..4")
+    check_support_radius(r, habitat)
+    check_cone_scales(margin, c_scale)
     u0_star = reaction.u0_star
 
     if clause in (1, 2):
@@ -469,7 +472,6 @@ def run_compact_spreading_checks(
     c_max = max(speeds) * c_scale
     c_min = min(speeds) * c_scale
 
-    check_support_radius(r, habitat)
     u0 = Field(habitat, u0_star * np.clip(r + 1.0 - coord, 0.0, 1.0))
 
     if clause in (2, 4) and u_star is None:
@@ -488,8 +490,6 @@ def run_compact_spreading_checks(
             worst = max(worst, float(values[region].max()))
         else:
             region = coord <= (1.0 - margin) * c_min * t
-            if not np.any(region):
-                raise ConeEmptyError(f"inner region empty at t={t:.3g}")
             dev = np.abs(values[region] - u_star.values[region])
             worst = max(worst, float(dev.max()))
 

@@ -18,7 +18,7 @@ from kpplab.dynamics import (
     spectral_bound,
     stability_dt_bound,
 )
-from kpplab.experiments import ConeEmptyError, _trailing_window, track_front
+from kpplab.experiments import ConeEmptyError, track_front
 from kpplab.speeds import theoretical_speed
 from kpplab.stationary import (
     FROM_ABOVE,
@@ -274,6 +274,12 @@ def reconverge(op, reaction, u_star, perturbations, T=200.0):
         horizon = max(horizon, t)
     return ReconvergeReport(all(d < tolerance for d in distances), tuple(distances),
                             tolerance, horizon)
+
+
+def _trailing_window(traj):
+    """(t, snapshot) pairs over the last quarter of the recorded times."""
+    start = 0.75 * float(traj.times[-1])
+    return [(t, snap) for t, snap in zip(traj.times, traj.snapshots) if t >= start]
 
 
 def front_history(op, reaction, habitat, xi, T, dt=None):

@@ -69,6 +69,17 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     assert main(["validate", cfg]) == 2
     assert "reaction.r0" in capsys.readouterr().err
 
+    # a value that a habitat, reaction or dispersal constructor refuses
+    # names its section
+    for old, new, section in [("half_extent = 200", "half_extent = 200.5", "habitat:"),
+                              ("b = 1.0", "b = -1.0", "reaction:"),
+                              ("a = 1.0", "a = -1.0", "dispersal:"),
+                              ("kind = discrete", "kind = random", "dispersal:")]:
+        text = DISCRETE_FRONT.format(out=tmp_path / "o5").replace(old, new)
+        cfg = _write(tmp_path, "refused.cfg", text)
+        assert main(["validate", cfg]) == 2, new
+        assert f"config error: {section}" in capsys.readouterr().err, new
+
     # solver keys that fail to parse, or fall out of range, name themselves
     for line, key in [("dt = abc", "solver.dt"), ("dt = 0", "solver.dt"),
                       ("dt = -7", "solver.dt")]:
@@ -328,6 +339,13 @@ def test_invariance_sweep_with_jobs(tmp_path):
     assert len(summary["cells"]) == 2
     assert summary["clip_count"] == 0 and [c["clip_count"] for c in summary["cells"]] == [0, 0]
     assert [c["scheme"] for c in summary["cells"]] == ["rk4", "rk4"]
+    # the cells that come back pickled from the workers write what the
+    # in-process cells write, byte for byte (summary cells included)
+    serial = tmp_path / "serial"
+    assert main(["run", cfg, "--jobs", "1", "--output-dir", str(serial), "--quiet"]) == 0
+    for name in ("sweep.csv", "summary.json"):
+        one, two = (d / "invariance_sweep" / name for d in (serial, out))
+        assert one.read_bytes() == two.read_bytes(), name
     assert all(c["rhs_evals"] > 0 for c in summary["cells"])
     sweep = (out / "invariance_sweep" / "sweep.csv").read_text().splitlines()
     assert sweep[0].startswith("amplitude,")
@@ -518,7 +536,16 @@ def test_validate_parses_every_experiment_key(tmp_path, capsys):
         # the run needs 0 < r and r + 1 < half_extent = 80
         ("spreading_features", "clause = 1\nsupport_radius = 79.5", "experiment.support_radius"),
         ("spreading_features", "clause = 1\nsupport_radius = -1", "experiment.support_radius"),
+        # the cones need 0 < margin < 1 and c_scale > 0: else the run's
+        # inner region empties after the whole march
+        ("spreading_features", "clause = 2\nmargin = 1.5", "experiment.margin"),
+        ("spreading_features", "clause = 1\nmargin = 0", "experiment.margin"),
+        ("spreading_features", "clause = 2\nc_scale = -1.0", "experiment.c_scale"),
+        ("spreading_features", "clause = 3\nc_scale = 0", "experiment.c_scale"),
+        ("spreading_features", "clause = 1\nc_scale = inf", "experiment.c_scale"),
         ("front_speed", "margin = wide", "experiment.margin"),
+        ("front_speed", "margin = 3.0", "experiment.margin"),
+        ("front_speed", "margin = 1", "experiment.margin"),
         ("front_speed", "direction = 0", "experiment.direction"),
         ("front_speed", "direction = 1, 0", "experiment.direction"),
     ]:

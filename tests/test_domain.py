@@ -146,8 +146,10 @@ def test_compact_initial():
     assert u.values[x == 10.0][0] == 0.0
     v = make_compact_initial(h, 0.5, 2.0)
     assert v.values[x == 0.0][0] == 2.0
-    with pytest.raises(DomainSizeError):
-        make_compact_initial(h, 19.5, 1.0)
+    # the one support-radius rule: 0 < r and r + 1 < half_extent
+    for r in (19.0, 19.5, 0.0, -1.0):
+        with pytest.raises(DomainSizeError):
+            make_compact_initial(h, r, 1.0)
     h2 = Habitat("continuum", 2, 8.0, 0.5)
     w = make_compact_initial(h2, 3.0, 1.0)
     # radially symmetric plateau

@@ -254,7 +254,7 @@ def test_streamed_checks_match_the_snapshot_oracle(kind, dim, clause, c_scale):
     """The observers of run_compact_spreading_checks and run_front fold
     exactly what the kept snapshot history gives: the same worst value
     (or the same empty-region error), clip count and right-hand sides,
-    and the same front position at every record."""
+    the same front position at every record and the same cone verdict."""
     op, hab, u_star = _small_setup(kind, dim)
     oracle = _outcome(lambda: oracles.compact_spreading_worst(
         op, _BUMP, hab, clause, T=4.0, r=2.0, u_star=u_star, c_scale=c_scale))
@@ -272,8 +272,7 @@ def test_streamed_checks_match_the_snapshot_oracle(kind, dim, clause, c_scale):
     assert np.array_equal(run.traj.final.values, traj.final.values)
     assert np.array_equal(run.traj.initial.values, traj.initial.values)
     assert (run.traj.clip_count, run.traj.rhs_evals) == (traj.clip_count, traj.rhs_evals)
-    assert verify_spreading_cones(run.traj, xi, 2.0, 1.0) == \
-        verify_spreading_cones(traj, xi, 2.0, 1.0)
+    assert run.cones == verify_spreading_cones(traj, xi, run.theory.c_star, _BUMP.u0_star)
 
 
 def test_compact_checks_keep_no_snapshot_history():
@@ -293,6 +292,44 @@ def test_compact_checks_keep_no_snapshot_history():
         tracemalloc.stop()
     assert v.ok
     assert peak <= 64 * grid_bytes, peak / grid_bytes
+
+
+def test_front_run_keeps_no_snapshot_history():
+    # a 209 x 209 random front run folds the front and the cones as the
+    # march goes: it used to keep the initial grid and the 60 records of
+    # the trailing window, a traced peak of 72 grids; now the march's own
+    # two snapshots remain and the peak is about 54 grids
+    hab = Habitat("continuum", 2, 26.0, 0.25)
+    rea = Reaction.linear(1.0, 1.0, amplitude=0.5, radius=1.5)
+    grid_bytes = hab.full(0.0).values.nbytes
+    tracemalloc.start()
+    try:
+        run = run_front(DispersalOperator.random(), rea, hab, (1.0, 0.0), 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(run.traj.snapshots) == 2 and run.traj.times[0] == 0.0
+    assert peak <= 64 * grid_bytes, peak / grid_bytes
+
+
+def test_cone_scales_are_checked_before_the_march():
+    # 0 < margin < 1 and a positive cone speed or c_scale, refused by every
+    # entry point up front: the inner cone then always holds the origin
+    hab = Habitat("continuum", 1, 20.0, 0.25)
+    op = DispersalOperator.random()
+    traj = oracles.front_history(op, FISHER, hab, 1.0, 1.0)[0]
+    for margin in (0.0, 1.0, 1.5, -0.2, math.nan):
+        with pytest.raises(ValueError, match="margin"):
+            run_front(op, FISHER, hab, 1.0, 5.0, margin=margin)
+        with pytest.raises(ValueError, match="margin"):
+            run_compact_spreading_checks(op, FISHER, hab, 2, T=5.0, margin=margin)
+        with pytest.raises(ValueError, match="margin"):
+            verify_spreading_cones(traj, 1.0, 2.0, 1.0, margin)
+    for c in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="cone speed"):
+            run_compact_spreading_checks(op, FISHER, hab, 2, T=5.0, c_scale=c)
+        with pytest.raises(ValueError, match="cone speed"):
+            verify_spreading_cones(traj, 1.0, c, 1.0)
 
 
 def test_rkc2_front_speed_matches_rk4():
