@@ -23,8 +23,8 @@ setup = SweepSetup(
 print("lattice dispersal, growth 1 + A*bump(|x|/2) - u, front speeds:\n")
 report = run_speed_invariance_sweep(setup)
 print("  amplitude   fitted c    vs theory")
-for row in report.rows:
-    print(f"  {row.amplitude:+9.1f}   {row.c_emp:8.4f}   {row.rel_error:8.2%}")
+for run in report.runs:
+    print(f"  {run.reaction.amplitude:+9.1f}   {run.estimate.slope:8.4f}   {run.rel_error:8.2%}")
 print(f"\ntheoretical speed (amplitude 0): {report.c_theory:.4f}")
 print(f"pairwise spread of the four speeds: {report.pairwise_spread:.3%}")
 print(f"verdict: {'invariant' if report.ok else 'NOT invariant'}")

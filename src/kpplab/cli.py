@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import itertools
 import os
 import shutil
 import sys
@@ -55,12 +54,15 @@ from .domain import (
 from .dynamics import RK4, march_plan
 from .eigen import closed_form_eigenvalue
 from .experiments import (
+    CONE_MARGIN,
+    SUPPORT_RADIUS,
+    SWEEP_AMPLITUDES,
     SweepSetup,
     check_cone_scales,
     check_front_reaction,
+    check_sweep_amplitudes,
     run_compact_spreading_checks,
     run_front,
-    run_invariance_cell,
     run_speed_invariance_sweep,
 )
 from .exports import sha256_text, write_csv, write_json
@@ -197,7 +199,7 @@ def build_solver(cp):
 
 
 def _margin(cp):
-    margin = _get(cp, "experiment", "margin", float, default=0.2)
+    margin = _get(cp, "experiment", "margin", float, default=CONE_MARGIN)
     _checked("experiment.margin", check_cone_scales, margin)
     return margin
 
@@ -223,7 +225,7 @@ def _exp_front_speed(job, options):
         "c_theory": run.theory.c_star,
         "mu_star": run.theory.mu_star,
         "mu_star_bracket": list(run.theory.bracket),
-        "relative_error": est.rel_error,
+        "relative_error": run.rel_error,
         "rms_residual": est.rms_residual,
         "fit_window": list(est.window),
         "cones_ok": run.cones.ok,
@@ -240,23 +242,23 @@ def _exp_front_speed(job, options):
 
 
 def _sweep_keys(cp, habitat):
-    return {"amplitudes": _get(cp, "experiment", "amplitudes", floats,
-                               default=(-0.5, 0.0, 0.5, 1.0))}
+    amplitudes = _get(cp, "experiment", "amplitudes", floats, default=SWEEP_AMPLITUDES)
+    _checked("experiment.amplitudes", check_sweep_amplitudes, amplitudes)
+    return {"amplitudes": amplitudes}
 
 
 def _exp_invariance_sweep(job, options):
     setup = SweepSetup(op=job.op, habitat=job.habitat, reaction0=job.reaction, xi=job.xi,
                        **job.solver, **job.keys)
-    jobs = options.get("jobs", 1)
-    rows = None
-    if jobs > 1:
+    if options.get("jobs", 1) == 1:
+        report = run_speed_invariance_sweep(setup)
+    else:
         # imported here: it loads logging, traceback and string, about
         # 4-5 ms of every start-up, and only this branch uses it
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_invariance_cell, itertools.repeat(setup), setup.amplitudes))
-    report = run_speed_invariance_sweep(setup, rows=rows)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=options["jobs"]) as pool:
+            report = run_speed_invariance_sweep(setup, pool.map)
     summary = {
         "experiment": "invariance_sweep",
         "kind": job.op.kind,
@@ -264,23 +266,25 @@ def _exp_invariance_sweep(job, options):
         "pairwise_spread": report.pairwise_spread,
         "ok_theory": report.ok_theory,
         "ok_pairwise": report.ok_pairwise,
-        "clip_count": sum(r.clip_count for r in report.rows),
+        "clip_count": sum(run.traj.clip_count for run in report.runs),
         "verdict": "pass" if report.ok else "fail",
         "cells": [
-            {"amplitude": r.amplitude, "c_empirical": r.c_emp, "relative_error": r.rel_error,
-             "clip_count": r.clip_count, "scheme": r.scheme, "rhs_evals": r.rhs_evals}
-            for r in report.rows
+            {"amplitude": run.reaction.amplitude, "c_empirical": run.estimate.slope,
+             "relative_error": run.rel_error, "clip_count": run.traj.clip_count,
+             "scheme": run.traj.scheme, "rhs_evals": run.traj.rhs_evals}
+            for run in report.runs
         ],
     }
     artifacts = {
         "sweep.csv": ("csv", ["amplitude", "c_empirical", "c_theory", "relative_error"],
-                      [[r.amplitude, r.c_emp, r.c_theory, r.rel_error] for r in report.rows]),
+                      [[run.reaction.amplitude, run.estimate.slope, run.theory.c_star,
+                        run.rel_error] for run in report.runs]),
     }
     return report.ok, summary, artifacts
 
 
 def _spreading_keys(cp, habitat):
-    r = _get(cp, "experiment", "support_radius", float, default=3.0)
+    r = _get(cp, "experiment", "support_radius", float, default=SUPPORT_RADIUS)
     _checked("experiment.support_radius", check_support_radius, r, habitat)
     clause = _get(cp, "experiment", "clause", int, choices={1, 2, 3, 4})
     c_scale = _get(cp, "experiment", "c_scale", float, default=1.0)

@@ -8,7 +8,8 @@ f(x, u) agrees with the homogeneous f0(u) *exactly* outside the
 perturbation radius (H2), and the constructor refuses a law that is not
 negative above beta0 (H1).  Everything here is an immutable value object;
 arrays are frozen after construction so instances can be shared freely
-between workers.
+within a process.  Across a pickle only a Field is rebuilt (validated and
+frozen) by its constructor; Kernel and LatticeWeights arrays come back writeable.
 """
 
 from __future__ import annotations
@@ -155,6 +156,9 @@ class Field:
             raise ValueError("field values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    def __reduce__(self):  # unpickle by the constructor: checked and frozen again
+        return Field, (self.habitat, self.values)
 
     @property
     def min(self) -> float:

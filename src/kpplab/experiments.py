@@ -1,7 +1,8 @@
 """End-to-end spreading experiments, the pipelines behind the CLI.
 run_front is the one front run of front_speed and of each sweep cell;
 it and the compact-data checks step by dynamics.march (rkc2 for the
-random kind where it is the cheaper scheme, rk4 otherwise).
+random kind where it is the cheaper scheme, rk4 otherwise).  An
+invariance sweep maps run_front over its cells and keeps each FrontRun.
 
 Every height is relative to the carrying capacity u0* = r0 / slope:
 front and compact data start at u0*, the front is tracked at 0.5 u0*,
@@ -22,6 +23,7 @@ asserts that they do.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +46,10 @@ from .stationary import FROM_ABOVE, solve_stationary
 # speed gates: empirical speed vs theory, and a sweep's pairwise spread
 THEORY_TOL = 0.05
 PAIRWISE_TOL = 0.02
+# defaults the CLI's keys read too: cone margin, support radius, sweep amplitudes
+CONE_MARGIN = 0.2
+SUPPORT_RADIUS = 3.0
+SWEEP_AMPLITUDES = (-0.5, 0.0, 0.5, 1.0)
 
 
 class ConeEmptyError(RuntimeError):
@@ -65,14 +71,8 @@ class FrontTrace:
 @dataclass(eq=False)
 class SpeedEstimate:
     slope: float
-    intercept: float
     window: tuple
     rms_residual: float
-    n_samples: int
-    rel_error: float = None  # |slope - c*| / c*, set by with_theory
-
-    def with_theory(self, c_theory: float) -> "SpeedEstimate":
-        return dataclasses.replace(self, rel_error=abs(self.slope - c_theory) / abs(c_theory))
 
 
 def _front_position_1d(proj_sorted, u_sorted, level):
@@ -170,13 +170,7 @@ def estimate_speed(
         raise ValueError(f"fit window too short: {len(t)} samples, need >= 10")
     slope, intercept = np.polyfit(t, p, 1)
     rms = float(np.sqrt(np.mean((p - (slope * t + intercept)) ** 2)))
-    return SpeedEstimate(
-        slope=float(slope),
-        intercept=float(intercept),
-        window=(float(t[0]), float(t[-1])),
-        rms_residual=rms,
-        n_samples=int(len(t)),
-    )
+    return SpeedEstimate(slope=float(slope), window=(float(t[0]), float(t[-1])), rms_residual=rms)
 
 
 def _window_start(t_end: float) -> float:
@@ -203,9 +197,6 @@ class ConesVerdict:
     inside_min: float
     outside_max: float
     outside_empty: bool
-    c_theory: float
-    margin: float
-    u0_star: float
 
 
 def _cone_fold(habitat: Habitat, xi, c_theory: float, u0_star: float, margin: float):
@@ -233,13 +224,13 @@ def _cone_fold(habitat: Habitat, xi, c_theory: float, u0_star: float, margin: fl
         inside_ok = inside_min >= 0.5 * u0_star
         outside_ok = (not outside_empty) and outside_max <= 0.01 * u0_star
         return ConesVerdict(inside_ok and outside_ok, inside_ok, outside_ok, inside_min,
-                            outside_max, outside_empty, c_theory, margin, u0_star)
+                            outside_max, outside_empty)
 
     return fold, verdict
 
 
 def verify_spreading_cones(traj: Trajectory, xi, c_theory: float, u0_star: float,
-                           margin: float = 0.2) -> ConesVerdict:
+                           margin: float = CONE_MARGIN) -> ConesVerdict:
     """Finite-horizon surrogate of the spreading-speed dichotomy.
 
     Over the final quarter of recorded times: inside the cone
@@ -259,13 +250,14 @@ def verify_spreading_cones(traj: Trajectory, xi, c_theory: float, u0_star: float
 
 @dataclass(eq=False)
 class FrontRun:
-    """A front run's verdict, folded while it marched.  traj is the
-    march's own Trajectory: the initial snapshot (height u0*) and the
-    final one.  trace holds the position of the level 0.5 u0* at every
-    record, estimate fits it after T/2 against theory, the amplitude-0
-    c*, and cones is the verdict of verify_spreading_cones over the same
-    records."""
+    """A front run's verdict, folded while it marched.  reaction is the
+    reaction it marched.  traj is the march's own Trajectory: the initial
+    snapshot (height u0*) and the final one.  trace holds the position of
+    the level 0.5 u0* at every record, estimate fits it after T/2, theory
+    is the amplitude-0 c* it is gated against, and cones is the verdict of
+    verify_spreading_cones over the same records."""
 
+    reaction: Reaction
     traj: Trajectory
     trace: FrontTrace
     estimate: SpeedEstimate
@@ -273,9 +265,14 @@ class FrontRun:
     cones: ConesVerdict
 
     @property
+    def rel_error(self) -> float:
+        """|c_emp - c*| / c*, the fitted speed against the amplitude-0 c*."""
+        return abs(self.estimate.slope - self.theory.c_star) / abs(self.theory.c_star)
+
+    @property
     def ok_theory(self) -> bool:
         """The theory gate: the fitted speed lies within THEORY_TOL of c*."""
-        return self.estimate.rel_error <= THEORY_TOL
+        return self.rel_error <= THEORY_TOL
 
     @property
     def ok(self) -> bool:
@@ -291,7 +288,7 @@ def check_front_reaction(reaction: Reaction, habitat: Habitat):
 
 
 def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T: float,
-              dt: float = None, margin: float = 0.2) -> FrontRun:
+              dt: float = None, margin: float = CONE_MARGIN) -> FrontRun:
     """Evolve front data of height u0* along xi.  One observer folds each of
     the march's records (about 240) into the position of the level 0.5 u0*
     and into the cone check of verify_spreading_cones against the
@@ -318,7 +315,7 @@ def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T
     traj = march(op, reaction, u0, T, dt, observer=record)
     trace = FrontTrace(habitat, np.array(times), np.array(positions, dtype=float), float(level), v)
     est = estimate_speed(trace, 0.5, exclusion=op.delta0 + 10.0 * habitat.spacing)
-    return FrontRun(traj, trace, est.with_theory(theory.c_star), theory, cones())
+    return FrontRun(reaction, traj, trace, est, theory, cones())
 
 
 # ----------------------------------------------------------------------
@@ -336,26 +333,13 @@ class SweepSetup:
     reaction0: Reaction  # the amplitude-0 base; cells override amplitude
     xi: object
     T: float
-    amplitudes: tuple = (-0.5, 0.0, 0.5, 1.0)
+    amplitudes: tuple = SWEEP_AMPLITUDES
     dt: float = None
 
 
 @dataclass(eq=False)
-class SweepRow:
-    amplitude: float
-    c_emp: float
-    c_theory: float
-    rel_error: float
-    clip_count: int
-    scheme: str
-    rhs_evals: int
-    ok_theory: bool  # FrontRun.ok_theory of the cell's run
-
-
-@dataclass(eq=False)
 class SweepReport:
-    kind: str
-    rows: tuple
+    runs: tuple  # each cell's FrontRun, in increasing amplitude
     c_theory: float
     pairwise_spread: float
     ok_theory: bool
@@ -363,42 +347,31 @@ class SweepReport:
     ok: bool
 
 
-def run_invariance_cell(setup: SweepSetup, amplitude: float) -> SweepRow:
-    """One amplitude of the invariance sweep: run_front at the default
-    cone margin (kept top-level so batch runners can farm cells out to
-    worker processes)."""
-    reaction = dataclasses.replace(setup.reaction0, amplitude=float(amplitude))
-    run = run_front(setup.op, reaction, setup.habitat, setup.xi, setup.T, setup.dt)
-    est = run.estimate
-    return SweepRow(
-        amplitude=float(amplitude),
-        c_emp=est.slope,
-        c_theory=run.theory.c_star,
-        rel_error=est.rel_error,
-        clip_count=run.traj.clip_count,
-        scheme=run.traj.scheme,
-        rhs_evals=run.traj.rhs_evals,
-        ok_theory=run.ok_theory,
-    )
+def check_sweep_amplitudes(amplitudes):
+    """ValueError unless the amplitudes hold two distinct values, a spread to gate."""
+    if len(set(amplitudes)) < 2:
+        raise ValueError(f"{tuple(amplitudes)} holds fewer than two distinct amplitudes")
 
 
-def run_speed_invariance_sweep(setup: SweepSetup, rows=None) -> SweepReport:
+def run_speed_invariance_sweep(setup: SweepSetup, map=map) -> SweepReport:
     """Empirical speeds across the amplitude sweep, with two gates:
     every speed within THEORY_TOL of the amplitude-0 theory, and all
     speeds pairwise within PAIRWISE_TOL (the discretization bias is shared,
-    so the pairwise gate is the sharper one)."""
-    if rows is None:
-        rows = [run_invariance_cell(setup, a) for a in setup.amplitudes]
-    rows = tuple(sorted(rows, key=lambda r: r.amplitude))
-    c_theory = rows[0].c_theory
-    speeds = np.array([r.c_emp for r in rows])
+    so the pairwise gate is the sharper one).  map (a process pool's, say)
+    runs run_front over the cell reactions in increasing amplitude; the
+    amplitudes must pass check_sweep_amplitudes."""
+    check_sweep_amplitudes(setup.amplitudes)
+    cell = functools.partial(run_front, setup.op, habitat=setup.habitat, xi=setup.xi,
+                             T=setup.T, dt=setup.dt)
+    runs = tuple(map(cell, [dataclasses.replace(setup.reaction0, amplitude=float(a))
+                            for a in sorted(setup.amplitudes)]))
+    speeds = np.array([run.estimate.slope for run in runs])
     spread = float((speeds.max() - speeds.min()) / speeds.mean())
-    ok_theory = all(r.ok_theory for r in rows)
+    ok_theory = all(run.ok_theory for run in runs)
     ok_pairwise = spread <= PAIRWISE_TOL
     return SweepReport(
-        kind=setup.op.kind,
-        rows=rows,
-        c_theory=c_theory,
+        runs=runs,
+        c_theory=runs[0].theory.c_star,
         pairwise_spread=spread,
         ok_theory=ok_theory,
         ok_pairwise=ok_pairwise,
@@ -415,11 +388,9 @@ def run_speed_invariance_sweep(setup: SweepSetup, rows=None) -> SweepReport:
 class ClauseVerdict:
     ok: bool
     clause: int
-    kind: str
     worst_value: float
     threshold: float
     c_used: float
-    margin: float
     clip_count: int
     scheme: str
     rhs_evals: int
@@ -431,9 +402,9 @@ def run_compact_spreading_checks(
     habitat: Habitat,
     clause: int,
     T: float,
-    r: float = 3.0,
+    r: float = SUPPORT_RADIUS,
     dt: float = None,
-    margin: float = 0.2,
+    margin: float = CONE_MARGIN,
     u_star: Field = None,
     c_scale: float = 1.0,
 ) -> ClauseVerdict:
@@ -499,11 +470,9 @@ def run_compact_spreading_checks(
     return ClauseVerdict(
         ok=worst <= threshold,
         clause=clause,
-        kind=op.kind,
         worst_value=worst,
         threshold=threshold,
         c_used=c_max if clause in (1, 3) else c_min,
-        margin=margin,
         clip_count=traj.clip_count,
         scheme=traj.scheme,
         rhs_evals=traj.rhs_evals,

@@ -129,7 +129,7 @@ def test_criterion_2_speed_invariance_sweeps(fisher_run):
         rep = run_speed_invariance_sweep(setup)
         ok = ok and rep.ok_theory and rep.ok_pairwise
         details.append(f"{setup.op.kind}: spread={rep.pairwise_spread:.2%}, "
-                       f"max_rel={max(r.rel_error for r in rep.rows):.2%}")
+                       f"max_rel={max(run.rel_error for run in rep.runs):.2%}")
     # negative controls on the amplitude-0 run: wrong theoretical speeds
     # must be caught by the cone checks
     habitat, traj, _ = fisher_run

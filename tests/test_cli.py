@@ -516,6 +516,10 @@ def test_validate_parses_every_experiment_key(tmp_path, capsys):
     sweep = "invariance_discrete.cfg"
     for shipped, old, new, key in [
         (sweep, "amplitudes = -0.5, 0.0, 0.5, 1.0", "amplitudes =", "experiment.amplitudes"),
+        # one distinct amplitude has no pairwise spread to gate
+        (sweep, "amplitudes = -0.5, 0.0, 0.5, 1.0", "amplitudes = 1.0", "experiment.amplitudes"),
+        (sweep, "amplitudes = -0.5, 0.0, 0.5, 1.0", "amplitudes = 0.5, 0.5",
+         "experiment.amplitudes"),
         (sweep, "direction = 1", "direction = east", "experiment.direction"),
         (sweep, "direction = 1", "direction = 1\nseed = 0", "experiment.seed"),
         (sweep, "direction = 1", "direction = 1\nexpect = maybe", "experiment.expect"),

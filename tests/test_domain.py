@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,21 @@ def test_field_guards():
     assert f.is_strictly_positive()
     with pytest.raises(ValueError):
         f.values[0] = 1.0  # frozen
+
+
+def test_field_unpickles_frozen_and_validated():
+    h = Habitat("continuum", 2, 3.0, 0.5)
+    f = Field(h, np.arange(np.prod(h.shape), dtype=float).reshape(h.shape))
+    g = pickle.loads(pickle.dumps(f))
+    assert g.habitat == h and np.array_equal(g.values, f.values)
+    with pytest.raises(ValueError):
+        g.values[0, 0] = 1.0  # frozen again
+    # the constructor runs on load: a payload it refuses does not load
+    bad = Field.__new__(Field)
+    object.__setattr__(bad, "habitat", h)
+    object.__setattr__(bad, "values", np.full(h.shape, np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        pickle.loads(pickle.dumps(bad))
 
 
 def test_equilibrium_roots():

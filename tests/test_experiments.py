@@ -29,7 +29,7 @@ from kpplab import (
     unit_direction,
     verify_spreading_cones,
 )
-from kpplab.experiments import SweepSetup, run_front, run_invariance_cell
+from kpplab.experiments import SweepSetup, run_front
 from kpplab.stationary import FROM_ABOVE
 
 
@@ -178,9 +178,40 @@ def test_invariance_rejects_nonpositive_growth_at_zero():
         reaction0=Reaction.linear(1.0, 1.0, radius=1.0),
         xi=1.0,
         T=10.0,
+        amplitudes=(0.0, -1.2),
     )
     with pytest.raises(ValueError, match="nonpositive"):
-        run_invariance_cell(setup, -1.2)
+        run_speed_invariance_sweep(setup)
+
+
+def test_sweep_runs_are_its_front_runs():
+    # the cells run through the given map in increasing amplitude, and each
+    # cell is run_front on its reaction, bit for bit
+    op = DispersalOperator.discrete(LatticeWeights.symmetric(1, 1.0))
+    hab = Habitat("lattice", 1, 80)
+    base = Reaction.linear(1.0, 1.0, radius=2.0)
+    setup = SweepSetup(op=op, habitat=hab, reaction0=base, xi=1.0, T=20.0,
+                       amplitudes=(1.0, -0.5, 0.0))
+    mapped = []
+
+    def recording_map(f, reactions):
+        mapped.extend(reactions)
+        return map(f, reactions)
+
+    report = run_speed_invariance_sweep(setup, recording_map)
+    assert [run.reaction.amplitude for run in report.runs] == [-0.5, 0.0, 1.0]
+    assert [rea.amplitude for rea in mapped] == [-0.5, 0.0, 1.0]
+    for run in report.runs:
+        alone = run_front(op, run.reaction, hab, 1.0, 20.0)
+        assert run.estimate.slope == alone.estimate.slope
+        assert np.array_equal(run.trace.positions, alone.trace.positions, equal_nan=True)
+        assert np.array_equal(run.traj.final.values, alone.traj.final.values)
+        assert run.rel_error == alone.rel_error and run.ok_theory == alone.ok_theory
+    assert report.c_theory == report.runs[0].theory.c_star
+    for amplitudes in ((1.0,), (0.5, 0.5), ()):
+        with pytest.raises(ValueError, match="distinct"):
+            run_speed_invariance_sweep(SweepSetup(op=op, habitat=hab, reaction0=base, xi=1.0,
+                                                  T=20.0, amplitudes=amplitudes))
 
 
 def test_compact_checks_small_nonlocal():
