@@ -9,19 +9,15 @@ which the perturbation never touches.
 """
 
 import kpplab as K
-from kpplab.experiments import SweepSetup, run_speed_invariance_sweep
+from kpplab.experiments import run_speed_invariance_sweep
 
-setup = SweepSetup(
-    op=K.DispersalOperator.discrete(K.LatticeWeights.symmetric(1, 1.0)),
-    habitat=K.Habitat("lattice", 1, 200),
-    reaction0=K.Reaction.linear(1.0, 1.0, radius=2.0),
-    xi=1.0,
-    T=60.0,
-    amplitudes=(-0.5, 0.0, 0.5, 1.0),
-)
+op = K.DispersalOperator.discrete(K.LatticeWeights.symmetric(1, 1.0))
+habitat = K.Habitat("lattice", 1, 200)
+reaction = K.Reaction.linear(1.0, 1.0, radius=2.0)  # each cell replaces the amplitude
 
 print("lattice dispersal, growth 1 + A*bump(|x|/2) - u, front speeds:\n")
-report = run_speed_invariance_sweep(setup)
+report = run_speed_invariance_sweep(op, reaction, habitat, xi=1.0, T=60.0,
+                                    amplitudes=(-0.5, 0.0, 0.5, 1.0))
 print("  amplitude   fitted c    vs theory")
 for run in report.runs:
     print(f"  {run.reaction.amplitude:+9.1f}   {run.estimate.slope:8.4f}   {run.rel_error:8.2%}")

@@ -14,25 +14,24 @@ perturbation.
 import numpy as np
 
 import kpplab as K
-from kpplab import check_tail, solve_stationary
+from kpplab.experiments import run_stationary_profile
 
 habitat = K.Habitat("continuum", 1, 20.0, 0.1)
 reaction = K.Reaction.linear(1.0, 1.0, amplitude=0.5, radius=1.0)
 op = K.DispersalOperator.random()
 
-above = solve_stationary(op, reaction, habitat, route="from-above")
-below = solve_stationary(op, reaction, habitat, route="from-below")
-gap = np.abs(above.u_star.values - below.u_star.values).max()
+prof = run_stationary_profile(op, reaction, habitat)
 
-for res in (above, below):
+for res in (prof.above, prof.below):
     print(f"{res.route} : {res.iterations} steps ({res.newton_steps} Newton), "
           f"{res.matvecs} operator applies, residual {res.residual:.1e}, "
           f"stability bound {res.stability_bound:.4f}")
-print(f"route agreement (uniqueness): max gap = {gap:.2e}\n")
+print(f"route agreement (uniqueness): max gap = {prof.gap:.2e}\n")
 
 x = habitat.grid()[0]
-u = above.u_star.values
+u = prof.above.u_star.values
 for xv in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 18.0):
     print(f"  u*({xv:5.1f}) = {u[np.isclose(x, xv)][0]:.6f}")
 print(f"\nhomogeneous equilibrium u0 = 1; hump height u*(0) - u0 = {u[x == 0.0][0] - 1.0:.4f}")
-print(f"tail deviation beyond |x| >= 4: {check_tail(above.u_star, 1.0, R=4.0):.2e}")
+print(f"tail deviation beyond |x| >= {prof.tail_radius:g}: {prof.tail:.2e}")
+print(f"verdict: {'pass' if prof.ok else 'fail'}")

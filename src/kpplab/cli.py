@@ -3,27 +3,22 @@
 Subcommands: run, speed, eigen, validate, list-experiments.
 Configs are flat INI files (sections habitat/reaction/dispersal/solver/
 experiment/output).  run, speed, eigen and validate all call one parse,
-parse_config: it reads every key any of them honours (each experiment
-adds its own key parser), checks each reaction of a front run for
-f(x, 0) > 0 and an explicit solver.dt against the march_plan of every
-march the experiment runs, and then refuses every key in the file it
-did not read.  A misspelled key, a value that does not parse and a key
-the experiment cannot honour all exit 2 and name section.key, before
-any output is written.  Runtime errors exit 3,
-failed verdicts exit 1.
+parse_config: it reads every key any of them honours, with each
+experiment's own keys and rules stated by its key parser, checks an
+explicit solver.dt against the march_plan of every march the experiment
+runs, and then refuses every key in the file it did not read.  A
+misspelled key, a value that does not parse and a key the experiment
+cannot honour all exit 2 and name section.key, before any output is
+written.  Runtime errors exit 3, failed verdicts exit 1.
 
 No key sets a height or a gate: each is derived from the carrying
-capacity u0* = r0 / slope.  Front and compact data start at u0*, the
-front is tracked at 0.5 u0* and fitted after T/2, the march records by
-its automatic rule (about 240 records), and stationary_profile reads its
-tail from 4 patch radii out against 0.01 u0*, with a routes gap of at
-most 1e-6 u0* and a negative stability bound on both routes.  The
-pipelines live in kpplab.experiments and kpplab.stationary.  Artifacts
-are written to a fresh directory atomically (temp dir, removed on
-failure, then rename) with a manifest sufficient to rerun the job.
-Flags beat environment variables (KPPLAB_JOBS, KPPLAB_OUTPUT_DIR,
-KPPLAB_QUIET), which beat the config file; an unparsable environment
-value exits 2.
+capacity u0* = r0 / slope.  The pipelines and their verdicts live in
+kpplab.experiments; a runner here only formats what its pipeline
+returns.  Artifacts are written to a fresh directory atomically (temp
+dir, removed on failure, then rename) with a manifest sufficient to
+rerun the job.  Flags beat environment variables (KPPLAB_JOBS,
+KPPLAB_OUTPUT_DIR, KPPLAB_QUIET = 0 or 1), which beat the config file;
+an unparsable environment value exits 2.
 """
 
 from __future__ import annotations
@@ -57,17 +52,18 @@ from .experiments import (
     CONE_MARGIN,
     SUPPORT_RADIUS,
     SWEEP_AMPLITUDES,
-    SweepSetup,
+    TAIL_RADII,
     check_cone_scales,
     check_front_reaction,
     check_sweep_amplitudes,
     run_compact_spreading_checks,
     run_front,
     run_speed_invariance_sweep,
+    run_stationary_profile,
 )
 from .exports import sha256_text, write_csv, write_json
 from .speeds import theoretical_speed
-from .stationary import FROM_ABOVE, FROM_BELOW, check_tail, solve_stationary, tail_window
+from .stationary import tail_window
 
 
 class ConfigError(Exception):
@@ -205,22 +201,24 @@ def _margin(cp):
 
 
 # ----------------------------------------------------------------------
-# experiments: a key parser, called by parse_config (None where the
-# experiment has no keys of its own), and a runner that gets the Job and
-# reads nothing else from the config
+# experiments: a key parser, called by parse_config, that reads the
+# experiment's own keys, then checks them and the rest of the config
+# against the experiment, and returns (keys, the reactions it marches);
+# and a runner that gets the Job, reads nothing else from the config and
+# returns (ok, its own summary fields, artifacts)
 # ----------------------------------------------------------------------
 
 
-def _front_speed_keys(cp, habitat):
-    return {"margin": _margin(cp)}
+def _front_speed_keys(cp, habitat, reaction, op, solver):
+    margin = _margin(cp)
+    _checked("reaction.amplitude", check_front_reaction, reaction, habitat)
+    return {"margin": margin}, [reaction]
 
 
 def _exp_front_speed(job, options):
     run = run_front(job.op, job.reaction, job.habitat, job.xi, **job.solver, **job.keys)
     est = run.estimate
     summary = {
-        "experiment": "front_speed",
-        "kind": job.op.kind,
         "c_empirical": est.slope,
         "c_theory": run.theory.c_star,
         "mu_star": run.theory.mu_star,
@@ -232,7 +230,6 @@ def _exp_front_speed(job, options):
         "clip_count": run.traj.clip_count,
         "scheme": run.traj.scheme,
         "rhs_evals": run.traj.rhs_evals,
-        "verdict": "pass" if run.ok else "fail",
     }
     artifacts = {
         "front_trace.csv": ("csv", ["t", "position"],
@@ -241,33 +238,35 @@ def _exp_front_speed(job, options):
     return run.ok, summary, artifacts
 
 
-def _sweep_keys(cp, habitat):
+def _sweep_keys(cp, habitat, reaction, op, solver):
     amplitudes = _get(cp, "experiment", "amplitudes", floats, default=SWEEP_AMPLITUDES)
     _checked("experiment.amplitudes", check_sweep_amplitudes, amplitudes)
-    return {"amplitudes": amplitudes}
+    if cp.has_option("reaction", "amplitude"):
+        raise ConfigError("reaction.amplitude: invariance_sweep sets the amplitude of each cell "
+                          "from experiment.amplitudes; leave it out")
+    cells = [dataclasses.replace(reaction, amplitude=a) for a in amplitudes]
+    for cell in cells:
+        _checked("experiment.amplitudes", check_front_reaction, cell, habitat)
+    return {"amplitudes": amplitudes}, cells
 
 
 def _exp_invariance_sweep(job, options):
-    setup = SweepSetup(op=job.op, habitat=job.habitat, reaction0=job.reaction, xi=job.xi,
-                       **job.solver, **job.keys)
+    args = (job.op, job.reaction, job.habitat, job.xi)
     if options.get("jobs", 1) == 1:
-        report = run_speed_invariance_sweep(setup)
+        report = run_speed_invariance_sweep(*args, **job.solver, **job.keys)
     else:
         # imported here: it loads logging, traceback and string, about
         # 4-5 ms of every start-up, and only this branch uses it
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=options["jobs"]) as pool:
-            report = run_speed_invariance_sweep(setup, pool.map)
+            report = run_speed_invariance_sweep(*args, **job.solver, **job.keys, map=pool.map)
     summary = {
-        "experiment": "invariance_sweep",
-        "kind": job.op.kind,
         "c_theory": report.c_theory,
         "pairwise_spread": report.pairwise_spread,
         "ok_theory": report.ok_theory,
         "ok_pairwise": report.ok_pairwise,
         "clip_count": sum(run.traj.clip_count for run in report.runs),
-        "verdict": "pass" if report.ok else "fail",
         "cells": [
             {"amplitude": run.reaction.amplitude, "c_empirical": run.estimate.slope,
              "relative_error": run.rel_error, "clip_count": run.traj.clip_count,
@@ -283,22 +282,20 @@ def _exp_invariance_sweep(job, options):
     return report.ok, summary, artifacts
 
 
-def _spreading_keys(cp, habitat):
+def _spreading_keys(cp, habitat, reaction, op, solver):
     r = _get(cp, "experiment", "support_radius", float, default=SUPPORT_RADIUS)
     _checked("experiment.support_radius", check_support_radius, r, habitat)
     clause = _get(cp, "experiment", "clause", int, choices={1, 2, 3, 4})
     c_scale = _get(cp, "experiment", "c_scale", float, default=1.0)
     margin = _margin(cp)
     _checked("experiment.c_scale", check_cone_scales, margin, c_scale)
-    return {"clause": clause, "r": r, "c_scale": c_scale, "margin": margin}
+    return {"clause": clause, "r": r, "c_scale": c_scale, "margin": margin}, [reaction]
 
 
 def _exp_spreading_features(job, options):
     verdict = run_compact_spreading_checks(job.op, job.reaction, job.habitat, **job.solver,
                                            **job.keys)
     summary = {
-        "experiment": "spreading_features",
-        "kind": job.op.kind,
         "clause": verdict.clause,
         "worst_value": verdict.worst_value,
         "threshold": verdict.threshold,
@@ -306,48 +303,47 @@ def _exp_spreading_features(job, options):
         "clip_count": verdict.clip_count,
         "scheme": verdict.scheme,
         "rhs_evals": verdict.rhs_evals,
-        "verdict": "pass" if verdict.ok else "fail",
     }
     return verdict.ok, summary, {}
 
 
-def _tail_radius(reaction):
-    """The inner radius of stationary_profile's tail window: four patch radii."""
-    return 4.0 * reaction.radius
+def _stationary_keys(cp, habitat, reaction, op, solver):
+    if cp.has_option("solver", "T"):
+        raise ConfigError("solver.T: stationary_profile does not step in time; leave it out")
+    if solver["dt"] is not None:
+        raise ConfigError("solver.dt: stationary_profile does not step in time; leave it auto")
+    R = TAIL_RADII * reaction.radius
+    try:
+        tail_window(habitat, R, op.delta0)
+    except ValueError as err:
+        raise ConfigError(
+            f"reaction.radius: {err}, with R = {TAIL_RADII:g} radius = {R:g}") from None
+    return {}, []
 
 
 def _exp_stationary_profile(job, options):
-    habitat, reaction, op = job.habitat, job.reaction, job.op
-    above = solve_stationary(op, reaction, habitat, FROM_ABOVE)
-    below = solve_stationary(op, reaction, habitat, FROM_BELOW)
-    gap = float(np.abs(above.u_star.values - below.u_star.values).max())
-    tail_radius = _tail_radius(reaction)
-    tail = check_tail(above.u_star, reaction.u0_star, tail_radius, delta0=op.delta0)
-    ok = (gap <= 1e-6 * reaction.u0_star and tail < 0.01 * reaction.u0_star
-          and above.stability_bound < 0.0 and below.stability_bound < 0.0)
+    prof = run_stationary_profile(job.op, job.reaction, job.habitat)
+    above, below, habitat = prof.above, prof.below, job.habitat
     summary = {
-        "experiment": "stationary_profile",
-        "kind": op.kind,
-        "routes_gap": gap,
+        "routes_gap": prof.gap,
         "residual_from_above": above.residual,
         "residual_from_below": below.residual,
-        "tail_deviation": tail,
-        "tail_radius": tail_radius,
-        "u0_star": reaction.u0_star,
+        "tail_deviation": prof.tail,
+        "tail_radius": prof.tail_radius,
+        "u0_star": job.reaction.u0_star,
         "newton_steps_from_above": above.newton_steps,
         "newton_steps_from_below": below.newton_steps,
         "matvecs_from_above": above.matvecs,
         "matvecs_from_below": below.matvecs,
         "stability_bound_from_above": above.stability_bound,
         "stability_bound_from_below": below.stability_bound,
-        "verdict": "pass" if ok else "fail",
     }
     coords = (habitat.grid()[0] if habitat.dim == 1 else habitat.radius()).ravel().tolist()
     artifacts = {
         "profile.csv": ("csv", ["x", "u_star"],
                         [[x, u] for x, u in zip(coords, above.u_star.values.ravel().tolist())]),
     }
-    return ok, summary, artifacts
+    return prof.ok, summary, artifacts
 
 
 EXPERIMENTS = {
@@ -357,7 +353,7 @@ EXPERIMENTS = {
                          "amplitude sweep; speeds must agree pairwise and with theory"),
     "spreading_features": (_spreading_keys, _exp_spreading_features,
                            "march compact data, expanding-region checks (clauses 1-4)"),
-    "stationary_profile": (None, _exp_stationary_profile,
+    "stationary_profile": (_stationary_keys, _exp_stationary_profile,
                            "both monotone routes, uniqueness gap, tail deviation and "
                            "stability bound"),
 }
@@ -380,42 +376,22 @@ class Job:
 
 
 def parse_config(cp) -> Job:
-    """Read every key that run, speed, eigen or validate honours, with
-    the solver and reaction keys checked against the experiment (a front
-    run's amplitudes by check_front_reaction) and an explicit solver.dt
-    against the plan of each of its marches; then refuse every key in the
-    file that was not read, so none is silently ignored."""
+    """Read every key that run, speed, eigen or validate honours, with the
+    experiment's key parser stating its own rules, and check an explicit
+    solver.dt against the plan of each march the experiment runs (the
+    config's own reaction when no experiment is named); then refuse every
+    key in the file that was not read, so none is silently ignored."""
     name = _get(cp, "experiment", "name", str, default=None, choices=set(EXPERIMENTS))
     habitat = build_habitat(cp)
     reaction = build_reaction(cp)
     op = build_dispersal(cp, habitat)
     solver = build_solver(cp)
-    parse_keys = EXPERIMENTS[name][0] if name is not None else None
-    keys = parse_keys(cp, habitat) if parse_keys is not None else None
-    if name == "invariance_sweep" and cp.has_option("reaction", "amplitude"):
-        raise ConfigError("reaction.amplitude: invariance_sweep sets the amplitude of each cell "
-                          "from experiment.amplitudes; leave it out")
-    # the reaction of each march: one per sweep cell, else the config's own
-    reactions = ([dataclasses.replace(reaction, amplitude=a) for a in keys["amplitudes"]]
-                 if name == "invariance_sweep" else [reaction])
-    if name == "stationary_profile":
-        if cp.has_option("solver", "T"):
-            raise ConfigError("solver.T: stationary_profile does not step in time; leave it out")
-        if solver["dt"] is not None:
-            raise ConfigError("solver.dt: stationary_profile does not step in time; leave it auto")
-        R = _tail_radius(reaction)
-        try:
-            tail_window(habitat, R, op.delta0)
-        except ValueError as err:
-            raise ConfigError(f"reaction.radius: {err}, with R = 4 radius = {R:g}") from None
-    if name in ("front_speed", "invariance_sweep"):
-        key = "reaction.amplitude" if name == "front_speed" else "experiment.amplitudes"
-        for rea in reactions:
-            _checked(key, check_front_reaction, rea, habitat)
+    keys, marches = (EXPERIMENTS[name][0](cp, habitat, reaction, op, solver)
+                     if name is not None else (None, [reaction]))
     if solver["dt"] is not None:
         # every march starts at height u0* < beta0, and march_plan reads the
         # data only through its habitat and max, so a constant u0* stands in
-        for rea in reactions:
+        for rea in marches:
             plan = march_plan(op, rea, habitat.full(rea.u0_star), solver["dt"])
             if not plan.stable:
                 raise ConfigError(f"solver.dt: {plan.dt} violates the stability bound "
@@ -493,9 +469,11 @@ def _cmd_run(job, cfg_text, options):
 
     runner = EXPERIMENTS[job.name][1]
     t0 = time.perf_counter()
-    ok, summary, artifacts = runner(job, options)
+    ok, fields, artifacts = runner(job, options)
     wall = time.perf_counter() - t0
 
+    summary = {"experiment": job.name, "kind": job.op.kind, **fields,
+               "verdict": "pass" if ok else "fail"}
     if summary.get("clip_count", 0) > 0:
         # a systematic negative clip fails the run whatever it was meant to show,
         # so a clipped run cannot confirm a negative control either
@@ -507,7 +485,6 @@ def _cmd_run(job, cfg_text, options):
     else:
         final_ok = ok
 
-    artifacts = dict(artifacts)
     artifacts["summary.json"] = ("json", summary)
     _write_run_dir(job, options, job.name, artifacts, _manifest(cfg_text, summary, options, wall))
     if not options["quiet"]:
@@ -583,6 +560,9 @@ def main(argv=None) -> int:
     jobs = _env_value(parser, "KPPLAB_JOBS", int, 1)
     if jobs < 1:
         parser.error(f"environment variable KPPLAB_JOBS: must be at least 1, got {jobs}")
+    quiet = _env_value(parser, "KPPLAB_QUIET", int, 0)
+    if quiet not in (0, 1):
+        parser.error(f"environment variable KPPLAB_QUIET: must be 0 or 1, got {quiet}")
     for name in ("run", "speed", "eigen", "validate"):
         p = sub.add_parser(name)
         p.add_argument("config")
@@ -590,8 +570,7 @@ def main(argv=None) -> int:
         p.add_argument("--output-dir", default=os.environ.get("KPPLAB_OUTPUT_DIR"))
         # recorded in the manifest only; no experiment draws a random number
         p.add_argument("--seed", type=int)
-        p.add_argument("--quiet", action="store_true",
-                       default=os.environ.get("KPPLAB_QUIET") == "1")
+        p.add_argument("--quiet", action="store_true", default=bool(quiet))
     sub.add_parser("list-experiments")
 
     args = parser.parse_args(argv)

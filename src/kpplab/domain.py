@@ -7,9 +7,9 @@ whose spatial perturbation is a compactly supported mollifier bump, so
 f(x, u) agrees with the homogeneous f0(u) *exactly* outside the
 perturbation radius (H2), and the constructor refuses a law that is not
 negative above beta0 (H1).  Everything here is an immutable value object;
-arrays are frozen after construction so instances can be shared freely
-within a process.  Across a pickle only a Field is rebuilt (validated and
-frozen) by its constructor; Kernel and LatticeWeights arrays come back writeable.
+arrays are frozen after construction so instances can be shared freely.
+A Field, Kernel or LatticeWeights unpickles through its constructor, so a
+copy sent to a worker process is validated and frozen again.
 """
 
 from __future__ import annotations
@@ -339,6 +339,14 @@ class Kernel:
     weights: np.ndarray
     profile: str  # the name of the profile, which resample samples again
 
+    def __post_init__(self):
+        self.offsets = _frozen(self.offsets, dtype=int)
+        self.weights = _frozen(self.weights)
+
+    def __reduce__(self):  # unpickle by the constructor: frozen again
+        return Kernel, (self.delta0, self.dim, self.spacing, self.offsets, self.weights,
+                        self.profile)
+
     @classmethod
     def from_profile(cls, profile: str, delta0, spacing, dim):
         try:
@@ -366,8 +374,8 @@ class Kernel:
             delta0=float(delta0),
             dim=dim,
             spacing=float(spacing),
-            offsets=_frozen(offsets, dtype=int),
-            weights=_frozen(vals),
+            offsets=offsets,
+            weights=vals,
             profile=profile,
         )
         assert abs(k.mass - 1.0) <= 1e-15 * len(vals)
@@ -418,6 +426,9 @@ class LatticeWeights:
             raise ValueError("all rates a_k must be positive")
         object.__setattr__(self, "offsets", _frozen(offsets, dtype=int))
         object.__setattr__(self, "values", _frozen(values))
+
+    def __reduce__(self):  # unpickle by the constructor: checked and frozen again
+        return LatticeWeights, (self.dim, self.offsets, self.values)
 
     @classmethod
     def symmetric(cls, dim, a=1.0):

@@ -90,6 +90,9 @@ class PeriodicCoefficient:
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "values", values)
 
+    def __reduce__(self):  # unpickle by the constructor: checked and frozen again
+        return PeriodicCoefficient, (self.period, self.spacing, self.values)
+
     @classmethod
     def from_function(cls, fn, period, spacing):
         period = tuple(float(p) for p in np.atleast_1d(period))

@@ -1,8 +1,10 @@
-"""End-to-end spreading experiments, the pipelines behind the CLI.
+"""End-to-end experiments, the four pipelines behind the CLI.
 run_front is the one front run of front_speed and of each sweep cell;
 it and the compact-data checks step by dynamics.march (rkc2 for the
 random kind where it is the cheaper scheme, rk4 otherwise).  An
 invariance sweep maps run_front over its cells and keeps each FrontRun.
+run_stationary_profile solves the stationary state by both monotone
+routes and gates their gap, the tail and both stability bounds.
 
 Every height is relative to the carrying capacity u0* = r0 / slope:
 front and compact data start at u0*, the front is tracked at 0.5 u0*,
@@ -41,7 +43,7 @@ from .domain import (
 )
 from .dynamics import Trajectory, march
 from .speeds import SpeedResult, theoretical_speed
-from .stationary import FROM_ABOVE, solve_stationary
+from .stationary import FROM_ABOVE, FROM_BELOW, StationaryResult, check_tail, solve_stationary
 
 # speed gates: empirical speed vs theory, and a sweep's pairwise spread
 THEORY_TOL = 0.05
@@ -50,6 +52,8 @@ PAIRWISE_TOL = 0.02
 CONE_MARGIN = 0.2
 SUPPORT_RADIUS = 3.0
 SWEEP_AMPLITUDES = (-0.5, 0.0, 0.5, 1.0)
+# the stationary tail window starts this many patch radii out
+TAIL_RADII = 4.0
 
 
 class ConeEmptyError(RuntimeError):
@@ -64,8 +68,6 @@ class FrontTrace:
     habitat: Habitat
     times: np.ndarray
     positions: np.ndarray
-    level: float
-    xi: np.ndarray
 
 
 @dataclass(eq=False)
@@ -117,7 +119,7 @@ def _front_locator(habitat: Habitat, xi, level: float, initial_max: float):
             mask = values.ravel() >= level
             return float(proj[mask].max()) if np.any(mask) else math.nan
 
-    return locate, v
+    return locate
 
 
 def track_front(traj: Trajectory, xi, level: float) -> FrontTrace:
@@ -128,9 +130,9 @@ def track_front(traj: Trajectory, xi, level: float) -> FrontTrace:
     2-D tracking for non-axis directions falls back to the raw grid
     maximum of x.xi, accurate to one spacing.
     """
-    locate, v = _front_locator(traj.habitat, xi, level, traj.initial.max)
+    locate = _front_locator(traj.habitat, xi, level, traj.initial.max)
     positions = np.array([locate(snap.values) for snap in traj.snapshots], dtype=float)
-    return FrontTrace(traj.habitat, traj.times.copy(), positions, float(level), v)
+    return FrontTrace(traj.habitat, traj.times.copy(), positions)
 
 
 def estimate_speed(
@@ -303,7 +305,7 @@ def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T
     )
     u0 = make_front_initial(habitat, xi, reaction.u0_star)
     level = 0.5 * reaction.u0_star
-    locate, v = _front_locator(habitat, xi, level, u0.max)
+    locate = _front_locator(habitat, xi, level, u0.max)
     cone, cones = _cone_fold(habitat, xi, theory.c_star, reaction.u0_star, margin)
     times, positions = [], []
 
@@ -313,7 +315,7 @@ def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T
         cone(t, values, t_end)
 
     traj = march(op, reaction, u0, T, dt, observer=record)
-    trace = FrontTrace(habitat, np.array(times), np.array(positions, dtype=float), float(level), v)
+    trace = FrontTrace(habitat, np.array(times), np.array(positions, dtype=float))
     est = estimate_speed(trace, 0.5, exclusion=op.delta0 + 10.0 * habitat.spacing)
     return FrontRun(reaction, traj, trace, est, theory, cones())
 
@@ -321,20 +323,6 @@ def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T
 # ----------------------------------------------------------------------
 # speed-invariance sweep: localized inhomogeneity must not move the speed
 # ----------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class SweepSetup:
-    """One run_front per amplitude, each from front data of height u0*,
-    tracked at 0.5 u0* and fitted after T/2."""
-
-    op: DispersalOperator
-    habitat: Habitat
-    reaction0: Reaction  # the amplitude-0 base; cells override amplitude
-    xi: object
-    T: float
-    amplitudes: tuple = SWEEP_AMPLITUDES
-    dt: float = None
 
 
 @dataclass(eq=False)
@@ -353,18 +341,20 @@ def check_sweep_amplitudes(amplitudes):
         raise ValueError(f"{tuple(amplitudes)} holds fewer than two distinct amplitudes")
 
 
-def run_speed_invariance_sweep(setup: SweepSetup, map=map) -> SweepReport:
-    """Empirical speeds across the amplitude sweep, with two gates:
+def run_speed_invariance_sweep(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi,
+                               T: float, dt: float = None, amplitudes=SWEEP_AMPLITUDES,
+                               map=map) -> SweepReport:
+    """Empirical speeds across the amplitude sweep, one run_front per
+    amplitude with the reaction's amplitude replaced, and two gates:
     every speed within THEORY_TOL of the amplitude-0 theory, and all
     speeds pairwise within PAIRWISE_TOL (the discretization bias is shared,
     so the pairwise gate is the sharper one).  map (a process pool's, say)
     runs run_front over the cell reactions in increasing amplitude; the
     amplitudes must pass check_sweep_amplitudes."""
-    check_sweep_amplitudes(setup.amplitudes)
-    cell = functools.partial(run_front, setup.op, habitat=setup.habitat, xi=setup.xi,
-                             T=setup.T, dt=setup.dt)
-    runs = tuple(map(cell, [dataclasses.replace(setup.reaction0, amplitude=float(a))
-                            for a in sorted(setup.amplitudes)]))
+    check_sweep_amplitudes(amplitudes)
+    cell = functools.partial(run_front, op, habitat=habitat, xi=xi, T=T, dt=dt)
+    runs = tuple(map(cell, [dataclasses.replace(reaction, amplitude=float(a))
+                            for a in sorted(amplitudes)]))
     speeds = np.array([run.estimate.slope for run in runs])
     spread = float((speeds.max() - speeds.min()) / speeds.mean())
     ok_theory = all(run.ok_theory for run in runs)
@@ -477,3 +467,38 @@ def run_compact_spreading_checks(
         scheme=traj.scheme,
         rhs_evals=traj.rhs_evals,
     )
+
+
+# ----------------------------------------------------------------------
+# stationary profile: both monotone routes must meet at one stable state
+# ----------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class StationaryProfile:
+    """Both routes' StationaryResult, the max-norm gap between their
+    profiles, and the tail deviation of the from-above profile from u0*
+    beyond tail_radius."""
+
+    above: StationaryResult
+    below: StationaryResult
+    gap: float
+    tail: float
+    tail_radius: float
+    ok: bool
+
+
+def run_stationary_profile(op: DispersalOperator, reaction: Reaction,
+                           habitat: Habitat) -> StationaryProfile:
+    """Solve from above and from below.  The verdict needs a routes gap of
+    at most 1e-6 u0* (uniqueness), a tail within 0.01 u0* of u0* from
+    TAIL_RADII patch radii out (the patch is localized), and a negative
+    stability bound on both routes."""
+    above = solve_stationary(op, reaction, habitat, FROM_ABOVE)
+    below = solve_stationary(op, reaction, habitat, FROM_BELOW)
+    gap = float(np.abs(above.u_star.values - below.u_star.values).max())
+    tail_radius = TAIL_RADII * reaction.radius
+    tail = check_tail(above.u_star, reaction.u0_star, tail_radius, delta0=op.delta0)
+    ok = (gap <= 1e-6 * reaction.u0_star and tail < 0.01 * reaction.u0_star
+          and above.stability_bound < 0.0 and below.stability_bound < 0.0)
+    return StationaryProfile(above, below, gap, tail, tail_radius, ok)

@@ -40,7 +40,7 @@ from kpplab import (
     track_front,
     verify_spreading_cones,
 )
-from kpplab.experiments import SweepSetup, run_speed_invariance_sweep
+from kpplab.experiments import run_speed_invariance_sweep
 from kpplab.stationary import FROM_ABOVE, FROM_BELOW
 
 W1 = LatticeWeights.symmetric(1, 1.0)
@@ -104,31 +104,18 @@ def test_criterion_1_fisher_front_speed(fisher_run):
 
 def test_criterion_2_speed_invariance_sweeps(fisher_run):
     sweeps = [
-        SweepSetup(
-            op=DispersalOperator.random(),
-            habitat=Habitat("continuum", 1, 300.0, 0.1),
-            reaction0=Reaction.linear(1.0, 1.0, radius=2.0),
-            xi=1.0, T=100.0,
-        ),
-        SweepSetup(
-            op=DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.0, 0.1, 1)),
-            habitat=Habitat("continuum", 1, 100.0, 0.1),
-            reaction0=Reaction.linear(1.0, 1.0, radius=2.0),
-            xi=1.0, T=100.0,
-        ),
-        SweepSetup(
-            op=DispersalOperator.discrete(W1),
-            habitat=Habitat("lattice", 1, 300),
-            reaction0=Reaction.linear(1.0, 1.0, radius=2.0),
-            xi=1.0, T=100.0,
-        ),
+        (DispersalOperator.random(), Habitat("continuum", 1, 300.0, 0.1)),
+        (DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.0, 0.1, 1)),
+         Habitat("continuum", 1, 100.0, 0.1)),
+        (DispersalOperator.discrete(W1), Habitat("lattice", 1, 300)),
     ]
     details = []
     ok = True
-    for setup in sweeps:
-        rep = run_speed_invariance_sweep(setup)
+    for op, habitat in sweeps:
+        rep = run_speed_invariance_sweep(op, Reaction.linear(1.0, 1.0, radius=2.0), habitat,
+                                         1.0, 100.0)
         ok = ok and rep.ok_theory and rep.ok_pairwise
-        details.append(f"{setup.op.kind}: spread={rep.pairwise_spread:.2%}, "
+        details.append(f"{op.kind}: spread={rep.pairwise_spread:.2%}, "
                        f"max_rel={max(run.rel_error for run in rep.runs):.2%}")
     # negative controls on the amplitude-0 run: wrong theoretical speeds
     # must be caught by the cone checks

@@ -2,6 +2,7 @@ import json
 import math
 import textwrap
 
+import numpy as np
 import pytest
 
 from kpplab.cli import main
@@ -91,7 +92,7 @@ def test_schema_errors_exit_2(tmp_path, capsys):
 
 def test_unparsable_environment_exits_2(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, "ok.cfg", DISCRETE_FRONT.format(out=tmp_path / "out"))
-    for name, raw in [("KPPLAB_JOBS", "abc")]:
+    for name, raw in [("KPPLAB_JOBS", "abc"), ("KPPLAB_QUIET", "yes")]:
         with monkeypatch.context() as m:
             m.setenv(name, raw)
             with pytest.raises(SystemExit) as exc:
@@ -100,6 +101,11 @@ def test_unparsable_environment_exits_2(tmp_path, monkeypatch, capsys):
             assert name in capsys.readouterr().err
     monkeypatch.setenv("KPPLAB_JOBS", "2")
     assert main(["validate", cfg]) == 0
+    capsys.readouterr()
+    for raw, out in [("1", ""), ("0", "config ok\n")]:
+        monkeypatch.setenv("KPPLAB_QUIET", raw)
+        assert main(["validate", cfg]) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_jobs_below_one_exit_2(tmp_path, monkeypatch, capsys):
@@ -269,41 +275,91 @@ def test_speed_and_eigen_subcommands(tmp_path):
     assert disp[0] == "mu,lambda" and len(disp) == 102
 
 
+STATIONARY = """
+[habitat]
+kind = continuum
+dim = 1
+half_extent = 10
+spacing = 0.25
+
+[reaction]
+r0 = 1.0
+b = 1.0
+amplitude = {amplitude}
+radius = 1.0
+
+[dispersal]
+kind = random
+
+[experiment]
+name = stationary_profile
+
+[output]
+directory = {out}
+"""
+
+
 def test_stationary_subcommand(tmp_path):
-    out = tmp_path / "st"
-    text = """
-    [habitat]
-    kind = continuum
-    dim = 1
-    half_extent = 10
-    spacing = 0.25
+    # the CLI writes run_stationary_profile's routes, gap, tail and verdict.
+    # At amplitude 3 the profile is still 0.0343 above u0* at 4 radii out:
+    # the routes meet and both bounds are negative, but the tail gate fails
+    from kpplab import DispersalOperator, Habitat, Reaction, solve_stationary
+    from kpplab.experiments import run_stationary_profile
+    from kpplab.stationary import FROM_ABOVE, FROM_BELOW
 
-    [reaction]
-    r0 = 1.0
-    b = 1.0
-    amplitude = 0.5
-    radius = 1.0
+    habitat, op = Habitat("continuum", 1, 10.0, 0.25), DispersalOperator.random()
+    for amplitude, rc in [(0.5, 0), (3.0, 1)]:
+        out = tmp_path / f"a{amplitude}"
+        cfg = _write(tmp_path, f"a{amplitude}.cfg", STATIONARY.format(amplitude=amplitude, out=out))
+        assert main(["run", cfg, "--quiet"]) == rc, amplitude
+        summary = json.loads((out / "stationary_profile" / "summary.json").read_text())
+        assert summary["routes_gap"] <= 1e-6
+        assert summary["residual_from_above"] <= 1e-7
+        assert "clip_count" not in summary
+        for route in ("from_above", "from_below"):
+            assert summary[f"newton_steps_{route}"] >= 1 and summary[f"matvecs_{route}"] > 0
+            assert summary[f"stability_bound_{route}"] < 0.0
+        profile = (out / "stationary_profile" / "profile.csv").read_text().splitlines()
+        assert profile[0] == "x,u_star" and len(profile) == 82
+        reaction = Reaction.linear(1.0, 1.0, amplitude=amplitude, radius=1.0)
+        prof = run_stationary_profile(op, reaction, habitat)
+        for res, route in [(prof.above, FROM_ABOVE), (prof.below, FROM_BELOW)]:
+            alone = solve_stationary(op, reaction, habitat, route)
+            assert res.route == route
+            assert np.array_equal(res.u_star.values, alone.u_star.values)
+            assert res.stability_bound == alone.stability_bound
+            assert res.matvecs == alone.matvecs and res.residual == alone.residual
+        assert summary["routes_gap"] == prof.gap
+        assert summary["tail_deviation"] == prof.tail and summary["tail_radius"] == 4.0
+        assert summary["verdict"] == ("pass" if prof.ok else "fail")
+    assert summary["verdict"] == "fail"
+    assert summary["tail_deviation"] == pytest.approx(0.0343, abs=5e-5)
 
-    [dispersal]
-    kind = random
 
-    [experiment]
-    name = stationary_profile
+def test_only_experiments_table_asks_which_experiment():
+    # every rule of one experiment lives in its EXPERIMENTS entry: no
+    # module compares a value with an experiment name
+    import ast
+    import pathlib
 
-    [output]
-    directory = {out}
-    """
-    cfg = _write(tmp_path, "st.cfg", text.format(out=out))
-    assert main(["run", cfg, "--quiet"]) == 0
-    summary = json.loads((out / "stationary_profile" / "summary.json").read_text())
-    assert summary["routes_gap"] <= 1e-6
-    assert summary["residual_from_above"] <= 1e-7
-    assert "clip_count" not in summary
-    for route in ("from_above", "from_below"):
-        assert summary[f"newton_steps_{route}"] >= 1 and summary[f"matvecs_{route}"] > 0
-        assert summary[f"stability_bound_{route}"] < 0.0
-    profile = (out / "stationary_profile" / "profile.csv").read_text().splitlines()
-    assert profile[0] == "x,u_star" and len(profile) == 82
+    import kpplab
+    from kpplab.cli import EXPERIMENTS
+
+    def name_comparisons(source):
+        return [node.lineno for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Compare)
+                and any(isinstance(leaf, ast.Constant) and leaf.value in EXPERIMENTS
+                        for operand in (node.left, *node.comparators)
+                        for leaf in ast.walk(operand))]
+
+    package = pathlib.Path(kpplab.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in name_comparisons(path.read_text())]
+    assert not found
+    assert len(name_comparisons('a = name == "front_speed"\n'
+                                'b = name in ("invariance_sweep", "x")\n')) == 2
+    assert all(callable(parse_keys) and callable(runner)
+               for parse_keys, runner, _ in EXPERIMENTS.values())
 
 
 def test_invariance_sweep_with_jobs(tmp_path):

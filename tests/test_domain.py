@@ -11,6 +11,7 @@ from kpplab import (
     Habitat,
     Kernel,
     LatticeWeights,
+    PeriodicCoefficient,
     Reaction,
     closed_form_eigenvalue,
     make_compact_initial,
@@ -45,19 +46,44 @@ def test_field_guards():
         f.values[0] = 1.0  # frozen
 
 
+def _unchecked(cls, **fields):
+    """An instance of cls holding fields, built without its constructor."""
+    obj = cls.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def test_field_unpickles_frozen_and_validated():
+    # a value object sent to a worker process unpickles through its
+    # constructor: equal, with its arrays frozen again
     h = Habitat("continuum", 2, 3.0, 0.5)
     f = Field(h, np.arange(np.prod(h.shape), dtype=float).reshape(h.shape))
-    g = pickle.loads(pickle.dumps(f))
-    assert g.habitat == h and np.array_equal(g.values, f.values)
-    with pytest.raises(ValueError):
-        g.values[0, 0] = 1.0  # frozen again
+    for obj, arrays in [
+        (f, ("values",)),
+        (Kernel.from_profile("triangle", 1.0, 0.25, 1), ("offsets", "weights")),
+        (LatticeWeights.from_rates({(1, 0): 1.0, (-1, 0): 0.5, (0, 1): 2.0, (0, -1): 1.5}),
+         ("offsets", "values")),
+        (PeriodicCoefficient((2.0,), 0.5, np.array([0.5, 1.5, 1.0, 1.25])), ("values",)),
+    ]:
+        g = pickle.loads(pickle.dumps(obj))
+        assert type(g) is type(obj)
+        for name in arrays:
+            a = getattr(g, name)
+            assert np.array_equal(a, getattr(obj, name)) and a.dtype == getattr(obj, name).dtype
+            with pytest.raises(ValueError):
+                a.flat[0] = 1  # frozen again
+    assert g.period == (2.0,) and pickle.loads(pickle.dumps(f)).habitat == h
     # the constructor runs on load: a payload it refuses does not load
-    bad = Field.__new__(Field)
-    object.__setattr__(bad, "habitat", h)
-    object.__setattr__(bad, "values", np.full(h.shape, np.nan))
-    with pytest.raises(ValueError, match="finite"):
-        pickle.loads(pickle.dumps(bad))
+    for bad, match in [
+        (_unchecked(Field, habitat=h, values=np.full(h.shape, np.nan)), "finite"),
+        (_unchecked(LatticeWeights, dim=1, offsets=np.array([[1], [-1]]),
+                    values=np.array([1.0, -1.0])), "positive"),
+        (_unchecked(PeriodicCoefficient, period=(2.0,), spacing=0.5,
+                    values=np.array([1.0, np.inf, 1.0, 1.0])), "finite"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            pickle.loads(pickle.dumps(bad))
 
 
 def test_equilibrium_roots():

@@ -29,7 +29,7 @@ from kpplab import (
     unit_direction,
     verify_spreading_cones,
 )
-from kpplab.experiments import SweepSetup, run_front
+from kpplab.experiments import run_front
 from kpplab.stationary import FROM_ABOVE
 
 
@@ -86,7 +86,7 @@ def test_estimate_speed_synthetic():
     rng = np.random.default_rng(12)
     times = np.linspace(0.0, 100.0, 201)
     positions = 2.0 * times + 1e-3 * rng.standard_normal(times.shape)
-    trace = FrontTrace(hab, times, positions, 0.5, np.array([1.0]))
+    trace = FrontTrace(hab, times, positions)
     est = estimate_speed(trace, burn_in_fraction=0.5)
     assert abs(est.slope - 2.0) < 1e-2
     assert est.rms_residual < 5e-3
@@ -95,18 +95,18 @@ def test_estimate_speed_synthetic():
 def test_estimate_speed_errors():
     hab = Habitat("continuum", 1, 100.0, 0.5)
     times = np.linspace(0.0, 10.0, 6)
-    trace = FrontTrace(hab, times, 2.0 * times, 0.5, np.array([1.0]))
+    trace = FrontTrace(hab, times, 2.0 * times)
     with pytest.raises(ValueError, match="too short"):
         estimate_speed(trace, 0.5)
     # boundary hit before burn-in
     times = np.linspace(0.0, 10.0, 101)
-    fast = FrontTrace(hab, times, 50.0 * times, 0.5, np.array([1.0]))
+    fast = FrontTrace(hab, times, 50.0 * times)
     with pytest.raises(ValueError, match="boundary"):
         estimate_speed(fast, 0.5)
     # NaN inside the window
     pos = 2.0 * times
     pos[80] = math.nan
-    trace = FrontTrace(hab, times, pos, 0.5, np.array([1.0]))
+    trace = FrontTrace(hab, times, pos)
     with pytest.raises(ValueError, match="empty level set"):
         estimate_speed(trace, 0.5)
 
@@ -149,39 +149,27 @@ def test_speed_levels_are_robust(small_fisher_run):
 def test_invariance_cell_and_profile_convergence():
     hab = Habitat("continuum", 1, 150.0, 0.1)
     op = DispersalOperator.random()
-    setup = SweepSetup(
-        op=op,
-        habitat=hab,
-        reaction0=Reaction.linear(1.0, 1.0, radius=1.0),
-        xi=1.0,
-        T=50.0,
-        amplitudes=(0.0, 1.0),
-    )
-    report = run_speed_invariance_sweep(setup)
+    amplitudes, T = (0.0, 1.0), 50.0
+    report = run_speed_invariance_sweep(op, Reaction.linear(1.0, 1.0, radius=1.0), hab, 1.0, T,
+                                        amplitudes=amplitudes)
     assert report.ok_theory
     assert report.ok_pairwise
-    for amplitude in setup.amplitudes:
+    for amplitude in amplitudes:
         # behind the half-speed cone the state has locked onto u*
         reaction = Reaction.linear(1.0, 1.0, amplitude=amplitude, radius=1.0)
-        run = run_front(op, reaction, hab, setup.xi, setup.T)
+        run = run_front(op, reaction, hab, 1.0, T)
         u_star = solve_stationary(op, reaction, hab, FROM_ABOVE).u_star
-        behind = hab.projection(unit_direction(setup.xi, 1)) <= 0.5 * run.theory.c_star * setup.T
+        behind = hab.projection(unit_direction(1.0, 1)) <= 0.5 * run.theory.c_star * T
         deviation = np.abs(run.traj.final.values[behind] - u_star.values[behind]).max()
         assert deviation < 0.05, (amplitude, deviation)
 
 
 def test_invariance_rejects_nonpositive_growth_at_zero():
     hab = Habitat("continuum", 1, 60.0, 0.1)
-    setup = SweepSetup(
-        op=DispersalOperator.random(),
-        habitat=hab,
-        reaction0=Reaction.linear(1.0, 1.0, radius=1.0),
-        xi=1.0,
-        T=10.0,
-        amplitudes=(0.0, -1.2),
-    )
     with pytest.raises(ValueError, match="nonpositive"):
-        run_speed_invariance_sweep(setup)
+        run_speed_invariance_sweep(DispersalOperator.random(),
+                                   Reaction.linear(1.0, 1.0, radius=1.0), hab, 1.0, 10.0,
+                                   amplitudes=(0.0, -1.2))
 
 
 def test_sweep_runs_are_its_front_runs():
@@ -190,15 +178,14 @@ def test_sweep_runs_are_its_front_runs():
     op = DispersalOperator.discrete(LatticeWeights.symmetric(1, 1.0))
     hab = Habitat("lattice", 1, 80)
     base = Reaction.linear(1.0, 1.0, radius=2.0)
-    setup = SweepSetup(op=op, habitat=hab, reaction0=base, xi=1.0, T=20.0,
-                       amplitudes=(1.0, -0.5, 0.0))
     mapped = []
 
     def recording_map(f, reactions):
         mapped.extend(reactions)
         return map(f, reactions)
 
-    report = run_speed_invariance_sweep(setup, recording_map)
+    report = run_speed_invariance_sweep(op, base, hab, 1.0, 20.0, amplitudes=(1.0, -0.5, 0.0),
+                                        map=recording_map)
     assert [run.reaction.amplitude for run in report.runs] == [-0.5, 0.0, 1.0]
     assert [rea.amplitude for rea in mapped] == [-0.5, 0.0, 1.0]
     for run in report.runs:
@@ -210,8 +197,7 @@ def test_sweep_runs_are_its_front_runs():
     assert report.c_theory == report.runs[0].theory.c_star
     for amplitudes in ((1.0,), (0.5, 0.5), ()):
         with pytest.raises(ValueError, match="distinct"):
-            run_speed_invariance_sweep(SweepSetup(op=op, habitat=hab, reaction0=base, xi=1.0,
-                                                  T=20.0, amplitudes=amplitudes))
+            run_speed_invariance_sweep(op, base, hab, 1.0, 20.0, amplitudes=amplitudes)
 
 
 def test_compact_checks_small_nonlocal():
