@@ -128,20 +128,24 @@ class _Stencil:
 
     def twist(self, mu, xi):
         """Twist factors f_j, their excess f_j - 1 (offsets on the last
-        axis) and the diagonal term, for a unit vector xi; vectorized in
-        mu.  The first-order excess is -mu z.xi itself, so on a unit grid
-        the drift terms of a symmetric stencil cancel exactly."""
+        axis) and the diagonal term (shaped as mu), for a unit vector xi;
+        vectorized in mu.  The first-order excess is -mu z.xi itself, so
+        on a unit grid the drift terms of a symmetric stencil cancel
+        exactly."""
         mu = np.asarray(mu, dtype=float)
         t = -np.multiply.outer(mu, (self.offsets * self.spacing) @ xi)
         if self.first_order:
             return 1.0 + t, t, mu * mu
         factors = np.exp(t)
-        return factors, factors - 1.0, 0.0
+        return factors, factors - 1.0, np.zeros(mu.shape)
 
     def symbol(self, mu, xi):
-        """diag + sum_j w_j (f_j - 1): the twisted stencil on constants."""
+        """diag + sum_j w_j (f_j - 1): the twisted stencil on constants,
+        vectorized in mu.  Each mu takes its own dot product, so an array
+        of mu gives every entry the bits of that mu alone (a
+        matrix-vector product would sum in another order)."""
         _, excess, diag = self.twist(mu, xi)
-        return diag + excess @ self.weights
+        return diag + (excess[..., None, :] @ self.weights[:, None])[..., 0, 0]
 
 
 @dataclass(eq=False)
@@ -314,7 +318,10 @@ class DispersalOperator:
         axes of at most _DENSE_AXIS_MAX points and by the FFT of the
         extension otherwise (see the module docstring).  Interior nonlocal
         rows have mass 1 (Kernel.from_profile), so bind's division of each
-        clamp row by its in-domain mass leaves them as D0's."""
+        clamp row by its in-domain mass leaves them as D0's.  A long 1-D
+        axis builds its extension in one buffer of the closure, so calls
+        of one closure must not overlap; every call returns fresh memory,
+        which krylov may keep."""
         self.check_habitat(habitat)
         st = self._stencil(habitat.dim, habitat.spacing)
         periodic = habitat.boundary == PERIODIC
@@ -324,6 +331,16 @@ class DispersalOperator:
             return fourier_inverse(symbol, lengths)
         if max(habitat.shape) <= _DENSE_AXIS_MAX:
             return cosine_inverse(symbol, habitat.shape)
+        if habitat.dim == 1:
+            (n,) = habitat.shape
+            extension = np.empty(2 * n)  # rebuilt in place by every call
+
+            def resolvent_1d(r, c):
+                extension[:n] = r
+                extension[n:] = r[::-1]
+                return np.fft.irfft(np.fft.rfft(extension) / (c - symbol), 2 * n)[:n]
+
+            return resolvent_1d
         solve = fourier_inverse(symbol, lengths)
         inside = tuple(slice(0, n) for n in habitat.shape)
 

@@ -26,6 +26,14 @@ dense Perron vector (numpy.linalg.eig of the dense cell matrix), which
 usually certifies at once; larger cells start from constants.  A
 nonpositive entry in a certified eigenvector would signal an assembly
 bug, not a math fact, and raises.
+
+An array of mu assembles a stack of cell operators from one stencil and
+one wrap index (assemble_cell_operator), and principal_eigenvalues
+certifies each of them by the same loop.  Their dense starts come from
+stacked numpy.linalg.eig calls, chunked so that one stack holds at most
+DENSE_START_MAX^2 matrix entries (256 cells of 16 points, one cell at
+the cutoff), so a scan of any length needs little more memory than one
+dense start at the cutoff.  principal_eigenvalue is the stack of one.
 """
 
 from __future__ import annotations
@@ -129,6 +137,12 @@ class CellOperator:
     diagonal.  matvec acts on arrays of cell shape; shift is large enough
     that (matvec + shift I) is entrywise nonnegative with positive
     diagonal.
+
+    A stack of operators on one cell, one per mu of an array (see
+    assemble_cell_operator), shares index and carries a leading axis on
+    shift, values and diag.  Indexing a stack gives one operator (an
+    integer) or a smaller stack (a slice), and op[None] is the stack of
+    one operator.  matvec takes one operator; to_matrix takes either.
     """
 
     shape: tuple
@@ -137,16 +151,23 @@ class CellOperator:
     values: np.ndarray
     diag: np.ndarray
 
+    def __getitem__(self, key):
+        return CellOperator(self.shape, np.asarray(self.shift)[key], self.index,
+                            self.values[key], self.diag[key])
+
     def matvec(self, u):
         flat = u.ravel()
         return (self.values @ flat[self.index] + self.diag * flat).reshape(self.shape)
 
     def to_matrix(self):
-        """The dense matrix; coinciding wrapped entries add up."""
-        n = self.diag.size
-        matrix = np.diag(self.diag)
-        rows = np.broadcast_to(np.arange(n), self.index.shape)
-        np.add.at(matrix, (rows, self.index), self.values[:, None])
+        """The dense matrix, or one per operator of a stack; coinciding
+        wrapped entries add up, in the order of the offsets."""
+        n = self.diag.shape[-1]
+        matrix = np.zeros(self.diag.shape + (n,))
+        rows = np.arange(n)
+        matrix[..., rows, rows] = self.diag
+        stack = (slice(None),) * (self.diag.ndim - 1)
+        np.add.at(matrix, stack + (rows, self.index), self.values[..., None])
         return matrix
 
 
@@ -161,7 +182,7 @@ def cell_stencil(kind, a: PeriodicCoefficient, kernel: Kernel = None,
 
 def assemble_cell_operator(
     kind: str,
-    mu: float,
+    mu,
     xi,
     a: PeriodicCoefficient,
     kernel: Kernel = None,
@@ -169,17 +190,22 @@ def assemble_cell_operator(
 ) -> CellOperator:
     """Assemble the twisted operator for coefficient a on its cell (see
     cell_stencil for the checks); |mu| must stay below the stencil's
-    twist limit, where every twist factor is positive."""
+    twist limit, where every twist factor is positive.  A 1-D array of mu
+    gives the stack of their operators, each with the bits of its mu
+    alone."""
     st = cell_stencil(kind, a, kernel, weights)
-    mu = float(mu)
-    if abs(mu) >= st.twist_limit:
-        raise ValueError(f"cell too coarse for twist mu={mu}: need |mu| < {st.twist_limit:g}")
+    mu = np.asarray(mu, dtype=float)
+    beyond = np.abs(mu) >= st.twist_limit
+    if beyond.any():
+        raise ValueError(f"cell too coarse for twist mu={float(mu[beyond][0])}: "
+                         f"need |mu| < {st.twist_limit:g}")
     factors, _, diag = st.twist(mu, unit_direction(xi, a.dim))
-    coeff = a.values
+    coeff = a.values.ravel()
     mass = float(st.weights.sum())
     shift = 1.0 + float(np.abs(coeff).max()) + mu * mu + mass
-    return CellOperator(coeff.shape, shift, wrap_index(st.offsets, coeff.shape),
-                        st.weights * factors, (coeff + diag - mass).ravel())
+    return CellOperator(a.values.shape, shift if mu.ndim else float(shift),
+                        wrap_index(st.offsets, a.values.shape), st.weights * factors,
+                        coeff + diag[..., None] - mass)
 
 
 @dataclass(eq=False)
@@ -192,18 +218,35 @@ class EigenResult:
     gap: float = None  # spectral gap of the dense cell matrix, where it was formed
 
 
-def _start_vector(operator: CellOperator):
-    """(v, gap): the dense Perron vector, |v| / max|v| for the eigenvector
-    v of the eigenvalue with the largest real part, and the gap from that
-    real part to the next, on cells of at most DENSE_START_MAX points;
-    the constant vector and no gap on larger cells."""
-    if np.prod(operator.shape) > DENSE_START_MAX:
-        return np.ones(operator.shape), None
-    vals, vecs = np.linalg.eig(operator.to_matrix())
+def _start_vectors(stack: CellOperator):
+    """(v, gap) for each operator of a stack, in order: the dense Perron
+    vector, |v| / max|v| for the eigenvector v of the eigenvalue with the
+    largest real part, and the gap from that real part to the next, on
+    cells of at most DENSE_START_MAX points; the constant vector and no
+    gap on larger cells.  The dense matrices go to numpy.linalg.eig in
+    stacks of at most DENSE_START_MAX^2 entries (one matrix per stack at
+    the cutoff); a stacked eig gives each matrix the bits of its own
+    call."""
+    n = stack.diag.shape[-1]
+    count = len(stack.values)
+    if n > DENSE_START_MAX:
+        for _ in range(count):
+            yield np.ones(stack.shape), None
+        return
+    per_stack = DENSE_START_MAX ** 2 // n ** 2
+    for first in range(0, count, per_stack):
+        # a list, so that this stack's eig output is freed before the next eig
+        yield from [_perron_start(vals, vecs, stack.shape) for vals, vecs
+                    in zip(*np.linalg.eig(stack[first:first + per_stack].to_matrix()))]
+
+
+def _perron_start(vals, vecs, shape):
+    """(v, gap) from the eigenvalues and eigenvectors of one dense cell
+    matrix (see _start_vectors)."""
     v = np.abs(vecs[:, np.argmax(vals.real)])
     real = np.sort(vals.real)
     gap = float(real[-1] - real[-2]) if real.size > 1 else None
-    return (v / v.max()).reshape(operator.shape), gap
+    return (v / v.max()).reshape(shape), gap
 
 
 def _noda_step(operator: CellOperator, v, sigma):
@@ -237,7 +280,7 @@ def principal_eigenvalue(operator: CellOperator, max_iter: int = 50) -> EigenRes
 
     For every positive v the dominant eigenvalue lies in
     [min L v / v, max L v / v].  From the start vector (the dense Perron
-    vector on small cells, see _start_vector) each step takes sigma =
+    vector on small cells, see _start_vectors) each step takes sigma =
     max L v / v plus the certificate's width (which keeps the last,
     nearly singular solves from breaking down), solves
     (sigma I - L) y = v inexactly (_noda_step; Noda 1971) and continues
@@ -254,8 +297,22 @@ def principal_eigenvalue(operator: CellOperator, max_iter: int = 50) -> EigenRes
     a twist or a nearly local kernel) can fail to certify.  A nonpositive entry in a
     certified eigenfunction raises too (it indicates an assembly bug).
     """
+    (result,) = principal_eigenvalues(operator[None], max_iter)
+    return result
+
+
+def principal_eigenvalues(stack: CellOperator, max_iter: int = 50) -> list:
+    """principal_eigenvalue of each operator of a stack, in order: the
+    dense starts come from stacked eig calls (_start_vectors), and each
+    operator is then certified alone."""
+    return [_certify(stack[i], v, gap, max_iter)
+            for i, (v, gap) in enumerate(_start_vectors(stack))]
+
+
+def _certify(operator: CellOperator, v, gap, max_iter):
+    """principal_eigenvalue's Noda loop from the start vector v; gap is
+    reported as found."""
     s = operator.shift
-    v, gap = _start_vector(operator)
     applies = 0
     for step in range(max_iter + 1):
         w = operator.matvec(v)

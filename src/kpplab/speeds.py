@@ -2,12 +2,15 @@
 
 The dispersion relation mu -> lambda(mu, xi) comes either from the
 constant-coefficient closed forms or from the periodic eigenvalue
-solver.  A coarse log-spaced scan brackets the interior minimizer of
-lambda/mu, golden-section refines it; a minimum sitting on the scan
-edge is refused since every admissible relation here has lambda/mu
-blowing up at both ends.  An eigen-backed relation scans only below its
-cell stencil's twist limit (1/h for the random kind), where every twist
-factor stays positive.
+solver.  Both are vectorized in mu: an array of mu gives the array of
+lambda, each entry with the bits of its mu alone.  A coarse log-spaced
+scan, evaluated in one call, brackets the interior minimizer of
+lambda/mu, and golden-section refines it one mu at a time; a minimum
+sitting on the scan edge is refused since every admissible relation
+here has lambda/mu blowing up at both ends.  An eigen-backed relation
+scans only below its cell stencil's twist limit (1/h for the random
+kind), where every twist factor stays positive; its scan assembles one
+stack of cell operators and certifies each (eigen.principal_eigenvalues).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .eigen import (
     assemble_cell_operator,
     cell_stencil,
     constant_symbol,
-    principal_eigenvalue,
+    principal_eigenvalues,
 )
 
 _SCAN_POINTS = 60
@@ -38,7 +41,11 @@ class BracketEdgeError(RuntimeError):
 
 @dataclass(eq=False)
 class DispersionRelation:
-    """mu -> lambda(mu, xi) for one dispersal kind and direction."""
+    """mu -> lambda(mu, xi) for one dispersal kind and direction.
+
+    The evaluator takes a float or an array of mu and returns lambda of
+    the same shape; minimize_speed passes its whole scan as one array,
+    so a user evaluator must accept arrays."""
 
     evaluator: object
     mu_max: float = 20.0
@@ -61,8 +68,10 @@ class DispersionRelation:
         mu_max = min(mu_max, (1.0 - 1e-9) * limit)  # strictly inside the limit
 
         def evaluator(mu):
-            op = assemble_cell_operator(kind, float(mu), xi, a, kernel=kernel, weights=weights)
-            return principal_eigenvalue(op).lam
+            stack = assemble_cell_operator(kind, np.ravel(mu), xi, a, kernel=kernel,
+                                           weights=weights)
+            lam = [res.lam for res in principal_eigenvalues(stack)]
+            return np.reshape(lam, np.shape(mu))[()]
 
         return cls(evaluator, mu_max)
 
@@ -81,11 +90,16 @@ class SpeedResult:
 def minimize_speed(rel: DispersionRelation) -> SpeedResult:
     """Minimize lambda(mu)/mu over mu > 0.
 
-    Requires lambda(0+) > 0 (checked at mu = 1e-6), i.e. the zero state
-    is linearly unstable so the speed is well posed.  Scans 60
-    log-spaced points on [1e-3, mu_max] to bracket the minimizer, then
-    golden-section refines mu to relative tolerance 1e-8.
+    Requires mu_max > 1e-3, the scan's first point, and lambda(0+) > 0
+    (checked at mu = 1e-6), i.e. the zero state is linearly unstable so
+    the speed is well posed.  Scans 60 log-spaced points on
+    [1e-3, mu_max], in one call of rel, to bracket the minimizer, then
+    golden-section refines mu to relative tolerance 1e-8.  evaluations
+    counts every mu evaluated, the scan's included.
     """
+    if not rel.mu_max > _MU_MIN:
+        raise ValueError(f"mu_max = {rel.mu_max} must exceed the scan's first point "
+                         f"mu = {_MU_MIN}")
     evals = 0
 
     def c_of(mu):
@@ -99,7 +113,8 @@ def minimize_speed(rel: DispersionRelation) -> SpeedResult:
         raise ValueError(f"lambda(0+) = {lam0:.3e} <= 0: speed is not well posed")
 
     grid = np.geomspace(_MU_MIN, rel.mu_max, _SCAN_POINTS)
-    vals = np.array([c_of(m) for m in grid])
+    vals = np.asarray(rel(grid), dtype=float) / grid
+    evals += grid.size
     i = int(np.argmin(vals))
     if i == len(grid) - 1:
         raise BracketEdgeError(

@@ -19,7 +19,15 @@ from kpplab.dynamics import (
     stability_dt_bound,
 )
 from kpplab.experiments import ConeEmptyError, track_front
-from kpplab.speeds import theoretical_speed
+from kpplab.speeds import (
+    _GOLDEN,
+    _MU_MIN,
+    _MU_TOL,
+    _SCAN_POINTS,
+    BracketEdgeError,
+    SpeedResult,
+    theoretical_speed,
+)
 from kpplab.stationary import (
     FROM_ABOVE,
     FROM_BELOW,
@@ -47,6 +55,54 @@ def power_iteration(operator, max_iter=1_000_000):
             return top - s, v / v.max()
         v = w / top
     raise RuntimeError(f"oracle power iteration: no convergence in {max_iter} iterations")
+
+
+def scalar_scan_speed(rel):
+    """kpplab.minimize_speed as it was when its scan evaluated the
+    dispersion relation one mu at a time: 60 log-spaced points on
+    [1e-3, mu_max], then golden-section refinement to relative width
+    1e-8.  It shares the module's constants and result type, not its
+    code."""
+    evals = 0
+
+    def c_of(mu):
+        nonlocal evals
+        evals += 1
+        return float(rel(mu)) / mu
+
+    lam0 = float(rel(1e-6))
+    evals += 1
+    if not (lam0 > 0.0):
+        raise ValueError(f"lambda(0+) = {lam0:.3e} <= 0: speed is not well posed")
+
+    grid = np.geomspace(_MU_MIN, rel.mu_max, _SCAN_POINTS)
+    vals = np.array([c_of(m) for m in grid])
+    i = int(np.argmin(vals))
+    if i == len(grid) - 1:
+        raise BracketEdgeError(
+            f"minimizer at bracket edge mu_max={rel.mu_max}: dispersion relation "
+            "is still decreasing at the right boundary"
+        )
+    if i == 0:
+        raise BracketEdgeError("minimizer at bracket edge mu_min")
+    lo, hi = float(grid[i - 1]), float(grid[i + 1])
+
+    # golden-section: unimodal on the verified bracket
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = c_of(x1), c_of(x2)
+    while (hi - lo) > _MU_TOL * max(abs(lo), abs(hi)):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = c_of(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = c_of(x2)
+    mu_star = x1 if f1 <= f2 else x2
+    c_star = f1 if f1 <= f2 else f2
+    return SpeedResult(c_star, mu_star, (lo, hi), evals)
 
 
 def fmt(x):

@@ -463,6 +463,36 @@ def test_cosine_resolvent_matches_the_even_extension_oracle(case, c, seed):
     assert np.abs(op.bind_resolvent(hab)(r, c) - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def test_long_clamp_axis_resolvent_keeps_the_extension_bits():
+    """Above the cosine cutoff a 1-D clamp resolvent builds the even
+    extension in one buffer and calls rfft/irfft itself; its result is
+    bit for bit that of fourier_inverse on the concatenated extension,
+    and each call returns memory of its own."""
+    cases = [
+        (DispersalOperator.random(), Habitat("continuum", 1, 40.0, 0.1)),
+        (DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.0, 0.1, 1)),
+         Habitat("continuum", 1, 40.0, 0.1)),
+        (DispersalOperator.discrete(LatticeWeights(1, [[1], [-1]], [1.0, 0.5])),
+         Habitat("lattice", 1, 150)),
+    ]
+    rng = np.random.default_rng(5)
+    for op, hab in cases:
+        (n,) = hab.shape
+        assert n > dispersal._DENSE_AXIS_MAX
+        stencil = op._stencil(1, hab.spacing)
+        symbol = dispersal.torus_symbol(stencil.offsets, stencil.weights, -stencil.weights.sum(),
+                                        (2 * n,))
+        extension = dispersal.fourier_inverse(symbol.real, (2 * n,))
+        solve = op.bind_resolvent(hab)
+        for c in (0.3, 2.5, 7.0):
+            r, q = rng.standard_normal((2, n))
+            v = solve(r, c)
+            kept = v.copy()
+            w = solve(q, c)
+            assert np.array_equal(v, extension(np.concatenate((r, r[::-1])), c)[:n])
+            assert np.array_equal(v, kept) and not np.shares_memory(v, w)
+
+
 _KIND_NAMES = {"RANDOM", "NONLOCAL", "DISCRETE", "KINDS"}
 
 

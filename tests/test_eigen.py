@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from kpplab import (
     closed_form_eigenvalue,
     principal_eigenvalue,
 )
+from kpplab.eigen import DENSE_START_MAX, principal_eigenvalues
 
 W1 = LatticeWeights.symmetric(1, 1.0)
 
@@ -117,6 +119,60 @@ def test_vectorized_closed_forms():
     assert np.allclose(out, 1.0 + mus ** 2)
     out = closed_form_eigenvalue("discrete", mus, 1.0, 0.0, weights=W1)
     assert np.allclose(out, 2.0 * np.cosh(mus) - 2.0)
+
+
+def test_stacked_operators_carry_the_bits_of_each_mu():
+    # an array of mu assembles one operator per mu, each equal bit for bit
+    # to the operator of that mu alone, dense matrix included; a stack
+    # of one certifies as principal_eigenvalue does
+    mus = np.array([0.0, 0.3, 1.1, 2.5])
+    kern = Kernel.from_profile("triangle", 1.0, 0.25, 2)
+    g = np.arange(16) * 0.25
+    cells = [
+        ("random", (0.6, 0.8), PeriodicCoefficient((2.0, 4.0), 0.25, np.cos(g[:8, None]) * g), {}),
+        ("nonlocal", (0.6, 0.8), PeriodicCoefficient((4.0, 4.0), 0.25, np.sin(g[:, None]) + g),
+         {"kernel": kern}),
+        ("discrete", 1.0, PeriodicCoefficient((8.0,), 1.0, np.sin(np.arange(8.0))),
+         {"weights": LatticeWeights(1, [[1], [-1]], [1.0, 0.5])}),
+        # period 2: both neighbours wrap to one entry, where the terms add up
+        ("discrete", 1.0, PeriodicCoefficient((2.0,), 1.0, [0.3, -0.2]),
+         {"weights": LatticeWeights(1, [[1], [-1]], [1.0, 0.5])}),
+    ]
+    for kind, xi, a, payload in cells:
+        stack = assemble_cell_operator(kind, mus, xi, a, **payload)
+        matrices = stack.to_matrix()
+        for i, mu in enumerate(mus):
+            one = assemble_cell_operator(kind, mu, xi, a, **payload)
+            assert one.shift == stack[i].shift, kind
+            assert np.array_equal(one.values, stack[i].values), kind
+            assert np.array_equal(one.diag, stack[i].diag), kind
+            assert np.array_equal(one.to_matrix(), matrices[i]), kind
+            u = np.cos(np.arange(a.values.size) + mu).reshape(a.values.shape)
+            assert np.allclose(matrices[i] @ u.ravel(), one.matvec(u).ravel(), rtol=1e-14), kind
+            alone, = principal_eigenvalues(one[None])
+            assert alone.lam == principal_eigenvalue(one).lam, kind
+
+
+def test_scan_memory_stays_near_one_dense_start():
+    # a 256-point cell takes one matrix per eig stack, so the 60-point
+    # scan holds one dense matrix at a time, as one solve does
+    x = np.arange(DENSE_START_MAX) * 0.125
+    a = PeriodicCoefficient((32.0,), 0.125, 1.0 + 0.1 * np.sin(np.pi * x / 16.0))
+    rel = kpplab.DispersionRelation.eigen_backed("random", 1.0, a, mu_max=3.5)
+    grid = np.geomspace(1e-3, rel.mu_max, 60)
+    op = assemble_cell_operator("random", 1.0, 1.0, a)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(lambda: principal_eigenvalue(op))
+    scan = peak(lambda: rel(grid))
+    assert scan <= 3 * one, (scan, one)
 
 
 def test_existence_condition():
@@ -460,7 +516,9 @@ def test_certified_dense_start_loads_no_fft():
     # eigen-backed speed minimizations on the three 16-point cells of the
     # dispersion benchmark (random and nonlocal at period 4 and h = 0.25,
     # lattice at period 8): every cell certifies from the dense start
-    # with one apply, so the Fourier solver is never built
+    # with one apply, so the Fourier solver is never built.  The scan
+    # and the golden-section steps both solve through
+    # principal_eigenvalues, one result per mu
     src = os.path.dirname(os.path.dirname(kpplab.__file__))
     code = """
 import sys
@@ -468,12 +526,12 @@ import numpy as np
 import kpplab as K
 import kpplab.speeds as S
 applies = []
-solve = S.principal_eigenvalue
-def counted(op):
-    res = solve(op)
-    applies.append(res.iterations)
-    return res
-S.principal_eigenvalue = counted
+solve = S.principal_eigenvalues
+def counted(stack):
+    results = solve(stack)
+    applies.extend(res.iterations for res in results)
+    return results
+S.principal_eigenvalues = counted
 x = np.arange(16) * 0.25
 kernel = K.Kernel.from_profile("triangle", 1.0, 0.25, 1)
 for kind, a, payload in [

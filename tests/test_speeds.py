@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import scalar_scan_speed
 
 from kpplab import (
     BracketEdgeError,
@@ -9,9 +10,12 @@ from kpplab import (
     LatticeWeights,
     PeriodicCoefficient,
     Reaction,
+    assemble_cell_operator,
     minimize_speed,
     theoretical_speed,
 )
+from kpplab.domain import sampled_directions
+from kpplab.eigen import DENSE_START_MAX
 from kpplab.stationary import periodic_minorant
 
 W1 = LatticeWeights.symmetric(1, 1.0)
@@ -166,3 +170,112 @@ def test_minorant_speed_average_bound():
         DispersionRelation.closed_form("random", 1.0, coeff.average, mu_max=6.0)
     ).c_star
     assert c_eig >= c_avg - 1e-8
+
+
+def test_scan_refuses_a_mu_max_at_or_below_its_first_point():
+    # below 1e-3 the log-spaced grid would run backwards, and at 1e-3 it
+    # would hold 60 copies of one point
+    for mu_max in (5e-4, 1e-3):
+        rel = DispersionRelation.closed_form("random", 1.0, 1.0, mu_max=mu_max)
+        with pytest.raises(ValueError, match="mu_max"):
+            minimize_speed(rel)
+
+
+def test_eigen_backed_array_names_the_mu_beyond_the_twist_limit():
+    # h = 0.25: the random cell's twist limit is 1/h = 4
+    x = np.arange(16) * 0.25
+    a = PeriodicCoefficient((4.0,), 0.25, 1.0 + 0.12 * np.sin(np.pi * x / 2.0))
+    rel = DispersionRelation.eigen_backed("random", 1.0, a)
+    with pytest.raises(ValueError) as single:
+        assemble_cell_operator("random", 4.0, 1.0, a)
+    with pytest.raises(ValueError) as scan:
+        rel(np.array([0.5, 4.0, 4.5]))
+    assert "mu=4.0" in str(scan.value) and str(scan.value) == str(single.value)
+
+
+def _benchmark_cell(kind):
+    """The three 16-point cells of the dispersion benchmark's kinds:
+    random and nonlocal at period 4 and h = 0.25, the lattice at period 8."""
+    x = np.arange(16) * 0.25
+    if kind == "random":
+        a = PeriodicCoefficient((4.0,), 0.25, 1.0 + 0.12 * np.sin(np.pi * x / 2.0 + 0.4)
+                                + 0.08 * np.sin(np.pi * x + 1.1))
+        return DispersionRelation.eigen_backed("random", 1.0, a, mu_max=3.5)
+    if kind == "nonlocal":
+        a = PeriodicCoefficient((4.0,), 0.25, 1.0 + 0.08 * np.cos(np.pi * x))
+        return DispersionRelation.eigen_backed(
+            "nonlocal", 1.0, a, kernel=Kernel.from_profile("triangle", 1.0, 0.25, 1), mu_max=3.5)
+    a = PeriodicCoefficient((8.0,), 1.0, 1.0 + 0.12 * np.sin(np.arange(8.0)))
+    return DispersionRelation.eigen_backed("discrete", 1.0, a, weights=W1, mu_max=3.5)
+
+
+def _cutoff_cell():
+    """A 16 x 16 random cell: DENSE_START_MAX points, one matrix per eig stack."""
+    g = np.arange(16) * 0.25
+    a = PeriodicCoefficient((4.0, 4.0), 0.25, 1.0 + 0.1 * np.sin(np.pi * g[:, None] / 2.0)
+                            * np.cos(np.pi * g[None, :] / 2.0 + 0.3))
+    assert a.values.size == DENSE_START_MAX
+    return DispersionRelation.eigen_backed("random", (0.6, 0.8), a, mu_max=3.5)
+
+
+def _long_cell():
+    """320 points, above DENSE_START_MAX: Noda from constants."""
+    x = np.arange(320) * 0.125
+    a = PeriodicCoefficient((40.0,), 0.125, 1.0 + 0.1 * np.sin(np.pi * x / 20.0)
+                            + 0.05 * np.cos(np.pi * x / 5.0))
+    return DispersionRelation.eigen_backed("random", 1.0, a, mu_max=3.5)
+
+
+KERNEL_1D = Kernel.from_profile("triangle", 1.0, 0.1, 1)
+KERNEL_2D = Kernel.from_profile("triangle", 1.0, 0.25, 2)
+SCAN_CASES = {
+    "closed random": lambda: DispersionRelation.closed_form("random", 1.0, 1.0),
+    "closed nonlocal": lambda: DispersionRelation.closed_form("nonlocal", 1.0, 1.0,
+                                                              kernel=KERNEL_1D),
+    "closed discrete": lambda: DispersionRelation.closed_form("discrete", 1.0, 1.0, weights=W1),
+    **{f"closed 2-D {kind} {k}": (lambda kind=kind, xi=xi: DispersionRelation.closed_form(
+        kind, xi, 1.0, **({"kernel": KERNEL_2D} if kind == "nonlocal" else {})))
+       for kind in ("nonlocal", "random") for k, xi in enumerate(sampled_directions(2, 8))},
+    **{f"eigen {kind} cell": (lambda kind=kind: _benchmark_cell(kind))
+       for kind in ("random", "nonlocal", "discrete")},
+    "eigen 16x16 cell": _cutoff_cell,
+    "eigen 320-point cell": _long_cell,
+}
+
+
+def _recorded(rel):
+    """rel, with every call's (mu, lambda) appended to a list."""
+    calls = []
+
+    def evaluator(mu):
+        lam = rel(mu)
+        calls.append((mu, lam))
+        return lam
+
+    return DispersionRelation(evaluator, rel.mu_max), calls
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", list(SCAN_CASES))
+def test_scan_matches_the_scalar_scan_oracle(name):
+    """minimize_speed evaluates its scan in one call rel(grid); the oracle
+    calls rel(m) for each m of the grid.  Each scan value, each
+    golden-section value and the whole SpeedResult agree bit for bit."""
+    rel = SCAN_CASES[name]()
+    vectorized, calls = _recorded(rel)
+    scalar, oracle_calls = _recorded(rel)
+    got, want = minimize_speed(vectorized), scalar_scan_speed(scalar)
+    assert (_bits([got.c_star, got.mu_star, *got.bracket]).tolist(), got.evaluations) == (
+        _bits([want.c_star, want.mu_star, *want.bracket]).tolist(), want.evaluations)
+    grid = np.geomspace(1e-3, rel.mu_max, 60)
+    assert np.array_equal(calls[1][0], grid)
+    # rel(grid) is [rel(m) for m in grid], bit for bit
+    assert np.array_equal(_bits(calls[1][1]), _bits([lam for _, lam in oracle_calls[1:61]]))
+    rest = [calls[0], *calls[2:]]
+    oracle_rest = [oracle_calls[0], *oracle_calls[61:]]
+    assert len(calls) == 2 + len(oracle_calls) - 61 and got.evaluations == len(oracle_calls)
+    assert np.array_equal(_bits([mu for mu, _ in rest]), _bits([mu for mu, _ in oracle_rest]))
+    assert np.array_equal(_bits([lam for _, lam in rest]), _bits([lam for _, lam in oracle_rest]))
