@@ -5,8 +5,9 @@ Configs are flat INI files (sections habitat/reaction/dispersal/solver/
 experiment/output).  run, speed, eigen and validate all call one parse,
 parse_config: it reads every key any of them honours, with each
 experiment's own keys and rules stated by its key parser, checks an
-explicit solver.dt against the march_plan of every march the experiment
-runs, and then refuses every key in the file it did not read.  A
+explicit solver.dt against the one plan by which the experiment marches
+(an invariance sweep marches all its cells as one stack), and then
+refuses every key in the file it did not read.  A
 misspelled key, a value that does not parse and a key the experiment
 cannot honour all exit 2 and name section.key, before any output is
 written.  Runtime errors exit 3, failed verdicts exit 1.
@@ -16,9 +17,9 @@ capacity u0* = r0 / slope.  The pipelines and their verdicts live in
 kpplab.experiments; a runner here only formats what its pipeline
 returns.  Artifacts are written to a fresh directory atomically (temp
 dir, removed on failure, then rename) with a manifest sufficient to
-rerun the job.  Flags beat environment variables (KPPLAB_JOBS,
-KPPLAB_OUTPUT_DIR, KPPLAB_QUIET = 0 or 1), which beat the config file;
-an unparsable environment value exits 2.
+rerun the job.  Flags beat environment variables (KPPLAB_OUTPUT_DIR,
+KPPLAB_QUIET = 0 or 1), which beat the config file; an unparsable
+environment value, or a KPPLAB_ variable that no command reads, exits 2.
 """
 
 from __future__ import annotations
@@ -215,8 +216,8 @@ def _front_speed_keys(cp, habitat, reaction, op, solver):
     return {"margin": margin}, [reaction]
 
 
-def _exp_front_speed(job, options):
-    run = run_front(job.op, job.reaction, job.habitat, job.xi, **job.solver, **job.keys)
+def _exp_front_speed(job):
+    (run,) = run_front(job.op, [job.reaction], job.habitat, job.xi, **job.solver, **job.keys)
     est = run.estimate
     summary = {
         "c_empirical": est.slope,
@@ -250,17 +251,9 @@ def _sweep_keys(cp, habitat, reaction, op, solver):
     return {"amplitudes": amplitudes}, cells
 
 
-def _exp_invariance_sweep(job, options):
-    args = (job.op, job.reaction, job.habitat, job.xi)
-    if options.get("jobs", 1) == 1:
-        report = run_speed_invariance_sweep(*args, **job.solver, **job.keys)
-    else:
-        # imported here: it loads logging, traceback and string, about
-        # 4-5 ms of every start-up, and only this branch uses it
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=options["jobs"]) as pool:
-            report = run_speed_invariance_sweep(*args, **job.solver, **job.keys, map=pool.map)
+def _exp_invariance_sweep(job):
+    report = run_speed_invariance_sweep(job.op, job.reaction, job.habitat, job.xi, **job.solver,
+                                        **job.keys)
     summary = {
         "c_theory": report.c_theory,
         "pairwise_spread": report.pairwise_spread,
@@ -292,7 +285,7 @@ def _spreading_keys(cp, habitat, reaction, op, solver):
     return {"clause": clause, "r": r, "c_scale": c_scale, "margin": margin}, [reaction]
 
 
-def _exp_spreading_features(job, options):
+def _exp_spreading_features(job):
     verdict = run_compact_spreading_checks(job.op, job.reaction, job.habitat, **job.solver,
                                            **job.keys)
     summary = {
@@ -321,7 +314,7 @@ def _stationary_keys(cp, habitat, reaction, op, solver):
     return {}, []
 
 
-def _exp_stationary_profile(job, options):
+def _exp_stationary_profile(job):
     prof = run_stationary_profile(job.op, job.reaction, job.habitat)
     above, below, habitat = prof.above, prof.below, job.habitat
     summary = {
@@ -378,9 +371,9 @@ class Job:
 def parse_config(cp) -> Job:
     """Read every key that run, speed, eigen or validate honours, with the
     experiment's key parser stating its own rules, and check an explicit
-    solver.dt against the plan of each march the experiment runs (the
-    config's own reaction when no experiment is named); then refuse every
-    key in the file that was not read, so none is silently ignored."""
+    solver.dt against the plan of the one stack the experiment marches
+    (the config's own reaction when no experiment is named); then refuse
+    every key in the file that was not read, so none is silently ignored."""
     name = _get(cp, "experiment", "name", str, default=None, choices=set(EXPERIMENTS))
     habitat = build_habitat(cp)
     reaction = build_reaction(cp)
@@ -391,11 +384,11 @@ def parse_config(cp) -> Job:
     if solver["dt"] is not None:
         # every march starts at height u0* < beta0, and march_plan reads the
         # data only through its habitat and max, so a constant u0* stands in
-        for rea in marches:
-            plan = march_plan(op, rea, habitat.full(rea.u0_star), solver["dt"])
-            if not plan.stable:
-                raise ConfigError(f"solver.dt: {plan.dt} violates the stability bound "
-                                  f"{plan.bound:.6g} of the {plan.scheme} march")
+        plan = march_plan(op, marches, [habitat.full(rea.u0_star) for rea in marches],
+                          solver["dt"])
+        if not plan.stable:
+            raise ConfigError(f"solver.dt: {plan.dt} violates the stability bound "
+                              f"{plan.bound:.6g} of the {plan.scheme} march")
     expect = _get(cp, "experiment", "expect", str, default="pass", choices={"pass", "fail"})
     xi = _get(cp, "experiment", "direction", floats,
               default=(1.0,) + (0.0,) * (habitat.dim - 1))
@@ -452,7 +445,6 @@ def _manifest(cfg_text, summary, options, wall_time):
         "kpplab_version": __version__,
         "numpy_version": np.__version__,
         "seed": options.get("seed"),
-        "jobs": options.get("jobs"),
         "wall_time_s": wall_time,
         "summary": summary,
     }
@@ -469,7 +461,7 @@ def _cmd_run(job, cfg_text, options):
 
     runner = EXPERIMENTS[job.name][1]
     t0 = time.perf_counter()
-    ok, fields, artifacts = runner(job, options)
+    ok, fields, artifacts = runner(job)
     wall = time.perf_counter() - t0
 
     summary = {"experiment": job.name, "kind": job.op.kind, **fields,
@@ -557,16 +549,19 @@ def _env_value(parser, name, cast, fallback):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="kpplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    jobs = _env_value(parser, "KPPLAB_JOBS", int, 1)
-    if jobs < 1:
-        parser.error(f"environment variable KPPLAB_JOBS: must be at least 1, got {jobs}")
+    unread = sorted(name for name in os.environ if name.startswith("KPPLAB_")
+                    and name not in ("KPPLAB_OUTPUT_DIR", "KPPLAB_QUIET"))
+    if unread:
+        parser.error(f"environment variable {', '.join(unread)}: read by no command")
     quiet = _env_value(parser, "KPPLAB_QUIET", int, 0)
     if quiet not in (0, 1):
         parser.error(f"environment variable KPPLAB_QUIET: must be 0 or 1, got {quiet}")
     for name in ("run", "speed", "eigen", "validate"):
         p = sub.add_parser(name)
         p.add_argument("config")
-        p.add_argument("--jobs", type=int, default=jobs)
+        # accepts 1 only, which perfbench/workloads.py passes; a sweep marches
+        # its cells as one stack in this process
+        p.add_argument("--jobs", type=int, default=1, choices=[1])
         p.add_argument("--output-dir", default=os.environ.get("KPPLAB_OUTPUT_DIR"))
         # recorded in the manifest only; no experiment draws a random number
         p.add_argument("--seed", type=int)
@@ -577,10 +572,7 @@ def main(argv=None) -> int:
     if args.command == "list-experiments":
         return _cmd_list({})
 
-    if args.jobs < 1:
-        parser.error(f"--jobs: must be at least 1, got {args.jobs}")
     options = {
-        "jobs": args.jobs,
         "output_dir": args.output_dir,
         "seed": args.seed,
         "quiet": args.quiet,

@@ -12,19 +12,24 @@ On a habitat the stencil acts in difference form sum_j w_j (u(x+z_j) - u(x)),
 so constants are exact equilibria.  Under clamp boundaries out-of-domain
 terms are dropped and nonlocal rows are renormalized by their in-domain
 mass; under periodic boundaries indices wrap, by the one rule of
-wrap_index.
+wrap_index.  A bound operator acts on a stack (rows, *shape) of grids,
+each with the bits it gets alone: under clamp boundaries as on a grid
+of one more axis with offsets (0, *z), under periodic ones by a product
+per grid (one over the stack would sum in a position-dependent order).
 
 Under clamp boundaries every term runs as a 1-D op on the C-order flat
 arrays (_flat_overlap): the in-domain overlap of offset z becomes one
 contiguous range [d0, d1) of the flat grid, from the overlap's first
 point to its last, and its source is the same range shifted by the flat
-offset of z.  In 2-D the range also holds |z_col| positions between each
-two rows of the overlap whose column falls outside it, where the shift
-wraps to a neighbouring row; after d = w (u[src] - u[dst]) the term sets
+offset of z.  On more than one row the range also holds the positions
+outside the overlap, |z_col| between each two rows of a 2-D grid and the
+gaps between the grids of a stack, where the shift wraps to a
+neighbouring row or grid; after d = w (u[src] - u[dst]) the term sets
 d = +0.0 there, before it adds d into acc[dst].  acc starts at +0.0 and
 can never become -0.0 (in round-to-nearest a sum is -0.0 only when both
 addends are), so adding +0.0 in place of a dropped term leaves every
-partial sum's bits unchanged.  In 1-D the range is the overlap itself.
+partial sum's bits unchanged.  On one 1-D grid the range is the
+overlap itself.
 
 The random and nonlocal stencils and symmetric lattice rates are
 symmetric (z and -z carry the same weight), so the clamp action shares
@@ -247,34 +252,37 @@ class DispersalOperator:
 
     # ---- raw-array action -------------------------------------------------
 
-    def bind(self, habitat: Habitat):
-        """Return the action as a fast array -> array closure.  It returns
-        a fresh C-contiguous array for an input of any layout; a clamp
-        closure keeps its differences in one workspace, so calls of one
-        closure must not overlap."""
+    def bind(self, habitat: Habitat, rows: int = 1):
+        """Return the action on a stack (rows, *habitat.shape) of grids, or
+        on one grid for rows 1, as a fast array -> array closure; each
+        grid's result is bitwise that of the grid alone (see the module
+        docstring).  It returns a fresh C-contiguous array for an input of
+        any layout; a clamp closure keeps its differences in one workspace,
+        so calls of one closure must not overlap."""
         self.check_habitat(habitat)
         st = self._stencil(habitat.dim, habitat.spacing)
-        offsets = [tuple(off) for off in st.offsets.tolist()]
+        offsets = [(0, *off) for off in st.offsets.tolist()]
         # the centre offset contributes w_0 (u(x) - u(x)) = 0
         terms = [(off, w) for off, w in zip(offsets, st.weights) if any(off)]
 
         if habitat.boundary == PERIODIC:
-            index = wrap_index([off for off, _ in terms], habitat.shape)
+            index = wrap_index([off[1:] for off, _ in terms], habitat.shape)
             weights = np.array([w for _, w in terms])
 
             def action_wrap(u):
-                flat = u.ravel()
-                return (weights @ (flat[index] - flat)).reshape(u.shape)
+                grids = u.reshape(rows, -1)
+                return (weights @ (grids[:, index] - grids[:, None])).reshape(u.shape)
 
             return action_wrap
 
-        overlaps = {off: _flat_overlap(off, habitat.shape) for off in offsets}
+        shape = (rows, *habitat.shape)
+        overlaps = {off: _flat_overlap(off, shape) for off in offsets}
         roles = _shared_differences(terms)
         # one workspace row per pair and one for the unpaired terms: the
         # first term of a pair leaves its difference in the pair's row and
         # the mirror, whose dst is the first's src, subtracts it from there
         n_pairs = sum(not first for _, first in roles)
-        work = np.empty((n_pairs + 1, habitat.n_points))
+        work = np.empty((n_pairs + 1, rows * habitat.n_points))
         steps = []
         for (off, w), (slot, first) in zip(terms, roles):
             if overlaps[off] is not None:  # an empty overlap's mirror is empty too
@@ -283,7 +291,7 @@ class DispersalOperator:
                 steps.append((dst, src, bad, w, d, first))
         row_mass = None
         if st.renormalize:
-            row_mass = np.zeros(habitat.n_points)
+            row_mass = np.zeros(rows * habitat.n_points)
             for off, w in zip(offsets, st.weights):
                 if overlaps[off] is not None:
                     dst, _, bad = overlaps[off]
@@ -501,21 +509,22 @@ def _shared_differences(terms):
 
 def _flat_overlap(off, shape):
     """The in-domain overlap of an integer offset z on a C-order grid of
-    the given shape (1-D or 2-D) as one contiguous range of the flat grid:
-    (dst, src, bad), with dst the slice from the overlap's first point to
-    its last, src the same slice shifted by the flat offset of z, and bad
-    the positions of dst, counted from its start, whose column lies
-    outside the overlap (|z_col| between each two of its rows), or None
-    where there are none, as always in 1-D.  None for an empty overlap
-    (clamp semantics: out-of-domain terms contribute 0)."""
-    (rows, cols), (zr, zc) = ((1, *shape), (0, *off)) if len(shape) == 1 else (shape, off)
-    r0, r1 = max(0, -zr), rows - max(0, zr)
-    c0, c1 = max(0, -zc), cols - max(0, zc)
-    if r1 <= r0 or c1 <= c0:
+    the given shape as one contiguous range of the flat grid: (dst, src,
+    bad), with dst the slice from the overlap's first point to its last,
+    src the same slice shifted by the flat offset of z, and bad the
+    positions of dst, counted from its start, whose multi-index lies
+    outside the overlap (|z_col| between each two of its rows on a 2-D
+    grid), or None where there are none, as on a grid of one row.  None
+    for an empty overlap (clamp semantics: out-of-domain terms contribute
+    0)."""
+    box = tuple(slice(max(0, -z), n - max(0, z)) for z, n in zip(off, shape))
+    if any(b.stop <= b.start for b in box):
         return None
-    start, stop = r0 * cols + c0, (r1 - 1) * cols + c1
-    shift = zr * cols + zc
-    bad = None
-    if zc and r1 - r0 > 1:
-        bad = (np.arange(c1 - c0, stop - start, cols)[:, None] + np.arange(abs(zc))).ravel()
-    return slice(start, stop), slice(start + shift, stop + shift), bad
+    first = [b.start for b in box]
+    start = int(np.ravel_multi_index(first, shape))
+    stop = int(np.ravel_multi_index([b.stop - 1 for b in box], shape)) + 1
+    shift = int(np.ravel_multi_index([p + z for p, z in zip(first, off)], shape)) - start
+    inside = np.zeros(shape, dtype=bool)
+    inside[box] = True
+    bad = np.flatnonzero(~inside.ravel()[start:stop])
+    return slice(start, stop), slice(start + shift, stop + shift), bad if bad.size else None

@@ -9,7 +9,7 @@ perturbation radius (H2), and the constructor refuses a law that is not
 negative above beta0 (H1).  Everything here is an immutable value object;
 arrays are frozen after construction so instances can be shared freely.
 A Field, Kernel or LatticeWeights unpickles through its constructor, so a
-copy sent to a worker process is validated and frozen again.
+pickled copy is validated and frozen again.
 """
 
 from __future__ import annotations
@@ -258,15 +258,17 @@ class Reaction:
         from data of the given max height; the one statement of M."""
         return max(height, self.beta0) + self.u0_star
 
-    def perturbation(self, habitat: Habitat):
-        """A * bump(|x|/L0) sampled on the habitat grid (exact zeros outside L0)."""
-        if self.amplitude == 0.0:
-            return np.zeros(habitat.shape)
-        return self.amplitude * mollifier_bump(habitat.radius() / self.radius)
+    def perturbation(self, habitat: Habitat, amplitudes=None):
+        """A * bump(|x|/L0) sampled on the habitat grid (exact zeros outside
+        L0), or on a stack of grids with A = amplitudes[j] on grid j."""
+        a = self.amplitude if amplitudes is None else np.reshape(
+            amplitudes, (-1,) + (1,) * habitat.dim)
+        return a * mollifier_bump(habitat.radius() / self.radius)
 
-    def bind(self, habitat: Habitat):
-        """Vectorized u -> f(x, u) on the habitat grid."""
-        base = self.r0 + self.perturbation(habitat)
+    def bind(self, habitat: Habitat, amplitudes=None):
+        """Vectorized u -> f(x, u) on the habitat grid, or on a stack of
+        grids with amplitude amplitudes[j] on grid j."""
+        base = self.r0 + self.perturbation(habitat, amplitudes)
         slope = self.slope
 
         def growth(u):

@@ -4,7 +4,10 @@ the part metric on strictly positive states, and exponential-envelope
 super-solution checks.
 
 Two explicit schemes share one stepping loop (clip accounting,
-invariant-region guard, record rule):
+invariant-region guard, record rule).  It steps a stack of rows that
+differ in their data and amplitudes only, each bitwise its march alone
+at the stack's step and with its own clip count, invariant-region bound,
+observer and Trajectory.  A single march is the stack of one.
 
 rk4   classical fourth-order Runge-Kutta, the scheme of evolve.  It
       preserves the order of solutions at evolve's step bound
@@ -23,24 +26,26 @@ rkc2  second-order Runge-Kutta-Chebyshev with damping 2/13 (Sommeijer,
 
 march_plan states the march's step rule once: scheme, step, stage count
 and bound, all from one spectral bound rho of the linearized right-hand
-side, read from u0 only through its habitat and max(u0), so a caller can
-check a step before it builds the initial data.  The step rules read the
-dispersal through its stencil's rho and clause mass (dispersal._Stencil)
-and never ask which kind it is.
+side, read from each u0 only through its habitat and max(u0), so a
+caller can check a step before it builds the initial data; its maxima
+run over the stack, so a stack steps at the smallest step of its rows.
+The step rules read the dispersal through its stencil's rho and clause
+mass (dispersal._Stencil) and never ask which kind it is.
 Step sizes are refused up front when they violate the plan's bound,
 negatives produced by roundoff are clipped to zero with systematic
 negativity counted, and divergence is reported with the first bad time.
 
 The record rule: a march of n >= 1 steps to t_end = n dt >= T records
 t = 0, every record_every-th step and the last.  evolve keeps a snapshot
-of each record.  march does too, unless it is given an observer: then
-each record is handed to observer(t, values, t_end) as it arrives and the
-Trajectory keeps only the initial and final snapshots, so a reader that
-folds what it needs holds no history.
+of each record.  A row of march does too, unless it is given an
+observer: then each record is handed to observer(t, values, t_end) as it
+arrives and the row's Trajectory keeps only the initial and final
+snapshots, so a reader that folds what it needs holds no history.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -113,31 +118,48 @@ class MarchPlan(NamedTuple):
         return self.dt <= self.bound * (1.0 + 1e-12)
 
 
-def _reaction_maxima(reaction: Reaction, habitat: Habitat, top: float):
-    """(max|f|, max|d_u(u f)|) over the grid and u in [0, top]; the march
-    takes top = reaction.ceiling(max u0).  Both are linear in u,
-    d_u(u f) = f(x, 0) - 2 slope u = f(x, 2u), so each is taken at the two
-    ends: f at u in {0, top} and d_u(u f) through f at u in {0, 2 top}."""
-    growth = reaction.bind(habitat)
+def _reaction_maxima(growth, top):
+    """(max|f|, max|d_u(u f)|) over the grid and u in [0, top] of the bound
+    growth u -> f(x, u) (Reaction.bind), the maxima over the rows of a
+    stack with a top per row; the march takes top = reaction.ceiling(max
+    u0).  Both are linear in u, d_u(u f) = f(x, 0) - 2 slope u = f(x, 2u),
+    so each is taken at the two ends: f at u in {0, top} and d_u(u f)
+    through f at u in {0, 2 top}."""
     at_0, at_m, at_2m = (float(np.abs(growth(u)).max()) for u in (0.0, top, 2.0 * top))
     return max(at_0, at_m), max(at_0, at_2m)
 
 
-def _step_inputs(op: DispersalOperator, reaction: Reaction, u0: Field):
-    """(stencil, max|f|, rho) of the flow from u0: the dispersal._Stencil,
-    and over u in [0, M], M = reaction.ceiling(max u0), max|f| and the
-    Gershgorin bound rho = rho_D + max|d_u(u f)| of the linearized
-    right-hand side, rho_D the stencil's; the one statement of rho."""
-    h = u0.habitat
-    st = op._stencil(h.dim, h.spacing)
-    max_f, max_df = _reaction_maxima(reaction, h, reaction.ceiling(u0.max))
+def _stack(reactions, u0s):
+    """(habitat, growth, ceilings) of the stack whose row j marches u0s[j]
+    under reactions[j]: growth is Reaction.bind on the stack, ceilings each
+    row's reaction.ceiling(max u0), shaped to broadcast over it.  The rows
+    must share one habitat and differ in amplitude only."""
+    habitat = u0s[0].habitat
+    if (any(u0.habitat != habitat for u0 in u0s)
+            or len({dataclasses.replace(r, amplitude=0.0) for r in reactions}) != 1):
+        raise ValueError("the rows of a stack must share one habitat and differ in "
+                         "their reactions' amplitudes only")
+    ceilings = [r.ceiling(u0.max) for r, u0 in zip(reactions, u0s, strict=True)]
+    return (habitat, reactions[0].bind(habitat, [r.amplitude for r in reactions]),
+            np.reshape(ceilings, (-1,) + (1,) * habitat.dim))
+
+
+def _step_inputs(op: DispersalOperator, reactions, u0s):
+    """(stencil, max|f|, rho) of the flow of a stack: the dispersal._Stencil,
+    and over its rows and u in [0, M], M a row's reaction.ceiling(max u0),
+    max|f| and the Gershgorin bound rho = rho_D + max|d_u(u f)| of the
+    linearized right-hand side, rho_D the stencil's; the one statement of
+    rho.  The maxima are those of the worst row."""
+    habitat, growth, ceilings = _stack(reactions, u0s)
+    st = op._stencil(habitat.dim, habitat.spacing)
+    max_f, max_df = _reaction_maxima(growth, ceilings)
     return st, max_f, st.rho + max_df
 
 
 def spectral_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
     """The Gershgorin bound rho of the linearized right-hand side that
     march_plan steps by, as _step_inputs states it."""
-    return _step_inputs(op, reaction, u0)[2]
+    return _step_inputs(op, [reaction], [u0])[2]
 
 
 def _clause(mass: float, max_f: float) -> float:
@@ -160,7 +182,7 @@ def stability_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> 
     = max(max u0, beta0) + u0*.  march does not use this bound: march_plan
     states its own.
     """
-    st, max_f, _ = _step_inputs(op, reaction, u0)
+    st, max_f, _ = _step_inputs(op, [reaction], [u0])
     clause = _clause(st.mass, max_f)
     return min(clause, 2.0 / ((1.0 + _STABILITY_SAFETY) * st.rho))
 
@@ -207,27 +229,27 @@ def _rkc2_stages(dt: float, rho: float) -> int:
     return s
 
 
-def march_plan(op: DispersalOperator, reaction: Reaction, u0: Field,
-               dt: float = None) -> MarchPlan:
-    """The MarchPlan of march from u0: the one statement of its step rule.
+def march_plan(op: DispersalOperator, reactions, u0s, dt: float = None) -> MarchPlan:
+    """The MarchPlan of march, row j from u0s[j] under reactions[j]: the
+    one statement of the march's step rule.
 
     Both schemes read one Gershgorin bound of the linearized right-hand
-    side, rho = rho_D + max|d_u(u f)| over u in [0, M], with rho_D the
-    dispersal stencil's bound (4 dim / h^2 for the random kind, twice the
-    clause mass otherwise).  rk4 is bounded by 0.6 * 2.785 / rho, a share
-    of its real stability interval (its stability region also holds every
-    disc |z + r| <= r with r <= 1.39, which covers the discs of the
-    non-symmetric clamp rows), and steps at dt, else at 0.95 times that
-    bound.  rkc2 is bounded by the bounded-operator clause
+    side, rho = rho_D + max|d_u(u f)| over the rows and u in [0, M], with
+    rho_D the dispersal stencil's bound (4 dim / h^2 for the random kind,
+    twice the clause mass otherwise).  rk4 is bounded by 0.6 * 2.785 /
+    rho, a share of its real stability interval (its stability region
+    also holds every disc |z + r| <= r with r <= 1.39, which covers the
+    discs of the non-symmetric clamp rows), and steps at dt, else at 0.95
+    times that bound.  rkc2 is bounded by the bounded-operator clause
     0.25 / (mass + max|f| + 1), steps at dt, else at 0.5 * 0.95 times the
     clause (the half keeps the front speed within 1e-3 of rk4's), and
-    takes the smallest s with beta(s) >= 1.05 dt rho (a dt above the bound
-    gets the bound's s).  The scheme does not follow dt: it is rkc2 when,
-    at the two automatic steps, s / dt_rkc2 < 4 / dt_rk4, and rk4
-    otherwise, which only the random kind can reach.  u0 enters through
-    its habitat and max(u0) only.
+    takes the smallest s with beta(s) >= 1.05 dt rho (a dt above the
+    bound gets the bound's s).  The scheme does not follow dt: it is rkc2
+    when, at the two automatic steps, s / dt_rkc2 < 4 / dt_rk4, and rk4
+    otherwise, which only the random kind can reach.  Each u0 enters
+    through its habitat and max(u0) only.
     """
-    st, max_f, rho = _step_inputs(op, reaction, u0)
+    st, max_f, rho = _step_inputs(op, reactions, u0s)
     rk4 = _RK4_MARCH_FRACTION * _RK4_INTERVAL / rho
     rk4_dt = _STEP_FRACTION * rk4
     clause = _clause(st.mass, max_f)
@@ -333,42 +355,39 @@ def evolve(
     aborts with the first bad time.
     """
     plan = MarchPlan(RK4, dt, 4, stability_dt_bound(op, reaction, u0))
-    return _step_loop(op, reaction, u0, T, plan, record_every)
+    return _step_loop(op, [reaction], [u0], T, plan, record_every, [None])[0]
 
 
-def march(
-    op: DispersalOperator,
-    reaction: Reaction,
-    u0: Field,
-    T: float,
-    dt: float = None,
-    record_every: int = None,
-    observer=None,
-) -> Trajectory:
-    """The march of the front and spreading runs, by the plan
-    of march_plan (dt None is its automatic step; a dt above its bound
-    raises StabilityError).  record_every None makes about 240 records.
-    Records obey evolve's clip, bound and record rules.
+def march(op: DispersalOperator, reactions, u0s, T: float, dt: float = None,
+          record_every: int = None, observers=None) -> tuple:
+    """The march of the front and spreading runs: every row j from u0s[j]
+    under reactions[j], all as one stack by the plan of march_plan (dt
+    None is its automatic step; a dt above its bound raises
+    StabilityError), with a Trajectory per row.  A single march is the
+    stack of one.  record_every None makes about 240 records.  Records
+    obey evolve's clip, bound and record rules, row by row.
 
-    Without an observer every record is kept as a snapshot.  With one,
-    observer(t, values, t_end) is called at t = 0 and at each later record
-    in time order, with t_end the final recorded time, and the returned
-    Trajectory holds the initial and final snapshots only; clip_count,
-    scheme and rhs_evals are those of the whole march.  values is a
-    read-only array that the march never changes afterwards, so the
-    observer may keep it.
+    A row without an observer (observers None: no row has one) keeps
+    every record as a snapshot.  A row's observer(t, values, t_end) is
+    called at t = 0 and at each later record in time order, with t_end
+    the final recorded time, and the row's Trajectory holds the initial
+    and final snapshots only; clip_count, scheme and rhs_evals are those
+    of the whole march.  At each record the observers are called in row
+    order.  values is a read-only array that the march never changes
+    afterwards, so the observer may keep it.
     """
-    return _step_loop(op, reaction, u0, T, march_plan(op, reaction, u0, dt), record_every,
-                      observer)
+    return _step_loop(op, reactions, u0s, T, march_plan(op, reactions, u0s, dt), record_every,
+                      observers or [None] * len(u0s))
 
 
-def _step_loop(op, reaction, u0, T, plan, record_every, observer=None):
-    """The stepping loop of every scheme: input and stability checks, then
-    u <- step(rhs, u), clip accounting, the invariant-region guard and the
-    record rule (record_every None makes about 240 records), each record
-    kept as a snapshot or, given an observer, handed to it."""
+def _step_loop(op, reactions, u0s, T, plan, record_every, observers):
+    """The stepping loop of every scheme, on the stack of the rows u0s:
+    input and stability checks, then u <- step(rhs, u), each row's clip
+    accounting and invariant-region guard and the record rule
+    (record_every None makes about 240 records), each row's records kept
+    as snapshots or, given its observer, handed to it."""
     dt = plan.dt
-    if not u0.is_nonnegative():
+    if not all(u0.is_nonnegative() for u0 in u0s):
         raise ValueError("initial data must be nonnegative")
     if not (T > 0 and dt > 0):
         raise ValueError("T and dt must be positive")
@@ -381,9 +400,10 @@ def _step_loop(op, reaction, u0, T, plan, record_every, observer=None):
                              f"{plan.bound:.6g} for kind={op.kind}")
     step = _rk4_stepper(dt) if plan.scheme == RK4 else _rkc2_stepper(dt, plan.stages)
 
-    habitat = u0.habitat
-    disp = op.bind(habitat)
-    growth = reaction.bind(habitat)
+    habitat, growth, m_bounds = _stack(reactions, u0s)
+    m_bounds = m_bounds.ravel()
+    m_low = m_bounds.min()
+    disp = op.bind(habitat, len(u0s))
 
     def rhs(u):
         # a new array each call, as the steppers require
@@ -393,7 +413,6 @@ def _step_loop(op, reaction, u0, T, plan, record_every, observer=None):
         out += g
         return out
 
-    m_bound = reaction.ceiling(u0.max)
     # at least one step: for T below 1e-12 dt the ceiling alone gives none
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     t_end = n_steps * dt
@@ -406,48 +425,51 @@ def _step_loop(op, reaction, u0, T, plan, record_every, observer=None):
     # on that grid).
     np.empty(1 << 21)
 
-    history = observer is None
-    if history:
-        times, snapshots = [0.0], [u0]
+    kept = [([0.0], [u0]) for u0 in u0s]  # each row's times and snapshots
+    calls = []  # each row's observer, or one that keeps every record
+    for observer, (times, snapshots) in zip(observers, kept, strict=True):
+        if observer is None:
+            def observer(t, values, t_end, times=times, snapshots=snapshots):
+                times.append(t)
+                snapshots.append(Field(habitat, values))
+        else:
+            observer(0.0, snapshots[0].values, t_end)
+        calls.append(observer)
 
-        def observer(t, values, t_end):
-            times.append(t)
-            snapshots.append(Field(habitat, values))
-    else:
-        observer(0.0, u0.values, t_end)
-
-    u = u0.values
-    clip_count = 0
+    u = np.stack([u0.values for u0 in u0s])
+    grid_axes = tuple(range(1, u.ndim))
+    clip_counts = np.zeros(len(u0s), dtype=int)
     for k in range(1, n_steps + 1):
         # step and the clip below return fresh arrays, never writing into u,
-        # so an array handed to the observer is never changed afterwards
+        # so an array handed to an observer is never changed afterwards
         u = step(rhs, u)
         t = k * dt
 
         umin = u.min()
         if umin < 0.0:
-            clip_count += int(np.count_nonzero(u < -_CLIP_NOISE))
+            clip_counts += np.count_nonzero(u < -_CLIP_NOISE, axis=grid_axes)
             u = np.maximum(u, 0.0)
-        umax = u.max()
-        if not np.isfinite(umax) or umax > m_bound:
-            raise IntegrationDivergedError(
-                f"integration diverged at t={t:.6g} (max={umax:.6g}, bound={m_bound:.6g})"
-            )
+        # not <=, so that a non-finite value fails too; the rows are read
+        # only once some value exceeds the lowest bound
+        if not u.max() <= m_low:
+            umax = u.max(axis=grid_axes)
+            j = int(np.argmin(umax <= m_bounds))  # the first row beyond its bound
+            if not umax[j] <= m_bounds[j]:
+                raise IntegrationDivergedError(f"integration diverged at t={t:.6g} "
+                                               f"(max={umax[j]:.6g}, bound={m_bounds[j]:.6g})")
 
         if k % record_every == 0 or k == n_steps:
             u.setflags(write=False)
-            observer(t, u, t_end)
+            for observer, values in zip(calls, u):
+                observer(t, values, t_end)
 
-    if not history:
-        times, snapshots = [0.0, t_end], [u0, Field(habitat, u)]
-    return Trajectory(
-        habitat=habitat,
-        times=np.asarray(times),
-        snapshots=snapshots,
-        clip_count=clip_count,
-        scheme=plan.scheme,
-        rhs_evals=plan.stages * n_steps,
-    )
+    for observer, (times, snapshots), values in zip(observers, kept, u):
+        if observer is not None:
+            times.append(t_end)
+            snapshots.append(Field(habitat, values))
+    return tuple(Trajectory(habitat, np.asarray(times), snapshots, int(clips), plan.scheme,
+                            plan.stages * n_steps)
+                 for (times, snapshots), clips in zip(kept, clip_counts))
 
 
 @dataclass(frozen=True)
@@ -510,17 +532,24 @@ def check_part_metric_decay(
 ) -> PartMetricReport:
     """The part metric between two strictly positive solutions must be
     non-increasing along the flow (up to a roundoff slack of 1e-8 per
-    recorded step)."""
+    recorded step).  The pair marches as one stack by rk4 at dt, which
+    must not exceed stability_dt_bound of either datum (evolve's
+    order-preserving step), and the metric is folded at each record."""
     if not (u0.is_strictly_positive() and v0.is_strictly_positive()):
         raise ValueError("initial data must be strictly positive")
-    tu = evolve(op, reaction, u0, T, dt, record_every)
-    tv = evolve(op, reaction, v0, T, dt, record_every)
-    rhos = np.array([part_metric(a, b) for a, b in zip(tu.snapshots, tv.snapshots)])
-    bad = []
-    for k in range(1, len(rhos)):
-        if rhos[k] > rhos[k - 1] + _PART_METRIC_SLACK:
-            bad.append((float(tu.times[k]), float(rhos[k] - rhos[k - 1])))
-    return PartMetricReport(not bad, rhos, tu.times, tuple(bad), _PART_METRIC_SLACK)
+    times, rhos, held = [], [], []
+
+    def fold(t, values, t_end):  # row v's observer, called after row u's
+        times.append(t)
+        rhos.append(part_metric(Field(u0.habitat, held.pop()), Field(u0.habitat, values)))
+
+    bound = min(stability_dt_bound(op, reaction, w0) for w0 in (u0, v0))
+    _step_loop(op, [reaction] * 2, [u0, v0], T, MarchPlan(RK4, dt, 4, bound), record_every,
+               [lambda t, values, t_end: held.append(values), fold])
+    rhos = np.array(rhos)
+    bad = tuple((times[k], float(rhos[k] - rhos[k - 1])) for k in range(1, len(rhos))
+                if rhos[k] > rhos[k - 1] + _PART_METRIC_SLACK)
+    return PartMetricReport(not bad, rhos, np.asarray(times), bad, _PART_METRIC_SLACK)
 
 
 def check_exponential_supersolution(

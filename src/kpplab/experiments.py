@@ -1,8 +1,9 @@
 """End-to-end experiments, the four pipelines behind the CLI.
-run_front is the one front run of front_speed and of each sweep cell;
-it and the compact-data checks step by dynamics.march (rkc2 for the
-random kind where it is the cheaper scheme, rk4 otherwise).  An
-invariance sweep maps run_front over its cells and keeps each FrontRun.
+run_front is the front run of front_speed (a stack of one) and of an
+invariance sweep, whose cells march as one stack at one step and each
+keep their own FrontRun.  It and the compact-data checks step by
+dynamics.march (rkc2 for the random kind where it is the cheaper
+scheme, rk4 otherwise).
 run_stationary_profile solves the stationary state by both monotone
 routes and gates their gap, the tail and both stability bounds.
 
@@ -25,7 +26,6 @@ asserts that they do.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -289,35 +289,46 @@ def check_front_reaction(reaction: Reaction, habitat: Habitat):
         raise ValueError(f"amplitude {reaction.amplitude} makes f(x, 0) nonpositive somewhere")
 
 
-def run_front(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi, T: float,
-              dt: float = None, margin: float = CONE_MARGIN) -> FrontRun:
-    """Evolve front data of height u0* along xi.  One observer folds each of
+def run_front(op: DispersalOperator, reactions, habitat: Habitat, xi, T: float,
+              dt: float = None, margin: float = CONE_MARGIN) -> tuple:
+    """Evolve front data of height u0* along xi under each reaction (they
+    differ in amplitude only), all as one stack by dynamics.march, and
+    return a FrontRun per reaction.  One observer per row folds each of
     the march's records (about 240) into the position of the level 0.5 u0*
     and into the cone check of verify_spreading_cones against the
-    amplitude-0 c* at the given margin; the speed is then fitted after T/2,
-    delta0 + 10 h clear of the boundary.  The reaction must pass
+    amplitude-0 c* at the given margin; each speed is then fitted after
+    T/2, delta0 + 10 h clear of the boundary.  Each reaction must pass
     check_front_reaction and the margin check_cone_scales.
     """
-    check_front_reaction(reaction, habitat)
+    for reaction in reactions:
+        check_front_reaction(reaction, habitat)
+    u0_star = reactions[0].u0_star
     theory = theoretical_speed(
-        op.kind, dataclasses.replace(reaction, amplitude=0.0), xi,
+        op.kind, dataclasses.replace(reactions[0], amplitude=0.0), xi,
         kernel=op.kernel, weights=op.weights,
     )
-    u0 = make_front_initial(habitat, xi, reaction.u0_star)
-    level = 0.5 * reaction.u0_star
-    locate = _front_locator(habitat, xi, level, u0.max)
-    cone, cones = _cone_fold(habitat, xi, theory.c_star, reaction.u0_star, margin)
-    times, positions = [], []
+    u0 = make_front_initial(habitat, xi, u0_star)
+    locate = _front_locator(habitat, xi, 0.5 * u0_star, u0.max)
 
-    def record(t, values, t_end):
-        times.append(t)
-        positions.append(locate(values))
-        cone(t, values, t_end)
+    def row():
+        times, positions = [], []
+        cone, cones = _cone_fold(habitat, xi, theory.c_star, u0_star, margin)
 
-    traj = march(op, reaction, u0, T, dt, observer=record)
-    trace = FrontTrace(habitat, np.array(times), np.array(positions, dtype=float))
-    est = estimate_speed(trace, 0.5, exclusion=op.delta0 + 10.0 * habitat.spacing)
-    return FrontRun(reaction, traj, trace, est, theory, cones())
+        def record(t, values, t_end):
+            times.append(t)
+            positions.append(locate(values))
+            cone(t, values, t_end)
+
+        return record, times, positions, cones
+
+    rows = [row() for _ in reactions]
+    trajs = march(op, reactions, [u0] * len(rows), T, dt, observers=[r[0] for r in rows])
+    runs = []
+    for reaction, traj, (_, times, positions, cones) in zip(reactions, trajs, rows):
+        trace = FrontTrace(habitat, np.array(times), np.array(positions, dtype=float))
+        est = estimate_speed(trace, 0.5, exclusion=op.delta0 + 10.0 * habitat.spacing)
+        runs.append(FrontRun(reaction, traj, trace, est, theory, cones()))
+    return tuple(runs)
 
 
 # ----------------------------------------------------------------------
@@ -342,19 +353,17 @@ def check_sweep_amplitudes(amplitudes):
 
 
 def run_speed_invariance_sweep(op: DispersalOperator, reaction: Reaction, habitat: Habitat, xi,
-                               T: float, dt: float = None, amplitudes=SWEEP_AMPLITUDES,
-                               map=map) -> SweepReport:
-    """Empirical speeds across the amplitude sweep, one run_front per
-    amplitude with the reaction's amplitude replaced, and two gates:
-    every speed within THEORY_TOL of the amplitude-0 theory, and all
-    speeds pairwise within PAIRWISE_TOL (the discretization bias is shared,
-    so the pairwise gate is the sharper one).  map (a process pool's, say)
-    runs run_front over the cell reactions in increasing amplitude; the
-    amplitudes must pass check_sweep_amplitudes."""
+                               T: float, dt: float = None,
+                               amplitudes=SWEEP_AMPLITUDES) -> SweepReport:
+    """Empirical speeds across the amplitude sweep, the run_front of the
+    reaction with each amplitude in increasing order, marched as one stack
+    at one step, and two gates: every speed within THEORY_TOL of the
+    amplitude-0 theory, and all speeds pairwise within PAIRWISE_TOL (the
+    cells share one discretization, step included, so the pairwise gate
+    is the sharper one).  The amplitudes must pass check_sweep_amplitudes."""
     check_sweep_amplitudes(amplitudes)
-    cell = functools.partial(run_front, op, habitat=habitat, xi=xi, T=T, dt=dt)
-    runs = tuple(map(cell, [dataclasses.replace(reaction, amplitude=float(a))
-                            for a in sorted(amplitudes)]))
+    runs = run_front(op, [dataclasses.replace(reaction, amplitude=float(a))
+                          for a in sorted(amplitudes)], habitat, xi, T, dt)
     speeds = np.array([run.estimate.slope for run in runs])
     spread = float((speeds.max() - speeds.min()) / speeds.mean())
     ok_theory = all(run.ok_theory for run in runs)
@@ -454,7 +463,7 @@ def run_compact_spreading_checks(
             dev = np.abs(values[region] - u_star.values[region])
             worst = max(worst, float(dev.max()))
 
-    traj = march(op, reaction, u0, T, dt, observer=fold)
+    (traj,) = march(op, [reaction], [u0], T, dt, observers=[fold])
 
     threshold = 0.01 * u0_star if clause in (1, 3) else 0.05 * u0_star
     return ClauseVerdict(

@@ -249,7 +249,7 @@ def solve_stationary(
     disp = op.bind(habitat)
     resolvent = op.bind_resolvent(habitat)
     growth = reaction.bind(habitat)
-    K = _reaction_maxima(reaction, habitat, reaction.beta0)[1]  # the iterates stay below u*
+    K = _reaction_maxima(growth, reaction.beta0)[1]  # the iterates stay below u*
 
     def monotone(v):
         return K * v - disp(v)

@@ -7,14 +7,19 @@ import numpy as np
 
 from kpplab import Field
 from kpplab.domain import make_front_initial, sampled_directions
+from kpplab.dispersal import DispersalOperator
+from kpplab.domain import Reaction
 from kpplab.dynamics import (
+    _PART_METRIC_SLACK,
     RK4,
     RKC2,
     MarchPlan,
+    PartMetricReport,
     _reaction_maxima,
     _rkc2_stages,
     evolve,
     march,
+    part_metric,
     spectral_bound,
     stability_dt_bound,
 )
@@ -125,7 +130,7 @@ def kind_gated_plan(op, reaction, u0, dt=None):
     random kind, 2 and 1 for the nonlocal kind, twice the rate sum and
     the rate sum for the discrete kind."""
     habitat = u0.habitat
-    max_f, max_df = _reaction_maxima(reaction, habitat, reaction.ceiling(u0.max))
+    max_f, max_df = _reaction_maxima(reaction.bind(habitat), reaction.ceiling(u0.max))
     mass = op.weights.rate_sum if op.kind == "discrete" else 1.0
     rho_d = 4.0 * habitat.dim / habitat.spacing ** 2 if op.kind == "random" else 2.0 * mass
     rho = rho_d + max_df
@@ -321,7 +326,7 @@ def reconverge(op, reaction, u_star, perturbations, T=200.0):
         u, t = u0, 0.0
         distance = float(np.abs(u.values - u_star.values).max())
         while t < T:
-            traj = march(op, reaction, u, min(1.0, T - t), record_every=10 ** 9)
+            (traj,) = march(op, [reaction], [u], min(1.0, T - t), record_every=10 ** 9)
             u, t = traj.final, t + float(traj.times[-1])
             previous, distance = distance, float(np.abs(u.values - u_star.values).max())
             if distance >= previous:
@@ -343,7 +348,7 @@ def front_history(op, reaction, habitat, xi, T, dt=None):
     front data of height u0* without an observer, keeping every record,
     then track_front at 0.5 u0* over it.  It shares no observer with
     kpplab.experiments.run_front."""
-    traj = march(op, reaction, make_front_initial(habitat, xi, reaction.u0_star), T, dt)
+    (traj,) = march(op, [reaction], [make_front_initial(habitat, xi, reaction.u0_star)], T, dt)
     return traj, track_front(traj, xi, 0.5 * reaction.u0_star)
 
 
@@ -369,7 +374,7 @@ def compact_spreading_worst(op, reaction, habitat, clause, T, r=3.0, dt=None,
     c_min = min(speeds) * c_scale
     u0 = Field(habitat, reaction.u0_star * np.clip(r + 1.0 - coord, 0.0, 1.0))
 
-    traj = march(op, reaction, u0, T, dt)
+    (traj,) = march(op, [reaction], [u0], T, dt)
     if clause in (2, 4) and u_star is None:
         u_star = solve_stationary(op, reaction, habitat, route=FROM_ABOVE).u_star
 
@@ -386,3 +391,28 @@ def compact_spreading_worst(op, reaction, habitat, clause, T, r=3.0, dt=None,
                 raise ConeEmptyError(f"inner region empty at t={t:.3g}")
             worst = max(worst, float(np.abs(snap.values[region] - u_star.values[region]).max()))
     return worst, traj.clip_count, traj.rhs_evals
+
+
+def check_part_metric_decay(
+    op: DispersalOperator,
+    reaction: Reaction,
+    u0: Field,
+    v0: Field,
+    T: float,
+    dt: float,
+    record_every: int = 1,
+) -> PartMetricReport:
+    """The part metric between two strictly positive solutions must be
+    non-increasing along the flow (up to a roundoff slack of 1e-8 per
+    recorded step).  kpplab.dynamics.check_part_metric_decay as it was
+    before the pair marched as one stack: two evolve histories."""
+    if not (u0.is_strictly_positive() and v0.is_strictly_positive()):
+        raise ValueError("initial data must be strictly positive")
+    tu = evolve(op, reaction, u0, T, dt, record_every)
+    tv = evolve(op, reaction, v0, T, dt, record_every)
+    rhos = np.array([part_metric(a, b) for a, b in zip(tu.snapshots, tv.snapshots)])
+    bad = []
+    for k in range(1, len(rhos)):
+        if rhos[k] > rhos[k - 1] + _PART_METRIC_SLACK:
+            bad.append((float(tu.times[k]), float(rhos[k] - rhos[k - 1])))
+    return PartMetricReport(not bad, rhos, tu.times, tuple(bad), _PART_METRIC_SLACK)

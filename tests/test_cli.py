@@ -92,34 +92,44 @@ def test_schema_errors_exit_2(tmp_path, capsys):
 
 def test_unparsable_environment_exits_2(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, "ok.cfg", DISCRETE_FRONT.format(out=tmp_path / "out"))
-    for name, raw in [("KPPLAB_JOBS", "abc"), ("KPPLAB_QUIET", "yes")]:
+    for name, raw in [("KPPLAB_QUIET", "yes"), ("KPPLAB_QUIET", "2")]:
         with monkeypatch.context() as m:
             m.setenv(name, raw)
             with pytest.raises(SystemExit) as exc:
                 main(["validate", cfg])
             assert exc.value.code == 2
             assert name in capsys.readouterr().err
-    monkeypatch.setenv("KPPLAB_JOBS", "2")
-    assert main(["validate", cfg]) == 0
-    capsys.readouterr()
     for raw, out in [("1", ""), ("0", "config ok\n")]:
         monkeypatch.setenv("KPPLAB_QUIET", raw)
         assert main(["validate", cfg]) == 0
         assert capsys.readouterr().out == out
 
 
-def test_jobs_below_one_exit_2(tmp_path, monkeypatch, capsys):
-    # never run serially in silence: a job count below 1 is refused
+def test_jobs_other_than_one_exit_2(tmp_path, capsys):
+    # a sweep marches its cells as one stack in one process: --jobs takes
+    # 1 only, and any other count is refused, never run serially in silence
     cfg = _write(tmp_path, "ok.cfg", DISCRETE_FRONT.format(out=tmp_path / "out"))
-    for argv, env, name in [(["--jobs", "0"], None, "--jobs"), (["--jobs", "-3"], None, "--jobs"),
-                            ([], "0", "KPPLAB_JOBS")]:
+    for jobs in ("0", "-3", "2", "4"):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", cfg, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err, jobs
+    assert main(["validate", cfg, "--jobs", "1", "--quiet"]) == 0
+
+
+def test_unread_environment_variable_exits_2(tmp_path, monkeypatch, capsys):
+    # a KPPLAB_ variable that no command reads is refused by name, so a
+    # leftover KPPLAB_JOBS=4 is not silently ignored
+    cfg = _write(tmp_path, "ok.cfg", DISCRETE_FRONT.format(out=tmp_path / "out"))
+    for name in ("KPPLAB_JOBS", "KPPLAB_SEED"):
         with monkeypatch.context() as m:
-            if env is not None:
-                m.setenv("KPPLAB_JOBS", env)
+            m.setenv(name, "4")
             with pytest.raises(SystemExit) as exc:
-                main(["validate", cfg, *argv])
+                main(["validate", cfg])
             assert exc.value.code == 2
-            assert name in capsys.readouterr().err
+            assert f"environment variable {name}" in capsys.readouterr().err
+    monkeypatch.setenv("KPPLAB_OUTPUT_DIR", str(tmp_path / "elsewhere"))
+    assert main(["validate", cfg, "--quiet"]) == 0
 
 
 def test_reaction_breaking_h1_exits_2(tmp_path, capsys):
@@ -362,7 +372,35 @@ def test_only_experiments_table_asks_which_experiment():
                for parse_keys, runner, _ in EXPERIMENTS.values())
 
 
-def test_invariance_sweep_with_jobs(tmp_path):
+def test_no_module_imports_a_worker_pool():
+    # a sweep marches its cells as one stack in one process, so no module
+    # reaches for processes or for pickling their arguments
+    import ast
+    import pathlib
+
+    import kpplab
+
+    banned = ("concurrent.futures", "multiprocessing", "pickle")
+
+    def pool_imports(source):
+        names = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        return [name for name in names
+                if any(name == b or name.startswith(b + ".") for b in banned)]
+
+    package = pathlib.Path(kpplab.__file__).parent
+    found = {path.name: pool_imports(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert not any(found.values()), found
+    assert pool_imports("import pickle\nfrom concurrent import futures\n"
+                        "import multiprocessing.pool as mp\n") == \
+        ["pickle", "concurrent.futures", "multiprocessing.pool"]
+
+
+def test_invariance_sweep_serial_reruns(tmp_path):
     out = tmp_path / "sw"
     text = """
     [habitat]
@@ -389,20 +427,21 @@ def test_invariance_sweep_with_jobs(tmp_path):
     directory = {out}
     """
     cfg = _write(tmp_path, "sw.cfg", text.format(out=out))
-    assert main(["run", cfg, "--jobs", "2", "--quiet"]) == 0
+    assert main(["run", cfg, "--quiet"]) == 0
     summary = json.loads((out / "invariance_sweep" / "summary.json").read_text())
     assert summary["verdict"] == "pass"
     assert len(summary["cells"]) == 2
     assert summary["clip_count"] == 0 and [c["clip_count"] for c in summary["cells"]] == [0, 0]
     assert [c["scheme"] for c in summary["cells"]] == ["rk4", "rk4"]
-    # the cells that come back pickled from the workers write what the
-    # in-process cells write, byte for byte (summary cells included)
-    serial = tmp_path / "serial"
-    assert main(["run", cfg, "--jobs", "1", "--output-dir", str(serial), "--quiet"]) == 0
+    # one stack, one step: every cell takes the same right-hand sides
+    evals = {c["rhs_evals"] for c in summary["cells"]}
+    assert len(evals) == 1 and evals.pop() > 0
+    # a rerun writes the same sweep, byte for byte (summary cells included)
+    again = tmp_path / "again"
+    assert main(["run", cfg, "--output-dir", str(again), "--quiet"]) == 0
     for name in ("sweep.csv", "summary.json"):
-        one, two = (d / "invariance_sweep" / name for d in (serial, out))
+        one, two = (d / "invariance_sweep" / name for d in (again, out))
         assert one.read_bytes() == two.read_bytes(), name
-    assert all(c["rhs_evals"] > 0 for c in summary["cells"])
     sweep = (out / "invariance_sweep" / "sweep.csv").read_text().splitlines()
     assert sweep[0].startswith("amplitude,")
 
@@ -660,7 +699,8 @@ def test_clipping_fails_the_verdict(tmp_path, monkeypatch):
     real = experiments.march
     for clips in (0, 1):
         def clip(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), clip_count=clips)
+            return tuple(dataclasses.replace(traj, clip_count=clips)
+                         for traj in real(*args, **kwargs))
 
         monkeypatch.setattr(experiments, "march", clip)
         for k, (name, text, unclipped) in enumerate(cases):

@@ -31,7 +31,15 @@ from kpplab import (
     part_metric,
     stability_dt_bound,
 )
-from kpplab.dynamics import RK4, RKC2, march, march_plan, rkc2_coefficients
+from kpplab.dynamics import (
+    RK4,
+    RKC2,
+    MarchPlan,
+    _step_loop,
+    march,
+    march_plan,
+    rkc2_coefficients,
+)
 
 HAB = Habitat("continuum", 1, 10.0, 0.25)
 FISHER = Reaction.linear(1.0, 1.0)
@@ -128,18 +136,18 @@ def test_large_grid_steps_do_not_page_fault():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         evolve(op, rea, u0, T=20 * dt, dt=dt, record_every=10 ** 9)
         print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
-        dt = march_plan(op, rea, u0).dt
-        march(op, rea, u0, T=dt)
+        dt = march_plan(op, [rea], [u0]).dt
+        march(op, [rea], [u0], T=dt)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        assert march(op, rea, u0, T=20 * dt, record_every=10 ** 9).scheme == "rkc2"
+        assert march(op, [rea], [u0], T=20 * dt, record_every=10 ** 9)[0].scheme == "rkc2"
         print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
         hab = Habitat("continuum", 2, 26.0, 0.5)
         op = DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 2.0, 0.5, 2))
         u0 = hab.full(0.5)
-        dt = march_plan(op, rea, u0).dt
-        march(op, rea, u0, T=dt)
+        dt = march_plan(op, [rea], [u0]).dt
+        march(op, [rea], [u0], T=dt)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        assert march(op, rea, u0, T=20 * dt, record_every=10 ** 9).scheme == "rk4"
+        assert march(op, [rea], [u0], T=20 * dt, record_every=10 ** 9)[0].scheme == "rk4"
         print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
     """)
     src = os.path.dirname(os.path.dirname(kpplab.__file__))
@@ -436,7 +444,7 @@ def test_rkc2_stage_rule(dim, spacing, r0, slope, amplitude, fraction):
     rho = 4.0 * dim / spacing ** 2 + _max_linearized_reaction(rea, hab, top)
     dt = 0.5 * 0.95 * clause if given_dt is None else given_dt
     s = kpplab.dynamics._rkc2_stages(dt, rho)
-    plan = march_plan(op, rea, u0, given_dt)
+    plan = march_plan(op, [rea], [u0], given_dt)
     if plan.scheme == RKC2:
         if given_dt is None:
             assert plan.dt == pytest.approx(0.5 * 0.95 * clause, rel=1e-12)
@@ -484,8 +492,8 @@ def test_march_plan_reads_only_the_max(kind, dim, boundary, spacing, r0, slope, 
                                                               spacing, dim)))
     rea = Reaction.linear(r0, slope, amplitude=amplitude * r0, radius=2.0 * hab.spacing)
     u0 = Field(hab, height * np.random.default_rng(seed).random(hab.shape))
-    dt = None if fraction is None else fraction * march_plan(op, rea, u0).bound
-    assert march_plan(op, rea, u0, dt) == march_plan(op, rea, hab.full(u0.max), dt)
+    dt = None if fraction is None else fraction * march_plan(op, [rea], [u0]).bound
+    assert march_plan(op, [rea], [u0], dt) == march_plan(op, [rea], [hab.full(u0.max)], dt)
 
 
 def _plan_problems(kind, dim):
@@ -523,11 +531,11 @@ def test_march_plan_matches_the_kind_gated_rule(kind, dim):
                 u0 = hab.full(rea.u0_star)
                 expected = oracles.kind_gated_plan(op, rea, u0)
                 for dt in (None, 0.5 * expected.bound):
-                    plan = march_plan(op, rea, u0, dt)
+                    plan = march_plan(op, [rea], [u0], dt)
                     assert plan == oracles.kind_gated_plan(op, rea, u0, dt), (op.kind, hab, rea)
                     assert plan.scheme == RK4 or kind == "random"
                     compared += 1
-                max_f = kpplab.dynamics._reaction_maxima(rea, hab, rea.ceiling(u0.max))[0]
+                max_f = kpplab.dynamics._reaction_maxima(rea.bind(hab), rea.ceiling(u0.max))[0]
                 mass = op.weights.rate_sum if kind == "discrete" else 1.0
                 clause = 0.25 / (mass + max_f + 1.0)
                 bound = stability_dt_bound(op, rea, u0)
@@ -585,7 +593,7 @@ def test_march_step_is_stable(kind, dim, boundary, spacing, r0, slope, amplitude
         jac = d + np.diag(rea.evaluate(hab, np.zeros(hab.shape)).ravel() - 2.0 * slope * u)
         assert np.abs(jac).sum(axis=1).max() <= rho * (1.0 + 1e-12)
 
-    plan = march_plan(op, rea, u0)
+    plan = march_plan(op, [rea], [u0])
     if plan.scheme == RK4:
         assert plan.dt * rho <= 0.95 * 0.6 * 2.785 * (1.0 + 1e-12)
         r = 0.5 * plan.dt * rho
@@ -624,7 +632,7 @@ def test_march_does_not_clip_under_a_strong_reaction(kind, dim):
         op = DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.0, 0.25, dim))
     xi = (1.0,) + (0.0,) * (dim - 1)
     for u0 in (make_front_initial(hab, xi, rea.u0_star), hab.full(rea.beta0)):
-        traj = march(op, rea, u0, T=5.0)
+        (traj,) = march(op, [rea], [u0], T=5.0)
         assert traj.scheme == RK4 and traj.clip_count == 0
         assert traj.final.max <= max(u0.max, rea.beta0)
 
@@ -660,7 +668,7 @@ def test_rkc2_keeps_constant_equilibria_exactly(dim, spacing, boundary, r0, slop
     rea = Reaction.linear(r0, slope)
     op = DispersalOperator.random()
     for level in (0.0, rea.u0_star):
-        traj = march(op, rea, hab.full(level), T=1.0, record_every=1)
+        (traj,) = march(op, [rea], [hab.full(level)], T=1.0, record_every=1)
         assert traj.scheme == RKC2
         for snap in traj.snapshots:
             assert np.all(snap.values == level), (level, np.abs(snap.values - level).max())
@@ -678,31 +686,32 @@ def test_march_scheme_follows_the_grid():
     coarse, fine = Habitat("continuum", 1, 20.0, 0.5), Habitat("continuum", 1, 20.0, 0.1)
     for hab, scheme in ((coarse, RK4), (fine, RKC2)):
         u0 = make_front_initial(hab, 1.0, 1.0)
-        assert march_plan(op, FISHER, u0).scheme == scheme
+        assert march_plan(op, [FISHER], [u0]).scheme == scheme
         for dt in (None, 0.02):
-            traj = march(op, FISHER, u0, T=1.0, dt=dt)
+            (traj,) = march(op, [FISHER], [u0], T=1.0, dt=dt)
             assert traj.scheme == scheme and traj.clip_count == 0
     u0 = make_front_initial(fine, 1.0, 1.0)
-    s = march_plan(op, FISHER, u0, 0.02).stages
-    assert march(op, FISHER, u0, T=1.0, dt=0.02).rhs_evals == 50 * s
+    s = march_plan(op, [FISHER], [u0], 0.02).stages
+    assert march(op, [FISHER], [u0], T=1.0, dt=0.02)[0].rhs_evals == 50 * s
     clause = 0.25 / (1.0 + 1.0 + 1.0)  # max|f| is about 1 for Fisher from u <= 1
-    march(op, FISHER, u0, T=1.0, dt=0.99 * clause)
+    march(op, [FISHER], [u0], T=1.0, dt=0.99 * clause)
     with pytest.raises(StabilityError, match="stability bound"):
-        march(op, FISHER, u0, T=1.0, dt=1.01 * clause)
+        march(op, [FISHER], [u0], T=1.0, dt=1.01 * clause)
     # nonlocal and discrete kinds are not h^2-limited and keep rk4
     for op, hab in _three_ops()[1:]:
-        assert march_plan(op, FISHER, hab.full(0.5)).scheme == RK4
+        assert march_plan(op, [FISHER], [hab.full(0.5)]).scheme == RK4
 
 
 def test_march_shorter_than_the_step_tolerance_takes_one_step():
     # T below 1e-12 dt used to round to no step at all, a final time 0 < T
     op, u0 = DispersalOperator.random(), HAB.full(0.5)
-    plan = march_plan(op, FISHER, u0)
-    traj = march(op, FISHER, u0, T=1e-13 * plan.dt)
+    plan = march_plan(op, [FISHER], [u0])
+    (traj,) = march(op, [FISHER], [u0], T=1e-13 * plan.dt)
     assert list(traj.times) == [0.0, plan.dt]
     assert traj.rhs_evals == plan.stages
     horizons = []
-    march(op, FISHER, u0, T=1e-13 * plan.dt, observer=lambda t, v, t_end: horizons.append(t_end))
+    march(op, [FISHER], [u0], T=1e-13 * plan.dt,
+          observers=[lambda t, v, t_end: horizons.append(t_end)])
     assert horizons == [plan.dt, plan.dt]
 
 
@@ -714,10 +723,10 @@ def test_march_observer_sees_each_record_once_in_time_order(which):
     # afterwards, and the observed march keeps only [initial, final]
     op, hab = _three_ops()[which]
     u0 = make_front_initial(hab, 1.0, 1.0)
-    full = march(op, FISHER, u0, T=3.0, record_every=7)
+    (full,) = march(op, [FISHER], [u0], T=3.0, record_every=7)
     seen = []
-    observed = march(op, FISHER, u0, T=3.0, record_every=7,
-                     observer=lambda t, values, t_end: seen.append((t, values, t_end)))
+    (observed,) = march(op, [FISHER], [u0], T=3.0, record_every=7,
+                        observers=[lambda t, values, t_end: seen.append((t, values, t_end))])
     assert [t for t, _, _ in seen] == list(full.times)
     assert {t_end for _, _, t_end in seen} == {full.times[-1]}
     for (_, values, _), snap in zip(seen, full.snapshots):
@@ -760,10 +769,110 @@ def test_handed_out_arrays_never_change_afterwards(route, monkeypatch):
         traj = evolve(op, FISHER, u0, T=1.0, dt=_dt(op, FISHER, u0), record_every=3)
         assert len(kept) == len(traj.snapshots) - 1  # u0 is kept as given
     else:
-        traj = march(op, FISHER, u0, T=1.0, record_every=3,
-                     observer=lambda t, values, t_end: keep(values))
+        (traj,) = march(op, [FISHER], [u0], T=1.0, record_every=3,
+                        observers=[lambda t, values, t_end: keep(values)])
         assert traj.scheme == route and kept[0] is u0.values
     assert len(kept) > 3
     for values, copy in zip(kept, copies):
         assert np.array_equal(values, copy)
     assert np.array_equal(u0.values, u0_copy)
+
+
+# ---------------------------------------------------------------- stacks
+
+
+def _stack_setup(kind, dim, boundary):
+    """(op, habitat) on a fixed grid of at most 17 x 17 points."""
+    h, L = (0.25, 6.0) if dim == 1 else (0.5, 4.0)
+    if kind == "random":
+        return DispersalOperator.random(), Habitat("continuum", dim, L, h, boundary)
+    if kind == "nonlocal":
+        return (DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.0, h, dim)),
+                Habitat("continuum", dim, L, h, boundary))
+    return (DispersalOperator.discrete(LatticeWeights.symmetric(dim, 1.0)),
+            Habitat("lattice", dim, L, 1.0, boundary))
+
+
+def _first_rk4_step(op, reaction, u0, dt):
+    """One rk4 step through the Field-level apply and evaluate, outside
+    the stepping loop: an oracle that sees the reaction's own amplitude."""
+    def rhs(v):
+        return op.apply(Field(u0.habitat, v)).values + v * reaction.evaluate(u0.habitat, v)
+
+    u = u0.values
+    k1 = rhs(u)
+    k2 = rhs(u + 0.5 * dt * k1)
+    k3 = rhs(u + 0.5 * dt * k2)
+    k4 = rhs(u + dt * k3)
+    return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("scheme", [RK4, RKC2])
+@pytest.mark.parametrize("boundary", ["clamp", "periodic"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["random", "nonlocal", "discrete"])
+def test_each_row_of_a_stack_is_its_march_alone(kind, dim, boundary, scheme):
+    # a 3-row stack under one plan: every record, the final state and the
+    # clip count of each row are bitwise those of the row's own reaction
+    # and data marched alone under that plan (same scheme, dt and stages);
+    # the rough rows clip under the random kind's long steps
+    op, hab = _stack_setup(kind, dim, boundary)
+    rows = [Reaction.linear(1.0, 1.0, amplitude=a, radius=1.5) for a in (-0.5, 0.0, 1.0)]
+    rng = np.random.default_rng(3)
+    u0s = [Field(hab, np.where(rng.random(hab.shape) < 0.3, 1.0, 0.0)),
+           make_front_initial(hab, (1.0,) + (0.0,) * (dim - 1), 1.0),
+           Field(hab, 2.0 * rng.random(hab.shape))]
+    rho = kpplab.dynamics._step_inputs(op, rows, u0s)[2]
+    if scheme == RK4:
+        plan = MarchPlan(RK4, 2.5 / rho, 4, 2.5 / rho)
+    else:
+        plan = MarchPlan(RKC2, 0.2, kpplab.dynamics._rkc2_stages(0.2, rho), 0.2)
+    stack = _step_loop(op, rows, u0s, 1.0, plan, 1, [None] * 3)
+    clips = []
+    for reaction, u0, got in zip(rows, u0s, stack):
+        (alone,) = _step_loop(op, [reaction], [u0], 1.0, plan, 1, [None])
+        assert got.times.tobytes() == alone.times.tobytes()
+        assert [s.values.tobytes() for s in got.snapshots] == \
+            [s.values.tobytes() for s in alone.snapshots]
+        assert (got.clip_count, got.scheme, got.rhs_evals) == \
+            (alone.clip_count, alone.scheme, alone.rhs_evals)
+        clips.append(got.clip_count)
+        if scheme == RK4:
+            # the row marched its own amplitude, not another row's
+            want = np.maximum(_first_rk4_step(op, reaction, u0, plan.dt), 0.0)
+            assert np.abs(got.snapshots[1].values - want).max() <= 1e-12 * np.abs(want).max()
+    if (kind, dim, scheme) in (("random", 1, RK4), ("random", 2, RKC2)):
+        assert sum(clips) > 0  # the rows' clips are counted, and counted apart
+
+
+def test_stack_rows_differ_in_amplitude_only():
+    op, u0 = DispersalOperator.random(), HAB.full(0.5)
+    bump = Reaction.linear(1.0, 1.0, amplitude=2.0)
+    # the stack steps at the smallest step of its rows
+    steps = [march_plan(op, [r], [u0]).dt for r in (FISHER, bump)]
+    assert march_plan(op, [FISHER, bump], [u0, u0]).dt == min(steps) < max(steps)
+    for rows, data in (([FISHER, Reaction.linear(1.0, 2.0)], [u0, u0]),
+                       ([FISHER, FISHER], [u0, Habitat("continuum", 1, 10.0, 0.5).full(0.5)])):
+        with pytest.raises(ValueError, match="amplitudes only"):
+            march_plan(op, rows, data)
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_part_metric_decay_matches_the_two_evolve_oracle(which):
+    # the pair marched as one stack folds the metric of the same records,
+    # bit for bit, as two evolve histories did
+    op, hab = _three_ops()[which]
+    rea = Reaction.linear(1.0, 1.0, amplitude=0.5, radius=2.0)
+    rng = np.random.default_rng(11)
+    a = Field(hab, 0.3 + rng.random(hab.shape))
+    b = Field(hab, 0.3 + rng.random(hab.shape))
+    dt = _dt(op, rea, Field(hab, np.maximum(a.values, b.values)))
+    got = check_part_metric_decay(op, rea, a, b, T=2.0, dt=dt, record_every=7)
+    want = oracles.check_part_metric_decay(op, rea, a, b, T=2.0, dt=dt, record_every=7)
+    assert got.rhos.tobytes() == want.rhos.tobytes()
+    assert got.times.tobytes() == want.times.tobytes()
+    assert (got.ok, got.violations) == (want.ok, want.violations)
+    assert len(got.rhos) > 3
+    # a step above either datum's order-preserving bound is refused
+    with pytest.raises(StabilityError):
+        check_part_metric_decay(op, rea, a, b, T=2.0, dt=1.01 * dt / 0.95)

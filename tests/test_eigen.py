@@ -500,8 +500,8 @@ def test_import_leaves_out_scipy_linalg():
     # built: bind_resolvent for the stationary solves, and eigen's Noda
     # steps, which a cell certified by its dense start never takes; runs
     # that build neither skip it.
-    # concurrent.futures, about 4-5 ms, is imported only by a sweep with
-    # --jobs above 1
+    # concurrent.futures, about 4-5 ms, is imported by no module: a sweep
+    # marches its cells as one stack in one process
     src = os.path.dirname(os.path.dirname(kpplab.__file__))
     modules = ("scipy", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "numpy.fft",
                "concurrent.futures")

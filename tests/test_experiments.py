@@ -29,6 +29,7 @@ from kpplab import (
     unit_direction,
     verify_spreading_cones,
 )
+from kpplab.dynamics import march, march_plan
 from kpplab.experiments import run_front
 from kpplab.stationary import FROM_ABOVE
 
@@ -157,7 +158,7 @@ def test_invariance_cell_and_profile_convergence():
     for amplitude in amplitudes:
         # behind the half-speed cone the state has locked onto u*
         reaction = Reaction.linear(1.0, 1.0, amplitude=amplitude, radius=1.0)
-        run = run_front(op, reaction, hab, 1.0, T)
+        (run,) = run_front(op, [reaction], hab, 1.0, T)
         u_star = solve_stationary(op, reaction, hab, FROM_ABOVE).u_star
         behind = hab.projection(unit_direction(1.0, 1)) <= 0.5 * run.theory.c_star * T
         deviation = np.abs(run.traj.final.values[behind] - u_star.values[behind]).max()
@@ -173,27 +174,35 @@ def test_invariance_rejects_nonpositive_growth_at_zero():
 
 
 def test_sweep_runs_are_its_front_runs():
-    # the cells run through the given map in increasing amplitude, and each
-    # cell is run_front on its reaction, bit for bit
+    # the cells march as one stack in increasing amplitude, at the one plan
+    # of the stack, and each cell is run_front on its reaction at that
+    # plan's step, and that reaction's march, bit for bit
     op = DispersalOperator.discrete(LatticeWeights.symmetric(1, 1.0))
     hab = Habitat("lattice", 1, 80)
     base = Reaction.linear(1.0, 1.0, radius=2.0)
-    mapped = []
-
-    def recording_map(f, reactions):
-        mapped.extend(reactions)
-        return map(f, reactions)
-
-    report = run_speed_invariance_sweep(op, base, hab, 1.0, 20.0, amplitudes=(1.0, -0.5, 0.0),
-                                        map=recording_map)
+    report = run_speed_invariance_sweep(op, base, hab, 1.0, 20.0, amplitudes=(1.0, -0.5, 0.0))
     assert [run.reaction.amplitude for run in report.runs] == [-0.5, 0.0, 1.0]
-    assert [rea.amplitude for rea in mapped] == [-0.5, 0.0, 1.0]
+    u0 = make_front_initial(hab, 1.0, base.u0_star)
+    plan = march_plan(op, [run.reaction for run in report.runs], [u0] * 3)
+    # the amplitudes' own steps differ, so the stack's is the smallest
+    steps = [march_plan(op, [run.reaction], [u0]).dt for run in report.runs]
+    assert plan.dt == min(steps) < max(steps)
     for run in report.runs:
-        alone = run_front(op, run.reaction, hab, 1.0, 20.0)
+        (alone,) = run_front(op, [run.reaction], hab, 1.0, 20.0, dt=plan.dt)
+        assert alone.traj.scheme == run.traj.scheme == plan.scheme
+        assert run.traj.rhs_evals == alone.traj.rhs_evals == report.runs[0].traj.rhs_evals
         assert run.estimate.slope == alone.estimate.slope
+        assert np.array_equal(run.trace.times, alone.trace.times)
         assert np.array_equal(run.trace.positions, alone.trace.positions, equal_nan=True)
-        assert np.array_equal(run.traj.final.values, alone.traj.final.values)
+        assert run.traj.final.values.tobytes() == alone.traj.final.values.tobytes()
+        assert run.traj.clip_count == alone.traj.clip_count
         assert run.rel_error == alone.rel_error and run.ok_theory == alone.ok_theory
+        assert run.cones == alone.cones
+        # and the march of its own reaction, outside the front runs
+        (marched,) = march(op, [run.reaction], [u0], 20.0, dt=plan.dt)
+        assert run.traj.final.values.tobytes() == marched.final.values.tobytes()
+        assert np.array_equal(run.trace.positions, track_front(marched, 1.0, 0.5).positions,
+                              equal_nan=True)
     assert report.c_theory == report.runs[0].theory.c_star
     for amplitudes in ((1.0,), (0.5, 0.5), ()):
         with pytest.raises(ValueError, match="distinct"):
@@ -282,7 +291,7 @@ def test_streamed_checks_match_the_snapshot_oracle(kind, dim, clause, c_scale):
     assert streamed == oracle
 
     xi = (1.0,) + (0.0,) * (dim - 1)
-    run = run_front(op, _BUMP, hab, xi, 6.0)
+    (run,) = run_front(op, [_BUMP], hab, xi, 6.0)
     traj, trace = oracles.front_history(op, _BUMP, hab, xi, 6.0)
     assert np.array_equal(run.trace.times, trace.times)
     assert np.array_equal(run.trace.positions, trace.positions, equal_nan=True)
@@ -321,7 +330,7 @@ def test_front_run_keeps_no_snapshot_history():
     grid_bytes = hab.full(0.0).values.nbytes
     tracemalloc.start()
     try:
-        run = run_front(DispersalOperator.random(), rea, hab, (1.0, 0.0), 8.0)
+        (run,) = run_front(DispersalOperator.random(), [rea], hab, (1.0, 0.0), 8.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,7 +346,7 @@ def test_cone_scales_are_checked_before_the_march():
     traj = oracles.front_history(op, FISHER, hab, 1.0, 1.0)[0]
     for margin in (0.0, 1.0, 1.5, -0.2, math.nan):
         with pytest.raises(ValueError, match="margin"):
-            run_front(op, FISHER, hab, 1.0, 5.0, margin=margin)
+            run_front(op, [FISHER], hab, 1.0, 5.0, margin=margin)
         with pytest.raises(ValueError, match="margin"):
             run_compact_spreading_checks(op, FISHER, hab, 2, T=5.0, margin=margin)
         with pytest.raises(ValueError, match="margin"):
@@ -355,7 +364,7 @@ def test_rkc2_front_speed_matches_rk4():
     # oracle.  Fisher front: speeds agree within 1e-3.
     hab = Habitat("continuum", 1, 120.0, 0.1)
     op = DispersalOperator.random()
-    fast = run_front(op, FISHER, hab, 1.0, 40.0)
+    (fast,) = run_front(op, [FISHER], hab, 1.0, 40.0)
     u0 = make_front_initial(hab, 1.0, 1.0)
     dt = 0.95 * stability_dt_bound(op, FISHER, u0)
     oracle = evolve(op, FISHER, u0, 40.0, dt, record_every=math.ceil(40.0 / dt / 240))
@@ -382,7 +391,7 @@ def test_rk4_march_front_speed_matches_evolve(kind, amplitude):
         hab, T = Habitat("continuum", 1, 120.0, 0.25), 40.0
         op = DispersalOperator.nonlocal_(Kernel.from_profile("triangle", 1.0, 0.25, 1))
     rea = Reaction.linear(1.0, 1.0, amplitude=amplitude, radius=2.0)
-    fast = run_front(op, rea, hab, 1.0, T)
+    (fast,) = run_front(op, [rea], hab, 1.0, T)
     u0 = make_front_initial(hab, 1.0, 1.0)
     dt = 0.95 * stability_dt_bound(op, rea, u0)
     oracle = evolve(op, rea, u0, T, dt, record_every=math.ceil(T / dt / 240))

@@ -356,10 +356,10 @@ def test_runs_scale_exactly_with_the_carrying_capacity(kind, dim):
         below = solve_stationary(op, rea, habitat, route=FROM_BELOW)
         stability = oracles.reconverge(op, rea, above.u_star,
                                        [Field(habitat, 0.5 * above.u_star.values)], T=20.0)
-        states = (march(op, rea, u0, 2.0).final.values, above.u_star.values,
+        states = (march(op, [rea], [u0], 2.0)[0].final.values, above.u_star.values,
                   below.u_star.values)
         bounds = (above.stability_bound, below.stability_bound)
-        return march_plan(op, rea, u0), states, bounds, stability
+        return march_plan(op, [rea], [u0]), states, bounds, stability
 
     plan, states, bounds, stability = run(1.0)
     assert stability.ok and max(bounds) < 0.0
