@@ -5,12 +5,13 @@ constant-coefficient closed forms or from the periodic eigenvalue
 solver.  Both are vectorized in mu: an array of mu gives the array of
 lambda, each entry with the bits of its mu alone.  A coarse log-spaced
 scan, evaluated in one call, brackets the interior minimizer of
-lambda/mu, and golden-section refines it one mu at a time; a minimum
-sitting on the scan edge is refused since every admissible relation
-here has lambda/mu blowing up at both ends.  An eigen-backed relation
-scans only below its cell stencil's twist limit (1/h for the random
-kind), where every twist factor stays positive; its scan assembles one
-stack of cell operators and certifies each (eigen.principal_eigenvalues).
+lambda/mu, and Brent's method refines it one mu at a time from the
+scan's best point; a minimum sitting on the scan edge is refused since
+every admissible relation here has lambda/mu blowing up at both ends.
+An eigen-backed relation scans only below its cell stencil's twist
+limit (1/h for the random kind), where every twist factor stays
+positive; its scan assembles one stack of cell operators and certifies
+each (eigen.principal_eigenvalues).
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .eigen import (
 
 _SCAN_POINTS = 60
 _MU_MIN = 1e-3
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MU_TOL = 1e-8  # relative width of the final golden-section bracket
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # fallback step, a fraction of the larger side
+_MU_TOL = 1e-8  # relative width of the final bracket around mu*
 
 
 class BracketEdgeError(RuntimeError):
@@ -78,8 +79,8 @@ class DispersionRelation:
 
 @dataclass(eq=False)
 class SpeedResult:
-    """c* = lambda(mu*)/mu*; bracket is the final golden-section bracket
-    (lo, hi) around mu*, with hi - lo <= 1e-8 * hi."""
+    """c* = lambda(mu*)/mu*; bracket is the final bracket (lo, hi) of
+    Brent's refinement around mu*, with hi - lo <= 1e-8 * hi."""
 
     c_star: float
     mu_star: float
@@ -94,8 +95,10 @@ def minimize_speed(rel: DispersionRelation) -> SpeedResult:
     (checked at mu = 1e-6), i.e. the zero state is linearly unstable so
     the speed is well posed.  Scans 60 log-spaced points on
     [1e-3, mu_max], in one call of rel, to bracket the minimizer, then
-    golden-section refines mu to relative tolerance 1e-8.  evaluations
-    counts every mu evaluated, the scan's included.
+    refines mu by Brent's method to relative tolerance 1e-8 on the
+    scan's bracket [grid[i-1], grid[i+1]], starting from its best point
+    grid[i].  A nan lambda is refused with its mu.  evaluations counts
+    every mu evaluated, the scan's included.
     """
     if not rel.mu_max > _MU_MIN:
         raise ValueError(f"mu_max = {rel.mu_max} must exceed the scan's first point "
@@ -105,16 +108,21 @@ def minimize_speed(rel: DispersionRelation) -> SpeedResult:
     def c_of(mu):
         nonlocal evals
         evals += 1
-        return float(rel(mu)) / mu
+        lam = float(rel(mu))
+        _refuse_nan(mu, lam)
+        return lam / mu
 
     lam0 = float(rel(1e-6))
     evals += 1
+    _refuse_nan(1e-6, lam0)
     if not (lam0 > 0.0):
         raise ValueError(f"lambda(0+) = {lam0:.3e} <= 0: speed is not well posed")
 
     grid = np.geomspace(_MU_MIN, rel.mu_max, _SCAN_POINTS)
-    vals = np.asarray(rel(grid), dtype=float) / grid
+    lam = np.asarray(rel(grid), dtype=float)
     evals += grid.size
+    _refuse_nan(grid, lam)
+    vals = lam / grid
     i = int(np.argmin(vals))
     if i == len(grid) - 1:
         raise BracketEdgeError(
@@ -124,23 +132,62 @@ def minimize_speed(rel: DispersionRelation) -> SpeedResult:
     if i == 0:
         raise BracketEdgeError("minimizer at bracket edge mu_min")
     lo, hi = float(grid[i - 1]), float(grid[i + 1])
-
-    # golden-section: unimodal on the verified bracket
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = c_of(x1), c_of(x2)
-    while (hi - lo) > _MU_TOL * max(abs(lo), abs(hi)):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = c_of(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = c_of(x2)
-    mu_star = x1 if f1 <= f2 else x2
-    c_star = f1 if f1 <= f2 else f2
+    mu_star, c_star, lo, hi = _brent(c_of, lo, hi, float(grid[i]), float(vals[i]))
     return SpeedResult(c_star, mu_star, (lo, hi), evals)
+
+
+def _refuse_nan(mu, lam):
+    """Raise naming the first mu whose lambda is nan; an overflowed
+    lambda = inf is allowed, as it is never the minimum."""
+    bad = np.flatnonzero(np.isnan(lam))
+    if bad.size:
+        raise ValueError(f"lambda(mu={float(np.ravel(mu)[bad[0]])!r}) is nan")
+
+
+def _brent(f, a, b, x, fx):
+    """(x, f(x), a, b): Brent's localmin (Algorithms for Minimization
+    without Derivatives, 1973, ch. 5) on a < x < b with f(x) no higher
+    than f at either end, stopped at b - a <= 1e-8 b.  Each step tries
+    the parabola through the three best points and falls back to a
+    golden-section step of the larger side when that parabola leaves
+    (a, b) or does not halve the step before last.  No step is shorter
+    than tol = 1e-8 x / 4, so flat or noisy f still shrinks the bracket,
+    and Brent's own stop (both sides within 2 tol of x) implies this
+    one."""
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while b - a > _MU_TOL * b:
+        m = 0.5 * (a + b)
+        tol = 0.25 * _MU_TOL * x
+        p = q = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:
+            e = (b if x < m else a) - x
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx, a, b
 
 
 def theoretical_speed(

@@ -153,7 +153,7 @@ def test_criterion_3_speed_minimizer_oracle():
         res = minimize_speed(DispersionRelation.closed_form("random", 1.0, r))
         sqrt_ok = sqrt_ok and abs(res.c_star - 2.0 * math.sqrt(r)) <= 1e-9
     ok = worst <= 1e-6 and sqrt_ok
-    _report(3, "golden-section speed matches brute-force scan",
+    _report(3, "refined speed matches brute-force scan",
             ok, f"worst rel gap={worst:.2e} over 12 draws; 2*sqrt(r) exact: {sqrt_ok}")
 
 

@@ -517,7 +517,7 @@ def test_certified_dense_start_loads_no_fft():
     # dispersion benchmark (random and nonlocal at period 4 and h = 0.25,
     # lattice at period 8): every cell certifies from the dense start
     # with one apply, so the Fourier solver is never built.  The scan
-    # and the golden-section steps both solve through
+    # and the Brent refinement steps both solve through
     # principal_eigenvalues, one result per mu
     src = os.path.dirname(os.path.dirname(kpplab.__file__))
     code = """

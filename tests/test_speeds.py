@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import scalar_scan_speed
+from oracles import golden_section_speed, scalar_scan_speed
 
 from kpplab import (
     BracketEdgeError,
@@ -38,7 +38,7 @@ def test_fisher_speed_closed_form():
         assert abs(res.mu_star - mu) < 1e-6
 
 
-def test_golden_section_matches_brute_force():
+def test_refined_speed_matches_brute_force():
     rng = np.random.default_rng(42)
     rels = []
     for _ in range(4):
@@ -262,8 +262,9 @@ def _bits(x):
 @pytest.mark.parametrize("name", list(SCAN_CASES))
 def test_scan_matches_the_scalar_scan_oracle(name):
     """minimize_speed evaluates its scan in one call rel(grid); the oracle
-    calls rel(m) for each m of the grid.  Each scan value, each
-    golden-section value and the whole SpeedResult agree bit for bit."""
+    calls rel(m) for each m of the grid, and both refine by Brent's method.
+    Each scan value, each refinement value and the whole SpeedResult agree
+    bit for bit."""
     rel = SCAN_CASES[name]()
     vectorized, calls = _recorded(rel)
     scalar, oracle_calls = _recorded(rel)
@@ -279,3 +280,56 @@ def test_scan_matches_the_scalar_scan_oracle(name):
     assert len(calls) == 2 + len(oracle_calls) - 61 and got.evaluations == len(oracle_calls)
     assert np.array_equal(_bits([mu for mu, _ in rest]), _bits([mu for mu, _ in oracle_rest]))
     assert np.array_equal(_bits([lam for _, lam in rest]), _bits([lam for _, lam in oracle_rest]))
+
+
+def _steps_outside_the_bracket(calls):
+    """The refinement mu of a recorded minimize_speed run (calls[2:], after
+    lambda(0+) and the scan) that do not lie strictly inside the tightest
+    bracket of the points before them: between the nearest evaluated mu
+    below the best c so far and the nearest above it (below the lowest and
+    above the highest of the best, where several tie)."""
+    mus = list(calls[1][0])
+    cs = list(np.asarray(calls[1][1]) / calls[1][0])
+    outside = []
+    for mu, lam in calls[2:]:
+        tied = [m for m, c in zip(mus, cs) if c == min(cs)]
+        below = max(m for m in mus if m < min(tied))
+        above = min(m for m in mus if m > max(tied))
+        if not below < mu < above:
+            outside.append(mu)
+        mus.append(mu)
+        cs.append(float(lam) / mu)
+    return outside
+
+
+@pytest.mark.parametrize("name", list(SCAN_CASES))
+def test_brent_matches_the_golden_section_oracle(name):
+    """Brent's refinement, seeded with the scan's best point, gives the
+    golden-section c* to 1e-12 relative in at most 20 evaluations past the
+    61 of lambda(0+) and the scan, where golden section takes 38-39, and
+    evaluates only inside the bracket it has.  mu* itself is flat to
+    rounding over about 1e-7, so only its bracket is checked."""
+    rel, calls = _recorded(SCAN_CASES[name]())
+    got, want = minimize_speed(rel), golden_section_speed(rel)
+    assert got.c_star == pytest.approx(want.c_star, rel=1e-12, abs=0.0)
+    lo, hi = got.bracket
+    assert lo <= got.mu_star <= hi and hi - lo <= 1e-8 * hi
+    assert got.evaluations - 61 <= 20 < want.evaluations - 61
+    assert _steps_outside_the_bracket(calls[:got.evaluations - 59]) == []
+
+
+@pytest.mark.parametrize("where", ["scan", "refinement", "lambda(0+)"])
+def test_nan_lambda_is_refused_with_its_mu(where):
+    """A nan lambda anywhere minimize_speed looks raises, naming its mu;
+    an overflowed lambda = inf is never the minimum and passes."""
+    nan_at = {"scan": lambda mu: mu > 3.0,
+              "refinement": lambda mu: (mu > 1.0001) & (mu < 1.01),
+              "lambda(0+)": lambda mu: mu < 1e-5}[where]
+    rel = DispersionRelation(lambda mu: np.where(nan_at(mu), np.nan, 1.0 + mu ** 2))
+    with pytest.raises(ValueError, match=r"lambda\(mu=.*\) is nan") as err:
+        minimize_speed(rel)
+    mu = float(str(err.value).split("mu=")[1].split(")")[0])
+    assert nan_at(mu)
+    overflowed = minimize_speed(DispersionRelation(
+        lambda mu: np.where(mu > 3.0, np.inf, 1.0 + mu ** 2)))
+    assert overflowed.c_star == pytest.approx(2.0, rel=1e-12)

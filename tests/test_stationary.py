@@ -381,7 +381,10 @@ def test_runs_scale_exactly_with_the_carrying_capacity(kind, dim):
 def test_stability_bound_certifies_both_routes(kind, dim, boundary, amplitude):
     """J u* = F(u*) - slope u*^2, so the Collatz-Wielandt bound
     max(J u* / u*) lies within max|F(u*)| / min(u*) of -slope min(u*),
-    up to the rounding of the quotient, and is negative."""
+    up to the rounding of the quotient, and is negative.  The slow
+    oracle agrees: marched from u*/2, 2 u* and u* plus a bump, every
+    case of the grid reconverges to the from-above u*, and there both
+    routes' bounds are negative."""
     # at reach 6 no minorant period fits the 1-D dip of depth 3
     op, habitat = _small_problem(kind, dim, boundary, reach=10)
     reaction = Reaction.linear(1.0, 1.0, amplitude=amplitude, radius=1.0)
@@ -395,6 +398,11 @@ def test_stability_bound_certifies_both_routes(kind, dim, boundary, amplitude):
         assert res.stability_bound < 0.0, route
         assert (abs(res.stability_bound + reaction.slope * u.min())
                 <= F / u.min() + rounding), route
+        if route == FROM_ABOVE:
+            perturbations = [Field(habitat, 0.5 * u), Field(habitat, 2.0 * u),
+                             Field(habitat, u + np.exp(-habitat.radius() ** 2))]
+            stability = oracles.reconverge(op, reaction, res.u_star, perturbations)
+            assert stability.ok, stability.distances
 
 
 def _count_applies(monkeypatch):
