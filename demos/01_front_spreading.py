@@ -16,7 +16,7 @@ op = K.DispersalOperator.random()
 u0 = K.make_front_initial(habitat, xi=1.0, sigma0=1.0)
 dt = 0.95 * K.stability_dt_bound(op, reaction, u0)
 print(f"integrating to T = 30 with dt = {dt:.5f} (rk4) ...")
-traj = K.evolve(op, reaction, u0, T=30.0, dt=dt, record_every=60)
+(traj,) = K.evolve(op, [reaction], [u0], T=30.0, dt=dt, record_every=60)
 
 trace = K.track_front(traj, xi=1.0, level=0.5)
 for k in range(0, len(trace.times), len(trace.times) // 8):

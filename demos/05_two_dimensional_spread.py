@@ -15,7 +15,7 @@ op = K.DispersalOperator.random()
 u0 = K.make_compact_initial(habitat, r=2.0, sigma=1.0)
 dt = 0.95 * K.stability_dt_bound(op, reaction, u0)
 print(f"2-D grid {habitat.shape}, dt = {dt:.4f}; integrating to T = 10 ...")
-traj = K.evolve(op, reaction, u0, T=10.0, dt=dt, record_every=35)
+(traj,) = K.evolve(op, [reaction], [u0], T=10.0, dt=dt, record_every=35)
 
 for xi, label in [((1.0, 0.0), "along e1"), ((0.0, 1.0), "along e2")]:
     trace = K.track_front(traj, xi, level=0.5)

@@ -11,10 +11,11 @@ observer and Trajectory.  A single march is the stack of one.
 
 rk4   classical fourth-order Runge-Kutta, the scheme of evolve.  It
       preserves the order of solutions at evolve's step bound
-      (stability_dt_bound), so the comparison and part-metric checks use
-      it, and it is the oracle for rkc2 and for the march.  march steps
-      rk4 at its stability step instead (about 4x longer for the nonlocal
-      and discrete kinds), which keeps it stable but not order-preserving.
+      (stability_dt_bound), so the comparison and part-metric checks
+      march their pair as one evolve stack, and it is the oracle for rkc2
+      and for the march.  march steps rk4 at its stability step instead
+      (about 4x longer for the nonlocal and discrete kinds), which keeps
+      it stable but not order-preserving.
 rkc2  second-order Runge-Kutta-Chebyshev with damping 2/13 (Sommeijer,
       Shampine & Verwer 1998; Verwer, Sommeijer & Hundsdorfer 2004).  Its
       s stages reach the stability interval beta(s), about 0.65 s^2, so
@@ -36,8 +37,8 @@ negatives produced by roundoff are clipped to zero with systematic
 negativity counted, and divergence is reported with the first bad time.
 
 The record rule: a march of n >= 1 steps to t_end = n dt >= T records
-t = 0, every record_every-th step and the last.  evolve keeps a snapshot
-of each record.  A row of march does too, unless it is given an
+t = 0, every record_every-th step and the last.  Each row of evolve keeps
+a snapshot of each record.  A row of march does too, unless it is given an
 observer: then each record is handed to observer(t, values, t_end) as it
 arrives and the row's Trajectory keeps only the initial and final
 snapshots, so a reader that folds what it needs holds no history.
@@ -80,9 +81,10 @@ class IntegrationDivergedError(RuntimeError):
 
 @dataclass(eq=False)
 class Trajectory:
-    """Recorded evolution: strictly increasing times and one snapshot each.
-    evolve and a march without an observer keep every record; a march with
-    an observer keeps t = 0 and the final time only."""
+    """Recorded evolution of one row: strictly increasing times and one
+    snapshot each.  A row of evolve, or of a march without an observer,
+    keeps every record; a row with an observer keeps t = 0 and the final
+    time only."""
 
     habitat: Habitat
     times: np.ndarray
@@ -168,8 +170,9 @@ def _clause(mass: float, max_f: float) -> float:
 
 
 def stability_dt_bound(op: DispersalOperator, reaction: Reaction, u0: Field) -> float:
-    """Largest admissible step of evolve for u0, the step at which rk4
-    preserves the order of solutions: the smaller of
+    """Largest admissible step of evolve for the row u0 under reaction
+    (a stack steps within the smallest of its rows'), the step at which
+    rk4 preserves the order of solutions: the smaller of
 
     the clause   0.25 / (mass + max|f| + 1), a bounded-operator bound with
                  the stencil's clause mass (the rate sum of the discrete
@@ -336,26 +339,24 @@ def _rk4_stepper(dt: float):
     return step
 
 
-def evolve(
-    op: DispersalOperator,
-    reaction: Reaction,
-    u0: Field,
-    T: float,
-    dt: float,
-    record_every: int = 1,
-) -> Trajectory:
-    """Integrate by rk4 to final time >= T, recording every record_every
-    (at least 1) steps and the last.
+def evolve(op: DispersalOperator, reactions, u0s, T: float, dt: float,
+           record_every: int = 1) -> tuple:
+    """The order-preserving march: every row j from u0s[j] under
+    reactions[j], all as one stack by rk4 at dt to final time >= T, with
+    a Trajectory per row that keeps every record (every record_every-th
+    step, at least 1, and the last).  A single run is the stack of one.
 
-    dt must not exceed stability_dt_bound (StabilityError otherwise).
-    u0 must be nonnegative.  All snapshots are nonnegative (roundoff
-    negatives are zeroed; clip_count counts values below -1e-14) and
-    bounded by the invariant-region bound reaction.ceiling(max u0) =
-    max(max u0, beta0) + u0*; any excursion past it or a non-finite value
-    aborts with the first bad time.
+    dt must not exceed the smallest stability_dt_bound of the rows
+    (StabilityError otherwise).  Each u0 must be nonnegative.  All
+    snapshots are nonnegative (roundoff negatives are zeroed; clip_count
+    counts values below -1e-14) and each row is bounded by its
+    invariant-region bound reaction.ceiling(max u0) = max(max u0, beta0)
+    + u0*; any excursion past it or a non-finite value aborts with the
+    first bad time.
     """
-    plan = MarchPlan(RK4, dt, 4, stability_dt_bound(op, reaction, u0))
-    return _step_loop(op, [reaction], [u0], T, plan, record_every, [None])[0]
+    bound = min(stability_dt_bound(op, r, u0) for r, u0 in zip(reactions, u0s, strict=True))
+    return _step_loop(op, reactions, u0s, T, MarchPlan(RK4, dt, 4, bound), record_every,
+                      [None] * len(u0s))
 
 
 def march(op: DispersalOperator, reactions, u0s, T: float, dt: float = None,
@@ -474,7 +475,7 @@ def _step_loop(op, reactions, u0s, T, plan, record_every, observers):
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """The worst violation of an order check over a trajectory, the time
+    """The worst violation of an order check over its records, the time
     it occurred and the tolerance it was held to."""
 
     ok: bool
@@ -483,20 +484,18 @@ class ViolationReport:
     tolerance: float
 
 
-def check_comparison(traj1: Trajectory, traj2: Trajectory) -> ViolationReport:
-    """Ordered initial data should stay ordered: reports the largest
-    positive part of u1 - u2 over all recorded times (passes up to 5e-10)."""
-    if traj1.habitat != traj2.habitat:
-        raise ValueError("trajectories live on different habitats")
-    if traj1.times.shape != traj2.times.shape or not np.allclose(
-        traj1.times, traj2.times, rtol=0.0, atol=1e-12
-    ):
-        raise ValueError("trajectories have mismatched recording times")
-    if np.any(traj1.initial.values > traj2.initial.values):
-        raise ValueError("precondition violated: traj1 initial data exceeds traj2")
+def check_comparison(op: DispersalOperator, reaction: Reaction, lo: Field, hi: Field,
+                     T: float, dt: float, record_every: int = 1) -> ViolationReport:
+    """Ordered initial data lo <= hi should stay ordered: marches the pair
+    as one evolve stack and reports the largest positive part of lo - hi
+    over all recorded times (passes up to 5e-10)."""
+    t_lo, t_hi = evolve(op, [reaction] * 2, [lo, hi], T, dt, record_every)
+    # after evolve, which refuses a pair on two habitats
+    if np.any(lo.values > hi.values):
+        raise ValueError("precondition violated: lo exceeds hi")
     violation = 0.0
     worst_time = 0.0
-    for t, s1, s2 in zip(traj1.times, traj1.snapshots, traj2.snapshots):
+    for t, s1, s2 in zip(t_lo.times, t_lo.snapshots, t_hi.snapshots):
         v = float(np.max(s1.values - s2.values))
         if v > violation:
             violation, worst_time = v, float(t)
@@ -532,24 +531,15 @@ def check_part_metric_decay(
 ) -> PartMetricReport:
     """The part metric between two strictly positive solutions must be
     non-increasing along the flow (up to a roundoff slack of 1e-8 per
-    recorded step).  The pair marches as one stack by rk4 at dt, which
-    must not exceed stability_dt_bound of either datum (evolve's
-    order-preserving step), and the metric is folded at each record."""
+    recorded step).  The pair marches as one evolve stack, and the metric
+    is taken at each record."""
     if not (u0.is_strictly_positive() and v0.is_strictly_positive()):
         raise ValueError("initial data must be strictly positive")
-    times, rhos, held = [], [], []
-
-    def fold(t, values, t_end):  # row v's observer, called after row u's
-        times.append(t)
-        rhos.append(part_metric(Field(u0.habitat, held.pop()), Field(u0.habitat, values)))
-
-    bound = min(stability_dt_bound(op, reaction, w0) for w0 in (u0, v0))
-    _step_loop(op, [reaction] * 2, [u0, v0], T, MarchPlan(RK4, dt, 4, bound), record_every,
-               [lambda t, values, t_end: held.append(values), fold])
-    rhos = np.array(rhos)
-    bad = tuple((times[k], float(rhos[k] - rhos[k - 1])) for k in range(1, len(rhos))
+    tu, tv = evolve(op, [reaction] * 2, [u0, v0], T, dt, record_every)
+    rhos = np.array([part_metric(a, b) for a, b in zip(tu.snapshots, tv.snapshots)])
+    bad = tuple((float(tu.times[k]), float(rhos[k] - rhos[k - 1])) for k in range(1, len(rhos))
                 if rhos[k] > rhos[k - 1] + _PART_METRIC_SLACK)
-    return PartMetricReport(not bad, rhos, np.asarray(times), bad, _PART_METRIC_SLACK)
+    return PartMetricReport(not bad, rhos, tu.times, bad, _PART_METRIC_SLACK)
 
 
 def check_exponential_supersolution(

@@ -59,6 +59,7 @@ DENSE_START_MAX = 256
 # the enclosure certifies once its width is at most REL (|lam| + shift) + ABS
 _CERTIFICATE_REL = 1e-14
 _CERTIFICATE_ABS = 1e-13
+_NODA_STEPS = 50  # no certificate after this many Noda steps is an error
 _AVERAGE_BOUND_SLACK = 1e-8  # check_average_lower_bound tolerates this shortfall
 
 
@@ -274,7 +275,7 @@ def _noda_step(operator: CellOperator, v, sigma):
     return v * z, applies
 
 
-def principal_eigenvalue(operator: CellOperator, max_iter: int = 50) -> EigenResult:
+def principal_eigenvalue(operator: CellOperator) -> EigenResult:
     """Dominant eigenpair by Noda's iteration, certified by the
     Collatz-Wielandt enclosure.
 
@@ -289,7 +290,7 @@ def principal_eigenvalue(operator: CellOperator, max_iter: int = 50) -> EigenRes
     wide; lam is its midpoint and phi = v, normalized to max 1.  A start
     vector that certifies costs one apply and builds no Fourier solver.
 
-    At most max_iter steps are taken; no certificate by then, a breakdown
+    At most 50 steps are taken; no certificate by then, a breakdown
     of a step's Krylov solve or a non-finite enclosure raises
     PowerIterationError with the enclosure width.  The width is measured
     through L v / v, so an eigenfunction that spans many orders of
@@ -297,24 +298,24 @@ def principal_eigenvalue(operator: CellOperator, max_iter: int = 50) -> EigenRes
     a twist or a nearly local kernel) can fail to certify.  A nonpositive entry in a
     certified eigenfunction raises too (it indicates an assembly bug).
     """
-    (result,) = principal_eigenvalues(operator[None], max_iter)
+    (result,) = principal_eigenvalues(operator[None])
     return result
 
 
-def principal_eigenvalues(stack: CellOperator, max_iter: int = 50) -> list:
+def principal_eigenvalues(stack: CellOperator) -> list:
     """principal_eigenvalue of each operator of a stack, in order: the
     dense starts come from stacked eig calls (_start_vectors), and each
     operator is then certified alone."""
-    return [_certify(stack[i], v, gap, max_iter)
+    return [_certify(stack[i], v, gap)
             for i, (v, gap) in enumerate(_start_vectors(stack))]
 
 
-def _certify(operator: CellOperator, v, gap, max_iter):
+def _certify(operator: CellOperator, v, gap):
     """principal_eigenvalue's Noda loop from the start vector v; gap is
     reported as found."""
     s = operator.shift
     applies = 0
-    for step in range(max_iter + 1):
+    for step in range(_NODA_STEPS + 1):
         w = operator.matvec(v)
         applies += 1
         ratio = w / v
@@ -330,7 +331,7 @@ def _certify(operator: CellOperator, v, gap, max_iter):
                     "internal error: certified eigenfunction has a nonpositive entry")
             residual = float(np.max(np.abs(w - lam * v)))
             return EigenResult(lam, v, residual, applies, (lo, hi), gap)
-        if step == max_iter:
+        if step == _NODA_STEPS:
             break
         try:
             y, n = _noda_step(operator, v, hi + bound)
@@ -340,7 +341,7 @@ def _certify(operator: CellOperator, v, gap, max_iter):
         applies += n
         v = y / y.max()
     raise PowerIterationError(
-        f"no certificate in {max_iter} steps (last enclosure width {width:.3e})"
+        f"no certificate in {_NODA_STEPS} steps (last enclosure width {width:.3e})"
     )
 
 

@@ -10,11 +10,14 @@ from kpplab.domain import make_front_initial, sampled_directions
 from kpplab.dispersal import DispersalOperator
 from kpplab.domain import Reaction
 from kpplab.dynamics import (
+    _COMPARISON_TOL,
     _PART_METRIC_SLACK,
     RK4,
     RKC2,
     MarchPlan,
     PartMetricReport,
+    Trajectory,
+    ViolationReport,
     _reaction_maxima,
     _rkc2_stages,
     evolve,
@@ -304,7 +307,7 @@ def march_stationary(op, reaction, habitat, route=FROM_ABOVE):
     converged = False
     k = clip_count = 0
     for k in range(1, n_chunks + 1):
-        traj = evolve(op, reaction, prev, _RECORD_SPACING, dt, record_every=10 ** 9)
+        (traj,) = evolve(op, [reaction], [prev], _RECORD_SPACING, dt, record_every=10 ** 9)
         clip_count += traj.clip_count
         cur = traj.final
         step = cur.values - prev.values
@@ -449,11 +452,34 @@ def check_part_metric_decay(
     before the pair marched as one stack: two evolve histories."""
     if not (u0.is_strictly_positive() and v0.is_strictly_positive()):
         raise ValueError("initial data must be strictly positive")
-    tu = evolve(op, reaction, u0, T, dt, record_every)
-    tv = evolve(op, reaction, v0, T, dt, record_every)
+    (tu,) = evolve(op, [reaction], [u0], T, dt, record_every)
+    (tv,) = evolve(op, [reaction], [v0], T, dt, record_every)
     rhos = np.array([part_metric(a, b) for a, b in zip(tu.snapshots, tv.snapshots)])
     bad = []
     for k in range(1, len(rhos)):
         if rhos[k] > rhos[k - 1] + _PART_METRIC_SLACK:
             bad.append((float(tu.times[k]), float(rhos[k] - rhos[k - 1])))
     return PartMetricReport(not bad, rhos, tu.times, tuple(bad), _PART_METRIC_SLACK)
+
+
+def check_comparison(traj1: Trajectory, traj2: Trajectory) -> ViolationReport:
+    """Ordered initial data should stay ordered: reports the largest
+    positive part of u1 - u2 over all recorded times (passes up to 5e-10).
+    kpplab.dynamics.check_comparison as it was before it marched its own
+    pair: two stored trajectories."""
+    if traj1.habitat != traj2.habitat:
+        raise ValueError("trajectories live on different habitats")
+    if traj1.times.shape != traj2.times.shape or not np.allclose(
+        traj1.times, traj2.times, rtol=0.0, atol=1e-12
+    ):
+        raise ValueError("trajectories have mismatched recording times")
+    if np.any(traj1.initial.values > traj2.initial.values):
+        raise ValueError("precondition violated: traj1 initial data exceeds traj2")
+    violation = 0.0
+    worst_time = 0.0
+    for t, s1, s2 in zip(traj1.times, traj1.snapshots, traj2.snapshots):
+        v = float(np.max(s1.values - s2.values))
+        if v > violation:
+            violation, worst_time = v, float(t)
+    violation = max(violation, 0.0)
+    return ViolationReport(violation <= _COMPARISON_TOL, violation, worst_time, _COMPARISON_TOL)

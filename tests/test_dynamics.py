@@ -64,15 +64,15 @@ def logistic_exact(u0, r0, K, t):
 
 def test_constant_equilibrium_is_preserved():
     op = DispersalOperator.random()
-    traj = evolve(op, FISHER, HAB.full(1.0), T=2.0, dt=_dt(op, FISHER, HAB.full(1.0)),
-                  record_every=20)
+    (traj,) = evolve(op, [FISHER], [HAB.full(1.0)], T=2.0, dt=_dt(op, FISHER, HAB.full(1.0)),
+                     record_every=20)
     for snap in traj.snapshots:
         assert np.abs(snap.values - 1.0).max() < 1e-10
 
 
 def test_zero_is_invariant_exactly():
     for op, hab in _three_ops():
-        traj = evolve(op, FISHER, hab.zeros(), T=1.0, dt=_dt(op, FISHER, hab.zeros()))
+        (traj,) = evolve(op, [FISHER], [hab.zeros()], T=1.0, dt=_dt(op, FISHER, hab.zeros()))
         assert np.all(traj.final.values == 0.0)
 
 
@@ -80,7 +80,7 @@ def test_matches_scalar_logistic_closed_form():
     rea = Reaction.logistic(1.0, 2.0)
     op = DispersalOperator.random()
     u0 = HAB.full(0.1)
-    traj = evolve(op, rea, u0, T=1.0, dt=0.01, record_every=10)
+    (traj,) = evolve(op, [rea], [u0], T=1.0, dt=0.01, record_every=10)
     exact = logistic_exact(0.1, 1.0, 2.0, 1.0)
     assert np.abs(traj.final.values - exact).max() < 1e-4
 
@@ -93,7 +93,7 @@ def test_step_refinement_orders():
     exact = logistic_exact(0.1, 1.0, 2.0, 1.0)
 
     def err(dt):
-        traj = evolve(op, rea, u0, T=1.0, dt=dt, record_every=10 ** 9)
+        (traj,) = evolve(op, [rea], [u0], T=1.0, dt=dt, record_every=10 ** 9)
         return abs(traj.final.values.max() - exact)
 
     r1, r2 = err(0.02), err(0.01)
@@ -104,14 +104,14 @@ def test_stability_bound_refusal():
     op = DispersalOperator.random()
     bound = stability_dt_bound(op, FISHER, HAB.full(1.0))
     with pytest.raises(StabilityError, match="stability bound"):
-        evolve(op, FISHER, HAB.full(1.0), T=1.0, dt=bound * 1.5)
+        evolve(op, [FISHER], [HAB.full(1.0)], T=1.0, dt=bound * 1.5)
 
 
 def test_record_every_below_one_is_refused():
     op = DispersalOperator.random()
     for record_every in (0, -7):
         with pytest.raises(ValueError, match="record_every"):
-            evolve(op, FISHER, HAB.full(1.0), T=1.0, dt=0.01, record_every=record_every)
+            evolve(op, [FISHER], [HAB.full(1.0)], T=1.0, dt=0.01, record_every=record_every)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
@@ -132,9 +132,9 @@ def test_large_grid_steps_do_not_page_fault():
         op, rea = DispersalOperator.random(), Reaction.linear(1.0, 1.0, 0.5, 1.5)
         u0 = hab.full(0.5)
         dt = 0.95 * stability_dt_bound(op, rea, u0)
-        evolve(op, rea, u0, T=dt, dt=dt)
+        evolve(op, [rea], [u0], T=dt, dt=dt)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        evolve(op, rea, u0, T=20 * dt, dt=dt, record_every=10 ** 9)
+        evolve(op, [rea], [u0], T=20 * dt, dt=dt, record_every=10 ** 9)
         print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
         dt = march_plan(op, [rea], [u0]).dt
         march(op, [rea], [u0], T=dt)
@@ -169,7 +169,7 @@ def test_divergence_is_reported_with_time(monkeypatch):
     dt = 2.0 * HAB.spacing ** 2 / (2.0 * HAB.dim * 1.2)
     monkeypatch.setattr("kpplab.dynamics.stability_dt_bound", lambda *args: dt)
     with pytest.raises(IntegrationDivergedError) as err:
-        evolve(op, FISHER, u0, T=1.0, dt=dt)
+        evolve(op, [FISHER], [u0], T=1.0, dt=dt)
     # t, max and bound all print as plain %g numbers, never a numpy repr
     found = re.fullmatch(r"integration diverged at t=(\S+) \(max=(\S+), bound=2\)",
                          str(err.value))
@@ -188,7 +188,8 @@ def test_random_step_bound_includes_reaction():
     max_f = float(np.abs(rea.evaluate(hab, np.full(hab.shape, rea.beta0 + 1.0))).max())
     bound = stability_dt_bound(op, rea, u0)
     assert bound <= 0.25 / (1.0 + max_f + 1.0)  # the random kind's clause mass is 1
-    assert evolve(op, rea, u0, T=20.0, dt=_dt(op, rea, u0), record_every=10 ** 9).clip_count == 0
+    (traj,) = evolve(op, [rea], [u0], T=20.0, dt=_dt(op, rea, u0), record_every=10 ** 9)
+    assert traj.clip_count == 0
     # where the Laplacian is the stiffer part, its bound is unchanged
     assert stability_dt_bound(op, FISHER, HAB.full(0.5)) == HAB.spacing ** 2 / 2.4
 
@@ -200,7 +201,7 @@ def test_positivity_and_bounds_on_fixture_suite():
     for op, hab in _three_ops():
         u0 = Field(hab, 2.0 * rng.random(hab.shape))
         dt = _dt(op, FISHER, u0)
-        traj = evolve(op, FISHER, u0, T=3.0, dt=dt, record_every=25)
+        (traj,) = evolve(op, [FISHER], [u0], T=3.0, dt=dt, record_every=25)
         assert traj.clip_count == 0
         for snap in traj.snapshots:
             assert snap.values.min() >= 0.0
@@ -211,22 +212,19 @@ def test_comparison_identical_and_scaled():
     op = DispersalOperator.random()
     u0 = make_front_initial(HAB, 1.0, 0.5)
     dt = _dt(op, FISHER, u0)
-    t1 = evolve(op, FISHER, u0, T=2.0, dt=dt, record_every=10)
-    rep = check_comparison(t1, t1)
+    rep = check_comparison(op, FISHER, u0, u0, T=2.0, dt=dt, record_every=10)
     assert rep.ok and rep.violation == 0.0
 
     u1 = Field(HAB, 1.1 * u0.values)
-    t2 = evolve(op, FISHER, u1, T=2.0, dt=dt, record_every=10)
-    rep = check_comparison(t1, t2)
+    rep = check_comparison(op, FISHER, u0, u1, T=2.0, dt=dt, record_every=10)
     assert rep.ok, rep
 
-    const = HAB.full(2.0)
-    t3 = evolve(op, FISHER, const, T=2.0, dt=dt, record_every=10)
-    rep = check_comparison(t1, t3)
+    rep = check_comparison(op, FISHER, u0, HAB.full(2.0), T=2.0, dt=dt, record_every=10)
     assert rep.ok, rep
 
     # strict-ordering spot check: distinct ordered data leaves a strictly
     # positive gap at an interior point after t = 1
+    t1, t2 = evolve(op, [FISHER] * 2, [u0, u1], T=2.0, dt=dt, record_every=10)
     center = HAB.half_points
     k = int(np.argmin(np.abs(t1.times - 1.0)))
     assert t2.snapshots[k].values[center] - t1.snapshots[k].values[center] > 0.0
@@ -283,20 +281,56 @@ def test_comparison_across_kinds_random_pairs(problem, seed):
     lo = rng.random(hab.shape) * rea.u0_star
     hi = lo + rng.random(hab.shape)
     dt = _dt(op, rea, Field(hab, hi))
-    t1 = evolve(op, rea, Field(hab, lo), T=1.0, dt=dt, record_every=10)
-    t2 = evolve(op, rea, Field(hab, hi), T=1.0, dt=dt, record_every=10)
-    rep = check_comparison(t1, t2)
+    rep = check_comparison(op, rea, Field(hab, lo), Field(hab, hi), T=1.0, dt=dt, record_every=10)
     assert rep.ok, (op.kind, rep)
 
 
 def test_comparison_input_errors():
     op = DispersalOperator.random()
-    u0 = HAB.full(1.0)
-    dt = _dt(op, FISHER, u0)
-    t1 = evolve(op, FISHER, u0, T=1.0, dt=dt, record_every=10)
-    t2 = evolve(op, FISHER, u0, T=1.0, dt=dt, record_every=20)
-    with pytest.raises(ValueError, match="mismatched"):
-        check_comparison(t1, t2)
+    lo, hi = HAB.full(1.0), HAB.full(0.5)
+    dt = _dt(op, FISHER, lo)
+    with pytest.raises(ValueError, match="precondition"):
+        check_comparison(op, FISHER, lo, hi, T=1.0, dt=dt)
+    coarse = Habitat("continuum", 1, 10.0, 0.5)
+    with pytest.raises(ValueError, match="share one habitat"):
+        check_comparison(op, FISHER, hi, coarse.full(1.0), T=1.0, dt=dt)
+
+
+@pytest.mark.parametrize("boundary", ["clamp", "periodic"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["random", "nonlocal", "discrete"])
+def test_comparison_matches_the_two_evolve_oracle(kind, dim, boundary):
+    # the pair marched as one stack reports the violation and its time,
+    # bit for bit, as the check of two single-row evolve histories did;
+    # hi sits one ulp above lo, so 8 of the 12 cases see a roundoff
+    # violation of an ulp or two, at a time the oracle must match
+    op, hab = _stack_setup(kind, dim, boundary)
+    rea = Reaction.linear(1.0, 1.0, amplitude=0.5, radius=1.5)
+    lo = Field(hab, 0.3 + np.random.default_rng(13).random(hab.shape))
+    hi = Field(hab, np.nextafter(lo.values, np.inf))
+    dt = _dt(op, rea, hi)
+    got = check_comparison(op, rea, lo, hi, T=2.0, dt=dt, record_every=7)
+    (t_lo,) = evolve(op, [rea], [lo], T=2.0, dt=dt, record_every=7)
+    (t_hi,) = evolve(op, [rea], [hi], T=2.0, dt=dt, record_every=7)
+    want = oracles.check_comparison(t_lo, t_hi)
+    assert (got.ok, got.violation, got.worst_time) == (want.ok, want.violation, want.worst_time)
+
+
+@pytest.mark.parametrize("op, hab", [
+    (DispersalOperator.random(), Habitat("continuum", 1, 10.0, 1.0)),
+    *_three_ops()[1:],
+], ids=["random", "nonlocal", "discrete"])
+def test_a_stack_steps_within_every_rows_bound(op, hab):
+    # the second row has the larger max and so the smaller bound, which
+    # the first row's alone would step past
+    lo, hi = hab.full(0.5), hab.full(3.0)
+    bound = stability_dt_bound(op, FISHER, hi)
+    assert 1.01 * bound < stability_dt_bound(op, FISHER, lo)
+    with pytest.raises(StabilityError):
+        evolve(op, [FISHER] * 2, [lo, hi], T=1.0, dt=1.01 * bound)
+    with pytest.raises(StabilityError):
+        check_comparison(op, FISHER, lo, hi, T=1.0, dt=1.01 * bound)
+    assert check_comparison(op, FISHER, lo, hi, T=1.0, dt=bound).ok
 
 
 def test_part_metric_basics():
@@ -373,14 +407,14 @@ def test_exponential_envelope():
     op = DispersalOperator.random()
     hab = Habitat("continuum", 1, 40.0, 0.1)
     u0 = hab.zeros()
-    traj = evolve(op, FISHER, u0, T=1.0, dt=_dt(op, FISHER, u0), record_every=50)
+    (traj,) = evolve(op, [FISHER], [u0], T=1.0, dt=_dt(op, FISHER, u0), record_every=50)
     rep = check_exponential_supersolution(traj, d=1.0, mu=1.0, c=2.0, xi=1.0)
     assert rep.ok  # zero data is trivially bounded
 
     front = make_front_initial(hab, 1.0, 0.5)
     proj = hab.projection(1.0)
     d = float((front.values * np.exp(np.minimum(proj, 60.0))).max()) * (1.0 + 1e-12)
-    traj = evolve(op, FISHER, front, T=10.0, dt=_dt(op, FISHER, front), record_every=100)
+    (traj,) = evolve(op, [FISHER], [front], T=10.0, dt=_dt(op, FISHER, front), record_every=100)
     ok_rep = check_exponential_supersolution(traj, d=d, mu=1.0, c=2.0, xi=1.0)
     assert ok_rep.ok, ok_rep
     # negative control: c below the spreading speed must be caught
@@ -766,7 +800,7 @@ def test_handed_out_arrays_never_change_afterwards(route, monkeypatch):
             return field(habitat, values)
 
         monkeypatch.setattr(kpplab.dynamics, "Field", recording_field)
-        traj = evolve(op, FISHER, u0, T=1.0, dt=_dt(op, FISHER, u0), record_every=3)
+        (traj,) = evolve(op, [FISHER], [u0], T=1.0, dt=_dt(op, FISHER, u0), record_every=3)
         assert len(kept) == len(traj.snapshots) - 1  # u0 is kept as given
     else:
         (traj,) = march(op, [FISHER], [u0], T=1.0, record_every=3,

@@ -291,15 +291,16 @@ def test_periodic_coefficient_copies_the_callers_array():
     assert a.values[0] == 1.0 and not a.values.flags.writeable
 
 
-def test_power_iteration_cap():
+def test_power_iteration_cap(monkeypatch):
     # 512 points: above the dense-start cutoff, so the iteration starts
     # from constants and needs 4 Noda steps; 3 leave the enclosure open
     a = PeriodicCoefficient.from_function(
         lambda x: 0.5 + 0.2 * np.sin(2.0 * np.pi * x / 4.0), (4.0,), 1.0 / 128.0
     )
     op = assemble_cell_operator("random", 0.3, 1.0, a)
-    with pytest.raises(PowerIterationError, match="enclosure width"):
-        principal_eigenvalue(op, max_iter=3)
+    monkeypatch.setattr("kpplab.eigen._NODA_STEPS", 3)
+    with pytest.raises(PowerIterationError, match="no certificate in 3 steps"):
+        principal_eigenvalue(op)
 
 
 def test_fine_random_cell_converges():

@@ -121,7 +121,7 @@ def small_fisher_run():
     op = DispersalOperator.random()
     u0 = make_front_initial(hab, 1.0, 1.0)
     dt = 0.95 * stability_dt_bound(op, FISHER, u0)
-    traj = evolve(op, FISHER, u0, T=30.0, dt=dt, record_every=60)
+    (traj,) = evolve(op, [FISHER], [u0], T=30.0, dt=dt, record_every=60)
     return hab, traj
 
 
@@ -367,7 +367,7 @@ def test_rkc2_front_speed_matches_rk4():
     (fast,) = run_front(op, [FISHER], hab, 1.0, 40.0)
     u0 = make_front_initial(hab, 1.0, 1.0)
     dt = 0.95 * stability_dt_bound(op, FISHER, u0)
-    oracle = evolve(op, FISHER, u0, 40.0, dt, record_every=math.ceil(40.0 / dt / 240))
+    (oracle,) = evolve(op, [FISHER], [u0], 40.0, dt, record_every=math.ceil(40.0 / dt / 240))
     trace = track_front(oracle, 1.0, 0.5 * FISHER.u0_star)
     slope = estimate_speed(trace, 0.5, exclusion=op.delta0 + 10.0 * hab.spacing).slope
     assert (fast.traj.scheme, oracle.scheme) == ("rkc2", "rk4")
@@ -394,7 +394,7 @@ def test_rk4_march_front_speed_matches_evolve(kind, amplitude):
     (fast,) = run_front(op, [rea], hab, 1.0, T)
     u0 = make_front_initial(hab, 1.0, 1.0)
     dt = 0.95 * stability_dt_bound(op, rea, u0)
-    oracle = evolve(op, rea, u0, T, dt, record_every=math.ceil(T / dt / 240))
+    (oracle,) = evolve(op, [rea], [u0], T, dt, record_every=math.ceil(T / dt / 240))
     trace = track_front(oracle, 1.0, 0.5 * rea.u0_star)
     slope = estimate_speed(trace, 0.5, exclusion=op.delta0 + 10.0 * hab.spacing).slope
     assert (fast.traj.scheme, oracle.scheme) == ("rk4", "rk4")

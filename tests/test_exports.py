@@ -42,8 +42,8 @@ def test_trajectory_export(tmp_path):
     rea = Reaction.linear(1.0, 1.0)
     op = DispersalOperator.random()
     u0 = habitat.full(0.5)
-    traj = evolve(op, rea, u0, T=0.5, dt=0.9 * stability_dt_bound(op, rea, u0),
-                  record_every=3)
+    (traj,) = evolve(op, [rea], [u0], T=0.5, dt=0.9 * stability_dt_bound(op, rea, u0),
+                     record_every=3)
     x = habitat.grid()[0]
     rows = [[t, xi, ui] for t, snap in zip(traj.times, traj.snapshots)
             for xi, ui in zip(x, snap.values)]

@@ -97,7 +97,7 @@ def test_sub_solution_dip_validates_and_grows():
         assert float((disp(u.values) + u.values * grow(u.values)).min()) >= -1e-10
         # monotone increase along the flow (pointwise, 1e-10 slack)
         dt = 0.95 * stability_dt_bound(op, DIP, u)
-        traj = evolve(op, DIP, u, T=2.0, dt=dt, record_every=10)
+        (traj,) = evolve(op, [DIP], [u], T=2.0, dt=dt, record_every=10)
         for a, b in zip(traj.snapshots[:-1], traj.snapshots[1:]):
             assert float((b.values - a.values).min()) >= -1e-10, op.kind
 
@@ -127,8 +127,7 @@ def test_sandwich_between_routes():
     lo = sub_solution(op, DIP, HAB)
     hi = HAB.full(DIP.beta0 + 1.0)
     dt = 0.95 * stability_dt_bound(op, DIP, hi)
-    tlo = evolve(op, DIP, lo, T=6.0, dt=dt, record_every=40)
-    thi = evolve(op, DIP, hi, T=6.0, dt=dt, record_every=40)
+    tlo, thi = evolve(op, [DIP] * 2, [lo, hi], T=6.0, dt=dt, record_every=40)
     for a, b in zip(tlo.snapshots, thi.snapshots):
         assert float((a.values - star.values).max()) <= 1e-9
         assert float((star.values - b.values).max()) <= 1e-9
@@ -196,8 +195,7 @@ def test_uniqueness_via_part_metric():
     u0 = Field(HAB, 0.4 * star.values)
     v0 = Field(HAB, 2.5 * star.values)
     dt = 0.95 * stability_dt_bound(op, rea, v0)
-    tu = evolve(op, rea, u0, T=200.0, dt=dt, record_every=10 ** 9)
-    tv = evolve(op, rea, v0, T=200.0, dt=dt, record_every=10 ** 9)
+    tu, tv = evolve(op, [rea] * 2, [u0, v0], T=200.0, dt=dt, record_every=10 ** 9)
     assert part_metric(tu.final, tv.final) < 1e-4
 
 
@@ -219,7 +217,7 @@ def test_clip_counts_are_summed_over_chunks(monkeypatch):
     real = oracles.evolve
 
     def clip_once(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), clip_count=1)
+        return tuple(dataclasses.replace(traj, clip_count=1) for traj in real(*args, **kwargs))
 
     monkeypatch.setattr(oracles, "evolve", clip_once)
     op, hab = _ops()[2]
